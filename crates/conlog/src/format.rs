@@ -11,6 +11,8 @@
 //! the parser additionally tolerates (and counts) malformed lines, since
 //! real console streams interleave GPU events with unrelated chatter.
 
+use std::fmt::{self, Write as _};
+
 use bytes::BytesMut;
 use titan_gpu::{GpuErrorKind, MemoryStructure, Xid};
 use titan_topology::Location;
@@ -27,40 +29,42 @@ pub struct ParseStats {
     pub skipped: u64,
 }
 
+/// Writes the event's console-log line (no trailing newline). This is
+/// the one definition of the line format: [`render_line`], the log
+/// renderers and the run digest all write through it, the latter two
+/// straight into their sink without a per-line allocation.
+impl fmt::Display for ConsoleEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[{}] {} ",
+            StudyCalendar.breakdown(self.time),
+            self.node.location()
+        )?;
+        match self.kind.xid() {
+            Some(x) => write!(f, "GPU Xid {x}: {}", self.kind.description())?,
+            None => match self.kind {
+                GpuErrorKind::OffTheBus => f.write_str("GPU has fallen off the bus")?,
+                // SBEs never appear in console logs; render defensively anyway.
+                _ => f.write_str(self.kind.description())?,
+            },
+        }
+        if let Some(st) = self.structure {
+            write!(f, " struct=\"{}\"", st.label())?;
+        }
+        if let Some(p) = self.page {
+            write!(f, " page=0x{p:08x}")?;
+        }
+        if let Some(a) = self.apid {
+            write!(f, " apid={a}")?;
+        }
+        Ok(())
+    }
+}
+
 /// Renders one event as a console-log line (no trailing newline).
 pub fn render_line(ev: &ConsoleEvent) -> String {
-    let cal = StudyCalendar;
-    let mut s = String::with_capacity(96);
-    s.push('[');
-    s.push_str(&cal.format_timestamp(ev.time));
-    s.push_str("] ");
-    s.push_str(&ev.node.location().cname());
-    s.push(' ');
-    match ev.kind.xid() {
-        Some(x) => {
-            s.push_str("GPU Xid ");
-            s.push_str(&x.to_string());
-            s.push_str(": ");
-            s.push_str(ev.kind.description());
-        }
-        None => match ev.kind {
-            GpuErrorKind::OffTheBus => s.push_str("GPU has fallen off the bus"),
-            // SBEs never appear in console logs; render defensively anyway.
-            _ => s.push_str(ev.kind.description()),
-        },
-    }
-    if let Some(st) = ev.structure {
-        s.push_str(" struct=\"");
-        s.push_str(st.label());
-        s.push('"');
-    }
-    if let Some(p) = ev.page {
-        s.push_str(&format!(" page=0x{p:08x}"));
-    }
-    if let Some(a) = ev.apid {
-        s.push_str(&format!(" apid={a}"));
-    }
-    s
+    ev.to_string()
 }
 
 /// Decimal digit count of `v` (1 for zero).
@@ -117,12 +121,11 @@ pub fn rendered_len(ev: &ConsoleEvent) -> usize {
 
 /// Renders a batch of events into a newline-delimited buffer.
 pub fn render_stream(events: &[ConsoleEvent]) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(events.len() * 96);
+    let mut text = String::with_capacity(events.len() * 96);
     for ev in events {
-        buf.extend_from_slice(render_line(ev).as_bytes());
-        buf.extend_from_slice(b"\n");
+        let _ = writeln!(text, "{ev}");
     }
-    buf
+    BytesMut::from(text.into_bytes())
 }
 
 /// Parses one console-log line. `None` for anything that is not a

@@ -7,6 +7,8 @@
 //! are rendered as compact id ranges (`17-40,96,112-143`) because Titan
 //! jobs routinely span thousands of nodes.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 use titan_topology::NodeId;
 
@@ -50,19 +52,9 @@ impl JobRecord {
         self.node_count() as f64 * self.wall_seconds() as f64 / 3600.0
     }
 
-    /// Renders one job-log line.
+    /// Renders one job-log line (the [`Display`](fmt::Display) form).
     pub fn render(&self) -> String {
-        format!(
-            "JOB apid={} user={} start={} end={} gpu_core_hours={:.4} max_mem={} total_mem_bh={:.4} nodes={}",
-            self.apid,
-            self.user,
-            self.start,
-            self.end,
-            self.gpu_core_hours,
-            self.max_memory_bytes,
-            self.total_memory_byte_hours,
-            compress_ranges(&self.nodes),
-        )
+        self.to_string()
     }
 
     /// Parses a [`render`](Self::render)ed line.
@@ -109,6 +101,25 @@ impl JobRecord {
     }
 }
 
+/// Writes the job-log line: the one definition of the format, used by
+/// [`JobRecord::render`], the log renderers and the run digest.
+impl fmt::Display for JobRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "JOB apid={} user={} start={} end={} gpu_core_hours={:.4} max_mem={} total_mem_bh={:.4} nodes={}",
+            self.apid,
+            self.user,
+            self.start,
+            self.end,
+            self.gpu_core_hours,
+            self.max_memory_bytes,
+            self.total_memory_byte_hours,
+            NodeRanges(&self.nodes),
+        )
+    }
+}
+
 /// One `aprun` segment inside a batch job — ALPS launches these; §4 of
 /// the paper: "the SBE counts can not be collected on a per aprun basis
 /// instead it is collected on a job basis".
@@ -130,12 +141,9 @@ impl Aprun {
         self.end - self.start
     }
 
-    /// Renders one aprun log line (the ALPS log format stand-in).
+    /// Renders one aprun log line (the [`Display`](fmt::Display) form).
     pub fn render(&self) -> String {
-        format!(
-            "APRUN apid={} idx={} start={} end={}",
-            self.apid, self.index, self.start, self.end
-        )
+        self.to_string()
     }
 
     /// Parses a [`render`](Self::render)ed aprun line.
@@ -168,6 +176,19 @@ impl Aprun {
     }
 }
 
+/// Writes the aprun log line (the ALPS log format stand-in): the one
+/// definition of the format, used by [`Aprun::render`], the log
+/// renderers and the run digest.
+impl fmt::Display for Aprun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "APRUN apid={} idx={} start={} end={}",
+            self.apid, self.index, self.start, self.end
+        )
+    }
+}
+
 /// Job-log parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobLogError {
@@ -187,32 +208,53 @@ impl std::error::Error for JobLogError {}
 
 /// Compresses sorted-or-not node ids to `a-b,c,d-e` ranges.
 pub fn compress_ranges(nodes: &[NodeId]) -> String {
-    if nodes.is_empty() {
-        return "-".to_string();
-    }
-    let mut ids: Vec<u32> = nodes.iter().map(|n| n.0).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    let mut out = String::new();
-    let mut i = 0;
-    while i < ids.len() {
-        let start = ids[i];
-        let mut endv = start;
-        while i + 1 < ids.len() && ids[i + 1] == endv + 1 {
-            i += 1;
-            endv = ids[i];
+    NodeRanges(nodes).to_string()
+}
+
+/// Writes node ids as `a-b,c,d-e` ranges (`-` when empty), sorted and
+/// deduplicated.
+struct NodeRanges<'a>(&'a [NodeId]);
+
+impl fmt::Display for NodeRanges<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let nodes = self.0;
+        if nodes.is_empty() {
+            return f.write_str("-");
         }
-        if !out.is_empty() {
-            out.push(',');
-        }
-        if start == endv {
-            out.push_str(&start.to_string());
+        // Allocations arrive sorted and distinct; only other input needs
+        // a normalized copy.
+        let normalized = nodes.windows(2).all(|w| matches!(w, [a, b] if a.0 < b.0));
+        if normalized {
+            write_ranges(f, nodes.iter().map(|n| n.0))
         } else {
-            out.push_str(&format!("{start}-{endv}"));
+            let mut ids: Vec<u32> = nodes.iter().map(|n| n.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            write_ranges(f, ids.into_iter())
         }
-        i += 1;
     }
-    out
+}
+
+/// Writes strictly increasing ids, collapsing consecutive runs.
+fn write_ranges(f: &mut fmt::Formatter<'_>, ids: impl Iterator<Item = u32>) -> fmt::Result {
+    let mut ids = ids.peekable();
+    let mut first = true;
+    while let Some(start) = ids.next() {
+        let mut end = start;
+        while let Some(next) = ids.next_if(|&n| Some(n) == end.checked_add(1)) {
+            end = next;
+        }
+        if !first {
+            f.write_str(",")?;
+        }
+        first = false;
+        if start == end {
+            write!(f, "{start}")?;
+        } else {
+            write!(f, "{start}-{end}")?;
+        }
+    }
+    Ok(())
 }
 
 /// Inverse of [`compress_ranges`].

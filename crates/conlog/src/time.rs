@@ -8,6 +8,8 @@
 //! dependency set — the span contains no leap year anyway (2016 is the
 //! next one).
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 /// Seconds since the study epoch, 2013-06-01T00:00:00Z.
@@ -74,6 +76,17 @@ pub struct CalendarTime {
     pub minute: u8,
     /// Second 0–59.
     pub second: u8,
+}
+
+/// Writes the log timestamp form, `2013-06-01 12:34:56`.
+impl fmt::Display for CalendarTime {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:04}-{:02}-{:02} {:02}:{:02}:{:02}",
+            self.year, self.month, self.day, self.hour, self.minute, self.second
+        )
+    }
 }
 
 /// Calendar math over the study window.
@@ -167,11 +180,7 @@ impl StudyCalendar {
 
     /// Renders the log timestamp: `2013-06-01 12:34:56`.
     pub fn format_timestamp(&self, t: SimTime) -> String {
-        let c = self.breakdown(t);
-        format!(
-            "{:04}-{:02}-{:02} {:02}:{:02}:{:02}",
-            c.year, c.month, c.day, c.hour, c.minute, c.second
-        )
+        self.breakdown(t).to_string()
     }
 
     /// Parses a [`format_timestamp`](Self::format_timestamp) string.

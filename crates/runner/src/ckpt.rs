@@ -32,6 +32,8 @@ use titan_reliability::study::CompletedStudy;
 use titan_reliability::{Study, StudyConfig};
 use titan_sim::{EngineSnapshot, EngineState};
 
+use crate::Fnv1a;
+
 /// Schema identifier written into every checkpoint document.
 pub const CKPT_SCHEMA: &str = "titan-ckpt/1";
 
@@ -70,33 +72,28 @@ pub struct CheckpointDoc {
     pub obs: ObsSnapshot,
 }
 
-/// FNV-1a over `bytes`, continuing from `h` (same constants as
-/// [`output_digest`](crate::output_digest) so the two fingerprint
-/// families are comparable in tooling).
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// The chained digest of a document: FNV-1a over its JSON serialization
+/// The chained digest of a document: FNV-1a over its compact JSON
 /// with the `digest` field zeroed. `prev_digest` is inside the hashed
 /// bytes, so this value commits to the entire chain back to index 0.
+/// The JSON streams into the hasher; a document whose `digest` is
+/// already 0 (one being sealed) is hashed in place, without a copy.
 pub fn checkpoint_digest(doc: &CheckpointDoc) -> u64 {
-    let mut zeroed = doc.clone();
-    zeroed.digest = 0;
-    let json = serde_json::to_string(&zeroed).unwrap_or_default();
-    fnv1a(FNV_OFFSET, json.as_bytes())
+    if doc.digest != 0 {
+        let mut zeroed = doc.clone();
+        zeroed.digest = 0;
+        return checkpoint_digest(&zeroed);
+    }
+    let mut h = Fnv1a::new();
+    // `Fnv1a::write_str` never fails, so the stream always completes.
+    let _ = doc.write_json(&mut h);
+    h.finish()
 }
 
 /// Renders a sealed document as compact JSON (one line + newline).
 pub fn render_checkpoint(doc: &CheckpointDoc) -> String {
-    let mut s = serde_json::to_string(doc).unwrap_or_else(|_| "{}".to_string());
+    let mut s = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = doc.write_json(&mut s);
     s.push('\n');
     s
 }
@@ -105,7 +102,7 @@ pub fn render_checkpoint(doc: &CheckpointDoc) -> String {
 /// the recomputed chained digest must equal the stored one. A corrupted
 /// file (any flipped byte) fails here with a clean error.
 pub fn parse_checkpoint(text: &str) -> Result<CheckpointDoc, String> {
-    let doc: CheckpointDoc =
+    let mut doc: CheckpointDoc =
         serde_json::from_str(text.trim_end()).map_err(|e| format!("checkpoint parse: {e}"))?;
     if doc.schema != CKPT_SCHEMA {
         return Err(format!(
@@ -113,14 +110,17 @@ pub fn parse_checkpoint(text: &str) -> Result<CheckpointDoc, String> {
             doc.schema
         ));
     }
+    // Zero the stored digest while hashing so the document is hashed in
+    // place rather than copied.
+    let stored = std::mem::take(&mut doc.digest);
     let computed = checkpoint_digest(&doc);
-    if computed != doc.digest {
+    if computed != stored {
         return Err(format!(
-            "checkpoint digest mismatch: stored {:016x}, computed {computed:016x} \
-             (file corrupted, truncated, or hand-edited — refusing to resume)",
-            doc.digest
+            "checkpoint digest mismatch: stored {stored:016x}, computed {computed:016x} \
+             (file corrupted, truncated, or hand-edited — refusing to resume)"
         ));
     }
+    doc.digest = stored;
     Ok(doc)
 }
 

@@ -16,6 +16,7 @@
 //! the digest of a plain sequential [`Study`] run of that seed.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};
 use titan_conlog::SecEngine;
@@ -590,24 +591,56 @@ pub fn seed_metrics(sim: &SimOutput) -> BTreeMap<String, f64> {
     m
 }
 
-/// FNV-1a digest of the full serialized output plus all rendered logs —
-/// any byte of divergence between two runs changes it.
-pub fn output_digest(sim: &SimOutput) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
+/// Streaming 64-bit FNV-1a: a [`fmt::Write`] sink, so documents and log
+/// lines hash as they are written, with no intermediate string. Shared
+/// by [`output_digest`] and [`checkpoint_digest`].
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(PRIME);
         }
-    };
-    let json = serde_json::to_string(sim).unwrap_or_default();
-    eat(json.as_bytes());
-    eat(sim.render_console_log().as_bytes());
-    eat(sim.render_job_log().as_bytes());
-    eat(sim.render_aprun_log().as_bytes());
-    h
+        Ok(())
+    }
+}
+
+/// FNV-1a digest of the full serialized output plus all rendered logs —
+/// any byte of divergence between two runs changes it. The hashed bytes
+/// are the compact JSON of `sim` followed by the console, job and aprun
+/// logs exactly as `render_*_log` writes them; both stream straight into
+/// the hasher.
+pub fn output_digest(sim: &SimOutput) -> u64 {
+    let mut h = Fnv1a::new();
+    // `Fnv1a::write_str` never fails, so the stream always completes.
+    let _ = stream_output(&mut h, sim);
+    h.finish()
+}
+
+fn stream_output(h: &mut Fnv1a, sim: &SimOutput) -> fmt::Result {
+    sim.write_json(h)?;
+    for ev in &sim.console {
+        writeln!(h, "{ev}")?;
+    }
+    for j in &sim.jobs {
+        writeln!(h, "{j}")?;
+    }
+    for a in &sim.apruns {
+        writeln!(h, "{a}")?;
+    }
+    Ok(())
 }
 
 /// The `--metrics FILE` artifact of a replicate run: every seed's full
@@ -657,7 +690,6 @@ pub fn render_obs_metrics_json(doc: &ObsReplicateDoc) -> String {
 
 /// Human-readable report table for the CLI.
 pub fn render_report(report: &ReplicationReport) -> String {
-    use std::fmt::Write;
     let mut s = String::new();
     let _ = writeln!(
         s,

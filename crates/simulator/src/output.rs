@@ -1,9 +1,11 @@
 //! Simulation outputs: the four observable data sources the analysis
 //! consumes, plus ground truth for verification only.
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
-use titan_conlog::{format, Aprun, ConsoleEvent, JobRecord};
+use titan_conlog::{Aprun, ConsoleEvent, JobRecord};
 use titan_gpu::pages::RetirementCause;
 use titan_gpu::MemoryStructure;
 use titan_nvsmi::{GpuSnapshot, JobEccDelta};
@@ -115,8 +117,7 @@ impl SimOutput {
     pub fn render_console_log(&self) -> String {
         let mut s = String::with_capacity(self.console.len() * 96);
         for ev in &self.console {
-            s.push_str(&format::render_line(ev));
-            s.push('\n');
+            let _ = writeln!(s, "{ev}");
         }
         s
     }
@@ -125,8 +126,7 @@ impl SimOutput {
     pub fn render_job_log(&self) -> String {
         let mut s = String::with_capacity(self.jobs.len() * 160);
         for j in &self.jobs {
-            s.push_str(&j.render());
-            s.push('\n');
+            let _ = writeln!(s, "{j}");
         }
         s
     }
@@ -135,8 +135,7 @@ impl SimOutput {
     pub fn render_aprun_log(&self) -> String {
         let mut s = String::with_capacity(self.apruns.len() * 48);
         for a in &self.apruns {
-            s.push_str(&a.render());
-            s.push('\n');
+            let _ = writeln!(s, "{a}");
         }
         s
     }
@@ -150,6 +149,7 @@ impl SimOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use titan_conlog::format;
     use titan_gpu::GpuErrorKind;
 
     #[test]
