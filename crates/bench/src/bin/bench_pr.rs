@@ -49,9 +49,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use titan_reliability::StudyConfig;
-use titan_runner::{
-    replicate, run_seed, run_seed_full, run_seed_obs, run_seed_prof, KindCost, ReplicateOptions,
-};
+use titan_runner::{replicate, run_seed, run_seed_with, KindCost, ObsPlan, ReplicateOptions};
 use titan_sim::{SimConfig, Simulator};
 
 fn main() -> ExitCode {
@@ -60,10 +58,10 @@ fn main() -> ExitCode {
     let mut pr: u64 = 10;
     let mut out_path: Option<String> = None;
     let mut trajectory_mode = false;
-    let mut gate_metrics: Option<f64> = None;
-    let mut gate_health: Option<f64> = None;
-    let mut gate_prof: Option<f64> = None;
-    let mut gate_throughput: Option<f64> = None;
+    let mut gates = Gates {
+        overhead: [None; ARMS.len()],
+        throughput: None,
+    };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -83,34 +81,23 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--gate-metrics-overhead" => match parse_pct(it.next()) {
-                Some(p) => gate_metrics = Some(p),
-                None => {
-                    eprintln!("--gate-metrics-overhead needs a non-negative percent");
+            "--gate-metrics-overhead"
+            | "--gate-health-overhead"
+            | "--gate-prof-overhead"
+            | "--gate-throughput-regression" => {
+                let Some(p) = parse_pct(it.next()) else {
+                    eprintln!("{flag} needs a non-negative percent");
                     return ExitCode::from(2);
+                };
+                let slot = ARMS
+                    .iter()
+                    .zip(gates.overhead.iter_mut())
+                    .find(|(arm, _)| *flag == format!("--gate-{arm}-overhead"));
+                match slot {
+                    Some((_, gate)) => *gate = Some(p),
+                    None => gates.throughput = Some(p),
                 }
-            },
-            "--gate-health-overhead" => match parse_pct(it.next()) {
-                Some(p) => gate_health = Some(p),
-                None => {
-                    eprintln!("--gate-health-overhead needs a non-negative percent");
-                    return ExitCode::from(2);
-                }
-            },
-            "--gate-prof-overhead" => match parse_pct(it.next()) {
-                Some(p) => gate_prof = Some(p),
-                None => {
-                    eprintln!("--gate-prof-overhead needs a non-negative percent");
-                    return ExitCode::from(2);
-                }
-            },
-            "--gate-throughput-regression" => match parse_pct(it.next()) {
-                Some(p) => gate_throughput = Some(p),
-                None => {
-                    eprintln!("--gate-throughput-regression needs a non-negative percent");
-                    return ExitCode::from(2);
-                }
-            },
+            }
             other => {
                 eprintln!(
                     "unknown flag `{other}` (expected --quick, --pr N, --out FILE, \
@@ -133,12 +120,6 @@ fn main() -> ExitCode {
         };
     }
     let out_path = out_path.unwrap_or_else(|| format!("BENCH_PR{pr}.json"));
-    let gates = Gates {
-        metrics: gate_metrics,
-        health: gate_health,
-        prof: gate_prof,
-        throughput: gate_throughput,
-    };
     match emit(quick, pr, &out_path, &gates) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -155,26 +136,37 @@ fn parse_pct(arg: Option<&String>) -> Option<f64> {
     }
 }
 
+/// The observer arms timed against the plain floor, in snapshot order;
+/// each arms exactly one sink (see [`arm_plan`]).
+const ARMS: [&str; 3] = ["metrics", "health", "prof"];
+
+/// The plan of one overhead arm of [`ARMS`]. The prof arm runs with
+/// *only* the ledger armed (no metrics sink, no probe, no wall hook), so
+/// its wall isolates the in-loop accounting cost.
+fn arm_plan(arm: &str) -> ObsPlan {
+    ObsPlan {
+        metrics: arm == "metrics",
+        health: arm == "health",
+        prof: arm == "prof",
+        ..ObsPlan::default()
+    }
+}
+
 struct Gates {
-    metrics: Option<f64>,
-    health: Option<f64>,
-    prof: Option<f64>,
+    /// Overhead gate per arm of [`ARMS`], in percent.
+    overhead: [Option<f64>; ARMS.len()],
     throughput: Option<f64>,
 }
 
-/// One interleaved overhead measurement: minimum walls for the plain,
-/// metrics-on, health-on, and prof-ledger-on variants, plus the noise
-/// floor the host exhibited (relative gap between two independent
-/// minima of the same plain workload).
+/// One interleaved overhead measurement: minimum walls for the plain
+/// floor and each arm of [`ARMS`], the arms' overhead over the floor,
+/// and the noise floor the host exhibited (relative gap between two
+/// independent minima of the same plain workload).
 struct OverheadMeasure {
     off: f64,
-    on: f64,
-    health: f64,
-    prof: f64,
+    on: [f64; ARMS.len()],
+    pct: [f64; ARMS.len()],
     noise_pct: f64,
-    metrics_pct: f64,
-    health_pct: f64,
-    prof_pct: f64,
 }
 
 /// Minimum wall time over `n` runs of `f` — min, not mean, because
@@ -306,6 +298,8 @@ fn emit(quick: bool, pr: u64, out_path: &str, gates: &Gates) -> Result<(), Strin
     let prof_kinds_json = serde_json::to_string(&prof_ledger)
         .map_err(|e| format!("serialize prof ledger: {e}"))?;
 
+    let [on_wall, health_wall, prof_wall] = ov.on;
+    let [metrics_overhead_pct, health_overhead_pct, prof_overhead_pct] = ov.pct;
     let host_cores_detected = std::thread::available_parallelism().map_or(1, |n| n.get());
     let pool_threads = rayon::current_num_threads();
     let mode = if quick { "quick" } else { "full" };
@@ -347,12 +341,6 @@ fn emit(quick: bool, pr: u64, out_path: &str, gates: &Gates) -> Result<(), Strin
         jobs = output.jobs.len(),
         speedup = seq_wall / par_wall.max(1e-9),
         off_floor = ov.off,
-        on_wall = ov.on,
-        health_wall = ov.health,
-        prof_wall = ov.prof,
-        metrics_overhead_pct = ov.metrics_pct,
-        health_overhead_pct = ov.health_pct,
-        prof_overhead_pct = ov.prof_pct,
         noise_pct = ov.noise_pct,
     );
     std::fs::write(out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
@@ -366,16 +354,17 @@ fn emit(quick: bool, pr: u64, out_path: &str, gates: &Gates) -> Result<(), Strin
     // (fresh noise floor included), and each individual check also
     // widens its gate to the noise floor the host actually exhibited.
     const GATE_ATTEMPTS: usize = 3;
-    if gates.metrics.is_some() || gates.health.is_some() || gates.prof.is_some() {
+    if gates.overhead.iter().any(Option::is_some) {
         let mut cur = ov;
         for attempt in 1..=GATE_ATTEMPTS {
             let breach = overhead_breach(&cur, gates);
             match breach {
                 None => {
+                    let [metrics_pct, health_pct, prof_pct] = cur.pct;
                     println!(
-                        "metrics overhead {:.2}%, health overhead {:.2}%, \
-                         prof overhead {:.2}% (noise floor {:.2}%) — gates clear",
-                        cur.metrics_pct, cur.health_pct, cur.prof_pct, cur.noise_pct
+                        "metrics overhead {metrics_pct:.2}%, health overhead {health_pct:.2}%, \
+                         prof overhead {prof_pct:.2}% (noise floor {:.2}%) — gates clear",
+                        cur.noise_pct
                     );
                     break;
                 }
@@ -441,69 +430,41 @@ fn emit(quick: bool, pr: u64, out_path: &str, gates: &Gates) -> Result<(), Strin
     Ok(())
 }
 
-/// Interleaved overhead measurement: each round times plain, metrics-on,
-/// health-on, and plain *again* — interleaving cancels slow host drift
+/// Interleaved overhead measurement: each round times plain, every arm
+/// of [`ARMS`], and plain *again* — interleaving cancels slow host drift
 /// (thermal, cache warmup, a neighbor starting work) that back-to-back
 /// min-of-N would attribute to whichever variant ran later, and the gap
 /// between the two independent plain minima is the noise floor the host
-/// actually exhibited during this measurement. Also checks that neither
-/// sink perturbed the output digest (the pure-observer invariant).
+/// actually exhibited during this measurement. Also checks that no sink
+/// perturbed the output digest (the pure-observer invariant).
 fn measure_overheads(
     ov_cfg: &StudyConfig,
     seed: u64,
     runs_each: usize,
 ) -> Result<(OverheadMeasure, BTreeMap<String, KindCost>), String> {
-    let mut off_a = f64::INFINITY;
-    let mut off_b = f64::INFINITY;
-    let mut on_wall = f64::INFINITY;
-    let mut health_wall = f64::INFINITY;
-    let mut prof_wall = f64::INFINITY;
-    let mut digests: Option<(u64, u64, u64, u64)> = None;
+    let (mut off_a, mut off_b) = (f64::INFINITY, f64::INFINITY);
+    let mut on = [f64::INFINITY; ARMS.len()];
     let mut ledger = BTreeMap::new();
     for _ in 0..runs_each {
-        let (w0, off_run) = min_wall(1, || run_seed(ov_cfg, seed, true));
-        let (w1, on_run) = min_wall(1, || run_seed_obs(ov_cfg, seed, true, true));
-        let (w2, health_run) =
-            min_wall(1, || run_seed_full(ov_cfg, seed, true, false, false, true));
-        // The prof arm runs with *only* the ledger armed (no metrics
-        // sink, no probe, no wall hook), so its wall isolates the
-        // in-loop accounting cost against the plain floor.
-        let (w2b, prof_run) = min_wall(1, || run_seed_prof(ov_cfg, seed, true));
-        let (w3, _) = min_wall(1, || run_seed(ov_cfg, seed, true));
+        let (w0, plain) = min_wall(1, || run_seed(ov_cfg, seed, true));
         off_a = off_a.min(w0);
-        on_wall = on_wall.min(w1);
-        health_wall = health_wall.min(w2);
-        prof_wall = prof_wall.min(w2b);
-        off_b = off_b.min(w3);
-        digests = Some((
-            off_run.output_digest,
-            on_run.output_digest,
-            health_run.0.output_digest,
-            prof_run.0.output_digest,
-        ));
-        ledger = prof_run.1;
-    }
-    let (off_digest, on_digest, health_digest, prof_digest) =
-        digests.expect("runs_each >= 1");
-    if off_digest != on_digest {
-        return Err("metrics collection perturbed the simulation output".into());
-    }
-    if off_digest != health_digest {
-        return Err("health collection perturbed the simulation output".into());
-    }
-    if off_digest != prof_digest {
-        return Err("the cost ledger perturbed the simulation output".into());
+        for (arm, best) in ARMS.iter().zip(on.iter_mut()) {
+            let (w, (run, docs)) =
+                min_wall(1, || run_seed_with(ov_cfg, seed, true, &arm_plan(arm)));
+            *best = best.min(w);
+            if run.output_digest != plain.output_digest {
+                return Err(format!("the {arm} sink perturbed the simulation output"));
+            }
+            ledger = docs.ledger.unwrap_or(ledger);
+        }
+        off_b = off_b.min(min_wall(1, || run_seed(ov_cfg, seed, true)).0);
     }
     let off = off_a.min(off_b);
     let measure = OverheadMeasure {
         off,
-        on: on_wall,
-        health: health_wall,
-        prof: prof_wall,
+        on,
+        pct: on.map(|w| (w - off) / off.max(1e-9) * 100.0),
         noise_pct: (off_a - off_b).abs() / off.max(1e-9) * 100.0,
-        metrics_pct: (on_wall - off) / off.max(1e-9) * 100.0,
-        health_pct: (health_wall - off) / off.max(1e-9) * 100.0,
-        prof_pct: (prof_wall - off) / off.max(1e-9) * 100.0,
     };
     Ok((measure, ledger))
 }
@@ -513,34 +474,17 @@ fn measure_overheads(
 /// measurement's own noise floor — the host cannot certify a
 /// percentage finer than its own jitter.
 fn overhead_breach(m: &OverheadMeasure, gates: &Gates) -> Option<String> {
-    if let Some(gate) = gates.metrics {
-        if m.metrics_pct > gate.max(m.noise_pct) {
-            return Some(format!(
-                "metrics overhead {:.2}% exceeds the {gate:.2}% gate \
-                 (noise floor {:.2}%, off {:.3}s, on {:.3}s)",
-                m.metrics_pct, m.noise_pct, m.off, m.on
-            ));
-        }
-    }
-    if let Some(gate) = gates.health {
-        if m.health_pct > gate.max(m.noise_pct) {
-            return Some(format!(
-                "health overhead {:.2}% exceeds the {gate:.2}% gate \
-                 (noise floor {:.2}%, off {:.3}s, on {:.3}s)",
-                m.health_pct, m.noise_pct, m.off, m.health
-            ));
-        }
-    }
-    if let Some(gate) = gates.prof {
-        if m.prof_pct > gate.max(m.noise_pct) {
-            return Some(format!(
-                "prof-ledger overhead {:.2}% exceeds the {gate:.2}% gate \
-                 (noise floor {:.2}%, off {:.3}s, on {:.3}s)",
-                m.prof_pct, m.noise_pct, m.off, m.prof
-            ));
-        }
-    }
-    None
+    let mut arms = ARMS.iter().zip(gates.overhead).zip(m.pct.iter().zip(m.on));
+    arms.find_map(|((arm, gate), (pct, on))| {
+        let gate = gate?;
+        (*pct > gate.max(m.noise_pct)).then(|| {
+            format!(
+                "{arm} overhead {pct:.2}% exceeds the {gate:.2}% gate \
+                 (noise floor {:.2}%, off {:.3}s, on {on:.3}s)",
+                m.noise_pct, m.off
+            )
+        })
+    })
 }
 
 /// One point of the `titan-bench-trajectory/1` document, extracted from

@@ -15,9 +15,10 @@
 //! across thread widths, hosts, and reruns. Wall-clock profiling lives
 //! strictly in `titan-runner`, `titan-bench`, and the CLI — titan-lint
 //! rule D5 enforces this mechanically for every engine crate, this one
-//! included. The only wall-clock bridge is the [`Obs::set_phase_hook`]
-//! callback: the engine reports *phase boundaries* (pure `&'static str`
-//! markers) and a non-engine caller may timestamp them on its side.
+//! included. The only wall-clock bridge is the
+//! [`Obs::set_prof_wall_hook`] callback: the cost ledger reports scope
+//! edges (pure `&'static str` markers) and a non-engine caller may
+//! timestamp them on its side.
 //!
 //! ## Cost model
 //!
@@ -181,8 +182,38 @@ const JOB_NODES_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 64, 256, 1024, 4096];
 /// Bucket bounds for the cascade fan-out histogram.
 const CASCADE_FANOUT_BOUNDS: &[u64] = &[0, 1, 2, 3, 5, 8];
 
+/// Which observers a run arms: the one plain value that travels from
+/// CLI flags through [`Obs::from_plan`] to the documents a run writes.
+/// The default arms nothing, with the default span-ring capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObsPlan {
+    /// Metrics registry, span ring and time series (`--metrics`).
+    pub metrics: bool,
+    /// Causal flight recorder (`--trace`).
+    pub trace: bool,
+    /// Online health analytics (`--health`).
+    pub health: bool,
+    /// Deterministic cost ledger (`--prof`).
+    pub prof: bool,
+    /// Span-ring capacity (`--span-capacity`).
+    pub span_capacity: usize,
+}
+
+impl Default for ObsPlan {
+    fn default() -> Self {
+        ObsPlan {
+            metrics: false,
+            trace: false,
+            health: false,
+            prof: false,
+            span_capacity: DEFAULT_SPAN_CAPACITY,
+        }
+    }
+}
+
 /// The observability sink threaded through a simulation run: metrics
-/// registry + span ring + optional phase hook.
+/// registry, span ring, and the optional flight recorder, health sink
+/// and cost ledger.
 pub struct Obs {
     /// The metrics registry (standard catalog pre-registered).
     pub reg: Registry,
@@ -199,7 +230,6 @@ pub struct Obs {
     pub health: HealthSink,
     /// Pre-registered handles for the standard catalog.
     pub cat: Catalog,
-    phase_hook: Option<Box<dyn FnMut(&'static str)>>,
     /// The deterministic cost ledger (off by default; see
     /// [`Obs::enable_prof`]). Private: the engine records through the
     /// `prof_*` methods so watermark reads stay in one place.
@@ -212,7 +242,6 @@ impl std::fmt::Debug for Obs {
             .field("enabled", &self.reg.enabled())
             .field("trace", &self.trace)
             .field("stream_enabled", &self.stream.is_enabled())
-            .field("phase_hook", &self.phase_hook.is_some())
             .finish()
     }
 }
@@ -285,9 +314,23 @@ impl Obs {
             ts: TimeBuckets::new(enabled, series::DEFAULT_BUCKET_SECS),
             health: HealthSink::new(false),
             cat,
-            phase_hook: None,
             prof: prof::ProfLedger::new(false),
         }
+    }
+
+    /// A sink with every observer `plan` asks for armed.
+    pub fn from_plan(plan: &ObsPlan) -> Self {
+        let mut obs = Obs::with_span_capacity(plan.metrics, plan.span_capacity);
+        if plan.trace {
+            obs.enable_trace();
+        }
+        if plan.health {
+            obs.enable_health();
+        }
+        if plan.prof {
+            obs.enable_prof();
+        }
+        obs
     }
 
     /// A no-op sink: the default for plain `Simulator::run()`.
@@ -329,18 +372,10 @@ impl Obs {
         self.health.is_enabled()
     }
 
-    /// Installs a phase-boundary callback. The engine calls
-    /// [`Obs::phase`] with a static marker when it enters each phase;
-    /// a CLI-side hook may timestamp those markers with the wall clock
-    /// (the engine itself never sees a clock — lint D5).
-    pub fn set_phase_hook(&mut self, hook: Box<dyn FnMut(&'static str)>) {
-        self.phase_hook = Some(hook);
-    }
-
     /// Marks a phase boundary: `name` starts now, the previous phase
-    /// (if any) ends now. Fires the hook when one is installed, and —
-    /// with the cost ledger on — opens a ledger phase scope, so every
-    /// existing phase marker doubles as a prof attribution boundary.
+    /// (if any) ends now. With the cost ledger on this opens a ledger
+    /// phase scope, so every phase marker doubles as a prof attribution
+    /// boundary (and a wall-hook edge).
     pub fn phase(&mut self, name: &'static str) {
         if self.prof.enabled() {
             // Phase boundaries sit outside the event loop: no engine RNG
@@ -349,9 +384,6 @@ impl Obs {
             let rng = self.prof.last_rng();
             let trace = self.stream.next_id();
             self.prof.switch_phase(name, rng, trace);
-        }
-        if let Some(hook) = &mut self.phase_hook {
-            hook(name);
         }
     }
 
@@ -376,8 +408,8 @@ impl Obs {
     }
 
     /// Installs the wall-clock edge hook (see
-    /// [`prof::ProfLedger::set_wall_hook`]); CLI-side only, like
-    /// [`Obs::set_phase_hook`].
+    /// [`prof::ProfLedger::set_wall_hook`]); CLI-side only — the engine
+    /// itself never sees a clock (lint D5).
     pub fn set_prof_wall_hook(&mut self, hook: Box<dyn FnMut(&'static str)>) {
         self.prof.set_wall_hook(hook);
     }
@@ -484,6 +516,24 @@ mod tests {
     }
 
     #[test]
+    fn from_plan_arms_exactly_the_planned_sinks() {
+        let off = Obs::from_plan(&ObsPlan::default());
+        assert!(!off.is_enabled() && !off.trace_enabled() && !off.health_enabled());
+        assert!(!off.prof_enabled());
+        assert_eq!(off.trace.capacity(), DEFAULT_SPAN_CAPACITY);
+        let all = Obs::from_plan(&ObsPlan {
+            metrics: true,
+            trace: true,
+            health: true,
+            prof: true,
+            span_capacity: 3,
+        });
+        assert!(all.is_enabled() && all.trace_enabled() && all.health_enabled());
+        assert!(all.prof_enabled());
+        assert_eq!(all.trace.capacity(), 3);
+    }
+
+    #[test]
     fn span_capacity_is_configurable() {
         let mut obs = Obs::with_span_capacity(true, 2);
         for t in 0..5 {
@@ -539,16 +589,5 @@ mod tests {
         obs.health.finish(100);
         let doc = parse_health(&obs.health.render_jsonl(1, 1)).expect("parse");
         assert_eq!(doc.header.intervals, 1);
-    }
-
-    #[test]
-    fn phase_hook_sees_markers_in_order() {
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let sink = seen.clone();
-        let mut obs = Obs::disabled(); // hook fires even with metrics off
-        obs.set_phase_hook(Box::new(move |name| sink.borrow_mut().push(name)));
-        obs.phase("a");
-        obs.phase("b");
-        assert_eq!(*seen.borrow(), vec!["a", "b"]);
     }
 }

@@ -32,8 +32,8 @@
 //!
 //! ## The wall-clock quarantine (lint D5)
 //!
-//! The engine never sees a clock. Wall-time attribution works exactly
-//! like [`crate::Obs::set_phase_hook`]: the ledger fires a registered
+//! The engine never sees a clock. Wall-time attribution goes through
+//! [`crate::Obs::set_prof_wall_hook`]: the ledger fires a registered
 //! hook with the new scope's static name on every scope *change*, and a
 //! non-engine caller (the CLI / `titan-bench`) timestamps the edges on
 //! its side. The resulting [`WallDoc`] is carried in the **last** field
@@ -275,8 +275,8 @@ impl ProfLedger {
     }
 
     /// Installs the wall-clock edge hook, fired with the new scope's
-    /// static name on every scope *change*. Same D5 bridge shape as
-    /// [`crate::Obs::set_phase_hook`]: the ledger reports edges, the
+    /// static name on every scope *change* — the D5 bridge behind
+    /// [`crate::Obs::set_prof_wall_hook`]: the ledger reports edges, the
     /// non-engine caller owns the clock.
     pub fn set_wall_hook(&mut self, hook: Box<dyn FnMut(&'static str)>) {
         self.wall_hook = Some(hook);
@@ -558,20 +558,24 @@ pub struct ProfDoc {
 }
 
 impl ProfDoc {
-    /// Assembles a document from a finished run's ledger.
+    /// Assembles a document from a finished run's closed ledger
+    /// ([`ProfLedger::ledger_map`]) and metrics document, whose seed and
+    /// window it shares.
     pub fn build(
-        ledger: &ProfLedger,
-        seed: u64,
-        window_days: u64,
+        ledger: BTreeMap<String, KindCost>,
         metrics: MetricsDoc,
         wall: WallDoc,
     ) -> ProfDoc {
+        let mut totals = KindCost::default();
+        for cost in ledger.values() {
+            totals.add(cost);
+        }
         ProfDoc {
             schema: PROF_SCHEMA.to_string(),
-            seed,
-            window_days,
-            ledger: ledger.ledger_map(),
-            totals: ledger.totals(),
+            seed: metrics.seed,
+            window_days: metrics.window_days,
+            ledger,
+            totals,
             metrics,
             wall,
         }
@@ -860,7 +864,7 @@ mod tests {
                 switches: 1,
             }],
         };
-        let doc = ProfDoc::build(&l, 7, 30, metrics, wall);
+        let doc = ProfDoc::build(l.ledger_map(), metrics, wall);
         assert_eq!(doc.schema, PROF_SCHEMA);
         let json = doc.to_json();
         assert_eq!(json, doc.to_json());

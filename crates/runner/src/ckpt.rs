@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
-use titan_obs::{Obs, ObsSnapshot};
+use titan_obs::{Obs, ObsPlan, ObsSnapshot};
 use titan_reliability::study::CompletedStudy;
 use titan_reliability::{Study, StudyConfig};
 use titan_sim::{EngineSnapshot, EngineState};
@@ -70,6 +70,22 @@ pub struct CheckpointDoc {
     pub engine: EngineSnapshot,
     /// The observability state at `t` (counters, spans, trace ids).
     pub obs: ObsSnapshot,
+}
+
+impl CheckpointDoc {
+    /// The observer plan the checkpointed run was armed with. A resume
+    /// must arm the same sinks: restoring into a differently armed sink
+    /// silently drops or restarts that sink's state. The span-ring
+    /// capacity is not recorded, so it reads as the default.
+    pub fn plan(&self) -> ObsPlan {
+        ObsPlan {
+            metrics: self.metrics_enabled,
+            trace: self.trace_enabled,
+            health: self.obs.health_enabled(),
+            prof: self.obs.prof_enabled(),
+            ..ObsPlan::default()
+        }
+    }
 }
 
 /// The chained digest of a document: FNV-1a over its compact JSON

@@ -29,8 +29,9 @@ pub use ckpt::{
 };
 // Re-exported so CLI code can name the telemetry types through the
 // runner without a direct titan-obs dependency.
-pub use titan_obs::{KindCost, MetricsDoc, Obs};
+pub use titan_obs::{KindCost, MetricsDoc, Obs, ObsPlan};
 use titan_obs::TraceKind;
+use titan_reliability::study::CompletedStudy;
 use titan_reliability::{evaluate_all, Expectation, Study, StudyConfig, Verdict};
 use titan_sim::SimOutput;
 use titan_stats::Summary;
@@ -59,18 +60,11 @@ pub struct ReplicateOptions {
     /// When true, skip the per-seed expectation registry (figures are
     /// by far the dominant cost when the window is short).
     pub skip_expectations: bool,
-    /// When true, run every seed with an enabled [`Obs`] sink and carry
-    /// the per-seed metrics document into the report; its flattened
-    /// scalars join the metric bands under an `obs.` prefix.
-    pub collect_obs: bool,
-    /// When true, run every seed with an enabled flight recorder and
-    /// return the rendered `titan-trace/1` JSONL per seed (see
-    /// [`replicate_full`]). Like `collect_obs`, a pure observer.
-    pub collect_trace: bool,
-    /// When true, run every seed with an enabled health sink and return
-    /// the rendered `titan-health/1` JSONL per seed. A pure observer
-    /// like the other two collectors.
-    pub collect_health: bool,
+    /// The observers every seed runs with; each seed's documents come
+    /// back from [`replicate_full`]. With `plan.metrics` the per-seed
+    /// metrics document also rides in [`SeedRun::obs`] and its
+    /// flattened scalars join the metric bands under an `obs.` prefix.
+    pub plan: ObsPlan,
 }
 
 impl ReplicateOptions {
@@ -100,9 +94,7 @@ impl ReplicateOptions {
             seeds,
             threads,
             skip_expectations: false,
-            collect_obs: false,
-            collect_trace: false,
-            collect_health: false,
+            plan: ObsPlan::default(),
         })
     }
 }
@@ -208,126 +200,113 @@ pub struct ReplicationReport {
 /// a replication worker runs; the determinism test compares its digest
 /// against threaded output.
 pub fn run_seed(base: &StudyConfig, seed: u64, skip_expectations: bool) -> SeedRun {
-    run_seed_obs(base, seed, skip_expectations, false)
+    run_seed_with(base, seed, skip_expectations, &ObsPlan::default()).0
 }
 
-/// [`run_seed`] with optional observability collection. When
-/// `collect_obs` is set the study runs with an enabled [`Obs`] sink,
-/// the SEC and nvsmi sections are filled by [`collect_metrics`], and
-/// the flattened document joins `metrics` under an `obs.` prefix.
-pub fn run_seed_obs(
+/// [`run_seed`] with the observers `plan` arms, returning the summary
+/// plus the documents they yield. Every observer is a pure observer:
+/// the [`SeedRun`] digest is identical under any plan. With
+/// `plan.metrics` the metrics document also rides in [`SeedRun::obs`]
+/// and its flattened scalars join `metrics` under an `obs.` prefix. No
+/// allocator probe or wall hook is installed, so a prof-only plan
+/// measures the pure in-loop ledger cost (the bench_pr overhead arm).
+pub fn run_seed_with(
     base: &StudyConfig,
     seed: u64,
     skip_expectations: bool,
-    collect_obs: bool,
-) -> SeedRun {
-    run_seed_full(base, seed, skip_expectations, collect_obs, false, false).0
-}
-
-/// [`run_seed_obs`] plus optional flight-recorder capture: when
-/// `collect_trace` is set the seed runs with an enabled trace stream,
-/// the collect-time SEC replay and nvsmi rollups are stitched into the
-/// causal chains, and the rendered `titan-trace/1` JSONL comes back
-/// alongside the summary. Tracing is a pure observer — the [`SeedRun`]
-/// (digest included) is identical with it on or off.
-pub fn run_seed_full(
-    base: &StudyConfig,
-    seed: u64,
-    skip_expectations: bool,
-    collect_obs: bool,
-    collect_trace: bool,
-    collect_health: bool,
-) -> (SeedRun, Option<String>, Option<String>) {
+    plan: &ObsPlan,
+) -> (SeedRun, RunDocs) {
     let mut config = base.clone();
     config.sim.seed = seed;
-    let window = config.sim.window;
-    let mut obs = Obs::new(collect_obs);
-    if collect_trace {
-        obs.enable_trace();
-    }
-    if collect_health {
-        obs.enable_health();
-    }
+    let mut obs = Obs::from_plan(plan);
     let study = Study::new(config).run_with_obs(&mut obs);
-    let expectations = if skip_expectations {
-        Vec::new()
-    } else {
-        evaluate_all(&study.figures())
-    };
-    let mut metrics = seed_metrics(&study.sim);
-    // Collection runs for tracing too: the SEC replay and nvsmi rollups
-    // it performs are what mint the collect-time trace records.
-    let obs_doc = if collect_obs || collect_trace {
-        let doc = collect_metrics(&study.sim, seed, window, &mut obs);
-        if collect_obs {
-            for (k, v) in doc.flatten() {
-                metrics.insert(format!("obs.{k}"), v);
-            }
-            Some(doc)
+    let (expectations, mut docs) = collect_docs(&study, plan, &mut obs, |_| {
+        if skip_expectations {
+            Vec::new()
         } else {
-            None
+            evaluate_all(&study.figures())
         }
-    } else {
-        None
+    });
+    let mut metrics = seed_metrics(&study.sim);
+    if let Some(doc) = &docs.metrics {
+        for (k, v) in doc.flatten() {
+            metrics.insert(format!("obs.{k}"), v);
+        }
+    }
+    docs.close_ledger(&mut obs);
+    let run = SeedRun {
+        seed,
+        output_digest: output_digest(&study.sim),
+        metrics,
+        expectations,
+        obs: docs.metrics.clone(),
     };
-    let trace = if collect_trace {
-        Some(obs.stream.render_jsonl(seed, window / 86_400))
-    } else {
-        None
-    };
-    // The engine closed the health stream in `finalize`; rendering here
-    // is a pure read of the flushed records.
-    let health = if collect_health {
-        Some(obs.health.render_jsonl(seed, window / 86_400))
-    } else {
-        None
-    };
-    (
-        SeedRun {
-            seed,
-            output_digest: output_digest(&study.sim),
-            metrics,
-            expectations,
-            obs: obs_doc,
-        },
-        trace,
-        health,
-    )
+    (run, docs)
 }
 
-/// [`run_seed`] with the `titan-prof/2` cost ledger armed and nothing
-/// else: the metrics sink stays off, so the measured wall is comparable
-/// to [`run_seed`]'s — this is the bench_pr prof-overhead arm. Returns
-/// the summary plus the deterministic per-scope ledger. No allocator
-/// probe or wall hook is installed: overhead measurement wants the pure
-/// in-loop ledger cost, and the count columns are identical either way.
-pub fn run_seed_prof(
-    base: &StudyConfig,
-    seed: u64,
-    skip_expectations: bool,
-) -> (SeedRun, BTreeMap<String, titan_obs::KindCost>) {
-    let mut config = base.clone();
-    config.sim.seed = seed;
-    let mut obs = Obs::new(false);
-    obs.enable_prof();
-    let study = Study::new(config).run_with_obs(&mut obs);
-    let expectations = if skip_expectations {
-        Vec::new()
+/// The documents one finished study yields: each field is `Some`
+/// exactly when its sink was planned. They travel beside [`SeedRun`],
+/// not inside it (only the metrics document is also copied into
+/// [`SeedRun::obs`]), so the replicate report does not depend on them.
+#[derive(Debug, PartialEq)]
+pub struct RunDocs {
+    /// The `titan-obs/2` metrics document (`plan.metrics`).
+    pub metrics: Option<MetricsDoc>,
+    /// The rendered `titan-trace/1` JSONL (`plan.trace`).
+    pub trace: Option<String>,
+    /// The rendered `titan-health/1` JSONL (`plan.health`).
+    pub health: Option<String>,
+    /// The closed per-scope cost ledger (`plan.prof`), filled by
+    /// [`RunDocs::close_ledger`].
+    pub ledger: Option<BTreeMap<String, KindCost>>,
+}
+
+impl RunDocs {
+    /// Closes the cost ledger, when armed, and keeps its scope table.
+    /// Everything `obs` did before this call is charged; nothing after.
+    pub fn close_ledger(&mut self, obs: &mut Obs) {
+        if obs.prof_enabled() {
+            obs.prof_finish();
+            self.ledger = Some(obs.prof_ledger().ledger_map());
+        }
+    }
+}
+
+/// Collects what `plan` asks for from a finished study — the one place
+/// that decides which documents a run yields. In order:
+///
+/// 1. the collect-time SEC replay and nvsmi rollup ([`collect_metrics`])
+///    under the `cli:collect_metrics` ledger scope. It runs for a
+///    trace-only plan too: it mints the collect-time trace records;
+/// 2. `consume`, the caller's own use of the study (print the report,
+///    evaluate the checks), charged to whatever ledger scope it opens;
+/// 3. the trace and health renders — pure reads of the flushed streams.
+///
+/// The ledger stays open so the caller's artifact writes are charged
+/// too; [`RunDocs::close_ledger`] closes it.
+pub fn collect_docs<T>(
+    study: &CompletedStudy,
+    plan: &ObsPlan,
+    obs: &mut Obs,
+    consume: impl FnOnce(&mut Obs) -> T,
+) -> (T, RunDocs) {
+    let seed = study.config.sim.seed;
+    let window = study.config.sim.window;
+    let metrics = if plan.metrics || plan.trace {
+        obs.phase("cli:collect_metrics");
+        let doc = collect_metrics(&study.sim, seed, window, obs);
+        plan.metrics.then_some(doc)
     } else {
-        evaluate_all(&study.figures())
+        None
     };
-    let metrics = seed_metrics(&study.sim);
-    obs.prof_finish();
-    (
-        SeedRun {
-            seed,
-            output_digest: output_digest(&study.sim),
-            metrics,
-            expectations,
-            obs: None,
-        },
-        obs.prof_ledger().ledger_map(),
-    )
+    let consumed = consume(obs);
+    let docs = RunDocs {
+        metrics,
+        trace: plan.trace.then(|| obs.stream.render_jsonl(seed, window / 86_400)),
+        health: plan.health.then(|| obs.health.render_jsonl(seed, window / 86_400)),
+        ledger: None,
+    };
+    (consumed, docs)
 }
 
 /// Fills the SEC and nvsmi sections of the registry from a finished
@@ -452,18 +431,15 @@ pub fn collect_metrics(
 /// at any thread width (the same guarantee the vendored pool makes for
 /// every `map`/`reduce`, see `rayon::scope_map`).
 pub fn replicate(opts: &ReplicateOptions) -> Result<ReplicationReport, String> {
-    replicate_full(opts).map(|(report, _, _)| report)
+    replicate_full(opts).map(|(report, _)| report)
 }
 
-/// [`replicate`] that also returns each seed's rendered `titan-trace/1`
-/// and `titan-health/1` JSONL (all `None` unless `collect_trace` /
-/// `collect_health` was set). Both ride the same seed-order merge, so
-/// for a fixed seed list every document is byte-identical at any thread
-/// width.
-#[allow(clippy::type_complexity)]
+/// [`replicate`] that also returns each seed's [`RunDocs`], in seed
+/// order. The documents ride the same seed-order merge, so for a fixed
+/// seed list every one is byte-identical at any thread width.
 pub fn replicate_full(
     opts: &ReplicateOptions,
-) -> Result<(ReplicationReport, Vec<Option<String>>, Vec<Option<String>>), String> {
+) -> Result<(ReplicationReport, Vec<RunDocs>), String> {
     if opts.seeds.is_empty() {
         return Err("replicate: need at least one seed".into());
     }
@@ -482,23 +458,14 @@ pub fn replicate_full(
 
     let base = &opts.base;
     let skip = opts.skip_expectations;
-    let collect = opts.collect_obs;
-    let collect_trace = opts.collect_trace;
-    let collect_health = opts.collect_health;
-    let triples: Vec<(SeedRun, Option<String>, Option<String>)> =
+    let plan = &opts.plan;
+    let (runs, docs): (Vec<SeedRun>, Vec<RunDocs>) =
         rayon::scope_map(opts.seeds.clone(), opts.threads, |seed| {
-            run_seed_full(base, seed, skip, collect, collect_trace, collect_health)
-        });
-    let mut runs = Vec::with_capacity(triples.len());
-    let mut traces = Vec::with_capacity(triples.len());
-    let mut healths = Vec::with_capacity(triples.len());
-    for (run, trace, health) in triples {
-        runs.push(run);
-        traces.push(trace);
-        healths.push(health);
-    }
-
-    Ok((merge(runs, opts.threads, base.sim.window / 86_400), traces, healths))
+            run_seed_with(base, seed, skip, plan)
+        })
+        .into_iter()
+        .unzip();
+    Ok((merge(runs, opts.threads, base.sim.window / 86_400), docs))
 }
 
 /// Merges per-seed runs (already in seed order) into the report.
@@ -659,7 +626,7 @@ pub struct ObsReplicateDoc {
 }
 
 /// Builds the replicate metrics artifact; `None` when the report was
-/// produced without `collect_obs`.
+/// produced without `plan.metrics`.
 pub fn obs_replicate_doc(report: &ReplicationReport) -> Option<ObsReplicateDoc> {
     let per_seed: Vec<MetricsDoc> =
         report.runs.iter().filter_map(|r| r.obs.clone()).collect();
@@ -742,6 +709,15 @@ pub fn render_report(report: &ReplicationReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn plan(metrics: bool, trace: bool, health: bool) -> ObsPlan {
+        ObsPlan {
+            metrics,
+            trace,
+            health,
+            ..ObsPlan::default()
+        }
+    }
 
     fn opts(days: u64, n: u64, threads: usize) -> ReplicateOptions {
         let mut o = ReplicateOptions::consecutive(StudyConfig::quick(days, 0), 100, n, threads)
@@ -839,7 +815,8 @@ mod tests {
     fn metrics_collection_never_perturbs_the_run() {
         let base = StudyConfig::quick(10, 0);
         let plain = run_seed(&base, 100, true);
-        let observed = run_seed_obs(&base, 100, true, true);
+        let (observed, docs) = run_seed_with(&base, 100, true, &plan(true, false, false));
+        assert_eq!(docs.metrics, observed.obs, "the doc rides in SeedRun and beside it");
         assert_eq!(plain.output_digest, observed.output_digest);
         assert!(plain.obs.is_none());
         let doc = observed.obs.expect("collected");
@@ -890,14 +867,14 @@ mod tests {
         assert!(doc.engine["sbe_accepted"] + doc.engine["sbe_thinned"] <= doc.faults["sbe_drafts"]);
     }
 
-    /// Replicate with collect_obs: per-seed documents are identical at
+    /// Replicate with plan.metrics: per-seed documents are identical at
     /// any thread width, and the artifact carries the obs bands.
     #[test]
     fn replicate_obs_docs_are_thread_width_invariant() {
         let mut a = opts(10, 3, 1);
-        a.collect_obs = true;
+        a.plan.metrics = true;
         let mut b = opts(10, 3, 3);
-        b.collect_obs = true;
+        b.plan.metrics = true;
         let seq = replicate(&a).unwrap();
         let par = replicate(&b).unwrap();
         for (x, y) in seq.runs.iter().zip(&par.runs) {
@@ -919,7 +896,7 @@ mod tests {
     #[test]
     fn timeseries_buckets_sum_to_run_end_counters() {
         let base = StudyConfig::quick(30, 0);
-        let run = run_seed_obs(&base, 100, true, true);
+        let (run, _) = run_seed_with(&base, 100, true, &plan(true, false, false));
         let doc = run.obs.expect("collected");
         assert_eq!(doc.schema, "titan-obs/2");
         for name in [
@@ -950,20 +927,29 @@ mod tests {
     #[test]
     fn trace_capture_never_perturbs_run_or_metrics() {
         let base = StudyConfig::quick(10, 0);
-        let plain = run_seed_obs(&base, 100, true, true);
-        let (traced, trace, _) = run_seed_full(&base, 100, true, true, true, false);
+        let (plain, _) = run_seed_with(&base, 100, true, &plan(true, false, false));
+        let (traced, docs) = run_seed_with(&base, 100, true, &plan(true, true, false));
         assert_eq!(plain, traced, "tracing changed the seed summary");
-        let text = trace.expect("trace requested");
+        let text = docs.trace.expect("trace requested");
         assert!(text.starts_with("{\"schema\":\"titan-trace/1\""));
         // Trace-only capture (no metrics) leaves the digest alone too.
-        let (bare, _, _) = run_seed_full(&base, 100, true, false, true, false);
+        let (bare, docs) = run_seed_with(&base, 100, true, &plan(false, true, false));
         assert_eq!(plain.output_digest, bare.output_digest);
-        assert!(bare.obs.is_none());
+        assert!(bare.obs.is_none() && docs.metrics.is_none());
         // And so does health collection — the third pure observer.
-        let (healthy, _, health) = run_seed_full(&base, 100, true, false, false, true);
+        let (healthy, docs) = run_seed_with(&base, 100, true, &plan(false, false, true));
         assert_eq!(plain.output_digest, healthy.output_digest);
-        let htext = health.expect("health requested");
+        let htext = docs.health.expect("health requested");
         assert!(htext.starts_with("{\"schema\":\"titan-health/1\""));
+        // The ledger is the fourth; only a prof plan closes one.
+        assert!(docs.ledger.is_none());
+        let prof = ObsPlan {
+            prof: true,
+            ..ObsPlan::default()
+        };
+        let (profiled, docs) = run_seed_with(&base, 100, true, &prof);
+        assert_eq!(plain.output_digest, profiled.output_digest);
+        assert!(docs.ledger.expect("ledger requested")["ev:sbe"].dequeues > 0);
     }
 
     /// Full-pipeline provenance: a traced run's chains — SEC alerts and
@@ -971,8 +957,8 @@ mod tests {
     #[test]
     fn traced_run_passes_provenance_verification() {
         let base = StudyConfig::quick(30, 0);
-        let (_, trace, _) = run_seed_full(&base, 7, true, false, true, false);
-        let text = trace.expect("trace requested");
+        let (_, docs) = run_seed_with(&base, 7, true, &plan(false, true, false));
+        let text = docs.trace.expect("trace requested");
         let (header, records) = titan_obs::parse_trace(&text).expect("parse");
         let report = titan_obs::verify_trace(&header, &records);
         assert!(report.ok(), "{:?}", report.errors);
@@ -988,15 +974,14 @@ mod tests {
     #[test]
     fn replicate_traces_are_thread_width_invariant() {
         let mut a = opts(10, 2, 1);
-        a.collect_trace = true;
+        a.plan.trace = true;
         let mut b = opts(10, 2, 2);
-        b.collect_trace = true;
-        let (_, seq, _) = replicate_full(&a).unwrap();
-        let (_, par, _) = replicate_full(&b).unwrap();
+        b.plan.trace = true;
+        let (_, seq) = replicate_full(&a).unwrap();
+        let (_, par) = replicate_full(&b).unwrap();
         assert_eq!(seq, par);
-        assert!(seq.iter().all(|t| t.is_some()));
         let texts: std::collections::BTreeSet<&String> =
-            seq.iter().flatten().collect();
+            seq.iter().map(|d| d.trace.as_ref().expect("trace")).collect();
         assert_eq!(texts.len(), 2, "different seeds must trace differently");
     }
 
@@ -1004,15 +989,14 @@ mod tests {
     #[test]
     fn replicate_health_docs_are_thread_width_invariant() {
         let mut a = opts(10, 2, 1);
-        a.collect_health = true;
+        a.plan.health = true;
         let mut b = opts(10, 2, 2);
-        b.collect_health = true;
-        let (_, _, seq) = replicate_full(&a).unwrap();
-        let (_, _, par) = replicate_full(&b).unwrap();
+        b.plan.health = true;
+        let (_, seq) = replicate_full(&a).unwrap();
+        let (_, par) = replicate_full(&b).unwrap();
         assert_eq!(seq, par);
-        assert!(seq.iter().all(|h| h.is_some()));
         let texts: std::collections::BTreeSet<&String> =
-            seq.iter().flatten().collect();
+            seq.iter().map(|d| d.health.as_ref().expect("health")).collect();
         assert_eq!(texts.len(), 2, "different seeds must differ in health");
     }
 

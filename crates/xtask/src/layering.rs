@@ -49,13 +49,7 @@ pub const LAYERS: &[(&str, &[&str])] = &[
         ],
     ),
     ("runner", &["core", "simulator", "stats", "conlog", "nvsmi", "obs"]),
-    (
-        "bench",
-        &[
-            "core", "simulator", "analysis", "conlog", "topology", "gpu", "faults", "workload",
-            "stats", "nvsmi", "runner",
-        ],
-    ),
+    ("bench", &["core", "simulator", "runner"]),
     // Build tooling: std-only by contract, and nothing depends on it.
     ("xtask", &[]),
 ];

@@ -40,7 +40,8 @@ use std::time::{Duration, Instant};
 use titan_gpu_reliability::gpu::{ErrorCategory, GpuErrorKind};
 use titan_gpu_reliability::sim::Simulator;
 use titan_gpu_reliability::{evaluate_all, full_report, Study, StudyConfig, Verdict};
-use titan_obs::Obs;
+use titan_obs::{Obs, ObsPlan};
+use titan_runner::RunDocs;
 
 /// Process-wide allocation accounting for the `titan-prof/2` cost
 /// ledger. The engine crates all `#![forbid(unsafe_code)]`, so the
@@ -109,10 +110,6 @@ mod alloc_track {
 
 #[global_allocator]
 static GLOBAL_ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
-
-/// Subcommands that accept `--json`, for the rejection message every
-/// other subcommand prints.
-const JSON_SUBCOMMANDS: &[&str] = &["check", "profile"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -196,10 +193,9 @@ commands:
                                     ledger armed and print the deterministic
                                     per-scope cost table plus a quarantined
                                     wall-clock attribution table;
-                                    --json writes the titan-prof/2 document
-                                    (the titan-profile/1 wall-phase table is
-                                    retired); --flamegraph writes collapsed
-                                    stacks (flamegraph.pl / inferno input);
+                                    --json writes the titan-prof/2 document;
+                                    --flamegraph writes collapsed stacks
+                                    (flamegraph.pl / inferno input);
                                     --perfetto writes Chrome/Perfetto counter
                                     tracks from the sim-time series
   health <summarize|watch|rules> FILE [--trace TRACEFILE]
@@ -232,10 +228,44 @@ commands:
 
 Without --days the full 21-month study window runs (~2 min in release).";
 
+/// The common flags each subcommand accepts. Any other known flag is
+/// rejected by name, with the subcommands that do take it, so no flag
+/// is ever parsed and then silently ignored.
+const ACCEPTS: &[(&str, &[&str])] = &[
+    ("taxonomy", &[]),
+    (
+        "run",
+        &[
+            "--days", "--seed", "--metrics", "--trace", "--health", "--prof", "--span-capacity",
+            "--checkpoint-every", "--ckpt-dir", "--from-checkpoint", "--inject-divergence",
+        ],
+    ),
+    ("check", &["--days", "--seed", "--metrics", "--json", "--health", "--span-capacity"]),
+    ("logs", &["--days", "--seed", "--out"]),
+    (
+        "replicate",
+        &[
+            "--days", "--seed", "--seeds", "--threads", "--skip-expectations", "--out",
+            "--metrics", "--trace", "--health",
+        ],
+    ),
+    (
+        "profile",
+        &[
+            "--days", "--seed", "--metrics", "--json", "--health", "--flamegraph", "--perfetto",
+            "--span-capacity",
+        ],
+    ),
+];
+
 /// Parsed common options.
+#[derive(Default)]
 struct Opts {
     days: Option<u64>,
     seed: Option<u64>,
+    seeds: Option<u64>,
+    threads: Option<usize>,
+    skip_expectations: bool,
     out: Option<String>,
     metrics: Option<String>,
     json: Option<String>,
@@ -252,112 +282,81 @@ struct Opts {
 }
 
 impl Opts {
-    /// True when any checkpoint/restore flag was given (only `run`
-    /// accepts them).
-    fn any_checkpoint_flag(&self) -> bool {
-        self.checkpoint_every.is_some()
-            || self.ckpt_dir.is_some()
-            || self.from_checkpoint.is_some()
-            || self.inject_divergence.is_some()
+    /// The observers the flags ask for. `--prof` arms the metrics sink
+    /// too: titan-prof/2 embeds the metrics document.
+    fn plan(&self) -> ObsPlan {
+        ObsPlan {
+            metrics: self.metrics.is_some() || self.prof.is_some(),
+            trace: self.trace.is_some(),
+            health: self.health.is_some(),
+            prof: self.prof.is_some(),
+            span_capacity: self.span_capacity.unwrap_or(titan_obs::DEFAULT_SPAN_CAPACITY),
+        }
     }
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts {
-        days: None,
-        seed: None,
-        out: None,
-        metrics: None,
-        json: None,
-        trace: None,
-        health: None,
-        prof: None,
-        flamegraph: None,
-        perfetto: None,
-        span_capacity: None,
-        checkpoint_every: None,
-        ckpt_dir: None,
-        from_checkpoint: None,
-        inject_divergence: None,
-    };
+/// Parses `args` against the flags `cmd` accepts in [`ACCEPTS`].
+fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
+    let accepted = ACCEPTS.iter().find(|(c, _)| *c == cmd).map(|(_, f)| *f).unwrap_or_default();
+    let mut opts = Opts::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--days" => {
-                let v = it.next().ok_or("--days needs a value")?;
-                opts.days = Some(
-                    v.parse()
-                        .map_err(|_| format!("--days: `{v}` is not a non-negative integer"))?,
-                );
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = Some(
-                    v.parse()
-                        .map_err(|_| format!("--seed: `{v}` is not a non-negative integer"))?,
-                );
-            }
-            "--out" => {
-                opts.out = Some(it.next().ok_or("--out needs a directory")?.clone());
-            }
-            "--metrics" => {
-                opts.metrics = Some(it.next().ok_or("--metrics needs a file")?.clone());
-            }
-            "--json" => {
-                opts.json = Some(it.next().ok_or("--json needs a file")?.clone());
-            }
-            "--trace" => {
-                opts.trace = Some(it.next().ok_or("--trace needs a file")?.clone());
-            }
-            "--health" => {
-                opts.health = Some(it.next().ok_or("--health needs a file")?.clone());
-            }
-            "--prof" => {
-                opts.prof = Some(it.next().ok_or("--prof needs a file")?.clone());
-            }
-            "--flamegraph" => {
-                opts.flamegraph = Some(it.next().ok_or("--flamegraph needs a file")?.clone());
-            }
-            "--perfetto" => {
-                opts.perfetto = Some(it.next().ok_or("--perfetto needs a file")?.clone());
-            }
-            "--span-capacity" => {
-                let v = it.next().ok_or("--span-capacity needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--span-capacity: `{v}` is not a positive integer"))?;
-                if n == 0 {
-                    return Err("--span-capacity must be at least 1".into());
-                }
-                opts.span_capacity = Some(n);
-            }
-            "--checkpoint-every" => {
-                let v = it.next().ok_or("--checkpoint-every needs sim seconds")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--checkpoint-every: `{v}` is not a positive integer"))?;
-                if n == 0 {
-                    return Err("--checkpoint-every must be at least 1 sim second".into());
-                }
-                opts.checkpoint_every = Some(n);
-            }
-            "--ckpt-dir" => {
-                opts.ckpt_dir = Some(it.next().ok_or("--ckpt-dir needs a directory")?.clone());
-            }
-            "--from-checkpoint" => {
-                opts.from_checkpoint =
-                    Some(it.next().ok_or("--from-checkpoint needs a file")?.clone());
-            }
-            "--inject-divergence" => {
-                let v = it.next().ok_or("--inject-divergence needs sim seconds")?;
-                opts.inject_divergence = Some(v.parse().map_err(|_| {
-                    format!("--inject-divergence: `{v}` is not a non-negative integer")
-                })?);
-            }
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+        let flag = flag.as_str();
+        if !accepted.contains(&flag) {
+            let takers: Vec<String> = ACCEPTS
+                .iter()
+                .filter(|(_, f)| f.contains(&flag))
+                .map(|(c, _)| format!("`{c}`"))
+                .collect();
+            return Err(if takers.is_empty() {
+                format!("unknown flag `{flag}`\n{USAGE}")
+            } else {
+                format!("{flag} applies to {} only, not `{cmd}`", takers.join(", "))
+            });
+        }
+        if flag == "--skip-expectations" {
+            opts.skip_expectations = true;
+            continue;
+        }
+        let v = it.next().ok_or(format!("{flag} needs a value"))?;
+        let text = Some(v.clone());
+        match flag {
+            "--days" => opts.days = Some(num(flag, v)?),
+            "--seed" => opts.seed = Some(num(flag, v)?),
+            "--seeds" => opts.seeds = Some(num(flag, v)?),
+            "--threads" => opts.threads = Some(num(flag, v)?),
+            "--inject-divergence" => opts.inject_divergence = Some(num(flag, v)?),
+            "--span-capacity" => opts.span_capacity = Some(positive(flag, v)?),
+            "--checkpoint-every" => opts.checkpoint_every = Some(positive(flag, v)?),
+            "--out" => opts.out = text,
+            "--metrics" => opts.metrics = text,
+            "--json" => opts.json = text,
+            "--trace" => opts.trace = text,
+            "--health" => opts.health = text,
+            "--prof" => opts.prof = text,
+            "--flamegraph" => opts.flamegraph = text,
+            "--perfetto" => opts.perfetto = text,
+            "--ckpt-dir" => opts.ckpt_dir = text,
+            "--from-checkpoint" => opts.from_checkpoint = text,
+            other => return Err(format!("flag `{other}` has no parser (internal error)")),
         }
     }
     Ok(opts)
+}
+
+fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: `{v}` is not a non-negative integer"))
+}
+
+fn positive<T>(flag: &str, v: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    match v.parse() {
+        Ok(n) if n != T::from(0) => Ok(n),
+        _ => Err(format!("{flag}: `{v}` is not a positive integer")),
+    }
 }
 
 /// Builds a validated study config from the common options.
@@ -382,51 +381,56 @@ fn write_text(path: &str, text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a study, collecting telemetry only when the sink is enabled
-/// (`--metrics`, or always under `profile`). Collection never perturbs
-/// the run — the digest-equality tests in `titan-runner` pin that — so
-/// the printed report is identical either way.
-fn run_study(
-    config: StudyConfig,
-    obs: &mut Obs,
-) -> (
-    titan_gpu_reliability::study::CompletedStudy,
-    Option<titan_runner::MetricsDoc>,
-) {
-    let seed = config.sim.seed;
-    let window = config.sim.window;
-    let study = Study::new(config).run_with_obs(obs);
-    // Collection also runs for a trace-only capture: the SEC replay and
-    // nvsmi rollup it performs mint the collect-time trace records.
-    let doc = if obs.is_enabled() || obs.trace_enabled() {
-        obs.phase("cli:collect_metrics");
-        let doc = titan_runner::collect_metrics(&study.sim, seed, window, obs);
-        obs.is_enabled().then_some(doc)
-    } else {
-        None
-    };
-    (study, doc)
+/// Arms the observers `plan` asks for. With the cost ledger on, the
+/// binary's allocator probe is installed and the ledger's scope edges
+/// feed a fresh [`KindClock`] whose epoch starts now.
+fn arm(plan: &ObsPlan) -> (Obs, Option<Rc<RefCell<KindClock>>>) {
+    let mut obs = Obs::from_plan(plan);
+    let clock = plan.prof.then(|| {
+        let clock = Rc::new(RefCell::new(KindClock::new()));
+        obs.set_prof_alloc_probe(alloc_track::probe);
+        let hook = Rc::clone(&clock);
+        obs.set_prof_wall_hook(Box::new(move |name| hook.borrow_mut().mark(name)));
+        clock
+    });
+    (obs, clock)
 }
 
-/// Builds the CLI's observability sink from the common options.
-fn build_obs(opts: &Opts, metrics_on: bool) -> Obs {
-    let mut obs = match opts.span_capacity {
-        Some(cap) => Obs::with_span_capacity(metrics_on, cap),
-        None => Obs::new(metrics_on),
-    };
-    if opts.trace.is_some() {
-        obs.enable_trace();
+/// Writes the metrics, trace and health documents the flags name. Each
+/// rendered stream is dropped once written, inside the open ledger
+/// scope, like the rest of the write.
+fn write_docs(opts: &Opts, docs: &mut RunDocs) -> Result<(), String> {
+    if let (Some(path), Some(doc)) = (&opts.metrics, &docs.metrics) {
+        write_text(path, &doc.to_json())?;
     }
-    if opts.health.is_some() {
-        obs.enable_health();
+    if let (Some(path), Some(text)) = (&opts.trace, docs.trace.take()) {
+        write_text(path, &text)?;
     }
-    obs
+    if let (Some(path), Some(text)) = (&opts.health, docs.health.take()) {
+        write_text(path, &text)?;
+    }
+    Ok(())
+}
+
+/// Closes the cost ledger and assembles the `titan-prof/2` document:
+/// the one place `run --prof` and `profile` build it.
+fn prof_doc(
+    docs: &mut RunDocs,
+    obs: &mut Obs,
+    clock: &RefCell<KindClock>,
+) -> Result<titan_obs::ProfDoc, String> {
+    docs.close_ledger(obs);
+    let wall = clock.borrow_mut().finish();
+    match (docs.ledger.take(), &docs.metrics) {
+        (Some(ledger), Some(metrics)) => {
+            Ok(titan_obs::ProfDoc::build(ledger, metrics.clone(), wall))
+        }
+        _ => Err("prof collected no ledger or telemetry (internal error)".into()),
+    }
 }
 
 fn taxonomy(args: &[String]) -> Result<ExitCode, String> {
-    if !args.is_empty() {
-        return Err(format!("taxonomy takes no options\n{USAGE}"));
-    }
+    parse_opts("taxonomy", args)?;
     println!("Table 1 — hardware (and ambiguous) GPU errors:");
     for k in GpuErrorKind::ALL {
         if matches!(
@@ -480,59 +484,8 @@ fn checkpoint_sink(
     })
 }
 
-/// The shared tail of every `run` variant: collect telemetry, print the
-/// report, write the artifacts. Identical on the straight-through,
-/// checkpointing, and resumed paths — that is what makes their stdout,
-/// metrics, and trace byte-comparable.
-fn finish_run(
-    study: &titan_gpu_reliability::study::CompletedStudy,
-    obs: &mut Obs,
-    opts: &Opts,
-    seed: u64,
-    window: u64,
-    prof_clock: Option<Rc<RefCell<KindClock>>>,
-) -> Result<ExitCode, String> {
-    let doc = if obs.is_enabled() || obs.trace_enabled() {
-        obs.phase("cli:collect_metrics");
-        let doc = titan_runner::collect_metrics(&study.sim, seed, window, obs);
-        obs.is_enabled().then_some(doc)
-    } else {
-        None
-    };
-    println!("{}", full_report(study));
-    if let (Some(path), Some(doc)) = (&opts.metrics, &doc) {
-        write_text(path, &doc.to_json())?;
-    }
-    if let Some(path) = &opts.trace {
-        write_text(path, &obs.stream.render_jsonl(seed, window / 86_400))?;
-    }
-    if let Some(path) = &opts.health {
-        write_text(path, &obs.health.render_jsonl(seed, window / 86_400))?;
-    }
-    if let Some(path) = &opts.prof {
-        // The ledger is closed only now, so the report rendering above is
-        // attributed (to cli:collect_metrics) like everything else.
-        obs.prof_finish();
-        let wall = match &prof_clock {
-            Some(clock) => clock.borrow_mut().finish(),
-            None => return Err("prof clock missing (internal error)".into()),
-        };
-        let metrics = doc.ok_or("prof collected no telemetry (internal error)")?;
-        let prof_doc =
-            titan_obs::ProfDoc::build(obs.prof_ledger(), seed, window / 86_400, metrics, wall);
-        write_text(path, &prof_doc.to_json())?;
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let opts = parse_opts(args)?;
-    if opts.json.is_some() {
-        return Err(json_rejection());
-    }
-    if opts.flamegraph.is_some() || opts.perfetto.is_some() {
-        return Err("--flamegraph and --perfetto apply to `profile` only".into());
-    }
+    let opts = parse_opts("run", args)?;
     if opts.checkpoint_every.is_some() != opts.ckpt_dir.is_some() {
         return Err("--checkpoint-every and --ckpt-dir must be given together".into());
     }
@@ -547,90 +500,79 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     let every = opts.checkpoint_every.unwrap_or(0);
-
-    // Resume: the checkpoint carries the full configuration.
-    if let Some(path) = &opts.from_checkpoint {
-        if opts.days.is_some() || opts.seed.is_some() {
-            return Err(
-                "--from-checkpoint carries its own configuration; drop --days/--seed".into(),
-            );
-        }
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        let ck = titan_runner::parse_checkpoint(&text)?;
-        // Health state rides the ObsSnapshot: a flag mismatch cannot be
-        // papered over (the resumed doc would silently restart from an
-        // empty sink), so reject it up front instead of diverging.
-        if ck.obs.health_enabled() != opts.health.is_some() {
-            return Err(if opts.health.is_some() {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written without --health; \
-                     resume with the same flags as the original run"
-                )
-            } else {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written with --health; \
-                     pass --health FILE to resume it"
-                )
-            });
-        }
-        // The cost ledger rides the same snapshot; a `--prof` mismatch
-        // would silently restart the scope table from zero, so reject it
-        // up front exactly like the health flag.
-        if ck.obs.prof_enabled() != opts.prof.is_some() {
-            return Err(if opts.prof.is_some() {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written without --prof; \
-                     resume with the same flags as the original run"
-                )
-            } else {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written with --prof; \
-                     pass --prof FILE to resume it"
-                )
-            });
-        }
-        let seed = ck.seed;
-        let window = ck.config.sim.window;
-        eprintln!(
-            "resuming from checkpoint {} (t = {} s, digest {:016x})",
-            ck.index, ck.t, ck.digest
-        );
-        let mut obs = build_obs(&opts, opts.metrics.is_some() || opts.prof.is_some());
-        let prof_clock = opts.prof.is_some().then(|| arm_prof(&mut obs));
-        let sink = checkpoint_sink(opts.ckpt_dir.clone())?;
-        let study =
-            titan_runner::resume_checkpointed(&ck, every, opts.inject_divergence, &mut obs, sink)?;
-        return finish_run(&study, &mut obs, &opts, seed, window, prof_clock);
+    let plan = opts.plan();
+    let ck = match &opts.from_checkpoint {
+        Some(path) => Some(resume_point(path, &opts, &plan)?),
+        None => None,
+    };
+    // A resumed run takes its configuration from the checkpoint.
+    let config = match &ck {
+        Some(ck) => ck.config.clone(),
+        None => study_config(&opts)?,
+    };
+    let (mut obs, clock) = arm(&plan);
+    let sink = checkpoint_sink(opts.ckpt_dir.clone())?;
+    // Checkpointing and resumed runs drive the engine in boundary-sized
+    // steps; their output is byte-identical to the plain path.
+    let study = if let Some(ck) = &ck {
+        titan_runner::resume_checkpointed(ck, every, opts.inject_divergence, &mut obs, sink)?
+    } else if every > 0 {
+        titan_runner::run_checkpointed(&config, every, opts.inject_divergence, &mut obs, sink)?
+    } else {
+        Study::new(config).run_with_obs(&mut obs)
+    };
+    let ((), mut docs) = titan_runner::collect_docs(&study, &plan, &mut obs, |_| {
+        println!("{}", full_report(&study));
+    });
+    write_docs(&opts, &mut docs)?;
+    if let (Some(path), Some(clock)) = (&opts.prof, &clock) {
+        write_text(path, &prof_doc(&mut docs, &mut obs, clock)?.to_json())?;
     }
-
-    let config = study_config(&opts)?;
-    let seed = config.sim.seed;
-    let window = config.sim.window;
-    // `--prof` embeds the metrics document in titan-prof/2, so the sink
-    // comes on with it (collection never perturbs the run — the
-    // digest-equality tests in `titan-runner` pin that).
-    let mut obs = build_obs(&opts, opts.metrics.is_some() || opts.prof.is_some());
-    let prof_clock = opts.prof.is_some().then(|| arm_prof(&mut obs));
-
-    // Checkpointing run: the runner drives the engine in boundary-sized
-    // steps; output is byte-identical to the plain path below.
-    if every > 0 {
-        let sink = checkpoint_sink(opts.ckpt_dir.clone())?;
-        let study =
-            titan_runner::run_checkpointed(&config, every, opts.inject_divergence, &mut obs, sink)?;
-        return finish_run(&study, &mut obs, &opts, seed, window, prof_clock);
-    }
-
-    let study = Study::new(config).run_with_obs(&mut obs);
-    finish_run(&study, &mut obs, &opts, seed, window, prof_clock)
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Builds the `--json applies to …` rejection from the actual list of
-/// subcommands that accept the flag, so the message can never drift from
-/// the dispatch table.
-fn json_rejection() -> String {
-    let list: Vec<String> = JSON_SUBCOMMANDS.iter().map(|s| format!("`{s}`")).collect();
-    format!("--json applies to {} only", list.join(" and "))
+/// Reads and verifies the checkpoint a resumed run starts from. Every
+/// sink's state rides the checkpoint, so the resume must arm the sinks
+/// it was written with: a mismatched sink would silently drop that
+/// state or restart from zero, and every later document would diverge.
+fn resume_point(
+    path: &str,
+    opts: &Opts,
+    plan: &ObsPlan,
+) -> Result<titan_runner::CheckpointDoc, String> {
+    if opts.days.is_some() || opts.seed.is_some() {
+        return Err("--from-checkpoint carries its own configuration; drop --days/--seed".into());
+    }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let ck = titan_runner::parse_checkpoint(&text)?;
+    let written = ck.plan();
+    // `--prof` goes first: it arms the metrics sink too, so a mismatch
+    // is named by the flag that was actually given.
+    for (flag, was, now) in [
+        ("--prof", written.prof, plan.prof),
+        ("--health", written.health, plan.health),
+        ("--trace", written.trace, plan.trace),
+        ("--metrics", written.metrics, plan.metrics),
+    ] {
+        if was != now {
+            return Err(if was {
+                format!(
+                    "--from-checkpoint {path}: the checkpoint was written with {flag}; \
+                     pass {flag} FILE to resume it"
+                )
+            } else {
+                format!(
+                    "--from-checkpoint {path}: the checkpoint was written without {flag}; \
+                     resume with the same flags as the original run"
+                )
+            });
+        }
+    }
+    eprintln!(
+        "resuming from checkpoint {} (t = {} s, digest {:016x})",
+        ck.index, ck.t, ck.digest
+    );
+    Ok(ck)
 }
 
 /// The `ckpt` subcommand: offline tooling over `titan-ckpt/1` files.
@@ -883,28 +825,18 @@ struct CheckDoc {
 }
 
 fn check(args: &[String]) -> Result<ExitCode, String> {
-    let opts = parse_opts(args)?;
-    if opts.trace.is_some() {
-        return Err("--trace applies to `run` and `replicate` only".into());
-    }
-    if opts.prof.is_some() {
-        return Err("--prof applies to `run` only (profile always arms the ledger)".into());
-    }
-    if opts.flamegraph.is_some() || opts.perfetto.is_some() {
-        return Err("--flamegraph and --perfetto apply to `profile` only".into());
-    }
-    if opts.any_checkpoint_flag() {
-        return Err("checkpoint flags apply to `run` only".into());
-    }
+    let opts = parse_opts("check", args)?;
     let config = study_config(&opts)?;
     let seed = config.sim.seed;
     let window_days = config.sim.window / 86_400;
-    let mut obs = build_obs(&opts, opts.metrics.is_some());
-    let (study, doc) = run_study(config, &mut obs);
-    let figures = study.figures();
+    let plan = opts.plan();
+    let (mut obs, _) = arm(&plan);
+    let study = Study::new(config).run_with_obs(&mut obs);
+    let (evals, mut docs) =
+        titan_runner::collect_docs(&study, &plan, &mut obs, |_| evaluate_all(&study.figures()));
     let (mut pass, mut weak, mut fail) = (0u32, 0u32, 0u32);
     let mut checks = Vec::new();
-    for e in evaluate_all(&figures) {
+    for e in evals {
         println!("[{}] {:<6} {}", e.verdict, e.id, e.measured);
         match e.verdict {
             Verdict::Pass => pass += 1,
@@ -934,12 +866,7 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
         json.push('\n');
         write_text(path, &json)?;
     }
-    if let (Some(path), Some(doc)) = (&opts.metrics, &doc) {
-        write_text(path, &doc.to_json())?;
-    }
-    if let Some(path) = &opts.health {
-        write_text(path, &obs.health.render_jsonl(seed, window_days))?;
-    }
+    write_docs(&opts, &mut docs)?;
     if fail > 0 {
         return Ok(ExitCode::FAILURE);
     }
@@ -947,91 +874,51 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn replicate(args: &[String]) -> Result<ExitCode, String> {
-    let mut days: Option<u64> = None;
-    let mut base_seed: u64 = 0x7174_414E;
-    let mut seeds: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut trace_dir: Option<String> = None;
-    let mut health_dir: Option<String> = None;
-    let mut skip_expectations = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            let v = it.next().ok_or(format!("{name} needs a value"))?;
-            v.parse()
-                .map_err(|_| format!("{name}: `{v}` is not a non-negative integer"))
-        };
-        match flag.as_str() {
-            "--days" => days = Some(num("--days")?),
-            "--seed" => base_seed = num("--seed")?,
-            "--seeds" => seeds = Some(num("--seeds")?),
-            "--threads" => threads = Some(num("--threads")? as usize),
-            "--skip-expectations" => skip_expectations = true,
-            "--out" => out = Some(it.next().ok_or("--out needs a file")?.clone()),
-            "--metrics" => {
-                metrics = Some(it.next().ok_or("--metrics needs a file")?.clone());
-            }
-            "--trace" => {
-                trace_dir = Some(it.next().ok_or("--trace needs a directory")?.clone());
-            }
-            "--health" => {
-                health_dir = Some(it.next().ok_or("--health needs a directory")?.clone());
-            }
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
-        }
-    }
-    let n = seeds.ok_or("replicate requires --seeds N")?;
+    let opts = parse_opts("replicate", args)?;
+    let n = opts.seeds.ok_or("replicate requires --seeds N")?;
     if n == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    let base = match days {
-        Some(d) => StudyConfig::quick(d, base_seed),
-        None => {
-            let mut c = StudyConfig::default();
-            c.sim.seed = base_seed;
-            c
-        }
-    };
-    let threads = threads.unwrap_or_else(titan_runner::recommended_threads);
-    let mut opts = titan_runner::ReplicateOptions::consecutive(base, base_seed, n, threads)?;
-    opts.skip_expectations = skip_expectations;
-    opts.collect_obs = metrics.is_some();
-    opts.collect_trace = trace_dir.is_some();
-    opts.collect_health = health_dir.is_some();
-    let (report, traces, healths) = titan_runner::replicate_full(&opts)?;
+    let base = study_config(&opts)?;
+    let base_seed = base.sim.seed;
+    let threads = opts.threads.unwrap_or_else(titan_runner::recommended_threads);
+    let mut ropts = titan_runner::ReplicateOptions::consecutive(base, base_seed, n, threads)?;
+    ropts.skip_expectations = opts.skip_expectations;
+    ropts.plan = opts.plan();
+    let (report, docs) = titan_runner::replicate_full(&ropts)?;
     print!("{}", titan_runner::render_report(&report));
-    if let Some(dir) = trace_dir {
-        std::fs::create_dir_all(&dir).map_err(|e| format!("create {dir}: {e}"))?;
-        for (run, trace) in report.runs.iter().zip(&traces) {
-            let Some(text) = trace else {
-                return Err("replicate produced no trace (internal error)".into());
-            };
-            write_text(&format!("{dir}/trace-seed-{}.jsonl", run.seed), text)?;
-        }
+    if let Some(dir) = &opts.trace {
+        write_per_seed(dir, "trace", &report, docs.iter().map(|d| d.trace.as_ref()))?;
     }
-    if let Some(dir) = health_dir {
-        std::fs::create_dir_all(&dir).map_err(|e| format!("create {dir}: {e}"))?;
-        for (run, health) in report.runs.iter().zip(&healths) {
-            let Some(text) = health else {
-                return Err("replicate produced no health doc (internal error)".into());
-            };
-            write_text(&format!("{dir}/health-seed-{}.jsonl", run.seed), text)?;
-        }
+    if let Some(dir) = &opts.health {
+        write_per_seed(dir, "health", &report, docs.iter().map(|d| d.health.as_ref()))?;
     }
-    if let Some(path) = out {
+    if let Some(path) = &opts.out {
         let json = serde_json::to_string_pretty(&report)
             .map_err(|e| format!("serialize report: {e}"))?;
-        std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
+        write_text(path, &json)?;
     }
-    if let Some(path) = metrics {
+    if let Some(path) = &opts.metrics {
         let doc = titan_runner::obs_replicate_doc(&report)
             .ok_or("replicate produced no telemetry (internal error)")?;
-        write_text(&path, &titan_runner::render_obs_metrics_json(&doc))?;
+        write_text(path, &titan_runner::render_obs_metrics_json(&doc))?;
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Writes each seed's `kind` document to `DIR/<kind>-seed-<seed>.jsonl`.
+fn write_per_seed<'a>(
+    dir: &str,
+    kind: &str,
+    report: &titan_runner::ReplicationReport,
+    texts: impl Iterator<Item = Option<&'a String>>,
+) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {dir}: {e}"))?;
+    for (run, text) in report.runs.iter().zip(texts) {
+        let text = text.ok_or(format!("replicate produced no {kind} (internal error)"))?;
+        write_text(&format!("{dir}/{kind}-seed-{}.jsonl", run.seed), text)?;
+    }
+    Ok(())
 }
 
 /// Wall-clock scope ledger the cost ledger's edge hook writes into. This
@@ -1105,52 +992,36 @@ impl KindClock {
     }
 }
 
-/// Arms the `titan-prof/2` cost ledger on `obs`: collection on, the
-/// binary's allocator probe installed, and the wall-clock edge hook
-/// wired to a fresh [`KindClock`] whose epoch starts now.
-fn arm_prof(obs: &mut Obs) -> Rc<RefCell<KindClock>> {
-    let clock = Rc::new(RefCell::new(KindClock::new()));
-    obs.enable_prof();
-    obs.set_prof_alloc_probe(alloc_track::probe);
-    let hook = Rc::clone(&clock);
-    obs.set_prof_wall_hook(Box::new(move |name| hook.borrow_mut().mark(name)));
-    clock
-}
-
 fn profile(args: &[String]) -> Result<ExitCode, String> {
-    let opts = parse_opts(args)?;
-    if opts.out.is_some() || opts.trace.is_some() || opts.prof.is_some()
-        || opts.any_checkpoint_flag()
-    {
-        return Err(
-            "profile takes --days / --seed / --metrics / --json / --health / \
-             --flamegraph / --perfetto only (the ledger is always armed here; \
-             `run --prof` writes the same document from a plain run)"
-                .into(),
-        );
-    }
+    let opts = parse_opts("profile", args)?;
     let config = study_config(&opts)?;
-    let seed = config.sim.seed;
-    let window_days = config.sim.window / 86_400;
-
-    let mut obs = build_obs(&opts, true);
-    // Health collection is always on under `profile`, so the ledger (and
-    // the titan-prof/2 document) exposes what the online analytics layer
-    // costs on top of the metrics sink.
-    obs.enable_health();
-    let clock = arm_prof(&mut obs);
-
-    let (study, doc) = run_study(config, &mut obs);
-    obs.phase("cli:figures_checks");
-    let figures = study.figures();
-    let evals = evaluate_all(&figures);
-    obs.phase("cli:render_health");
-    let health_text = obs.health.render_jsonl(seed, window_days);
-    obs.prof_finish();
-    let wall = clock.borrow_mut().finish();
-    let doc = doc.ok_or("profile collected no telemetry (internal error)")?;
-    let prof_doc =
-        titan_obs::ProfDoc::build(obs.prof_ledger(), seed, window_days, doc.clone(), wall);
+    // The ledger, the metrics document it embeds and the health sink are
+    // always armed here, so titan-prof/2 exposes what the online
+    // analytics layer costs on top of the metrics sink.
+    let plan = ObsPlan {
+        metrics: true,
+        health: true,
+        prof: true,
+        ..opts.plan()
+    };
+    let (mut obs, clock) = arm(&plan);
+    let clock = clock.ok_or("prof clock missing (internal error)")?;
+    let study = Study::new(config).run_with_obs(&mut obs);
+    // The health render that follows the checks gets its own ledger
+    // scope. `_figures` is held to the end: its teardown is not profile
+    // work, so it stays outside the ledger.
+    let checks = |obs: &mut Obs| {
+        obs.phase("cli:figures_checks");
+        let figures = study.figures();
+        let evals = evaluate_all(&figures);
+        obs.phase("cli:render_health");
+        (figures, evals)
+    };
+    let ((_figures, evals), mut docs) =
+        titan_runner::collect_docs(&study, &plan, &mut obs, checks);
+    let prof_doc = prof_doc(&mut docs, &mut obs, &clock)?;
+    let doc = &prof_doc.metrics;
+    let (seed, window_days) = (prof_doc.seed, prof_doc.window_days);
 
     println!("titan-repro profile — seed {seed}, {window_days} days");
     println!();
@@ -1217,7 +1088,7 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
     );
     let fails = evals.iter().filter(|e| e.verdict == Verdict::Fail).count();
     println!("  [health]");
-    let hdoc = titan_obs::parse_health(&health_text)?;
+    let hdoc = titan_obs::parse_health(docs.health.as_deref().unwrap_or_default())?;
     println!("    {:<38} {:>12}", "intervals", hdoc.header.intervals);
     println!("    {:<38} {:>12}", "alerts_fired", hdoc.header.alerts);
     println!();
@@ -1225,18 +1096,8 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
         "checks: {} evaluated, {fails} FAIL (run `titan-repro check` for detail)",
         evals.len()
     );
-    if let Some(path) = &opts.metrics {
-        write_text(path, &doc.to_json())?;
-    }
-    if let Some(path) = &opts.health {
-        write_text(path, &health_text)?;
-    }
+    write_docs(&opts, &mut docs)?;
     if let Some(path) = &opts.json {
-        eprintln!(
-            "note: `profile --json` now writes titan-prof/2; the titan-profile/1 \
-             wall-clock phase table is retired (wall time lives on in the \
-             quarantined `wall` section)"
-        );
         write_text(path, &prof_doc.to_json())?;
     }
     if let Some(path) = &opts.flamegraph {
@@ -1409,13 +1270,7 @@ fn health_cmd(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn logs(args: &[String]) -> Result<ExitCode, String> {
-    let opts = parse_opts(args)?;
-    if opts.metrics.is_some() || opts.json.is_some() || opts.trace.is_some()
-        || opts.health.is_some() || opts.prof.is_some() || opts.flamegraph.is_some()
-        || opts.perfetto.is_some() || opts.any_checkpoint_flag()
-    {
-        return Err("logs takes --days / --seed / --out only".into());
-    }
+    let opts = parse_opts("logs", args)?;
     let out_dir = opts.out.clone().ok_or("logs requires --out DIR")?;
     let config = study_config(&opts)?;
     let sim = Simulator::new(config.sim)?;

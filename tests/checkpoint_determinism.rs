@@ -8,7 +8,9 @@
 //! 2. a corrupted checkpoint (one flipped byte) fails chained-digest
 //!    verification with a clean error, never a panic;
 //! 3. `ckpt bisect` localizes an injected divergence to the one
-//!    checkpoint interval that contains it.
+//!    checkpoint interval that contains it;
+//! 4. resuming with a different set of observer flags than the
+//!    checkpoint was written with fails cleanly, for every sink.
 //!
 //! Runs use relative artifact paths under per-test working directories
 //! so the `wrote …` lines on stdout are byte-comparable too.
@@ -183,6 +185,50 @@ fn corrupted_checkpoint_fails_cleanly() {
         "expected a chained-digest error, got:\n{stderr}"
     );
     assert!(!stderr.contains("panicked"), "corruption caused a panic:\n{stderr}");
+}
+
+/// Resume checks every sink against the checkpoint, both ways: the
+/// metrics registry and the flight recorder ride the checkpoint like
+/// the health sink and the cost ledger, so resuming `--metrics` or
+/// `--trace` state into a differently armed sink would silently drop
+/// it or restart it from zero. Each mismatch must fail up front with
+/// a clean error naming the flag — nonzero exit, no panic.
+#[test]
+fn metrics_and_trace_flag_mismatch_on_resume_fails_cleanly() {
+    let dir = tmp("sink_mismatch");
+    for (ckpt_dir, flags) in [
+        ("plain", vec![]),
+        ("with-metrics", vec!["--metrics", "m.json"]),
+        ("with-trace", vec!["--trace", "t.jsonl"]),
+    ] {
+        let mut args = vec![
+            "run", "--days", "12", "--seed", "3", "--checkpoint-every", "345600", // 4 d
+            "--ckpt-dir", ckpt_dir,
+        ];
+        args.extend(flags);
+        run_in(&dir, "1", &args);
+    }
+    let cases = [
+        ("with-metrics", vec![], "written with --metrics"),
+        ("plain", vec!["--metrics", "m2.json"], "written without --metrics"),
+        ("with-trace", vec![], "written with --trace"),
+        ("plain", vec!["--trace", "t2.jsonl"], "written without --trace"),
+    ];
+    for (ckpt_dir, extra, needle) in cases {
+        let ckpt = dir.join(ckpt_dir).join("ckpt-000000.json");
+        let mut args = vec!["run", "--from-checkpoint", ckpt.to_str().expect("utf8 path")];
+        args.extend(extra);
+        let out = Command::new(bin())
+            .args(&args)
+            .current_dir(&dir)
+            .env("TITAN_NUM_THREADS", "1")
+            .output()
+            .expect("spawn titan-repro");
+        assert!(!out.status.success(), "mismatched resume {args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "resume {args:?} error missing `{needle}`:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "mismatch caused a panic:\n{stderr}");
+    }
 }
 
 /// Acceptance criterion: `ckpt bisect` pins an injected divergence to

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::{Serialize, Value};
 use titan_gpu_reliability::obs::{parse_health, parse_trace, Obs};
-use titan_gpu_reliability::runner::{ckpt, run_seed_full};
+use titan_gpu_reliability::runner::{ckpt, run_seed_with, ObsPlan};
 use titan_gpu_reliability::StudyConfig;
 
 const DAY: u64 = 86_400;
@@ -363,13 +363,19 @@ fn real_documents_match() {
         assert_same_bytes(doc, "CheckpointDoc");
     }
 
-    let (run, trace, health) = run_seed_full(&config, seed, true, true, true, true);
+    let plan = ObsPlan {
+        metrics: true,
+        trace: true,
+        health: true,
+        ..ObsPlan::default()
+    };
+    let (run, docs) = run_seed_with(&config, seed, true, &plan);
     assert_same_bytes(&run.obs.expect("metrics document"), "MetricsDoc");
-    let (header, records) = parse_trace(&trace.expect("trace")).expect("parse trace");
+    let (header, records) = parse_trace(&docs.trace.expect("trace")).expect("parse trace");
     assert!(!records.is_empty());
     assert_same_bytes(&header, "TraceHeader");
     assert_same_bytes(&records, "trace records");
-    let health = parse_health(&health.expect("health")).expect("parse health");
+    let health = parse_health(&docs.health.expect("health")).expect("parse health");
     assert!(!health.records.is_empty());
     assert_same_bytes(&health.header, "HealthHeader");
     assert_same_bytes(&health.records, "health records");
