@@ -1,7 +1,7 @@
 //! The typed console event — what one SEC-filtered console-log line means.
 
 use serde::{Deserialize, Serialize};
-use titan_gpu::{GpuErrorKind, MemoryStructure};
+use titan_gpu::{ErrorCategory, GpuErrorKind, MemoryStructure};
 use titan_topology::NodeId;
 
 use crate::time::SimTime;
@@ -37,6 +37,11 @@ pub struct ConsoleEvent {
 }
 
 impl ConsoleEvent {
+    /// Whether the line reports a Table-1 (hardware) error.
+    pub fn is_hardware(&self) -> bool {
+        matches!(self.kind.category(), ErrorCategory::Hardware)
+    }
+
     /// Severity under the default SEC rule set.
     pub fn severity(&self) -> Severity {
         use GpuErrorKind::*;

@@ -1,159 +1,151 @@
-//! Sim-time draft statistics for the observability layer.
+//! Sim-time draft telemetry for the observability layer.
 //!
 //! The fault processes pre-sample their whole windows as draft vectors;
-//! these summarizers fold a draft slice into plain counts so the engine
-//! can publish a "what did the generators draw" section without the
-//! metrics layer ever touching the RNG streams. Everything here is a
-//! pure function of the drafts — running it (or not) cannot perturb a
-//! simulation, which is exactly the property the telemetry determinism
-//! tests pin.
+//! [`DraftTelemetry`] describes a draft to the flight recorder and
+//! folds a draft slice into plain counts, so the engine can publish a
+//! "what did the generators draw" section without the metrics layer
+//! ever touching the RNG streams. Everything here is a pure function of
+//! the drafts — running it (or not) cannot perturb a simulation, which
+//! is exactly the property the telemetry determinism tests pin.
 
+use titan_conlog::time::SimTime;
 use titan_gpu::MemoryStructure;
 
 use crate::hardware::{DbeDraft, OtbDraft, SbeDraft};
 use crate::software::SoftwareIncident;
 
-/// Counts over a DBE draft slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DbeDraftStats {
-    /// Drafts in the slice.
-    pub total: u64,
-    /// Strikes on device memory.
-    pub device_memory: u64,
-    /// Strikes on the register file.
-    pub register_file: u64,
-    /// Drafts whose InfoROM write is lost in the crash (Observation 2).
-    pub inforom_lost: u64,
+/// What the observability layer reads off one kind of fault draft.
+pub trait DraftTelemetry: Sized {
+    /// Sim time the draft fires.
+    fn time(&self) -> SimTime;
+
+    /// Payload of the draft's `titan-trace/1` root record. Stable,
+    /// format-only strings: the trace schema freezes the record shape,
+    /// and these keep the payloads deterministic and greppable.
+    fn payload(&self) -> String;
+
+    /// `faults.*` counter values over a draft slice, as `(name, value)`
+    /// pairs in metrics-catalog order.
+    fn counts<'a>(drafts: impl IntoIterator<Item = &'a Self>) -> Vec<(String, u64)>
+    where
+        Self: 'a;
 }
 
-impl DbeDraftStats {
-    /// Folds the slice.
-    pub fn collect<'a>(drafts: impl IntoIterator<Item = &'a DbeDraft>) -> Self {
-        let mut s = DbeDraftStats::default();
+fn named<const N: usize>(counts: [(&str, u64); N]) -> Vec<(String, u64)> {
+    counts.into_iter().map(|(name, v)| (name.to_string(), v)).collect()
+}
+
+impl DraftTelemetry for DbeDraft {
+    fn time(&self) -> SimTime {
+        self.time
+    }
+
+    fn payload(&self) -> String {
+        format!(
+            "dbe_draft structure={:?} persisted={}",
+            self.structure, self.inforom_persisted
+        )
+    }
+
+    /// Totals, strikes on device memory and the register file, and
+    /// drafts whose InfoROM write is lost in the crash (Observation 2).
+    fn counts<'a>(drafts: impl IntoIterator<Item = &'a Self>) -> Vec<(String, u64)> {
+        let (mut total, mut device, mut register, mut lost) = (0, 0, 0, 0);
         for d in drafts {
-            s.total += 1;
-            match d.structure {
-                MemoryStructure::DeviceMemory => s.device_memory += 1,
-                MemoryStructure::RegisterFile => s.register_file += 1,
-                _ => {}
-            }
-            if !d.inforom_persisted {
-                s.inforom_lost += 1;
-            }
+            total += 1;
+            device += u64::from(d.structure == MemoryStructure::DeviceMemory);
+            register += u64::from(d.structure == MemoryStructure::RegisterFile);
+            lost += u64::from(!d.inforom_persisted);
         }
-        s
+        named([
+            ("dbe_drafts", total),
+            ("dbe_device_memory", device),
+            ("dbe_register_file", register),
+            ("dbe_inforom_lost", lost),
+        ])
     }
 }
 
-/// Counts over an off-the-bus draft slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OtbDraftStats {
-    /// Drafts in the slice.
-    pub total: u64,
-    /// Spontaneous events that seeded a cluster.
-    pub cluster_roots: u64,
-    /// Events drawn as members of an existing cluster.
-    pub cluster_children: u64,
-}
+impl DraftTelemetry for OtbDraft {
+    fn time(&self) -> SimTime {
+        self.time
+    }
 
-impl OtbDraftStats {
-    /// Folds the slice.
-    pub fn collect<'a>(drafts: impl IntoIterator<Item = &'a OtbDraft>) -> Self {
-        let mut s = OtbDraftStats::default();
+    fn payload(&self) -> String {
+        format!("otb_draft cluster_root={}", self.cluster_root)
+    }
+
+    /// Totals, spontaneous cluster roots, and cluster members.
+    fn counts<'a>(drafts: impl IntoIterator<Item = &'a Self>) -> Vec<(String, u64)> {
+        let (mut total, mut roots) = (0, 0);
         for d in drafts {
-            s.total += 1;
-            if d.cluster_root {
-                s.cluster_roots += 1;
-            } else {
-                s.cluster_children += 1;
-            }
+            total += 1;
+            roots += u64::from(d.cluster_root);
         }
-        s
+        named([
+            ("otb_drafts", total),
+            ("otb_cluster_roots", roots),
+            ("otb_cluster_children", total - roots),
+        ])
     }
 }
 
-/// Counts over an SBE draft slice, split by struck structure.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SbeDraftStats {
-    /// Drafts in the slice.
-    pub total: u64,
-    /// Per-structure counts in [`MemoryStructure::ECC_COUNTED`] order.
-    pub by_structure: [u64; MemoryStructure::ECC_COUNTED.len()],
-}
+impl DraftTelemetry for SbeDraft {
+    fn time(&self) -> SimTime {
+        self.time
+    }
 
-impl SbeDraftStats {
-    /// Folds the slice. Structures outside `ECC_COUNTED` cannot be
-    /// drawn by the SBE mix; they are counted in `total` only.
-    pub fn collect<'a>(drafts: impl IntoIterator<Item = &'a SbeDraft>) -> Self {
-        let mut s = SbeDraftStats::default();
+    fn payload(&self) -> String {
+        format!("sbe_draft structure={:?}", self.structure)
+    }
+
+    /// Totals, then one `sbe_draft_<structure>` per
+    /// [`MemoryStructure::ECC_COUNTED`] entry, zeros included. Other
+    /// structures cannot be drawn by the SBE mix; they count in the
+    /// total only.
+    fn counts<'a>(drafts: impl IntoIterator<Item = &'a Self>) -> Vec<(String, u64)> {
+        let mut by_structure = [0u64; MemoryStructure::ECC_COUNTED.len()];
+        let mut total = 0;
         for d in drafts {
-            s.total += 1;
-            if let Some(i) = MemoryStructure::ECC_COUNTED
+            total += 1;
+            let slot = MemoryStructure::ECC_COUNTED
                 .iter()
                 .position(|&m| m == d.structure)
-            {
-                s.by_structure[i] += 1;
+                .and_then(|i| by_structure.get_mut(i));
+            if let Some(c) = slot {
+                *c += 1;
             }
         }
-        s
-    }
-
-    /// `(structure, count)` pairs in the stable `ECC_COUNTED` order.
-    pub fn per_structure(&self) -> impl Iterator<Item = (MemoryStructure, u64)> + '_ {
-        MemoryStructure::ECC_COUNTED
+        // "Shared/L1" → `sbe_draft_shared_l1`.
+        let key = |m: &MemoryStructure| m.label().to_ascii_lowercase().replace([' ', '/'], "_");
+        let per_structure = MemoryStructure::ECC_COUNTED
             .iter()
-            .zip(self.by_structure.iter())
-            .map(|(&m, &c)| (m, c))
+            .zip(by_structure)
+            .map(|(m, c)| (format!("sbe_draft_{}", key(m)), c));
+        std::iter::once(("sbe_drafts".to_string(), total))
+            .chain(per_structure)
+            .collect()
     }
 }
 
-/// Counts over a software-XID incident slice.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SoftDraftStats {
-    /// Incidents in the slice.
-    pub total: u64,
-    /// Incidents striking every node of a job at once.
-    pub job_wide: u64,
-}
+impl DraftTelemetry for SoftwareIncident {
+    fn time(&self) -> SimTime {
+        self.time
+    }
 
-impl SoftDraftStats {
-    /// Folds the slice.
-    pub fn collect<'a>(incidents: impl IntoIterator<Item = &'a SoftwareIncident>) -> Self {
-        let mut s = SoftDraftStats::default();
-        for inc in incidents {
-            s.total += 1;
-            if inc.job_wide {
-                s.job_wide += 1;
-            }
+    fn payload(&self) -> String {
+        format!("soft_draft kind={:?} job_wide={}", self.kind, self.job_wide)
+    }
+
+    /// Totals and incidents striking every node of a job at once.
+    fn counts<'a>(incidents: impl IntoIterator<Item = &'a Self>) -> Vec<(String, u64)> {
+        let (mut total, mut job_wide) = (0, 0);
+        for i in incidents {
+            total += 1;
+            job_wide += u64::from(i.job_wide);
         }
-        s
+        named([("soft_incidents", total), ("soft_job_wide", job_wide)])
     }
-}
-
-/// Flight-recorder payload for a DBE draft (the `titan-trace/1` root
-/// record minted when the draft enters the event heap). Stable,
-/// format-only strings: the trace schema freezes the record shape, and
-/// these keep the payloads deterministic and greppable.
-pub fn dbe_draft_payload(d: &DbeDraft) -> String {
-    format!(
-        "dbe_draft structure={:?} persisted={}",
-        d.structure, d.inforom_persisted
-    )
-}
-
-/// Flight-recorder payload for an off-the-bus draft.
-pub fn otb_draft_payload(d: &OtbDraft) -> String {
-    format!("otb_draft cluster_root={}", d.cluster_root)
-}
-
-/// Flight-recorder payload for an SBE draft.
-pub fn sbe_draft_payload(d: &SbeDraft) -> String {
-    format!("sbe_draft structure={:?}", d.structure)
-}
-
-/// Flight-recorder payload for a software-XID incident draft.
-pub fn soft_draft_payload(i: &SoftwareIncident) -> String {
-    format!("soft_draft kind={:?} job_wide={}", i.kind, i.job_wide)
 }
 
 #[cfg(test)]
@@ -161,8 +153,12 @@ mod tests {
     use super::*;
     use titan_gpu::PageAddress;
 
+    fn pairs(counts: &[(String, u64)]) -> Vec<(&str, u64)> {
+        counts.iter().map(|(n, v)| (n.as_str(), *v)).collect()
+    }
+
     #[test]
-    fn dbe_stats_split_structures_and_inforom() {
+    fn dbe_counts_split_structures_and_inforom() {
         let drafts = vec![
             DbeDraft {
                 time: 1,
@@ -183,26 +179,32 @@ mod tests {
                 inforom_persisted: false,
             },
         ];
-        let s = DbeDraftStats::collect(&drafts);
-        assert_eq!(s.total, 3);
-        assert_eq!(s.device_memory, 2);
-        assert_eq!(s.register_file, 1);
-        assert_eq!(s.inforom_lost, 2);
+        assert_eq!(
+            pairs(&DbeDraft::counts(&drafts)),
+            [
+                ("dbe_drafts", 3),
+                ("dbe_device_memory", 2),
+                ("dbe_register_file", 1),
+                ("dbe_inforom_lost", 2)
+            ]
+        );
     }
 
     #[test]
-    fn otb_stats_split_roots_from_children() {
+    fn otb_counts_split_roots_from_children() {
         let drafts = vec![
             OtbDraft { time: 1, cluster_root: true },
             OtbDraft { time: 2, cluster_root: false },
             OtbDraft { time: 3, cluster_root: false },
         ];
-        let s = OtbDraftStats::collect(&drafts);
-        assert_eq!((s.total, s.cluster_roots, s.cluster_children), (3, 1, 2));
+        assert_eq!(
+            pairs(&OtbDraft::counts(&drafts)),
+            [("otb_drafts", 3), ("otb_cluster_roots", 1), ("otb_cluster_children", 2)]
+        );
     }
 
     #[test]
-    fn sbe_stats_count_per_structure_in_stable_order() {
+    fn sbe_counts_per_structure_in_stable_order() {
         let drafts = vec![
             SbeDraft { time: 1, structure: MemoryStructure::L2Cache, page: None },
             SbeDraft { time: 2, structure: MemoryStructure::L2Cache, page: None },
@@ -212,12 +214,15 @@ mod tests {
                 page: Some(PageAddress(1)),
             },
         ];
-        let s = SbeDraftStats::collect(&drafts);
-        assert_eq!(s.total, 3);
-        let per: Vec<_> = s.per_structure().collect();
-        assert_eq!(per[0], (MemoryStructure::DeviceMemory, 1));
-        assert_eq!(per[1], (MemoryStructure::L2Cache, 2));
-        assert_eq!(per[2], (MemoryStructure::RegisterFile, 0));
+        let counts = SbeDraft::counts(&drafts);
+        let per = pairs(&counts);
+        assert_eq!(per.len(), 1 + MemoryStructure::ECC_COUNTED.len());
+        assert_eq!(per[0], ("sbe_drafts", 3));
+        assert_eq!(per[1], ("sbe_draft_device_memory", 1));
+        assert_eq!(per[2], ("sbe_draft_l2_cache", 2));
+        assert_eq!(per[3], ("sbe_draft_register_file", 0));
+        assert_eq!(per[4], ("sbe_draft_shared_l1", 0));
+        assert_eq!(per[5], ("sbe_draft_texture_memory", 0));
     }
 
     #[test]
@@ -228,20 +233,18 @@ mod tests {
             page: None,
             inforom_persisted: false,
         };
+        assert_eq!(d.payload(), "dbe_draft structure=DeviceMemory persisted=false");
         assert_eq!(
-            dbe_draft_payload(&d),
-            "dbe_draft structure=DeviceMemory persisted=false"
-        );
-        assert_eq!(
-            otb_draft_payload(&OtbDraft { time: 2, cluster_root: true }),
+            OtbDraft { time: 2, cluster_root: true }.payload(),
             "otb_draft cluster_root=true"
         );
         assert_eq!(
-            sbe_draft_payload(&SbeDraft {
+            SbeDraft {
                 time: 3,
                 structure: MemoryStructure::L2Cache,
                 page: None,
-            }),
+            }
+            .payload(),
             "sbe_draft structure=L2Cache"
         );
         let i = SoftwareIncident {
@@ -249,14 +252,11 @@ mod tests {
             kind: titan_gpu::GpuErrorKind::GraphicsEngineException,
             job_wide: true,
         };
-        assert_eq!(
-            soft_draft_payload(&i),
-            "soft_draft kind=GraphicsEngineException job_wide=true"
-        );
+        assert_eq!(i.payload(), "soft_draft kind=GraphicsEngineException job_wide=true");
     }
 
     #[test]
-    fn soft_stats_count_job_wide() {
+    fn soft_counts_count_job_wide() {
         let incidents = vec![
             SoftwareIncident {
                 time: 1,
@@ -269,7 +269,9 @@ mod tests {
                 job_wide: false,
             },
         ];
-        let s = SoftDraftStats::collect(&incidents);
-        assert_eq!((s.total, s.job_wide), (2, 1));
+        assert_eq!(
+            pairs(&SoftwareIncident::counts(&incidents)),
+            [("soft_incidents", 2), ("soft_job_wide", 1)]
+        );
     }
 }

@@ -230,15 +230,22 @@ impl MetricsDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Span, SpanKind};
+    use crate::{CostKind, ObsEvent, Span, SpanKind};
 
     fn sample_doc() -> MetricsDoc {
         let mut obs = Obs::enabled();
-        let cat = obs.cat;
-        obs.reg.inc(cat.engine.ev_dbe);
-        obs.reg.add(cat.faults.dbe_drafts, 3);
-        obs.reg.set_max(cat.engine.heap_high_water, 42);
-        obs.reg.observe(cat.faults.cascade_fanout, 2);
+        obs.emit(ObsEvent::Dequeue {
+            t: 0,
+            kind: CostKind::Dbe,
+            rng_draws: 0,
+            pushed: 0,
+            depth: 42,
+        });
+        obs.emit(ObsEvent::DraftStream {
+            pushed: 0,
+            counts: &|| vec![("dbe_drafts".to_string(), 3)],
+        });
+        obs.emit(ObsEvent::Cascade { children: 2 });
         let dyn_c = obs.reg.counter("sec", "rule_hits.alert_each");
         obs.reg.add(dyn_c, 7);
         obs.trace.record(Span {
@@ -308,7 +315,11 @@ mod tests {
             doc.spans.recent.iter().map(|s| s.start).collect()
         };
         // Exactly `capacity` spans: nothing evicted, insertion order.
-        let mut obs = Obs::with_span_capacity(true, cap);
+        let mut obs = Obs::from_plan(&crate::ObsPlan {
+            metrics: true,
+            span_capacity: cap,
+            ..crate::ObsPlan::default()
+        });
         for t in 0..cap as u64 {
             obs.trace.record(Span {
                 kind: SpanKind::JobLifecycle,

@@ -24,6 +24,8 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
 
+use crate::event::ObsEvent;
+
 /// Schema identifier written into every trace header.
 pub const TRACE_SCHEMA: &str = "titan-trace/1";
 
@@ -173,25 +175,70 @@ impl TraceStream {
         id
     }
 
-    /// [`TraceStream::mint`] for a console line; additionally remembers
-    /// the `(ts, id)` pair so collect-time SEC replay can align alerts
-    /// with the time-sorted console log.
-    #[inline]
-    pub fn mint_console(
-        &mut self,
-        parent: u64,
-        ts: SimTime,
-        card: Option<u64>,
-        node: Option<u64>,
-        apid: Option<u64>,
-        payload: impl FnOnce() -> String,
-    ) -> u64 {
+    /// The recorder's fold over one engine event: mints its records and
+    /// returns the id of the event's own record (0 when it mints none
+    /// or recording is off). A fault's console lines are minted right
+    /// after it, so its line `i` (from 0) gets id `returned + 1 + i`.
+    pub(crate) fn fold(&mut self, ev: &ObsEvent<'_>) -> u64 {
         if !self.enabled {
             return 0;
         }
-        let id = self.mint(TraceKind::ConsoleLine, parent, ts, card, node, apid, payload);
-        self.console.push((ts, id));
-        id
+        match *ev {
+            ObsEvent::FaultDraft { t, detail } => {
+                self.mint(TraceKind::FaultDraft, 0, t, None, None, None, detail)
+            }
+            ObsEvent::Fault {
+                parent,
+                t,
+                card,
+                node,
+                apid,
+                detail,
+                lines,
+            } => {
+                let id = self.mint(TraceKind::EngineEvent, parent, t, card, node, apid, detail);
+                for line in lines {
+                    let (ts, node) = (line.time, Some(u64::from(line.node.0)));
+                    let payload = || format!("console {:?}", line.kind);
+                    let cid = self.mint(TraceKind::ConsoleLine, id, ts, card, node, line.apid, payload);
+                    // Collect-time SEC replay aligns alerts with the
+                    // time-sorted console log through these pairs.
+                    self.console.push((ts, cid));
+                }
+                id
+            }
+            ObsEvent::Sbe {
+                accepted,
+                parent,
+                t,
+                card,
+                node,
+                detail,
+            } => self.mint(TraceKind::EngineEvent, parent, t, Some(card), Some(node), None, || {
+                if accepted {
+                    detail()
+                } else {
+                    detail() + " thinned"
+                }
+            }),
+            ObsEvent::Retirement {
+                parent,
+                t,
+                card,
+                detail,
+                ..
+            } => self.mint(TraceKind::Retirement, parent, t, Some(card), None, None, detail),
+            ObsEvent::Swap {
+                parent,
+                t,
+                card,
+                fired,
+                ..
+            } => self.mint(TraceKind::EngineEvent, parent, t, Some(u64::from(card)), None, None, || {
+                if fired { "swap_fired" } else { "swap_stale" }.to_string()
+            }),
+            _ => 0,
+        }
     }
 
     /// All records minted so far, in id order.
@@ -605,7 +652,46 @@ mod tests {
         assert_eq!(id, 0);
         assert!(!called, "payload closure must not run when disabled");
         assert!(s.records().is_empty());
-        assert_eq!(s.mint_console(0, 1, None, None, None, String::new), 0);
+        assert_eq!(fault(&mut s, 0, &[1]), 0);
+        assert!(s.console_pairs().is_empty());
+    }
+
+    /// Folds a fault logging one console line per entry of `times`;
+    /// returns the fault's id.
+    fn fault(s: &mut TraceStream, parent: u64, times: &[u64]) -> u64 {
+        let lines: Vec<titan_conlog::ConsoleEvent> = times
+            .iter()
+            .map(|&time| titan_conlog::ConsoleEvent {
+                time,
+                node: titan_topology::NodeId(2),
+                kind: titan_gpu::GpuErrorKind::GraphicsEngineException,
+                structure: None,
+                page: None,
+                apid: Some(9),
+            })
+            .collect();
+        s.fold(&ObsEvent::Fault {
+            parent,
+            t: times.first().copied().unwrap_or(0),
+            card: None,
+            node: None,
+            apid: Some(9),
+            detail: &|| "soft GraphicsEngineException job_wide".into(),
+            lines: &lines,
+        })
+    }
+
+    #[test]
+    fn fault_lines_mint_right_after_the_fault() {
+        let mut s = TraceStream::new(true);
+        let p = draft(&mut s, 0);
+        let e = fault(&mut s, p, &[5, 7]);
+        let kinds: Vec<&str> = s.records().iter().map(|r| r.kind.as_str()).collect();
+        assert_eq!(kinds, ["fault_draft", "engine_event", "console_line", "console_line"]);
+        assert_eq!(s.records()[2].id, e + 1);
+        assert_eq!(s.records()[3].parent, e);
+        assert_eq!(s.records()[3].node, Some(2));
+        assert_eq!(s.records()[3].payload, "console GraphicsEngineException");
     }
 
     #[test]
@@ -626,9 +712,8 @@ mod tests {
         let p = draft(&mut s, 0);
         // Emission order: t=50, t=10, t=50 — the engine's stable sort
         // puts t=10 first and keeps the two t=50 lines in push order.
-        let a = s.mint_console(p, 50, None, Some(1), None, || "c".into());
-        let b = s.mint_console(p, 10, None, Some(2), None, || "c".into());
-        let c = s.mint_console(p, 50, None, Some(3), None, || "c".into());
+        let e = fault(&mut s, p, &[50, 10, 50]);
+        let (a, b, c) = (e + 1, e + 2, e + 3);
         assert_eq!(s.console_ids_in_log_order(), vec![b, a, c]);
     }
 
@@ -665,7 +750,9 @@ mod tests {
         let e = s.mint(TraceKind::EngineEvent, d, 100, Some(1), Some(2), None, || {
             "dbe".into()
         });
-        let c = s.mint_console(e, 100, Some(1), Some(2), None, || "console".into());
+        let c = s.mint(TraceKind::ConsoleLine, e, 100, Some(1), Some(2), None, || {
+            "console".into()
+        });
         s.mint(TraceKind::SecAlert, c, 100, None, Some(2), None, || {
             "sec alert".into()
         });
@@ -769,7 +856,9 @@ mod tests {
         let e = s.mint(TraceKind::EngineEvent, d, 60, Some(5), Some(2), None, || {
             "dbe".into()
         });
-        s.mint_console(e, 60, Some(5), Some(2), None, || "console".into());
+        s.mint(TraceKind::ConsoleLine, e, 60, Some(5), Some(2), None, || {
+            "console".into()
+        });
         let (h, r) = parse_trace(&s.render_jsonl(3, 30)).unwrap();
         let table = summarize_trace(&h, &r);
         assert!(table.contains("fault_draft"));

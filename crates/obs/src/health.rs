@@ -43,6 +43,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::event::ObsEvent;
 use crate::flight::TraceRecord;
 
 /// Frozen schema identifier of the health doc (S1-guarded).
@@ -554,6 +555,57 @@ impl HealthSink {
         }
     }
 
+    /// The health sink's fold over one engine event; `id` is the
+    /// flight-recorder id the event minted (0 when untraced). Console
+    /// lines are derived from the fault's own [`ConsoleEvent`]s.
+    ///
+    /// [`ConsoleEvent`]: titan_conlog::ConsoleEvent
+    pub(crate) fn fold(&mut self, ev: &ObsEvent<'_>, id: u64) {
+        if !self.enabled {
+            return;
+        }
+        match *ev {
+            // The first slice seeds the hot-spare gauge; a resumed run
+            // keeps the restored one.
+            ObsEvent::LoopStart { spares } => {
+                self.spares.get_or_insert(as_u64(spares));
+            }
+            // The grid runs on the monotone loop clock, advanced before
+            // the popped event is fed, so interval boundaries land
+            // identically however `run_until` slices the drain.
+            ObsEvent::Dequeue { t, .. } => self.tick(t),
+            ObsEvent::Fault { lines, .. } => {
+                for (i, line) in (1u64..).zip(lines) {
+                    let loc = line.node.location();
+                    self.on_console(HealthEvent {
+                        t: line.time,
+                        class: line.kind.short_name(),
+                        hardware: line.is_hardware(),
+                        row: loc.row,
+                        col: loc.col,
+                        cage: loc.cage,
+                        trace: if id == 0 { 0 } else { id + i },
+                    });
+                }
+            }
+            ObsEvent::Sbe {
+                accepted: true,
+                card,
+                t,
+                ..
+            } => self.on_sbe(card, t, id),
+            ObsEvent::Retirement { t, .. } => self.on_retirement(t, id),
+            ObsEvent::Swap {
+                fired: true,
+                t,
+                spares,
+                ..
+            } => self.on_swap(t, as_u64(spares), id),
+            ObsEvent::Finalize { window, .. } => self.finish(window),
+            _ => {}
+        }
+    }
+
     /// Feeds one console-visible error event.
     pub fn on_console(&mut self, ev: HealthEvent) {
         if !self.enabled {
@@ -576,10 +628,7 @@ impl HealthSink {
 
     /// Feeds one accepted single-bit error (nvidia-smi visibility only,
     /// so it arrives outside the console path).
-    pub fn on_sbe(&mut self, card: u64, t: u64, trace: u64) {
-        if !self.enabled {
-            return;
-        }
+    fn on_sbe(&mut self, card: u64, t: u64, trace: u64) {
         let idx = as_usize(card);
         if self.card_sbe.len() <= idx {
             self.card_sbe.resize(idx + 1, 0);
@@ -591,10 +640,7 @@ impl HealthSink {
     }
 
     /// Feeds one scheduled page retirement.
-    pub fn on_retirement(&mut self, t: u64, trace: u64) {
-        if !self.enabled {
-            return;
-        }
+    fn on_retirement(&mut self, t: u64, trace: u64) {
         self.retirements_total += 1;
         self.retirements_interval += 1;
         let mut fired: Vec<(f64, f64)> = Vec::new();
@@ -618,10 +664,7 @@ impl HealthSink {
     }
 
     /// Feeds one hot-spare swap; `spares_left` is the pool size after.
-    pub fn on_swap(&mut self, t: u64, spares_left: u64, trace: u64) {
-        if !self.enabled {
-            return;
-        }
+    fn on_swap(&mut self, t: u64, spares_left: u64, trace: u64) {
         self.swaps_total += 1;
         self.swaps_interval += 1;
         self.spares = Some(spares_left);
@@ -637,15 +680,6 @@ impl HealthSink {
         for (value, threshold) in fired {
             self.fire(t, "spare_depletion", "", value, threshold, trace);
         }
-    }
-
-    /// Records the initial hot-spare pool size; later calls are ignored
-    /// so a resumed run keeps the restored gauge.
-    pub fn set_spares_baseline(&mut self, spares: u64) {
-        if !self.enabled || self.spares.is_some() {
-            return;
-        }
-        self.spares = Some(spares);
     }
 
     /// Flushes every remaining boundary up to the run horizon plus the
@@ -1389,10 +1423,42 @@ mod tests {
         let mut h = HealthSink::new(false);
         h.tick(1_000_000);
         h.on_console(ev(5, "dbe", 1, 2, 7));
-        h.on_sbe(3, 6, 8);
-        h.on_retirement(7, 9);
-        h.on_swap(8, 2, 10);
-        h.finish(1_000_000);
+        let detail: &dyn Fn() -> String = &String::new;
+        for event in [
+            ObsEvent::Sbe {
+                accepted: true,
+                parent: 0,
+                t: 6,
+                card: 3,
+                node: 3,
+                detail,
+            },
+            ObsEvent::Retirement {
+                parent: 0,
+                t: 7,
+                card: 3,
+                record_at: None,
+                by_sbe: false,
+                detail,
+            },
+            ObsEvent::Swap {
+                parent: 0,
+                t: 8,
+                slot: 1,
+                card: 3,
+                fired: true,
+                spares: 2,
+            },
+            ObsEvent::Finalize {
+                window: 1_000_000,
+                jobs_closed: 0,
+                final_snapshots: 0,
+                console_lines: 0,
+                payload_slots: 0,
+            },
+        ] {
+            h.fold(&event, 9);
+        }
         assert!(!h.is_enabled());
         let doc = parse_health(&h.render_jsonl(1, 10)).expect("parse");
         assert_eq!(doc.header.intervals, 0);
@@ -1498,7 +1564,7 @@ mod tests {
     fn latched_rules_fire_once() {
         let rules = vec![HealthRule::SpareDepletion { below: 5 }];
         let mut h = HealthSink::with_rules(true, 1_000, rules);
-        h.set_spares_baseline(6);
+        h.fold(&ObsEvent::LoopStart { spares: 6 }, 0);
         h.on_swap(10, 4, 1);
         h.on_swap(20, 3, 2);
         h.finish(100);
@@ -1585,7 +1651,7 @@ mod tests {
                     window_secs: 1_000,
                 }],
             );
-            h.set_spares_baseline(48);
+            h.fold(&ObsEvent::LoopStart { spares: 48 }, 0);
             h.on_console(ev(10, "dbe", 1, 1, 1));
             h.on_sbe(3, 20, 2);
             h.tick(120);
@@ -1630,7 +1696,7 @@ mod tests {
     #[test]
     fn render_parse_roundtrip_and_views() {
         let mut h = HealthSink::with_rules(true, 50, olcf_default_rules());
-        h.set_spares_baseline(48);
+        h.fold(&ObsEvent::LoopStart { spares: 48 }, 0);
         for t in 0..30 {
             h.on_console(ev(t, "dbe", 3, 4, t + 1));
             h.tick(t);

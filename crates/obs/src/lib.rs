@@ -22,11 +22,12 @@
 //!
 //! ## Cost model
 //!
-//! Handles ([`Counter`], [`Gauge`], [`HistId`]) are `Copy` indices;
-//! recording through a disabled registry is a single branch on a bool,
-//! so the instrumented engine with metrics off stays within noise of
-//! the uninstrumented one (the CI overhead gate in `bench_pr2` holds
-//! even the *enabled* path to < 5% on the quick window).
+//! The engine reports each action once, as an [`ObsEvent`] handed to
+//! [`Obs::emit`]; every armed sink folds it. With no sink armed `emit`
+//! is a single branch on a bool, so the instrumented engine with
+//! observers off stays within noise of the uninstrumented one (the CI
+//! overhead gate in `bench_pr` holds even the *enabled* metrics path to
+//! < 5% on the quick window).
 //!
 //! See `OBSERVABILITY.md` at the workspace root for the metric catalog,
 //! the span taxonomy, and how to add a metric without breaking
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod event;
 pub mod export;
 pub mod flight;
 pub mod health;
@@ -44,6 +46,7 @@ pub mod series;
 pub mod snapshot;
 pub mod trace;
 
+pub use event::ObsEvent;
 pub use export::{HistogramSnapshot, MetricsDoc, SpanRecord, TimeSeriesDoc, TraceSummary, SCHEMA};
 pub use flight::{
     chrome_trace, parse_trace, summarize_trace, verify_trace, TraceFilter, TraceHeader,
@@ -55,7 +58,7 @@ pub use health::{
     HealthInterval, HealthRec, HealthRule, HealthSink, HealthSnap, HealthSummary,
     DEFAULT_HEALTH_INTERVAL_SECS, HEALTH_SCHEMA,
 };
-pub use metrics::{metric_key, Counter, Gauge, HistId, Registry};
+pub use metrics::{Counter, Gauge, HistId, Registry};
 pub use prof::{
     AllocStats, CostKind, KindCost, ProfDoc, ProfLedger, ProfSnap, WallDoc, WallScope,
     PROF_SCHEMA,
@@ -64,116 +67,40 @@ pub use series::{TimeBuckets, TsSeries, DEFAULT_BUCKET_SECS};
 pub use snapshot::ObsSnapshot;
 pub use trace::{Span, SpanKind, TraceRing};
 
+use event::count;
+
 /// Default span-ring capacity: enough to hold every interesting span of
 /// a quick window and the tail of a full one.
 pub const DEFAULT_SPAN_CAPACITY: usize = 256;
 
-/// Pre-registered handles for the engine hot loop ("engine" section).
+/// Registry handles the metrics fold writes through. Private fold
+/// state: the engine reports [`ObsEvent`]s and never touches a handle.
+/// Registration order is frozen — checkpoints list counters in it.
 #[derive(Debug, Clone, Copy)]
-pub struct EngineCat {
-    /// Every event dequeued from the heap (includes past-horizon drops).
-    pub events_dequeued: Counter,
-    /// Events dropped at the study horizon.
-    pub events_past_horizon: Counter,
-    /// Job-start events executed.
-    pub ev_job_start: Counter,
-    /// Job-end events executed.
-    pub ev_job_end: Counter,
-    /// DBE events executed.
-    pub ev_dbe: Counter,
-    /// Off-the-bus events executed.
-    pub ev_otb: Counter,
-    /// SBE draft events executed (before activity thinning).
-    pub ev_sbe: Counter,
-    /// Software XID events executed.
-    pub ev_soft: Counter,
-    /// Cascade-child events executed.
-    pub ev_child: Counter,
-    /// Deferred retirement-record events executed.
-    pub ev_retire_record: Counter,
-    /// Hot-spare swap events executed.
-    pub ev_swap: Counter,
-    /// Console lines emitted.
-    pub console_lines: Counter,
-    /// SBE drafts accepted after activity thinning.
-    pub sbe_accepted: Counter,
-    /// SBE drafts rejected by activity thinning.
-    pub sbe_thinned: Counter,
-    /// Software incidents that found no running job to strike.
-    pub soft_no_target: Counter,
-    /// Swaps that fired (card actually pulled).
-    pub swaps_fired: Counter,
-    /// Swap schedules rejected at fire time (stale / pool drained).
-    pub swaps_stale: Counter,
-    /// Jobs still running at the horizon, closed after the loop.
-    pub jobs_closed_at_horizon: Counter,
-    /// Pre-SBE snapshot buffers recycled from the spare pool.
-    pub pre_sbe_reuse_hits: Counter,
-    /// Pre-SBE snapshot buffers freshly allocated.
-    pub pre_sbe_allocs: Counter,
-    /// Event-heap depth high-water mark.
-    pub heap_high_water: Gauge,
-    /// Concurrent running-job high-water mark.
-    pub active_jobs_high_water: Gauge,
-    /// Final payload-arena length (total events ever scheduled).
-    pub payload_slots: Gauge,
-    /// Nodes-per-started-job distribution.
-    pub job_nodes: HistId,
-}
-
-/// Pre-registered handles for fault-process consumption ("faults").
-#[derive(Debug, Clone, Copy)]
-pub struct FaultsCat {
-    /// DBE drafts sampled inside the window.
-    pub dbe_drafts: Counter,
-    /// DBE drafts striking device memory.
-    pub dbe_device_memory: Counter,
-    /// DBE drafts striking the register file.
-    pub dbe_register_file: Counter,
-    /// DBE drafts whose InfoROM write is lost (Observation 2 path).
-    pub dbe_inforom_lost: Counter,
-    /// Off-the-bus drafts sampled inside the window.
-    pub otb_drafts: Counter,
-    /// OTB drafts that seeded a cluster.
-    pub otb_cluster_roots: Counter,
-    /// OTB drafts that are cluster children.
-    pub otb_cluster_children: Counter,
-    /// SBE drafts sampled inside the window (per-structure counters are
-    /// registered dynamically from the draft mix).
-    pub sbe_drafts: Counter,
-    /// Software XID incidents sampled inside the window.
-    pub soft_incidents: Counter,
-    /// Job-wide software incidents.
-    pub soft_job_wide: Counter,
-    /// Parent events offered to the cascade model.
-    pub cascade_parents: Counter,
-    /// Cascade children scheduled.
-    pub cascade_children: Counter,
-    /// Children-per-parent fan-out distribution.
-    pub cascade_fanout: HistId,
-}
-
-/// Pre-registered handles for the nvidia-smi pipeline ("nvsmi").
-#[derive(Debug, Clone, Copy)]
-pub struct NvsmiCat {
-    /// Per-node counter reads at job start (the prologue).
-    pub prologue_reads: Counter,
-    /// Per-node counter reads at job end (the epilogue).
-    pub epilogue_reads: Counter,
-    /// End-of-study fleet snapshots taken.
-    pub final_snapshots: Counter,
-}
-
-/// The full pre-registered handle catalog. `Copy`, so call sites can
-/// lift it out of [`Obs`] before mutably borrowing the registry.
-#[derive(Debug, Clone, Copy)]
-pub struct Catalog {
-    /// Engine hot-loop handles.
-    pub engine: EngineCat,
-    /// Fault-process handles.
-    pub faults: FaultsCat,
-    /// nvidia-smi pipeline handles.
-    pub nvsmi: NvsmiCat,
+struct Catalog {
+    dequeued: Counter,
+    /// `ev_<kind>` per dispatch kind; a horizon drop counts as
+    /// `events_past_horizon`. Indexed like [`CostKind::ALL`].
+    by_kind: [Counter; CostKind::ALL.len()],
+    console_lines: Counter,
+    sbe_accepted: Counter,
+    sbe_thinned: Counter,
+    soft_no_target: Counter,
+    swaps_fired: Counter,
+    swaps_stale: Counter,
+    closed_at_horizon: Counter,
+    pre_sbe_reuse_hits: Counter,
+    pre_sbe_allocs: Counter,
+    heap_high_water: Gauge,
+    active_jobs_high_water: Gauge,
+    payload_slots: Gauge,
+    job_nodes: HistId,
+    cascade_parents: Counter,
+    cascade_children: Counter,
+    cascade_fanout: HistId,
+    prologue_reads: Counter,
+    epilogue_reads: Counter,
+    final_snapshots: Counter,
 }
 
 /// Bucket bounds for the nodes-per-job histogram.
@@ -181,6 +108,166 @@ const JOB_NODES_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 64, 256, 1024, 4096];
 
 /// Bucket bounds for the cascade fan-out histogram.
 const CASCADE_FANOUT_BOUNDS: &[u64] = &[0, 1, 2, 3, 5, 8];
+
+/// The drafted-stream counters, registered up front so their order
+/// never depends on which fault processes a run enables; the values
+/// arrive by name with [`ObsEvent::DraftStream`].
+const DRAFT_COUNTERS: [&str; 10] = [
+    "dbe_drafts",
+    "dbe_device_memory",
+    "dbe_register_file",
+    "dbe_inforom_lost",
+    "otb_drafts",
+    "otb_cluster_roots",
+    "otb_cluster_children",
+    "sbe_drafts",
+    "soft_incidents",
+    "soft_job_wide",
+];
+
+impl Catalog {
+    fn register(reg: &mut Registry) -> Catalog {
+        let dequeued = reg.counter("engine", "events_dequeued");
+        let past_horizon = reg.counter("engine", "events_past_horizon");
+        let by_kind = CostKind::ALL.map(|k| match k {
+            CostKind::Horizon => past_horizon,
+            k => reg.counter("engine", &k.name().replace(':', "_")),
+        });
+        // Counters register in field order here, so this literal is the
+        // frozen counter order; gauges and histograms are separate lists.
+        Catalog {
+            dequeued,
+            by_kind,
+            console_lines: reg.counter("engine", "console_lines"),
+            sbe_accepted: reg.counter("engine", "sbe_accepted"),
+            sbe_thinned: reg.counter("engine", "sbe_thinned"),
+            soft_no_target: reg.counter("engine", "soft_no_target"),
+            swaps_fired: reg.counter("engine", "swaps_fired"),
+            swaps_stale: reg.counter("engine", "swaps_stale"),
+            closed_at_horizon: reg.counter("engine", "jobs_closed_at_horizon"),
+            pre_sbe_reuse_hits: reg.counter("engine", "pre_sbe_reuse_hits"),
+            pre_sbe_allocs: reg.counter("engine", "pre_sbe_allocs"),
+            cascade_parents: {
+                for name in DRAFT_COUNTERS {
+                    reg.counter("faults", name);
+                }
+                reg.counter("faults", "cascade_parents")
+            },
+            cascade_children: reg.counter("faults", "cascade_children"),
+            prologue_reads: reg.counter("nvsmi", "prologue_reads"),
+            epilogue_reads: reg.counter("nvsmi", "epilogue_reads"),
+            final_snapshots: reg.counter("nvsmi", "final_snapshots"),
+            heap_high_water: reg.gauge("engine", "heap_high_water"),
+            active_jobs_high_water: reg.gauge("engine", "active_jobs_high_water"),
+            payload_slots: reg.gauge("engine", "payload_slots"),
+            job_nodes: reg.histogram("job_nodes", JOB_NODES_BOUNDS),
+            cascade_fanout: reg.histogram("cascade_fanout", CASCADE_FANOUT_BOUNDS),
+        }
+    }
+
+    /// The metrics fold: registry counters, gauges and histograms, the
+    /// time series and the span ring.
+    fn fold(&self, reg: &mut Registry, ts: &mut TimeBuckets, spans: &mut TraceRing, ev: &ObsEvent<'_>) {
+        match *ev {
+            ObsEvent::DraftStream { counts, .. } => {
+                for (name, value) in counts() {
+                    let c = reg.counter("faults", &name);
+                    reg.add(c, value);
+                }
+            }
+            ObsEvent::Dequeue { t, kind, depth, .. } => {
+                reg.inc(self.dequeued);
+                reg.set_max(self.heap_high_water, count(depth));
+                if let Some(&c) = self.by_kind.get(kind.index()) {
+                    reg.inc(c);
+                }
+                match kind {
+                    CostKind::Dbe => ts.inc(TsSeries::EvDbe, t),
+                    CostKind::Otb => ts.inc(TsSeries::EvOtb, t),
+                    CostKind::Sbe => ts.inc(TsSeries::EvSbe, t),
+                    _ => {}
+                }
+            }
+            ObsEvent::JobStart { nodes, reused, active } => {
+                reg.inc(if reused { self.pre_sbe_reuse_hits } else { self.pre_sbe_allocs });
+                reg.add(self.prologue_reads, count(nodes));
+                reg.set_max(self.active_jobs_high_water, count(active));
+                reg.observe(self.job_nodes, count(nodes));
+            }
+            ObsEvent::JobEnd { start, end, apid, nodes } => {
+                reg.add(self.epilogue_reads, count(nodes));
+                spans.record(Span {
+                    kind: SpanKind::JobLifecycle,
+                    start,
+                    end,
+                    key: apid,
+                    extra: count(nodes),
+                });
+            }
+            ObsEvent::Fault { lines, .. } => {
+                for line in lines {
+                    ts.inc(TsSeries::ConsoleLines, line.time);
+                }
+            }
+            ObsEvent::Sbe { accepted: true, t, .. } => {
+                reg.inc(self.sbe_accepted);
+                ts.inc(TsSeries::SbeAccepted, t);
+            }
+            ObsEvent::Sbe { accepted: false, .. } => reg.inc(self.sbe_thinned),
+            ObsEvent::SoftNoTarget => reg.inc(self.soft_no_target),
+            ObsEvent::Reboot { t, node, xid } => spans.record(Span {
+                kind: SpanKind::RepairReboot,
+                start: t,
+                end: t,
+                key: node,
+                extra: xid,
+            }),
+            ObsEvent::Cascade { children } => {
+                reg.inc(self.cascade_parents);
+                reg.add(self.cascade_children, count(children));
+                reg.observe(self.cascade_fanout, count(children));
+            }
+            // Fault → SEC-visible record causal chain: the XID 63 line
+            // lands when the record fires.
+            ObsEvent::Retirement { t, card, record_at: Some(at), by_sbe, .. } => {
+                spans.record(Span {
+                    kind: SpanKind::FaultChain,
+                    start: t,
+                    end: at,
+                    key: card,
+                    extra: u64::from(by_sbe),
+                });
+            }
+            ObsEvent::Swap { t, slot, card, fired: true, .. } => {
+                reg.inc(self.swaps_fired);
+                ts.inc(TsSeries::SwapsFired, t);
+                // The span covers schedule (one maintenance window,
+                // 24 h, earlier) to fire.
+                spans.record(Span {
+                    kind: SpanKind::HotSpareSwap,
+                    start: t.saturating_sub(24 * 3600),
+                    end: t,
+                    key: u64::from(slot),
+                    extra: u64::from(card),
+                });
+            }
+            ObsEvent::Swap { fired: false, .. } => reg.inc(self.swaps_stale),
+            ObsEvent::Finalize {
+                jobs_closed,
+                final_snapshots,
+                console_lines,
+                payload_slots,
+                ..
+            } => {
+                reg.add(self.closed_at_horizon, count(jobs_closed));
+                reg.add(self.final_snapshots, count(final_snapshots));
+                reg.add(self.console_lines, count(console_lines));
+                reg.set_max(self.payload_slots, count(payload_slots));
+            }
+            _ => {}
+        }
+    }
+}
 
 /// Which observers a run arms: the one plain value that travels from
 /// CLI flags through [`Obs::from_plan`] to the documents a run writes.
@@ -212,8 +299,9 @@ impl Default for ObsPlan {
 }
 
 /// The observability sink threaded through a simulation run: metrics
-/// registry, span ring, and the optional flight recorder, health sink
-/// and cost ledger.
+/// registry, span ring and time series, and the optional flight
+/// recorder, health sink and cost ledger. The engine feeds it through
+/// [`Obs::emit`] only; every sink folds the same event stream.
 pub struct Obs {
     /// The metrics registry (standard catalog pre-registered).
     pub reg: Registry,
@@ -225,15 +313,16 @@ pub struct Obs {
     /// Fixed sim-time bucket counters for the `timeseries` document
     /// section (enabled together with the registry).
     pub ts: TimeBuckets,
-    /// The online reliability-analytics sink (off by default; see
+    /// The online health-analytics sink (off by default; see
     /// [`Obs::enable_health`]).
     pub health: HealthSink,
-    /// Pre-registered handles for the standard catalog.
-    pub cat: Catalog,
+    /// Registry handles of the metrics fold.
+    cat: Catalog,
     /// The deterministic cost ledger (off by default; see
-    /// [`Obs::enable_prof`]). Private: the engine records through the
-    /// `prof_*` methods so watermark reads stay in one place.
-    prof: prof::ProfLedger,
+    /// [`Obs::enable_prof`]).
+    pub(crate) prof: prof::ProfLedger,
+    /// Whether any sink is on: with none, [`Obs::emit`] is one branch.
+    armed: bool,
 }
 
 impl std::fmt::Debug for Obs {
@@ -247,90 +336,30 @@ impl std::fmt::Debug for Obs {
 }
 
 impl Obs {
-    /// A sink with collection on (`enabled = true`) or off. Disabled
-    /// sinks still carry the catalog so the engine code is identical on
-    /// both paths; every record call is a cheap no-op.
+    /// A sink with metric collection on (`enabled = true`) or off; the
+    /// other sinks start off.
     pub fn new(enabled: bool) -> Self {
-        Obs::with_span_capacity(enabled, DEFAULT_SPAN_CAPACITY)
+        Obs::from_plan(&ObsPlan {
+            metrics: enabled,
+            ..ObsPlan::default()
+        })
     }
 
-    /// [`Obs::new`] with an explicit span-ring capacity (the
-    /// `--span-capacity` CLI flag). The exported `spans.capacity` field
-    /// reflects this value.
-    pub fn with_span_capacity(enabled: bool, span_capacity: usize) -> Self {
-        let mut reg = Registry::new(enabled);
-        let cat = Catalog {
-            engine: EngineCat {
-                events_dequeued: reg.counter("engine", "events_dequeued"),
-                events_past_horizon: reg.counter("engine", "events_past_horizon"),
-                ev_job_start: reg.counter("engine", "ev_job_start"),
-                ev_job_end: reg.counter("engine", "ev_job_end"),
-                ev_dbe: reg.counter("engine", "ev_dbe"),
-                ev_otb: reg.counter("engine", "ev_otb"),
-                ev_sbe: reg.counter("engine", "ev_sbe"),
-                ev_soft: reg.counter("engine", "ev_soft"),
-                ev_child: reg.counter("engine", "ev_child"),
-                ev_retire_record: reg.counter("engine", "ev_retire_record"),
-                ev_swap: reg.counter("engine", "ev_swap"),
-                console_lines: reg.counter("engine", "console_lines"),
-                sbe_accepted: reg.counter("engine", "sbe_accepted"),
-                sbe_thinned: reg.counter("engine", "sbe_thinned"),
-                soft_no_target: reg.counter("engine", "soft_no_target"),
-                swaps_fired: reg.counter("engine", "swaps_fired"),
-                swaps_stale: reg.counter("engine", "swaps_stale"),
-                jobs_closed_at_horizon: reg.counter("engine", "jobs_closed_at_horizon"),
-                pre_sbe_reuse_hits: reg.counter("engine", "pre_sbe_reuse_hits"),
-                pre_sbe_allocs: reg.counter("engine", "pre_sbe_allocs"),
-                heap_high_water: reg.gauge("engine", "heap_high_water"),
-                active_jobs_high_water: reg.gauge("engine", "active_jobs_high_water"),
-                payload_slots: reg.gauge("engine", "payload_slots"),
-                job_nodes: reg.histogram("job_nodes", JOB_NODES_BOUNDS),
-            },
-            faults: FaultsCat {
-                dbe_drafts: reg.counter("faults", "dbe_drafts"),
-                dbe_device_memory: reg.counter("faults", "dbe_device_memory"),
-                dbe_register_file: reg.counter("faults", "dbe_register_file"),
-                dbe_inforom_lost: reg.counter("faults", "dbe_inforom_lost"),
-                otb_drafts: reg.counter("faults", "otb_drafts"),
-                otb_cluster_roots: reg.counter("faults", "otb_cluster_roots"),
-                otb_cluster_children: reg.counter("faults", "otb_cluster_children"),
-                sbe_drafts: reg.counter("faults", "sbe_drafts"),
-                soft_incidents: reg.counter("faults", "soft_incidents"),
-                soft_job_wide: reg.counter("faults", "soft_job_wide"),
-                cascade_parents: reg.counter("faults", "cascade_parents"),
-                cascade_children: reg.counter("faults", "cascade_children"),
-                cascade_fanout: reg.histogram("cascade_fanout", CASCADE_FANOUT_BOUNDS),
-            },
-            nvsmi: NvsmiCat {
-                prologue_reads: reg.counter("nvsmi", "prologue_reads"),
-                epilogue_reads: reg.counter("nvsmi", "epilogue_reads"),
-                final_snapshots: reg.counter("nvsmi", "final_snapshots"),
-            },
-        };
+    /// A sink with every observer `plan` asks for armed. The exported
+    /// `spans.capacity` field reflects `plan.span_capacity`.
+    pub fn from_plan(plan: &ObsPlan) -> Self {
+        let mut reg = Registry::new(plan.metrics);
+        let cat = Catalog::register(&mut reg);
         Obs {
             reg,
-            trace: TraceRing::new(enabled, span_capacity),
-            stream: TraceStream::new(false),
-            ts: TimeBuckets::new(enabled, series::DEFAULT_BUCKET_SECS),
-            health: HealthSink::new(false),
+            trace: TraceRing::new(plan.metrics, plan.span_capacity),
+            stream: TraceStream::new(plan.trace),
+            ts: TimeBuckets::new(plan.metrics, series::DEFAULT_BUCKET_SECS),
+            health: HealthSink::new(plan.health),
             cat,
-            prof: prof::ProfLedger::new(false),
+            prof: prof::ProfLedger::new(plan.prof),
+            armed: plan.metrics || plan.trace || plan.health || plan.prof,
         }
-    }
-
-    /// A sink with every observer `plan` asks for armed.
-    pub fn from_plan(plan: &ObsPlan) -> Self {
-        let mut obs = Obs::with_span_capacity(plan.metrics, plan.span_capacity);
-        if plan.trace {
-            obs.enable_trace();
-        }
-        if plan.health {
-            obs.enable_health();
-        }
-        if plan.prof {
-            obs.enable_prof();
-        }
-        obs
     }
 
     /// A no-op sink: the default for plain `Simulator::run()`.
@@ -353,6 +382,7 @@ impl Obs {
     /// way: the per-seed digests are identical with it on or off.
     pub fn enable_trace(&mut self) {
         self.stream = TraceStream::new(true);
+        self.armed = true;
     }
 
     /// Whether the flight recorder is on.
@@ -365,6 +395,7 @@ impl Obs {
     /// observer: per-seed digests are identical with it on or off.
     pub fn enable_health(&mut self) {
         self.health = HealthSink::new(true);
+        self.armed = true;
     }
 
     /// Whether the health sink is on.
@@ -372,33 +403,50 @@ impl Obs {
         self.health.is_enabled()
     }
 
-    /// Marks a phase boundary: `name` starts now, the previous phase
-    /// (if any) ends now. With the cost ledger on this opens a ledger
-    /// phase scope, so every phase marker doubles as a prof attribution
-    /// boundary (and a wall-hook edge).
-    pub fn phase(&mut self, name: &'static str) {
-        if self.prof.enabled() {
-            // Phase boundaries sit outside the event loop: no engine RNG
-            // is in scope, so the carried watermark is exact (the loop
-            // flushes its true totals before returning).
-            let rng = self.prof.last_rng();
-            let trace = self.stream.next_id();
-            self.prof.switch_phase(name, rng, trace);
-        }
-    }
-
     /// Turns the deterministic cost ledger on (`--prof FILE` /
     /// `profile`). Like tracing and health, a pure observer: per-seed
     /// output digests are identical with it on or off.
     pub fn enable_prof(&mut self) {
         self.prof = prof::ProfLedger::new(true);
+        self.armed = true;
     }
 
-    /// Whether the cost ledger is on — the engine's one-branch gate
-    /// around every prof call site.
-    #[inline]
+    /// Whether the cost ledger is on.
     pub fn prof_enabled(&self) -> bool {
         self.prof.enabled()
+    }
+
+    /// Reports one engine action to every armed sink and returns the
+    /// flight-recorder id it minted (0 when it mints none or the
+    /// recorder is off). The sinks fold the event in a fixed order.
+    /// The ledger goes first: a pop's scope switch must close before
+    /// any other sink allocates on the popped event's behalf (no event
+    /// that switches scopes mints a record). The health sink follows
+    /// the recorder, so it sees the ids just minted.
+    #[inline]
+    pub fn emit(&mut self, ev: ObsEvent<'_>) -> u64 {
+        if !self.armed {
+            return 0;
+        }
+        self.fold(&ev)
+    }
+
+    fn fold(&mut self, ev: &ObsEvent<'_>) -> u64 {
+        self.prof.fold(ev, self.stream.next_id());
+        let id = self.stream.fold(ev);
+        if self.reg.enabled() {
+            self.cat.fold(&mut self.reg, &mut self.ts, &mut self.trace, ev);
+        }
+        self.health.fold(ev, id);
+        id
+    }
+
+    /// Marks a phase boundary: `name` starts now, the previous phase
+    /// (if any) ends now. With the cost ledger on this opens a ledger
+    /// phase scope, so every phase marker doubles as a prof attribution
+    /// boundary (and a wall-hook edge).
+    pub fn phase(&mut self, name: &'static str) {
+        self.emit(ObsEvent::Phase(name));
     }
 
     /// Installs the counting-allocator probe (see
@@ -414,30 +462,11 @@ impl Obs {
         self.prof.set_wall_hook(hook);
     }
 
-    /// Switches the ledger to the event kind dispatched at a heap pop.
-    /// `rng_total` is the summed draw count of every loop RNG; the
-    /// trace watermark is read from the sibling stream here.
-    #[inline]
-    pub fn prof_event(&mut self, kind: prof::CostKind, rng_total: u64) {
-        let trace = self.stream.next_id();
-        self.prof.switch_kind(kind, rng_total, trace);
-    }
-
-    /// Closes the open ledger span with the true loop-RNG totals — the
-    /// engine calls this when a `run_until` slice returns, so captures
-    /// at checkpoint boundaries see a fully attributed table.
-    pub fn prof_flush(&mut self, rng_total: u64) {
-        let trace = self.stream.next_id();
-        self.prof.flush(rng_total, trace);
-    }
-
     /// Closes the open ledger span with carried watermarks — for the
     /// CLI after the last post-engine phase, where no engine RNG
     /// exists to total.
     pub fn prof_finish(&mut self) {
-        let rng = self.prof.last_rng();
-        let trace = self.stream.next_id();
-        self.prof.flush(rng, trace);
+        self.prof.finish(self.stream.next_id());
     }
 
     /// Marks a ledger rebaseline after checkpoint capture (see
@@ -446,38 +475,9 @@ impl Obs {
         self.prof.mark_rebaseline();
     }
 
-    /// Charges `n` heap pushes to the open ledger scope.
-    #[inline]
-    pub fn prof_heap_push(&mut self, n: u64) {
-        self.prof.heap_push(n);
-    }
-
-    /// Charges one console line of `bytes` rendered bytes.
-    #[inline]
-    pub fn prof_console(&mut self, bytes: u64) {
-        self.prof.console(bytes);
-    }
-
-    /// Charges setup-stream RNG draws directly to the open scope.
-    #[inline]
-    pub fn prof_rng_direct(&mut self, draws: u64) {
-        self.prof.rng_direct(draws);
-    }
-
     /// Read access to the ledger (document building).
     pub fn prof_ledger(&self) -> &prof::ProfLedger {
         &self.prof
-    }
-
-    /// Plain-data ledger copy for the checkpoint ride-along.
-    pub fn prof_snap(&self) -> prof::ProfSnap {
-        self.prof.snap()
-    }
-
-    /// Restores the ledger from a checkpoint (inert when off on either
-    /// side, like every other sub-sink).
-    pub fn prof_restore(&mut self, snap: &prof::ProfSnap) {
-        self.prof.restore(snap);
     }
 }
 
@@ -485,34 +485,58 @@ impl Obs {
 mod tests {
     use super::*;
 
+    fn counter(obs: &mut Obs, section: &str, name: &str) -> u64 {
+        let c = obs.reg.counter(section, name);
+        obs.reg.counter_value(c)
+    }
+
+    fn dequeue(t: u64, kind: CostKind) -> ObsEvent<'static> {
+        ObsEvent::Dequeue {
+            t,
+            kind,
+            rng_draws: 0,
+            pushed: 0,
+            depth: 10,
+        }
+    }
+
     #[test]
     fn disabled_sink_records_nothing() {
         let mut obs = Obs::disabled();
-        let c = obs.cat.engine.ev_dbe;
-        obs.reg.inc(c);
-        obs.reg.set_max(obs.cat.engine.heap_high_water, 999);
-        obs.trace.record(Span {
-            kind: SpanKind::JobLifecycle,
-            start: 0,
-            end: 1,
-            key: 1,
-            extra: 1,
-        });
-        assert_eq!(obs.reg.counter_value(c), 0);
-        assert_eq!(obs.reg.gauge_value(obs.cat.engine.heap_high_water), 0);
+        assert_eq!(obs.emit(dequeue(5, CostKind::Dbe)), 0);
+        obs.emit(ObsEvent::Reboot { t: 5, node: 1, xid: 48 });
+        assert_eq!(counter(&mut obs, "engine", "ev_dbe"), 0);
+        assert_eq!(counter(&mut obs, "engine", "events_dequeued"), 0);
         assert_eq!(obs.trace.recorded(), 0);
     }
 
     #[test]
-    fn enabled_sink_counts() {
+    fn dequeues_count_per_kind_and_horizon_drops() {
         let mut obs = Obs::enabled();
-        let c = obs.cat.faults.dbe_drafts;
-        obs.reg.inc(c);
-        obs.reg.add(c, 4);
-        assert_eq!(obs.reg.counter_value(c), 5);
-        obs.reg.set_max(obs.cat.engine.heap_high_water, 10);
-        obs.reg.set_max(obs.cat.engine.heap_high_water, 7);
-        assert_eq!(obs.reg.gauge_value(obs.cat.engine.heap_high_water), 10);
+        obs.emit(dequeue(5, CostKind::Dbe));
+        obs.emit(dequeue(6, CostKind::Dbe));
+        obs.emit(dequeue(7, CostKind::Horizon));
+        assert_eq!(counter(&mut obs, "engine", "events_dequeued"), 3);
+        assert_eq!(counter(&mut obs, "engine", "ev_dbe"), 2);
+        assert_eq!(counter(&mut obs, "engine", "events_past_horizon"), 1);
+        assert_eq!(obs.ts.series(TsSeries::EvDbe), &[2]);
+        let g = obs.reg.gauge("engine", "heap_high_water");
+        assert_eq!(obs.reg.gauge_value(g), 10);
+        // No `ev_horizon` counter exists: the catalog is frozen.
+        assert!(obs.reg.counters().all(|(_, name, _)| name != "ev_horizon"));
+    }
+
+    #[test]
+    fn catalog_registers_in_the_frozen_order() {
+        let obs = Obs::disabled();
+        let names: Vec<&str> = obs.reg.counters().map(|(_, n, _)| n).collect();
+        assert_eq!(names.len(), 35);
+        assert_eq!(&names[..4], ["events_dequeued", "events_past_horizon", "ev_job_start", "ev_job_end"]);
+        assert_eq!(names[10], "ev_swap");
+        assert_eq!(names[19], "pre_sbe_allocs");
+        assert_eq!(names[20], "dbe_drafts");
+        assert_eq!(&names[30..32], ["cascade_parents", "cascade_children"]);
+        assert_eq!(&names[32..], ["prologue_reads", "epilogue_reads", "final_snapshots"]);
     }
 
     #[test]
@@ -535,15 +559,13 @@ mod tests {
 
     #[test]
     fn span_capacity_is_configurable() {
-        let mut obs = Obs::with_span_capacity(true, 2);
+        let mut obs = Obs::from_plan(&ObsPlan {
+            metrics: true,
+            span_capacity: 2,
+            ..ObsPlan::default()
+        });
         for t in 0..5 {
-            obs.trace.record(Span {
-                kind: SpanKind::JobLifecycle,
-                start: t,
-                end: t,
-                key: t,
-                extra: 0,
-            });
+            obs.emit(ObsEvent::Reboot { t, node: t, xid: 0 });
         }
         assert_eq!(obs.trace.capacity(), 2);
         assert_eq!(obs.trace.recorded(), 5);
@@ -555,27 +577,55 @@ mod tests {
     #[test]
     fn trace_stream_is_off_by_default_and_opt_in() {
         let mut obs = Obs::enabled();
+        let draft = ObsEvent::FaultDraft {
+            t: 1,
+            detail: &String::new,
+        };
         assert!(!obs.trace_enabled());
-        assert_eq!(
-            obs.stream
-                .mint(TraceKind::FaultDraft, 0, 1, None, None, None, String::new),
-            0
-        );
+        assert_eq!(obs.emit(draft), 0);
         obs.enable_trace();
         assert!(obs.trace_enabled());
-        assert_eq!(
-            obs.stream
-                .mint(TraceKind::FaultDraft, 0, 1, None, None, None, String::new),
-            1
-        );
+        assert_eq!(obs.emit(draft), 1);
+    }
+
+    #[test]
+    fn a_trace_only_sink_is_armed() {
+        let mut obs = Obs::disabled();
+        obs.enable_trace();
+        let id = obs.emit(ObsEvent::Swap {
+            parent: 0,
+            t: 9,
+            slot: 1,
+            card: 2,
+            fired: false,
+            spares: 0,
+        });
+        assert_eq!(id, 1);
+        assert_eq!(obs.stream.records()[0].payload, "swap_stale");
+        assert_eq!(counter(&mut obs, "engine", "swaps_stale"), 0, "metrics stay off");
     }
 
     #[test]
     fn health_sink_is_off_by_default_and_opt_in() {
+        let sbe = ObsEvent::Sbe {
+            accepted: true,
+            parent: 0,
+            t: 5,
+            card: 1,
+            node: 1,
+            detail: &String::new,
+        };
+        let finish = ObsEvent::Finalize {
+            window: 100,
+            jobs_closed: 0,
+            final_snapshots: 0,
+            console_lines: 0,
+            payload_slots: 0,
+        };
         let mut obs = Obs::enabled();
         assert!(!obs.health_enabled());
-        obs.health.on_sbe(1, 5, 0);
-        obs.health.finish(100);
+        obs.emit(sbe);
+        obs.emit(finish);
         assert_eq!(
             parse_health(&obs.health.render_jsonl(1, 1))
                 .expect("parse")
@@ -585,8 +635,8 @@ mod tests {
         );
         obs.enable_health();
         assert!(obs.health_enabled());
-        obs.health.on_sbe(1, 5, 0);
-        obs.health.finish(100);
+        obs.emit(sbe);
+        obs.emit(finish);
         let doc = parse_health(&obs.health.render_jsonl(1, 1)).expect("parse");
         assert_eq!(doc.header.intervals, 1);
     }

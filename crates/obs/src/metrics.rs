@@ -246,26 +246,6 @@ impl Registry {
     }
 }
 
-/// Lowercases a human label ("Device Memory") into a stable metric key
-/// ("device_memory"): ASCII alphanumerics pass through lowercased,
-/// everything else collapses to single underscores.
-pub fn metric_key(label: &str) -> String {
-    let mut out = String::with_capacity(label.len());
-    let mut pending_sep = false;
-    for ch in label.chars() {
-        if ch.is_ascii_alphanumeric() {
-            if pending_sep && !out.is_empty() {
-                out.push('_');
-            }
-            pending_sep = false;
-            out.push(ch.to_ascii_lowercase());
-        } else {
-            pending_sep = true;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,13 +304,5 @@ mod tests {
         let (_, _, counts, count, _) = r.histograms().next().expect("registered");
         assert_eq!(count, 0);
         assert!(counts.iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn metric_key_sanitizes_labels() {
-        assert_eq!(metric_key("Device Memory"), "device_memory");
-        assert_eq!(metric_key("L2 Cache"), "l2_cache");
-        assert_eq!(metric_key("Shared/L1"), "shared_l1");
-        assert_eq!(metric_key("  weird -- label "), "weird_label");
     }
 }

@@ -55,6 +55,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::event::{count, ObsEvent};
 use crate::export::MetricsDoc;
 
 /// Schema identifier written into every profile document. `/2` replaces
@@ -125,7 +126,7 @@ impl CostKind {
     }
 
     #[inline]
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             CostKind::JobStart => 0,
             CostKind::JobEnd => 1,
@@ -282,10 +283,58 @@ impl ProfLedger {
         self.wall_hook = Some(hook);
     }
 
-    /// The RNG watermark from the last switch — phase boundaries outside
-    /// the loop reuse it (no engine RNG is in scope there to total).
-    pub fn last_rng(&self) -> u64 {
-        self.last_rng
+    /// The cost ledger's fold over one engine event; `trace_total` is
+    /// the flight recorder's id watermark (events that switch scopes
+    /// mint no record, so it is the same before and after them).
+    /// Phase boundaries outside the loop reuse the carried RNG
+    /// watermark: no engine RNG is in scope there to total.
+    pub(crate) fn fold(&mut self, ev: &ObsEvent<'_>, trace_total: u64) {
+        if !self.enabled {
+            return;
+        }
+        let rng = self.last_rng;
+        match *ev {
+            ObsEvent::Phase(name) => self.switch_phase(name, rng, trace_total),
+            ObsEvent::LoopStart { .. } => self.switch_phase("engine:event_loop", rng, trace_total),
+            ObsEvent::Finalize { .. } => self.switch_phase("engine:finalize", rng, trace_total),
+            ObsEvent::Draws(draws) => self.charge(|c| c.rng_draws += draws),
+            ObsEvent::DraftStream { pushed, .. } => self.charge(|c| c.heap_pushes += count(pushed)),
+            // Pushes since the last pop were made by the event still
+            // open, so they are charged before the switch.
+            ObsEvent::Dequeue {
+                kind,
+                rng_draws,
+                pushed,
+                ..
+            } => {
+                self.charge(|c| c.heap_pushes += count(pushed));
+                self.switch_kind(kind, rng_draws, trace_total);
+            }
+            ObsEvent::Fault { lines, .. } => {
+                for line in lines {
+                    let bytes = count(titan_conlog::rendered_len(line));
+                    self.charge(|c| {
+                        c.console_lines += 1;
+                        c.console_bytes += bytes;
+                    });
+                }
+            }
+            // The slice closes with the true loop totals, so a
+            // checkpoint captured here rides a fully attributed table.
+            ObsEvent::SliceEnd { rng_draws, pushed } => {
+                self.charge(|c| c.heap_pushes += count(pushed));
+                self.close_span(rng_draws, trace_total);
+            }
+            _ => {}
+        }
+    }
+
+    /// Closes the open span with the carried watermarks: the last
+    /// charge of a run, after its final phase.
+    pub(crate) fn finish(&mut self, trace_total: u64) {
+        if self.enabled {
+            self.close_span(self.last_rng, trace_total);
+        }
     }
 
     fn scope_slot(&mut self, scope: Scope) -> Option<&mut KindCost> {
@@ -327,10 +376,7 @@ impl ProfLedger {
     /// accumulating), so a run of SBE drafts costs one compare and one
     /// increment per event.
     #[inline]
-    pub fn switch_kind(&mut self, kind: CostKind, rng_total: u64, trace_total: u64) {
-        if !self.enabled {
-            return;
-        }
+    fn switch_kind(&mut self, kind: CostKind, rng_total: u64, trace_total: u64) {
         let idx = kind.index();
         if self.current == Scope::Kind(idx) && !self.rebaseline {
             // lint: allow(P2, kind.index() < ALL.len() == kinds.len() by construction)
@@ -344,13 +390,11 @@ impl ProfLedger {
         if let Some(hook) = &mut self.wall_hook {
             hook(kind.name());
         }
+        self.skip_own_allocs();
     }
 
-    /// Switches to a phase scope (called from [`crate::Obs::phase`]).
-    pub fn switch_phase(&mut self, name: &'static str, rng_total: u64, trace_total: u64) {
-        if !self.enabled {
-            return;
-        }
+    /// Switches to a phase scope.
+    fn switch_phase(&mut self, name: &'static str, rng_total: u64, trace_total: u64) {
         self.close_span(rng_total, trace_total);
         let idx = match self.phases.iter().position(|(n, _)| n == name) {
             Some(i) => i,
@@ -363,17 +407,17 @@ impl ProfLedger {
         if let Some(hook) = &mut self.wall_hook {
             hook(name);
         }
+        self.skip_own_allocs();
     }
 
-    /// Closes the open span in place without changing scope — the engine
-    /// calls this at the end of every `run_until` slice with the true
-    /// loop-RNG totals, so a checkpoint captured at the boundary carries
-    /// a fully attributed table.
-    pub fn flush(&mut self, rng_total: u64, trace_total: u64) {
-        if !self.enabled {
-            return;
+    /// Re-reads the allocator watermark once a switch's own bookkeeping
+    /// and wall hook are done: the ledger never charges a scope for its
+    /// own allocations, which a resumed run (whose restored table already
+    /// names every scope) would not repeat.
+    fn skip_own_allocs(&mut self) {
+        if let Some(probe) = self.alloc_probe {
+            self.last_alloc = probe();
         }
-        self.close_span(rng_total, trace_total);
     }
 
     /// Marks a rebaseline: the next switch discards its delta and
@@ -386,42 +430,12 @@ impl ProfLedger {
         }
     }
 
-    /// Charges `n` heap pushes to the open scope.
+    /// Applies `f` to the open scope's row (nothing while idle).
     #[inline]
-    pub fn heap_push(&mut self, n: u64) {
-        if !self.enabled {
-            return;
-        }
+    fn charge(&mut self, f: impl FnOnce(&mut KindCost)) {
         let scope = self.current;
         if let Some(slot) = self.scope_slot(scope) {
-            slot.heap_pushes += n;
-        }
-    }
-
-    /// Charges one console line of `bytes` rendered bytes.
-    #[inline]
-    pub fn console(&mut self, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
-        let scope = self.current;
-        if let Some(slot) = self.scope_slot(scope) {
-            slot.console_lines += 1;
-            slot.console_bytes += bytes;
-        }
-    }
-
-    /// Charges `draws` RNG draws directly — used for the setup streams
-    /// (workload, fault drafts, susceptibility, apruns), whose local
-    /// generators never reach a switch boundary.
-    #[inline]
-    pub fn rng_direct(&mut self, draws: u64) {
-        if !self.enabled {
-            return;
-        }
-        let scope = self.current;
-        if let Some(slot) = self.scope_slot(scope) {
-            slot.rng_draws += draws;
+            f(slot);
         }
     }
 
@@ -444,19 +458,8 @@ impl ProfLedger {
         out
     }
 
-    /// Sum over every scope.
-    pub fn totals(&self) -> KindCost {
-        let mut total = KindCost::default();
-        for cost in &self.kinds {
-            total.add(cost);
-        }
-        for (_, cost) in &self.phases {
-            total.add(cost);
-        }
-        total
-    }
-
-    /// Plain-data copy for the checkpoint ride-along.
+    /// Plain-data copy for the checkpoint ride-along, allocator columns
+    /// written as 0.
     pub fn snap(&self) -> ProfSnap {
         let mut scopes = Vec::new();
         for kind in CostKind::ALL {
@@ -468,6 +471,14 @@ impl ProfLedger {
         }
         for (name, cost) in &self.phases {
             scopes.push((name.clone(), *cost));
+        }
+        // No allocator column survives resume (heap capacity is process
+        // state a checkpoint does not carry; see
+        // [`ProfDoc::invariant_json`]), so none rides the hashed bytes.
+        for (_, cost) in &mut scopes {
+            cost.allocs = 0;
+            cost.alloc_bytes = 0;
+            cost.frees = 0;
         }
         ProfSnap {
             enabled: self.enabled,
@@ -708,36 +719,75 @@ mod tests {
         assert_eq!(CostKind::parse("engine:event_loop"), None);
     }
 
+    /// A heap pop of `kind` with `rng` loop draws so far.
+    fn pop(kind: CostKind, rng: u64) -> ObsEvent<'static> {
+        ObsEvent::Dequeue {
+            t: 0,
+            kind,
+            rng_draws: rng,
+            pushed: 0,
+            depth: 1,
+        }
+    }
+
+    /// A slice end with `rng` loop draws so far.
+    fn slice_end(rng: u64) -> ObsEvent<'static> {
+        ObsEvent::SliceEnd {
+            rng_draws: rng,
+            pushed: 0,
+        }
+    }
+
+    fn pushes(n: usize) -> ObsEvent<'static> {
+        ObsEvent::DraftStream {
+            pushed: n,
+            counts: &Vec::new,
+        }
+    }
+
+    /// Charges one console line of `bytes` rendered bytes.
+    fn line(l: &mut ProfLedger, bytes: u64) {
+        l.charge(|c| {
+            c.console_lines += 1;
+            c.console_bytes += bytes;
+        });
+    }
+
     #[test]
     fn disabled_ledger_is_inert() {
         let mut l = ProfLedger::new(false);
-        l.switch_kind(CostKind::Dbe, 10, 10);
-        l.heap_push(3);
-        l.console(40);
-        l.rng_direct(5);
-        l.flush(20, 20);
+        l.fold(&pop(CostKind::Dbe, 10), 10);
+        l.fold(&pushes(3), 10);
+        l.fold(&ObsEvent::Draws(5), 10);
+        l.fold(&slice_end(20), 20);
         assert!(l.ledger_map().is_empty());
-        assert!(l.totals().is_zero());
+        assert!(l.snap().scopes.is_empty());
     }
 
     #[test]
     fn deltas_charge_the_closed_scope() {
         let mut l = ProfLedger::new(true);
-        l.switch_phase("engine:workload", 0, 0);
-        l.rng_direct(100);
-        l.heap_push(7);
+        l.fold(&ObsEvent::Phase("engine:workload"), 0);
+        l.fold(&ObsEvent::Draws(100), 0);
+        l.fold(&pushes(7), 0);
         // First pop: closes the workload span (no loop draws yet).
-        l.switch_kind(CostKind::Sbe, 0, 0);
+        l.fold(&pop(CostKind::Sbe, 0), 0);
         // Same-kind pops accumulate without switching.
-        l.switch_kind(CostKind::Sbe, 0, 0);
-        l.switch_kind(CostKind::Sbe, 0, 0);
-        l.console(40);
-        l.console(42);
+        l.fold(&pop(CostKind::Sbe, 0), 0);
+        l.fold(&pop(CostKind::Sbe, 0), 0);
+        line(&mut l, 40);
+        line(&mut l, 42);
         // Kind change: the SBE span closes with 5 draws and 2 mints.
-        l.switch_kind(CostKind::Dbe, 5, 2);
-        l.heap_push(1);
-        // Tail flush with the final totals.
-        l.flush(9, 3);
+        l.fold(&pop(CostKind::Dbe, 5), 2);
+        // The DBE's push is reported by the slice end, which closes the
+        // span with the final totals.
+        l.fold(
+            &ObsEvent::SliceEnd {
+                rng_draws: 9,
+                pushed: 1,
+            },
+            3,
+        );
 
         let map = l.ledger_map();
         let wl = &map["engine:workload"];
@@ -755,16 +805,38 @@ mod tests {
         assert_eq!(dbe.rng_draws, 4);
         assert_eq!(dbe.trace_records, 1);
         assert_eq!(dbe.heap_pushes, 1);
-        assert_eq!(l.totals().dequeues, 4);
-        assert_eq!(l.totals().rng_draws, 109);
+        let mut totals = KindCost::default();
+        map.values().for_each(|c| totals.add(c));
+        assert_eq!(totals.dequeues, 4);
+        assert_eq!(totals.rng_draws, 109);
+    }
+
+    #[test]
+    fn pushes_reported_at_a_pop_charge_the_event_before_it() {
+        let mut l = ProfLedger::new(true);
+        l.fold(&pop(CostKind::Dbe, 0), 0);
+        l.fold(
+            &ObsEvent::Dequeue {
+                t: 0,
+                kind: CostKind::Child,
+                rng_draws: 0,
+                pushed: 2,
+                depth: 1,
+            },
+            0,
+        );
+        l.fold(&slice_end(0), 0);
+        let map = l.ledger_map();
+        assert_eq!(map["ev:dbe"].heap_pushes, 2);
+        assert_eq!(map["ev:child"].heap_pushes, 0);
     }
 
     #[test]
     fn idle_deltas_are_discarded() {
         let mut l = ProfLedger::new(true);
         // Draws before the first scope (CLI startup) charge nothing.
-        l.switch_kind(CostKind::Sbe, 50, 5);
-        l.flush(50, 5);
+        l.fold(&pop(CostKind::Sbe, 50), 5);
+        l.fold(&slice_end(50), 5);
         let map = l.ledger_map();
         assert_eq!(map["ev:sbe"].rng_draws, 0);
         assert_eq!(map["ev:sbe"].trace_records, 0);
@@ -774,13 +846,13 @@ mod tests {
     #[test]
     fn rebaseline_discards_the_machinery_delta() {
         let mut l = ProfLedger::new(true);
-        l.switch_kind(CostKind::Sbe, 0, 0);
-        l.flush(10, 1);
+        l.fold(&pop(CostKind::Sbe, 0), 0);
+        l.fold(&slice_end(10), 1);
         assert_eq!(l.ledger_map()["ev:sbe"].rng_draws, 10);
         // Checkpoint capture happens here; its costs must vanish.
         l.mark_rebaseline();
-        l.switch_kind(CostKind::Dbe, 999, 99);
-        l.flush(1004, 101);
+        l.fold(&pop(CostKind::Dbe, 999), 99);
+        l.fold(&slice_end(1004), 101);
         let map = l.ledger_map();
         assert_eq!(map["ev:sbe"].rng_draws, 10);
         assert_eq!(map["ev:dbe"].rng_draws, 5);
@@ -790,29 +862,54 @@ mod tests {
     #[test]
     fn snap_restore_round_trips_and_rebaselines() {
         let mut l = ProfLedger::new(true);
-        l.switch_phase("engine:workload", 0, 0);
-        l.rng_direct(11);
-        l.switch_kind(CostKind::Swap, 0, 0);
-        l.flush(3, 1);
+        l.fold(&ObsEvent::Phase("engine:workload"), 0);
+        l.fold(&ObsEvent::Draws(11), 0);
+        l.fold(&pop(CostKind::Swap, 0), 0);
+        l.fold(&slice_end(3), 1);
         let snap = l.snap();
         assert!(snap.enabled);
 
         let mut r = ProfLedger::new(true);
         // Pollute with restore-machinery history, as a real resume does.
-        r.switch_phase("engine:workload", 0, 0);
-        r.rng_direct(999_999);
+        r.fold(&ObsEvent::Phase("engine:workload"), 0);
+        r.fold(&ObsEvent::Draws(999_999), 0);
         r.restore(&snap);
         // The table is the checkpoint's, wholesale.
         assert_eq!(r.ledger_map(), l.ledger_map());
         // And the first post-restore switch discards its delta.
-        r.switch_kind(CostKind::Sbe, 77, 7);
-        r.flush(80, 8);
+        r.fold(&pop(CostKind::Sbe, 77), 7);
+        r.fold(&slice_end(80), 8);
         assert_eq!(r.ledger_map()["ev:sbe"].rng_draws, 3);
 
         // Restoring into a disabled ledger is inert.
         let mut off = ProfLedger::new(false);
         off.restore(&snap);
         assert!(off.ledger_map().is_empty());
+    }
+
+    #[test]
+    fn snap_writes_the_allocator_columns_as_zero() {
+        fn counting_probe() -> AllocStats {
+            thread_local!(static N: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+            let n = N.with(|n| {
+                n.set(n.get() + 1);
+                n.get()
+            });
+            AllocStats {
+                allocs: n,
+                bytes: 64 * n,
+                frees: n,
+            }
+        }
+        let mut l = ProfLedger::new(true);
+        l.set_alloc_probe(counting_probe);
+        l.fold(&pop(CostKind::Dbe, 0), 0);
+        l.fold(&slice_end(4), 1);
+        assert!(l.ledger_map()["ev:dbe"].allocs > 0, "the probe must have charged");
+        let snap = l.snap();
+        let (_, dbe) = snap.scopes.iter().find(|(n, _)| n == "ev:dbe").expect("row");
+        assert_eq!((dbe.allocs, dbe.alloc_bytes, dbe.frees), (0, 0, 0));
+        assert_eq!((dbe.dequeues, dbe.rng_draws, dbe.trace_records), (1, 4, 1));
     }
 
     #[test]
@@ -826,10 +923,10 @@ mod tests {
         }
         let mut l = ProfLedger::new(true);
         l.set_alloc_probe(fake_probe);
-        l.switch_kind(CostKind::Dbe, 0, 0);
+        l.fold(&pop(CostKind::Dbe, 0), 0);
         // Probe is constant, so the first close baselines and later
         // deltas are zero — the shape of a quiet allocator.
-        l.flush(0, 0);
+        l.fold(&slice_end(0), 0);
         assert_eq!(l.ledger_map()["ev:dbe"].allocs, 0);
         assert_eq!(l.ledger_map()["ev:dbe"].alloc_bytes, 0);
     }
@@ -840,18 +937,18 @@ mod tests {
         let sink = edges.clone();
         let mut l = ProfLedger::new(true);
         l.set_wall_hook(Box::new(move |name| sink.borrow_mut().push(name)));
-        l.switch_phase("engine:event_loop", 0, 0);
-        l.switch_kind(CostKind::Sbe, 0, 0);
-        l.switch_kind(CostKind::Sbe, 0, 0); // same kind: no edge
-        l.switch_kind(CostKind::Dbe, 0, 0);
+        l.fold(&ObsEvent::LoopStart { spares: 0 }, 0);
+        l.fold(&pop(CostKind::Sbe, 0), 0);
+        l.fold(&pop(CostKind::Sbe, 0), 0); // same kind: no edge
+        l.fold(&pop(CostKind::Dbe, 0), 0);
         assert_eq!(*edges.borrow(), vec!["engine:event_loop", "ev:sbe", "ev:dbe"]);
     }
 
     #[test]
     fn prof_doc_strips_cleanly_and_renders_stably() {
         let mut l = ProfLedger::new(true);
-        l.switch_kind(CostKind::Sbe, 0, 0);
-        l.flush(4, 2);
+        l.fold(&pop(CostKind::Sbe, 0), 0);
+        l.fold(&slice_end(4), 2);
         let obs = Obs::enabled();
         let metrics = MetricsDoc::from_obs(&obs, 7, 30);
         let wall = WallDoc {

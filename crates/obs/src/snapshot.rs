@@ -128,7 +128,7 @@ impl ObsSnapshot {
             trace_records: obs.stream.records().to_vec(),
             trace_console: obs.stream.console_pairs().to_vec(),
             health: obs.health.snap(),
-            prof: obs.prof_snap(),
+            prof: obs.prof.snap(),
         }
     }
 
@@ -186,27 +186,40 @@ impl ObsSnapshot {
             self.trace_console.clone(),
         );
         obs.health.restore(&self.health);
-        obs.prof_restore(&self.prof);
+        obs.prof.restore(&self.prof);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::TraceKind;
+    use crate::{CostKind, ObsEvent};
 
     fn populated() -> Obs {
         let mut obs = Obs::enabled();
         obs.enable_trace();
         obs.enable_health();
-        obs.health.set_spares_baseline(48);
-        obs.health.on_sbe(77, 5, 2);
-        obs.health.tick(5);
-        let c = obs.cat.engine.ev_dbe;
-        obs.reg.add(c, 7);
-        obs.reg.set_max(obs.cat.engine.heap_high_water, 41);
-        obs.reg.observe(obs.cat.engine.job_nodes, 16);
-        obs.ts.inc(TsSeries::EvDbe, 100);
+        obs.emit(ObsEvent::LoopStart { spares: 48 });
+        obs.emit(ObsEvent::Sbe {
+            accepted: true,
+            parent: 0,
+            t: 5,
+            card: 77,
+            node: 3,
+            detail: &String::new,
+        });
+        obs.emit(ObsEvent::Dequeue {
+            t: 5,
+            kind: CostKind::Dbe,
+            rng_draws: 0,
+            pushed: 0,
+            depth: 41,
+        });
+        obs.emit(ObsEvent::JobStart {
+            nodes: 16,
+            reused: false,
+            active: 1,
+        });
         obs.ts.inc(TsSeries::EvDbe, 100_000_000);
         obs.trace.record(Span {
             kind: SpanKind::FaultChain,
@@ -215,17 +228,41 @@ mod tests {
             key: 77,
             extra: 1,
         });
-        let root = obs
-            .stream
-            .mint(TraceKind::FaultDraft, 0, 5, Some(77), None, None, || "dbe".to_string());
-        obs.stream
-            .mint_console(root, 5, Some(77), Some(3), None, || "line".to_string());
+        let root = obs.emit(ObsEvent::FaultDraft {
+            t: 5,
+            detail: &|| "dbe".to_string(),
+        });
+        let line = titan_conlog::ConsoleEvent {
+            time: 5,
+            node: titan_topology::NodeId(3),
+            kind: titan_gpu::GpuErrorKind::OffTheBus,
+            structure: None,
+            page: None,
+            apid: None,
+        };
+        obs.emit(ObsEvent::Fault {
+            parent: root,
+            t: 5,
+            card: Some(77),
+            node: Some(3),
+            apid: None,
+            detail: &|| "otb".to_string(),
+            lines: &[line],
+        });
         obs.enable_prof();
         obs.phase("engine:workload");
-        obs.prof_rng_direct(42);
-        obs.prof_heap_push(3);
+        obs.emit(ObsEvent::Draws(42));
+        obs.emit(ObsEvent::DraftStream {
+            pushed: 3,
+            counts: &Vec::new,
+        });
         obs.prof_finish();
         obs
+    }
+
+    fn ev_dbe(obs: &mut Obs) -> u64 {
+        let c = obs.reg.counter("engine", "ev_dbe");
+        obs.reg.counter_value(c)
     }
 
     #[test]
@@ -244,8 +281,9 @@ mod tests {
             42
         );
         assert_eq!(dst.health.snap(), src.health.snap());
-        assert_eq!(dst.reg.counter_value(dst.cat.engine.ev_dbe), 7);
-        assert_eq!(dst.reg.gauge_value(dst.cat.engine.heap_high_water), 41);
+        assert_eq!(ev_dbe(&mut dst), 1);
+        let g = dst.reg.gauge("engine", "heap_high_water");
+        assert_eq!(dst.reg.gauge_value(g), 41);
         assert_eq!(dst.ts.series(TsSeries::EvDbe), src.ts.series(TsSeries::EvDbe));
         assert_eq!(dst.trace.recorded(), 1);
         assert_eq!(dst.trace.spans(), src.trace.spans());
@@ -262,7 +300,7 @@ mod tests {
         let snap = ObsSnapshot::capture(&populated());
         let mut dst = Obs::disabled();
         snap.restore(&mut dst);
-        assert_eq!(dst.reg.counter_value(dst.cat.engine.ev_dbe), 0);
+        assert_eq!(ev_dbe(&mut dst), 0);
         assert_eq!(dst.trace.recorded(), 0);
         assert_eq!(dst.stream.next_id(), 1);
         assert!(dst.stream.records().is_empty());

@@ -502,7 +502,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let every = opts.checkpoint_every.unwrap_or(0);
     let plan = opts.plan();
     let ck = match &opts.from_checkpoint {
-        Some(path) => Some(resume_point(path, &opts, &plan)?),
+        Some(path) => Some(resume_point(path, &opts)?),
         None => None,
     };
     // A resumed run takes its configuration from the checkpoint.
@@ -514,8 +514,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let sink = checkpoint_sink(opts.ckpt_dir.clone())?;
     // Checkpointing and resumed runs drive the engine in boundary-sized
     // steps; their output is byte-identical to the plain path.
-    let study = if let Some(ck) = &ck {
-        titan_runner::resume_checkpointed(ck, every, opts.inject_divergence, &mut obs, sink)?
+    let study = if let (Some(ck), Some(path)) = (&ck, &opts.from_checkpoint) {
+        titan_runner::resume_checkpointed(ck, every, opts.inject_divergence, &mut obs, sink)
+            .map_err(|e| format!("--from-checkpoint {path}: {e}"))?
     } else if every > 0 {
         titan_runner::run_checkpointed(&config, every, opts.inject_divergence, &mut obs, sink)?
     } else {
@@ -531,43 +532,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Reads and verifies the checkpoint a resumed run starts from. Every
-/// sink's state rides the checkpoint, so the resume must arm the sinks
-/// it was written with: a mismatched sink would silently drop that
-/// state or restart from zero, and every later document would diverge.
-fn resume_point(
-    path: &str,
-    opts: &Opts,
-    plan: &ObsPlan,
-) -> Result<titan_runner::CheckpointDoc, String> {
+/// Reads and verifies the checkpoint a resumed run starts from.
+fn resume_point(path: &str, opts: &Opts) -> Result<titan_runner::CheckpointDoc, String> {
     if opts.days.is_some() || opts.seed.is_some() {
         return Err("--from-checkpoint carries its own configuration; drop --days/--seed".into());
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let ck = titan_runner::parse_checkpoint(&text)?;
-    let written = ck.plan();
-    // `--prof` goes first: it arms the metrics sink too, so a mismatch
-    // is named by the flag that was actually given.
-    for (flag, was, now) in [
-        ("--prof", written.prof, plan.prof),
-        ("--health", written.health, plan.health),
-        ("--trace", written.trace, plan.trace),
-        ("--metrics", written.metrics, plan.metrics),
-    ] {
-        if was != now {
-            return Err(if was {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written with {flag}; \
-                     pass {flag} FILE to resume it"
-                )
-            } else {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written without {flag}; \
-                     resume with the same flags as the original run"
-                )
-            });
-        }
-    }
     eprintln!(
         "resuming from checkpoint {} (t = {} s, digest {:016x})",
         ck.index, ck.t, ck.digest

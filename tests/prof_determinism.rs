@@ -140,6 +140,34 @@ fn prof_invariant_section_identical_across_resume() {
     }
 }
 
+/// Chain identity under `--prof`: a resumed run rewrites the original
+/// run's later checkpoints byte for byte. No allocator column rides the
+/// hashed document (heap state does not survive resume), so nothing
+/// in it depends on the process that wrote it.
+#[test]
+fn prof_checkpoint_chain_is_resume_identical() {
+    let dir = tmp("prof_chain");
+    let every = ["--checkpoint-every", "864000"]; // 10 d
+    let mut through = vec!["run", "--days", "30", "--ckpt-dir", "a", "--prof", "a.json"];
+    through.extend(every);
+    run_in(&dir, "1", &through);
+    let first = dir.join("a").join("ckpt-000000.json");
+    let mut resume = vec![
+        "run",
+        "--from-checkpoint",
+        first.to_str().expect("utf8 path"),
+        "--ckpt-dir",
+        "r",
+        "--prof",
+        "r.json",
+    ];
+    resume.extend(every);
+    run_in(&dir, "1", &resume);
+    let a = std::fs::read(dir.join("a").join("ckpt-000001.json")).expect("original");
+    let r = std::fs::read(dir.join("r").join("ckpt-000001.json")).expect("rewritten");
+    assert!(a == r, "resumed --prof checkpoint 1 differs from the original");
+}
+
 /// Satellite guarantee: `--prof` is a pure observer — the report is
 /// identical with and without it; only the `wrote …` line is new.
 #[test]
