@@ -47,7 +47,7 @@ const MUTATOR_METHODS: &[&str] =
 const OUTPUT_MACROS: &[&str] = &["eprint", "eprintln", "print", "println", "write", "writeln"];
 
 /// Direct digest/emission calls that count as output sinks.
-const OUTPUT_CALLS: &[&str] = &["emit_console", "fnv1a", "write_bytes", "write_u64"];
+const OUTPUT_CALLS: &[&str] = &["log_fault", "fnv1a", "write_bytes", "write_u64"];
 
 /// Hash-container iteration methods (only a source when the body also
 /// names `HashMap`/`HashSet` — see [`SourceKind::HashIter`]).

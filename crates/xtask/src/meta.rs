@@ -166,7 +166,7 @@ pub const RULE_META: &[RuleMeta] = &[
                   thread_rng/from_entropy/rand::random",
         sinks: "assignments and mutating calls (push/insert/extend/append/record/\
                 observe/push_str) through `self` in sim-crate fns; print!/println!/\
-                eprint!/eprintln!/write!/writeln! and emit_console/fnv1a/write_u64/\
+                eprint!/eprintln!/write!/writeln! and log_fault/fnv1a/write_u64/\
                 write_bytes emission",
     },
     RuleMeta {
