@@ -227,6 +227,15 @@ fn attrs(mut s: &str) -> Vec<(&str, &str)> {
 pub fn parse_stream(text: &str) -> (Vec<ConsoleEvent>, ParseStats) {
     let mut events = Vec::new();
     let mut stats = ParseStats::default();
+    parse_into(text, &mut events, &mut stats);
+    (events, stats)
+}
+
+/// Parses every line of `text`, appending events to `events` and
+/// adding to `stats`; blank lines are ignored. Feeding a log to this in
+/// newline-terminated pieces gives what [`parse_stream`] gives for the
+/// whole log.
+pub fn parse_into(text: &str, events: &mut Vec<ConsoleEvent>, stats: &mut ParseStats) {
     for line in text.lines() {
         if line.trim().is_empty() {
             continue;
@@ -239,7 +248,6 @@ pub fn parse_stream(text: &str) -> (Vec<ConsoleEvent>, ParseStats) {
             None => stats.skipped += 1,
         }
     }
-    (events, stats)
 }
 
 #[cfg(test)]

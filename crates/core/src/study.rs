@@ -1,7 +1,9 @@
 //! The [`Study`] runner: simulate → render logs → re-parse → analyze.
 
+use std::fmt::{self, Write as _};
+
 use serde::{Deserialize, Serialize};
-use titan_conlog::format::{parse_stream, ParseStats};
+use titan_conlog::format::{parse_into, ParseStats};
 use titan_conlog::{Aprun, ConsoleEvent, JobRecord};
 use titan_nvsmi::{GpuSnapshot, JobEccDelta};
 use titan_obs::Obs;
@@ -110,21 +112,27 @@ impl Study {
                 job_parse_errors: 0,
             }
         } else {
-            // The honest path: render to text, parse back.
-            let console_text = sim.render_console_log();
-            let (console, console_parse) = parse_stream(&console_text);
-            let job_text = sim.render_job_log();
-            let mut jobs = Vec::new();
+            // The honest path: render to text, parse back, one record
+            // at a time so no whole-log string is built.
+            let mut console = Vec::with_capacity(sim.console.len());
+            let mut console_parse = ParseStats::default();
+            for_each_rendered(&sim.console, |text| {
+                parse_into(text, &mut console, &mut console_parse);
+            });
+            let mut jobs = Vec::with_capacity(sim.jobs.len());
             let mut job_parse_errors = 0u64;
-            for line in job_text.lines() {
-                match JobRecord::parse(line) {
-                    Ok(j) => jobs.push(j),
-                    Err(_) => job_parse_errors += 1,
+            for_each_rendered(&sim.jobs, |text| {
+                for line in text.lines() {
+                    match JobRecord::parse(line) {
+                        Ok(j) => jobs.push(j),
+                        Err(_) => job_parse_errors += 1,
+                    }
                 }
-            }
-            let aprun_text = sim.render_aprun_log();
-            let apruns: Vec<Aprun> =
-                aprun_text.lines().filter_map(Aprun::parse).collect();
+            });
+            let mut apruns = Vec::with_capacity(sim.apruns.len());
+            for_each_rendered(&sim.apruns, |text| {
+                apruns.extend(text.lines().filter_map(Aprun::parse));
+            });
             StudyData {
                 console,
                 jobs,
@@ -140,6 +148,20 @@ impl Study {
             sim,
             data,
         }
+    }
+}
+
+/// Renders each record as its log line (newline-terminated, as the
+/// `SimOutput::render_*_log` renderers write it) into one reused buffer
+/// and hands the text to `parse`. The pieces concatenate to the whole
+/// rendered log and each ends in a newline, so splitting each piece into
+/// lines yields exactly the lines of the whole log.
+fn for_each_rendered<T: fmt::Display>(records: &[T], mut parse: impl FnMut(&str)) {
+    let mut line = String::new();
+    for r in records {
+        line.clear();
+        let _ = writeln!(line, "{r}");
+        parse(&line);
     }
 }
 

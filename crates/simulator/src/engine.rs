@@ -256,9 +256,10 @@ impl JobTable {
             }
         }
 
-        // nvidia-smi epilogue: per-node SBE delta.
+        // nvidia-smi epilogue: per-node SBE delta, kept only for nodes
+        // that gained one (see `JobEccDelta`).
         let pre = st.pre_sbe.take().unwrap_or_default();
-        let mut per_node_sbe = Vec::with_capacity(job.nodes.len());
+        let mut per_node_sbe = Vec::new();
         let mut per_structure_sbe = vec![0u64; 5];
         for (n, before) in job.nodes.iter().zip(&pre) {
             let after = reported_sbe_vector(fleet, *n);
@@ -272,7 +273,9 @@ impl JobTable {
                 node_total += d;
                 *ps += d;
             }
-            per_node_sbe.push((*n, node_total));
+            if node_total > 0 {
+                per_node_sbe.push((*n, node_total));
+            }
         }
         self.spare_pre.push(pre);
         obs.emit(ObsEvent::JobEnd {
