@@ -421,6 +421,83 @@ mod tests {
         assert_eq!(trace_a, trace_b, "trace JSONL diverged");
     }
 
+    /// A checkpoint whose per-job SBE tables list every allocated node,
+    /// zeros included, as checkpoints written before the tables became
+    /// sparse do, still verifies and resumes to the same report, metrics
+    /// and trace as a straight run.
+    #[test]
+    fn dense_sbe_tables_resume_to_the_same_documents() {
+        use serde::Value;
+        use titan_conlog::JobRecord;
+        use titan_nvsmi::JobEccDelta;
+
+        fn field<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
+            match v {
+                Value::Object(fields) => {
+                    &mut fields.iter_mut().find(|(k, _)| k == name).expect(name).1
+                }
+                _ => panic!("`{name}`: not an object"),
+            }
+        }
+
+        let config = StudyConfig::quick(30, 11);
+        let seed = config.sim.seed;
+        let window = config.sim.window;
+        let mk_obs = || {
+            let mut o = Obs::enabled();
+            o.enable_trace();
+            o
+        };
+        let mut docs = Vec::new();
+        let mut obs_a = mk_obs();
+        let through = run_checkpointed(&config, 12 * DAY, None, &mut obs_a, |d| {
+            docs.push(d.clone());
+            Ok(())
+        })
+        .expect("run");
+        let metrics_a = crate::collect_metrics(&through.sim, seed, window, &mut obs_a).to_json();
+        let trace_a = obs_a.stream.render_jsonl(seed, window / DAY);
+
+        // Densify the first checkpoint's finished jobs and re-seal it.
+        let mut v = docs[0].to_value();
+        let out = field(field(&mut v, "engine"), "out");
+        let jobs = Vec::<JobRecord>::from_value(field(out, "jobs")).expect("jobs");
+        let nodes: std::collections::BTreeMap<u64, _> =
+            jobs.iter().map(|j| (j.apid, &j.nodes)).collect();
+        let mut deltas = Vec::<JobEccDelta>::from_value(field(out, "job_sbe")).expect("job_sbe");
+        let mut zeros = 0;
+        for d in &mut deltas {
+            let dense: Vec<_> = nodes[&d.apid]
+                .iter()
+                .map(|n| {
+                    let c = d.per_node_sbe.iter().find(|(m, _)| m == n);
+                    (*n, c.map_or(0, |&(_, c)| c))
+                })
+                .collect();
+            zeros += dense.len() - d.per_node_sbe.len();
+            d.per_node_sbe = dense;
+        }
+        assert!(zeros > 0, "the checkpoint has no zero deltas to restore");
+        *field(out, "job_sbe") = deltas.to_value();
+        let mut dense = CheckpointDoc::from_value(&v).expect("dense doc");
+        dense.digest = checkpoint_digest(&dense);
+        let dense = parse_checkpoint(&render_checkpoint(&dense)).expect("dense doc verifies");
+
+        let mut obs_b = mk_obs();
+        let resumed = resume_checkpointed(&dense, 0, None, &mut obs_b, |_| Ok(())).expect("resume");
+        let metrics_b = crate::collect_metrics(&resumed.sim, seed, window, &mut obs_b).to_json();
+        let trace_b = obs_b.stream.render_jsonl(seed, window / DAY);
+
+        assert_ne!(resumed.sim.job_sbe, through.sim.job_sbe);
+        assert_eq!(
+            titan_reliability::full_report(&resumed),
+            titan_reliability::full_report(&through),
+            "report diverged"
+        );
+        assert_eq!(metrics_a, metrics_b, "metrics doc diverged");
+        assert_eq!(trace_a, trace_b, "trace JSONL diverged");
+    }
+
     #[test]
     fn digests_chain_and_verify() {
         let config = StudyConfig::quick(30, 3);
