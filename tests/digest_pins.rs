@@ -161,3 +161,18 @@ fn analysis_documents_are_pinned() {
         }
     }
 }
+
+/// The `figures.json` artifact: the pretty (two-space indent) `Figures`
+/// document, whose layout is printed apart from the compact bytes.
+#[test]
+fn pretty_figures_json_is_pinned() {
+    for (days, seed, want) in [
+        (30u64, 1093u64, 0xe5af_57f9_8059_5cf5u64),
+        (90, 272, 0x921b_eb66_dd76_6496),
+    ] {
+        let figures = Study::new(StudyConfig::quick(days, seed)).run().figures();
+        let pretty = serde_json::to_string_pretty(&figures).expect("figures json");
+        let got = fnv1a(pretty.as_bytes());
+        assert_eq!(got, want, "quick({days}, {seed}) pretty {got:#018x}");
+    }
+}
