@@ -116,19 +116,21 @@ impl Figures {
 
         let console = &data.console;
 
-        // The four heavyweight analyses are mutually independent — fan
-        // them out. Everything else is cheap linear scans.
+        // The four heavier analyses are mutually independent. The job
+        // correlation and the user study dominate, so each side of one
+        // join takes one of them; a nested join would only spawn more
+        // short-lived threads. Everything else is cheap linear scans.
         let ((offenders, correlation), (user, heatmap)) = rayon::join(
             || {
-                rayon::join(
-                    || sbe_offender_analysis(&data.snapshots),
-                    || job_sbe_correlations(&data.jobs, &data.job_sbe, &data.snapshots),
+                (
+                    sbe_offender_analysis(&data.snapshots),
+                    job_sbe_correlations(&data.jobs, &data.job_sbe, &data.snapshots),
                 )
             },
             || {
-                rayon::join(
-                    || user_level_correlation(&data.jobs, &data.job_sbe, &data.snapshots),
-                    || cooccurrence_heatmap(console),
+                (
+                    user_level_correlation(&data.jobs, &data.job_sbe, &data.snapshots),
+                    cooccurrence_heatmap(console),
                 )
             },
         );
