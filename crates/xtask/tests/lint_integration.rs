@@ -553,6 +553,39 @@ fn x1_fixture_finds_dead_pubs_across_the_reference_graph() {
     assert!(budgeted.findings.is_empty(), "{:?}", budgeted.findings);
 }
 
+/// The D-rule golden fixture: site rules at places the T1 harvest never
+/// sees (`use` items, struct fields, test modules) plus the hatch carry
+/// and the braceless `#[cfg(test)] use` that must not leak test-ness
+/// onto the struct after it.
+#[test]
+fn d1d5_fixture_pins_site_rule_hits_and_non_hits() {
+    let report = run_lint(&fixture("d1d5"), &Baseline::default()).expect("scan");
+    let got: Vec<(Rule, String)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule, format!("{}:{}", f.file, f.line)))
+        .collect();
+    let sim = "crates/simulator/src/lib.rs";
+    assert_eq!(
+        got,
+        vec![
+            (Rule::D5, format!("{sim}:9")),
+            (Rule::D4, format!("{sim}:12")),
+            (Rule::D2, format!("{sim}:26")),
+            (Rule::D1, format!("{sim}:37")),
+            (Rule::D1, format!("{sim}:60")),
+            (Rule::N1, "crates/xtask/lint-baseline.toml (fix-sim):0".to_string()),
+        ],
+        "{:?}",
+        report.findings
+    );
+    let casts: Vec<(usize, &str)> =
+        report.n1_sites.iter().map(|s| (s.line, s.cast.as_str())).collect();
+    assert_eq!(casts, vec![(43, "as u32")], "hatched and test casts stay off the count");
+    assert_eq!(report.n1_counts.get("fix-sim"), Some(&1));
+    assert!(report.t1_paths.is_empty(), "{:?}", report.t1_paths);
+}
+
 /// Acceptance criterion: `--format json` is byte-identical across
 /// repeated runs of the real binary on the real tree.
 #[test]
