@@ -26,17 +26,9 @@
 //! allow(T1, reason)` hatch (on a source line or a call-site line)
 //! prunes the reviewed ones.
 
-use crate::lexer::{lex, Tok, TokKind};
-use crate::parser::{self, Item, ItemKind};
-use crate::{hatch_lines, HatchLine};
-
-/// Keywords that can never be a callee name.
-const CALL_KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "do", "dyn", "else",
-    "enum", "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "type", "unsafe",
-    "use", "where", "while", "yield",
-];
+use crate::lexer::{match_at, text_at, Tok, TokKind, KEYWORDS};
+use crate::parser::{Item, ItemKind};
+use crate::{join, FileCtx, NEEDLES};
 
 /// Mutating methods that, called on a `self`-rooted place, count as a
 /// sim-state write sink.
@@ -49,8 +41,8 @@ const OUTPUT_MACROS: &[&str] = &["eprint", "eprintln", "print", "println", "writ
 /// Direct digest/emission calls that count as output sinks.
 const OUTPUT_CALLS: &[&str] = &["log_fault", "fnv1a", "write_bytes", "write_u64"];
 
-/// Hash-container iteration methods (only a source when the body also
-/// names `HashMap`/`HashSet` — see [`SourceKind::HashIter`]).
+/// Hash-container iteration methods (only a source when the fn also
+/// names a [`SourceKind::HashIter`] container from [`NEEDLES`]).
 const HASH_ITER_METHODS: &[&str] = &["drain", "into_iter", "iter", "keys", "values"];
 
 /// What kind of nondeterminism a taint source reads.
@@ -66,7 +58,7 @@ pub enum SourceKind {
     /// A pointer-address observation: `.as_ptr() as <int>`,
     /// `.as_mut_ptr() as <int>`, `.addr()`.
     PtrAddr,
-    /// Iteration over a `HashMap`/`HashSet` named in the same body.
+    /// Iteration over a `HashMap`/`HashSet` named in the same fn.
     HashIter,
     /// `thread_rng`, `from_entropy`, `rand::random` (D1's set).
     Entropy,
@@ -83,13 +75,6 @@ impl SourceKind {
             SourceKind::Entropy => "OS entropy",
         }
     }
-
-    /// Kinds the *site-level* rules (D1/D2/D5) already police inside
-    /// sim/engine scope. T1 reports these only when laundered across a
-    /// call; the remaining kinds it reports intra-fn too.
-    pub fn site_rule_covered(self) -> bool {
-        matches!(self, SourceKind::WallClock | SourceKind::Entropy | SourceKind::HashIter)
-    }
 }
 
 /// One direct nondeterminism read inside a fn body.
@@ -100,6 +85,10 @@ pub struct TaintSource {
     pub line: usize,
     /// The read as written, e.g. `env::var("TITAN_NUM_THREADS")`.
     pub desc: String,
+    /// A site rule (D1/D2/D4/D5) reported this line, so T1 does not
+    /// report the read again inside its own fn; it still propagates
+    /// across calls. Set by [`crate::scan_file`].
+    pub reported: bool,
 }
 
 /// What a sink statement feeds.
@@ -168,32 +157,17 @@ pub struct FnDecl {
 }
 
 /// Harvests every non-test named fn of one file into call-graph nodes.
-/// One lex + parse, same cost class as [`crate::rules::scan_structure`].
-pub fn harvest_file(
-    rel: &str,
-    src: &str,
-    module_prefix: &str,
-    pkg: &str,
-    sim_scope: bool,
-) -> Vec<FnDecl> {
-    let toks = lex(src);
-    let code: Vec<Tok> = toks.iter().filter(|t| !t.kind.is_trivia()).copied().collect();
-    let items = parser::parse(src, &toks);
-    let hatches = hatch_lines(src, &toks);
+pub(crate) fn harvest(ctx: &FileCtx, module_prefix: &str, pkg: &str, sim_scope: bool) -> Vec<FnDecl> {
     let mut out = Vec::new();
-    walk(&items, module_prefix, None, rel, src, &code, &hatches, pkg, sim_scope, &mut out);
+    walk(ctx, &ctx.items, module_prefix, None, pkg, sim_scope, &mut out);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn walk(
+    ctx: &FileCtx,
     items: &[Item],
     prefix: &str,
     owner: Option<&str>,
-    rel: &str,
-    src: &str,
-    code: &[Tok],
-    hatches: &[HatchLine],
     pkg: &str,
     sim_scope: bool,
     out: &mut Vec<FnDecl>,
@@ -205,168 +179,76 @@ fn walk(
         match it.kind {
             ItemKind::Fn => {
                 let Some((blo, bhi)) = it.body else { continue };
-                let body: Vec<Tok> =
-                    code.iter().filter(|t| t.start >= blo && t.end <= bhi).copied().collect();
-                let mut decl = FnDecl {
+                let body = ctx.span(blo, bhi);
+                // The container-name check covers the whole item span:
+                // a `HashMap` parameter taints iteration in the body.
+                let names_hash = ctx.span(it.start, bhi).iter().any(|t| {
+                    NEEDLES.iter().any(|n| {
+                        n.source == Some(SourceKind::HashIter) && *n.toks == [t.text(ctx.src)]
+                    })
+                });
+                out.push(FnDecl {
                     path: join(prefix, &it.name),
                     name: it.name.clone(),
                     owner: owner.map(str::to_string),
                     pkg: pkg.to_string(),
-                    file: rel.to_string(),
+                    file: ctx.rel.to_string(),
                     line: it.line,
                     sim_scope,
-                    sources: Vec::new(),
-                    sinks: Vec::new(),
-                    calls: Vec::new(),
-                };
-                // The container-name check covers the whole item span:
-                // a `HashMap` parameter taints iteration in the body.
-                let names_hash = code.iter().any(|t| {
-                    t.start >= it.start
-                        && t.end <= bhi
-                        && t.kind == TokKind::Ident
-                        && matches!(t.text(src), "HashMap" | "HashSet")
+                    sources: scan_sources(ctx, body, names_hash),
+                    sinks: scan_sinks(ctx.src, body),
+                    calls: scan_calls(ctx, body),
                 });
-                scan_sources(src, &body, names_hash, hatches, &mut decl.sources);
-                scan_sinks(src, &body, &mut decl.sinks);
-                scan_calls(src, &body, hatches, &mut decl.calls);
-                out.push(decl);
             }
             ItemKind::Module => {
-                let nested = join(prefix, &it.name);
-                walk(&it.children, &nested, None, rel, src, code, hatches, pkg, sim_scope, out);
+                walk(ctx, &it.children, &join(prefix, &it.name), None, pkg, sim_scope, out)
             }
             ItemKind::Impl | ItemKind::Trait => {
                 let nested = join(prefix, &it.name);
-                walk(
-                    &it.children,
-                    &nested,
-                    Some(&it.name),
-                    rel,
-                    src,
-                    code,
-                    hatches,
-                    pkg,
-                    sim_scope,
-                    out,
-                );
+                walk(ctx, &it.children, &nested, Some(&it.name), pkg, sim_scope, out)
             }
             _ => {}
         }
     }
 }
 
-fn join(prefix: &str, name: &str) -> String {
-    if name.is_empty() {
-        prefix.to_string()
-    } else {
-        format!("{prefix}::{name}")
-    }
-}
-
-fn allowed(hatches: &[HatchLine], line: usize) -> bool {
-    line >= 1
-        && hatches
-            .get(line - 1)
-            .is_some_and(|h| h.allows.iter().any(|r| r == "T1"))
-}
-
-/// The text a needle sees: literal bodies are opaque.
-fn ntext<'a>(src: &'a str, t: &Tok) -> &'a str {
-    if t.kind.is_literal() {
-        "\u{0}"
-    } else {
-        t.text(src)
-    }
-}
-
-fn match_at(src: &str, toks: &[Tok], i: usize, needle: &[&str]) -> bool {
-    toks.len().saturating_sub(i) >= needle.len()
-        && needle.iter().enumerate().all(|(k, n)| ntext(src, &toks[i + k]) == *n)
-}
-
-/// Direct nondeterminism reads. Needles are token sequences (a
-/// `HashMap` in a string or comment can never match). A `// lint:
+/// Direct nondeterminism reads: the sourced [`NEEDLES`], plus
+/// `.iter()`-family calls in a fn naming a hash container. A `// lint:
 /// allow(T1, reason)` on the read's line drops the source entirely —
 /// every chain through it is then accepted as reviewed.
-fn scan_sources(
-    src: &str,
-    body: &[Tok],
-    names_hash_container: bool,
-    hatches: &[HatchLine],
-    out: &mut Vec<TaintSource>,
-) {
-    const ENV: &[&[&str]] = &[
-        &["env", ":", ":", "var"],
-        &["env", ":", ":", "var_os"],
-        &["env", ":", ":", "vars"],
-        &["option_env", "!"],
-    ];
-    const CLOCK: &[&[&str]] = &[
-        &["Instant", ":", ":", "now"],
-        &["SystemTime", ":", ":", "now"],
-        &[".", "elapsed", "("],
-    ];
-    const THREADS: &[&[&str]] = &[
-        &["available_parallelism"],
-        &["current_num_threads"],
-        &["num_cpus"],
-        &["thread", ":", ":", "current"],
-    ];
-    const PTR: &[&[&str]] = &[
-        &[".", "as_ptr", "(", ")", "as"],
-        &[".", "as_mut_ptr", "(", ")", "as"],
-        &[".", "addr", "(", ")"],
-    ];
-    const ENTROPY: &[&[&str]] =
-        &[&["thread_rng"], &["from_entropy"], &["rand", ":", ":", "random"]];
-
+fn scan_sources(ctx: &FileCtx, body: &[Tok], names_hash_container: bool) -> Vec<TaintSource> {
+    let src = ctx.src;
+    let mut out: Vec<TaintSource> = Vec::new();
     let mut push = |kind: SourceKind, line: usize, desc: String| {
-        if !allowed(hatches, line)
-            && !out.iter().any(|s| s.kind == kind && s.line == line)
-        {
-            out.push(TaintSource { kind, line, desc });
+        if !ctx.allowed(line, "T1") && !out.iter().any(|s| s.kind == kind && s.line == line) {
+            out.push(TaintSource { kind, line, desc, reported: false });
         }
     };
 
     for i in 0..body.len() {
-        for (kind, needles) in [
-            (SourceKind::EnvRead, ENV),
-            (SourceKind::WallClock, CLOCK),
-            (SourceKind::ThreadQuery, THREADS),
-            (SourceKind::PtrAddr, PTR),
-            (SourceKind::Entropy, ENTROPY),
-        ] {
-            for needle in needles {
-                if match_at(src, body, i, needle) {
-                    let mut desc: String =
-                        needle.iter().take_while(|n| **n != "(").copied().collect();
-                    // `env::var("NAME")` reads better with its key.
-                    if kind == SourceKind::EnvRead {
-                        if let Some(arg) = body.get(i + needle.len() + 1) {
-                            if arg.kind.is_literal()
-                                && ntext(src, body.get(i + needle.len()).unwrap_or(arg)) == "("
-                            {
-                                desc.push('(');
-                                desc.push_str(arg.text(src));
-                                desc.push(')');
-                            }
-                        }
-                    }
-                    push(kind, body[i].line, desc);
+        for n in NEEDLES {
+            let Some(kind) = n.source.filter(|k| *k != SourceKind::HashIter) else { continue };
+            if !match_at(src, body, i, n.toks) {
+                continue;
+            }
+            let mut desc: String = n.toks.iter().take_while(|t| **t != "(").copied().collect();
+            // `env::var("NAME")` reads better with its key.
+            let after = i + n.toks.len();
+            if kind == SourceKind::EnvRead && text_at(src, body, after) == "(" {
+                if let Some(arg) = body.get(after + 1).filter(|a| a.kind.is_literal()) {
+                    desc = format!("{desc}({})", arg.text(src));
                 }
             }
+            push(kind, body[i].line, desc);
         }
-        // Hash iteration: `.iter()`-family call in a body that names a
+        // Hash iteration: `.iter()`-family call in a fn that names a
         // hash container. Coarse by construction (no types), but D2
         // already keeps hash containers out of sim crates, so this kind
         // matters in the analysis-side crates sim code calls into.
         if names_hash_container
-            && ntext(src, &body[i]) == "."
-            && body
-                .get(i + 1)
-                .is_some_and(|t| HASH_ITER_METHODS.contains(&ntext(src, t)))
-            && body.get(i + 2).is_some_and(|t| ntext(src, t) == "(")
+            && text_at(src, body, i) == "."
+            && HASH_ITER_METHODS.contains(&text_at(src, body, i + 1))
+            && text_at(src, body, i + 2) == "("
         {
             push(
                 SourceKind::HashIter,
@@ -375,12 +257,14 @@ fn scan_sources(
             );
         }
     }
+    out
 }
 
 /// Sink statements: writes through `self` (assignment or mutating
 /// call) and output/digest emission.
-fn scan_sinks(src: &str, body: &[Tok], out: &mut Vec<SinkSite>) {
-    let text = |i: usize| -> &str { body.get(i).map(|t| ntext(src, t)).unwrap_or("") };
+fn scan_sinks(src: &str, body: &[Tok]) -> Vec<SinkSite> {
+    let text = |i: usize| text_at(src, body, i);
+    let mut out: Vec<SinkSite> = Vec::new();
     let mut push = |kind: SinkKind, line: usize| {
         if !out.iter().any(|s| s.kind == kind && s.line == line) {
             out.push(SinkSite { kind, line });
@@ -455,12 +339,15 @@ fn scan_sinks(src: &str, body: &[Tok], out: &mut Vec<SinkSite>) {
             }
         }
     }
+    out
 }
 
 /// Call-site extraction: for every `(` that closes a callee, record
 /// the name, qualifier segments, and whether it is a `.method()` call.
-fn scan_calls(src: &str, body: &[Tok], hatches: &[HatchLine], out: &mut Vec<CallSite>) {
-    let text = |i: usize| -> &str { body.get(i).map(|t| ntext(src, t)).unwrap_or("") };
+fn scan_calls(ctx: &FileCtx, body: &[Tok]) -> Vec<CallSite> {
+    let src = ctx.src;
+    let text = |i: usize| text_at(src, body, i);
+    let mut out: Vec<CallSite> = Vec::new();
     for i in 0..body.len() {
         if text(i) != "(" || i == 0 {
             continue;
@@ -469,12 +356,12 @@ fn scan_calls(src: &str, body: &[Tok], hatches: &[HatchLine], out: &mut Vec<Call
         // through a closing turbofish/UFCS `>`.
         let name_idx = match &body[i - 1] {
             t if t.kind == TokKind::Ident => {
-                if CALL_KEYWORDS.contains(&t.text(src)) || t.text(src) == "self" {
+                if KEYWORDS.contains(&t.text(src)) || t.text(src) == "self" {
                     continue;
                 }
                 i - 1
             }
-            t if ntext(src, t) == ">" => {
+            t if t.needle_text(src) == ">" => {
                 // `name::<T>(` / `Type::<T>::name(` close here only via
                 // the generic group; the callee sits before the `::<`.
                 let Some(lt) = open_angle(src, body, i - 1) else { continue };
@@ -482,7 +369,7 @@ fn scan_calls(src: &str, body: &[Tok], hatches: &[HatchLine], out: &mut Vec<Call
                     && text(lt - 1) == ":"
                     && text(lt - 2) == ":"
                     && body[lt - 3].kind == TokKind::Ident
-                    && !CALL_KEYWORDS.contains(&body[lt - 3].text(src))
+                    && !KEYWORDS.contains(&body[lt - 3].text(src))
                 {
                     lt - 3
                 } else {
@@ -507,12 +394,13 @@ fn scan_calls(src: &str, body: &[Tok], hatches: &[HatchLine], out: &mut Vec<Call
             quals,
             method,
             line,
-            hatched: allowed(hatches, line),
+            hatched: ctx.allowed(line, "T1"),
         };
         if !out.contains(&site) {
             out.push(site);
         }
     }
+    out
 }
 
 /// For a `>` at `close`, the index of its matching `<` (angle groups
@@ -521,7 +409,7 @@ fn open_angle(src: &str, body: &[Tok], close: usize) -> Option<usize> {
     let mut depth = 0usize;
     let mut j = close;
     loop {
-        match ntext(src, &body[j]) {
+        match body[j].needle_text(src) {
             ">" => depth += 1,
             "<" => {
                 depth -= 1;
@@ -542,7 +430,7 @@ fn open_angle(src: &str, body: &[Tok], close: usize) -> Option<usize> {
 /// and `<Type as Trait>::` forms backward. Returns them in source
 /// order.
 fn quals_before(src: &str, body: &[Tok], name_idx: usize) -> Vec<String> {
-    let text = |i: usize| -> &str { body.get(i).map(|t| ntext(src, t)).unwrap_or("") };
+    let text = |i: usize| text_at(src, body, i);
     let mut quals = Vec::new();
     let mut j = name_idx;
     while j >= 2 && text(j - 1) == ":" && text(j - 2) == ":" {
@@ -557,14 +445,14 @@ fn quals_before(src: &str, body: &[Tok], name_idx: usize) -> Vec<String> {
                 quals.push(q.to_string());
             }
             j = k;
-        } else if ntext(src, t) == ">" {
+        } else if t.needle_text(src) == ">" {
             // `Type::<T>::name` (turbofish path segment) or
             // `<Type as Trait>::name` (UFCS): collect the idents inside
             // the angle group, minus `as`/lifetimes/keywords.
             let Some(lt) = open_angle(src, body, k) else { break };
             // Reversed here because the whole list is reversed below.
             for g in body[lt..=k].iter().rev() {
-                if g.kind == TokKind::Ident && !CALL_KEYWORDS.contains(&g.text(src)) {
+                if g.kind == TokKind::Ident && !KEYWORDS.contains(&g.text(src)) {
                     quals.push(g.text(src).to_string());
                 }
             }
@@ -582,7 +470,8 @@ mod tests {
     use super::*;
 
     fn harvest(src: &str) -> Vec<FnDecl> {
-        harvest_file("crates/simulator/src/lib.rs", src, "titan_sim", "titan-sim", true)
+        let ctx = FileCtx::new("crates/simulator/src/lib.rs", src);
+        super::harvest(&ctx, "titan_sim", "titan-sim", true)
     }
 
     fn one(src: &str) -> FnDecl {

@@ -98,7 +98,40 @@ impl Tok {
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start..self.end]
     }
+
+    /// The text a rule needle sees: literal bodies are opaque (a needle
+    /// can never match into or across a string/char literal), anything
+    /// else is the token's own spelling.
+    pub fn needle_text<'a>(&self, src: &'a str) -> &'a str {
+        if self.kind.is_literal() {
+            "\u{0}"
+        } else {
+            self.text(src)
+        }
+    }
 }
+
+/// The needle text of `toks[i]`, or `""` past the end.
+pub fn text_at<'a>(src: &'a str, toks: &[Tok], i: usize) -> &'a str {
+    toks.get(i).map_or("", |t| t.needle_text(src))
+}
+
+/// True when `needle` matches the tokens starting at `toks[i]`.
+pub fn match_at(src: &str, toks: &[Tok], i: usize, needle: &[&str]) -> bool {
+    toks.get(i..).is_some_and(|rest| {
+        rest.len() >= needle.len()
+            && needle.iter().zip(rest).all(|(n, t)| t.needle_text(src) == *n)
+    })
+}
+
+/// Keywords that never name a value: never a callee, never the base of
+/// an index expression.
+pub const KEYWORDS: &[&str] = &[
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "do", "dyn", "else",
+    "enum", "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
+    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "type", "unsafe",
+    "use", "where", "while", "yield",
+];
 
 fn is_ident_start(c: char) -> bool {
     c == '_' || c.is_alphabetic()

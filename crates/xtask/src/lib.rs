@@ -22,7 +22,8 @@
 //! - **D5** — wall-clock *types* (`std::time::`, `Instant`,
 //!   `SystemTime`, `.elapsed(`) are forbidden in non-test engine code:
 //!   telemetry there goes through the sim-time `titan-obs` API. A line
-//!   already reported by D1 is not reported again.
+//!   already reported by D1 is not reported again, and T1 does not
+//!   repeat a read on a line D5 (or any site rule) reported.
 //! - **N1** — `as <numeric-type>` casts in non-test simulation code:
 //!   every one is a potential silent event-count or sim-time
 //!   truncation (the paper's own DBE counts were corrupted by exactly
@@ -73,7 +74,10 @@
 //! tree feeds a workspace *call graph* ([`callgraph`]) and a
 //! fixed-point taint propagation ([`taint`]), so T1 sees across
 //! function and crate boundaries — still with zero dependency
-//! resolution, and still on the single shared pass over the tree.
+//! resolution. Every file is lexed, parsed and hatch-scanned once into
+//! a `FileCtx` that all three layers read, and the wall-clock,
+//! entropy, hash, threading, env, thread-width and pointer needles of
+//! the site rules and of T1 live in one table, `NEEDLES`.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -98,7 +102,9 @@ pub use baseline::{
 pub use output::{render_github, render_json};
 pub use sarif::render_sarif;
 
-use lexer::{lex, Tok, TokKind};
+use callgraph::SourceKind;
+use lexer::{lex, match_at, Tok, TokKind};
+use parser::Item;
 
 /// Crates under `crates/` holding simulation state or feeding it —
 /// the D1/D2/N1 scope. Analysis-side crates (`stats`, `analysis`,
@@ -225,34 +231,86 @@ pub struct X1Site {
     pub path: String,
 }
 
-/// Needle token sequences for D1: entropy/wall-clock *sources*.
-const D1_NEEDLES: &[(&[&str], &str)] = &[
-    (&["SystemTime", ":", ":", "now"], "SystemTime::now()"),
-    (&["Instant", ":", ":", "now"], "Instant::now()"),
-    (&["thread_rng"], "thread_rng()"),
-    (&["from_entropy"], "from_entropy()"),
-    (&["rand", ":", ":", "random"], "rand::random()"),
-];
+/// Where a site rule looks for a needle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// Every line of a simulation crate, test code included: a test
+    /// that consults the wall clock flakes just as surely.
+    Sim,
+    /// Non-test code of simulation crates.
+    SimLive,
+    /// Non-test code of engine crates: tests may race threads to prove
+    /// two simulations independent; the event loop may not.
+    EngineLive,
+}
 
-/// Needle token sequences for D4: any road into the thread pool or raw
-/// threads.
-const D4_NEEDLES: &[(&[&str], &str)] = &[
-    (&["rayon"], "the rayon thread pool"),
-    (&["std", ":", ":", "thread"], "std::thread"),
-    (&["thread", ":", ":", "spawn"], "thread::spawn"),
-    (&["thread", ":", ":", "scope"], "thread::scope"),
-    (&["into_par_iter"], "a parallel iterator"),
-    (&["scope_map", "("], "the pool's scope_map"),
-];
+impl Scope {
+    fn applies(self, sim_scope: bool, engine_scope: bool, in_test: bool) -> bool {
+        match self {
+            Scope::Sim => sim_scope,
+            Scope::SimLive => sim_scope && !in_test,
+            Scope::EngineLive => engine_scope && !in_test,
+        }
+    }
+}
 
-/// Needle token sequences for D5: wall-clock *types and readings*,
-/// wider than D1's constructors — holding an `Instant` in engine state
-/// is already a time-domain leak.
-const D5_NEEDLES: &[(&[&str], &str)] = &[
-    (&["std", ":", ":", "time", ":", ":"], "a std::time type"),
-    (&["Instant"], "an Instant"),
-    (&["SystemTime"], "a SystemTime"),
-    (&[".", "elapsed", "("], "an .elapsed() reading"),
+/// One nondeterminism needle: a code-token sequence, the site rule that
+/// reports it (with its scope and the name its finding uses), and the
+/// T1 source kind it reads.
+pub(crate) struct Needle {
+    pub(crate) toks: &'static [&'static str],
+    pub(crate) site: Option<(Rule, Scope, &'static str)>,
+    pub(crate) source: Option<SourceKind>,
+}
+
+const fn row(
+    toks: &'static [&'static str],
+    site: Option<(Rule, Scope, &'static str)>,
+    source: Option<SourceKind>,
+) -> Needle {
+    Needle { toks, site, source }
+}
+
+use Rule::{D1, D2, D4, D5};
+use Scope::{EngineLive, Sim, SimLive};
+use SourceKind::{Entropy, EnvRead, HashIter, PtrAddr, ThreadQuery, WallClock};
+
+/// Every nondeterminism needle, listed once. The site rules D1/D2/D4/D5
+/// report a needle where it is spelled; T1 follows a sourced needle's
+/// value through the call graph from the bodies of non-test fns. A
+/// `HashIter` row is not a read by itself: T1 sources the `.iter()`
+/// family in a fn that names one. D4 and D5 report the first of their
+/// rows that matches a line (so row order matters there), and D5 stays
+/// quiet on a line D1 reported.
+pub(crate) const NEEDLES: &[Needle] = &[
+    row(&["SystemTime", ":", ":", "now"], Some((D1, Sim, "SystemTime::now()")), Some(WallClock)),
+    row(&["Instant", ":", ":", "now"], Some((D1, Sim, "Instant::now()")), Some(WallClock)),
+    row(&["thread_rng"], Some((D1, Sim, "thread_rng()")), Some(Entropy)),
+    row(&["from_entropy"], Some((D1, Sim, "from_entropy()")), Some(Entropy)),
+    row(&["rand", ":", ":", "random"], Some((D1, Sim, "rand::random()")), Some(Entropy)),
+    row(&["HashMap"], Some((D2, SimLive, "HashMap")), Some(HashIter)),
+    row(&["HashSet"], Some((D2, SimLive, "HashSet")), Some(HashIter)),
+    row(&["rayon"], Some((D4, EngineLive, "the rayon thread pool")), None),
+    row(&["std", ":", ":", "thread"], Some((D4, EngineLive, "std::thread")), None),
+    row(&["thread", ":", ":", "spawn"], Some((D4, EngineLive, "thread::spawn")), None),
+    row(&["thread", ":", ":", "scope"], Some((D4, EngineLive, "thread::scope")), None),
+    row(&["into_par_iter"], Some((D4, EngineLive, "a parallel iterator")), None),
+    row(&["scope_map", "("], Some((D4, EngineLive, "the pool's scope_map")), None),
+    row(&["std", ":", ":", "time", ":", ":"], Some((D5, EngineLive, "a std::time type")), None),
+    row(&["Instant"], Some((D5, EngineLive, "an Instant")), None),
+    row(&["SystemTime"], Some((D5, EngineLive, "a SystemTime")), None),
+    row(&[".", "elapsed", "("], Some((D5, EngineLive, "an .elapsed() reading")), Some(WallClock)),
+    row(&["env", ":", ":", "var"], None, Some(EnvRead)),
+    row(&["env", ":", ":", "var_os"], None, Some(EnvRead)),
+    row(&["env", ":", ":", "vars"], None, Some(EnvRead)),
+    row(&["option_env", "!"], None, Some(EnvRead)),
+    row(&["available_parallelism"], None, Some(ThreadQuery)),
+    row(&["current_num_threads"], None, Some(ThreadQuery)),
+    row(&["num_cpus"], None, Some(ThreadQuery)),
+    row(&["thread", ":", ":", "current"], None, Some(ThreadQuery)),
+    row(&[".", "as_ptr", "(", ")", "as"], None, Some(PtrAddr)),
+    row(&[".", "as_mut_ptr", "(", ")", "as"], None, Some(PtrAddr)),
+    row(&[".", "addr", "(", ")"], None, Some(PtrAddr)),
 ];
 
 /// Comparator call sites D3 inspects (matched as whole identifiers).
@@ -271,68 +329,14 @@ const N1_NUM_TYPES: &[&str] = &[
     "f32", "f64",
 ];
 
-/// Result of scanning one file with the line-level rules. The
-/// structural rules (P2/E1/D6/X1) live in [`rules`] and [`symbols`].
-#[derive(Debug, Default)]
-pub struct FileScan {
-    pub findings: Vec<Finding>,
-    /// Non-test `as <numeric-type>` sites (the N1 input; already
-    /// filtered by the allow hatch). Empty outside sim scope.
-    pub n1_sites: Vec<N1Site>,
-}
-
-/// Per-line view over the token stream.
-struct LineToks {
-    /// Code tokens (non-trivia) whose first byte sits on this line.
-    toks: Vec<Tok>,
-    /// True inside a `#[cfg(test)]`-gated item.
-    in_test: bool,
-    /// A `// lint: sorted-iter` hatch comment starts on this line.
-    sorted_iter: bool,
-    /// Rule ids from `// lint: allow(RULE, reason)` hatch comments
-    /// starting on this line.
-    allows: Vec<String>,
-}
-
-/// The text a rule needle sees for a token: literal bodies are opaque
-/// (a needle can never match into or across a string/char literal),
-/// everything else is the token's own spelling.
-fn needle_text<'a>(src: &'a str, t: &Tok) -> &'a str {
-    if t.kind.is_literal() {
-        "\u{0}"
-    } else {
-        t.text(src)
-    }
-}
-
-/// True when `needle` matches the code tokens starting at `i`.
-fn match_at(src: &str, toks: &[Tok], i: usize, needle: &[&str]) -> bool {
-    toks.len() - i >= needle.len()
-        && needle
-            .iter()
-            .enumerate()
-            .all(|(k, n)| needle_text(src, &toks[i + k]) == *n)
-}
-
-/// True when `needle` matches anywhere in the line's code tokens.
-fn line_has(src: &str, toks: &[Tok], needle: &[&str]) -> bool {
-    (0..toks.len()).any(|i| match_at(src, toks, i, needle))
-}
-
-/// True when the line holds a whole-token identifier from `idents`.
-fn line_has_ident(src: &str, toks: &[Tok], idents: &[&str]) -> bool {
-    toks.iter()
-        .any(|t| t.kind == TokKind::Ident && idents.contains(&t.text(src)))
-}
-
 /// One line's escape hatches, after carry-forward (see [`hatch_lines`]).
 #[derive(Debug, Clone, Default)]
-pub struct HatchLine {
+pub(crate) struct HatchLine {
     /// A `// lint: sorted-iter` hatch applies to this line.
-    pub sorted_iter: bool,
+    pub(crate) sorted_iter: bool,
     /// Rule ids from `// lint: allow(RULE, reason)` hatches applying to
     /// this line.
-    pub allows: Vec<String>,
+    pub(crate) allows: Vec<String>,
 }
 
 /// Computes per-line escape hatches from the token stream. A hatch on
@@ -341,7 +345,7 @@ pub struct HatchLine {
 /// tokens, skipping blank and further comment-only lines — so an
 /// intervening comment no longer silently detaches the hatch from the
 /// statement it annotates.
-pub fn hatch_lines(src: &str, toks: &[Tok]) -> Vec<HatchLine> {
+fn hatch_lines(src: &str, toks: &[Tok]) -> Vec<HatchLine> {
     let n_lines = toks.last().map(|t| t.line).unwrap_or(0).max(src.lines().count());
     let mut out: Vec<HatchLine> = vec![HatchLine::default(); n_lines];
     let mut has_code = vec![false; n_lines];
@@ -382,205 +386,158 @@ pub fn hatch_lines(src: &str, toks: &[Tok]) -> Vec<HatchLine> {
     out
 }
 
-/// Lexes the file and builds the per-line view: code tokens grouped by
-/// line, `#[cfg(test)]` region tracking (brace-depth based, with the
-/// braceless-item `;` disarm), and escape-hatch comments.
-fn preprocess(src: &str) -> Vec<LineToks> {
-    let toks = lex(src);
-    let hatches = hatch_lines(src, &toks);
-    let mut lines: Vec<LineToks> = hatches
-        .into_iter()
-        .map(|h| LineToks {
-            toks: Vec::new(),
-            in_test: false,
-            sorted_iter: h.sorted_iter,
-            allows: h.allows,
-        })
-        .collect();
+/// One source file, lexed, parsed and hatch-scanned once. Every rule
+/// layer reads it: the per-line site rules here, the structural rules
+/// in [`rules`], and the T1 harvest in [`callgraph`].
+pub(crate) struct FileCtx<'a> {
+    /// Workspace-relative path.
+    pub(crate) rel: &'a str,
+    pub(crate) src: &'a str,
+    /// Code (non-trivia) tokens in source order.
+    pub(crate) code: Vec<Tok>,
+    pub(crate) items: Vec<Item>,
+    /// Escape hatches per line (index = line - 1).
+    pub(crate) hatches: Vec<HatchLine>,
+    /// Per line: code of a `#[cfg(test)]`/`#[test]` item (attributes
+    /// included) sits on it.
+    pub(crate) in_test: Vec<bool>,
+}
 
-    for t in &toks {
-        let Some(line) = lines.get_mut(t.line - 1) else { continue };
-        if !t.kind.is_trivia() {
-            line.toks.push(*t);
-        }
-    }
-
-    // Test-region tracking, token-based: `#[cfg(test)]` arms, the next
-    // `{` opens a region at its depth, the matching `}` closes it, and
-    // a `;` before any `{` disarms (a cfg-gated braceless item).
-    const CFG_TEST: &[&str] = &["#", "[", "cfg", "(", "test", ")", "]"];
-    let mut depth: i32 = 0;
-    let mut regions: Vec<i32> = Vec::new();
-    let mut armed = false;
-    for line in &mut lines {
-        let before = !regions.is_empty();
-        if line_has(src, &line.toks, CFG_TEST) {
-            armed = true;
-        }
-        for t in &line.toks {
-            match needle_text(src, t) {
-                "{" => {
-                    depth += 1;
-                    if armed {
-                        regions.push(depth);
-                        armed = false;
-                    }
+impl<'a> FileCtx<'a> {
+    pub(crate) fn new(rel: &'a str, src: &'a str) -> Self {
+        let toks = lex(src);
+        let hatches = hatch_lines(src, &toks);
+        let code: Vec<Tok> = toks.into_iter().filter(|t| !t.kind.is_trivia()).collect();
+        let items = parser::parse(src, &code);
+        let mut ctx = FileCtx { rel, src, code, items, in_test: Vec::new(), hatches };
+        let mut in_test = vec![false; ctx.hatches.len()];
+        let mut stack: Vec<&Item> = ctx.items.iter().collect();
+        while let Some(it) = stack.pop() {
+            if it.cfg_test {
+                for t in ctx.span(it.start, it.end) {
+                    in_test[t.line - 1] = true;
                 }
-                "}" => {
-                    if regions.last() == Some(&depth) {
-                        regions.pop();
-                    }
-                    depth -= 1;
-                }
-                ";" if armed => armed = false,
-                _ => {}
+            } else {
+                stack.extend(&it.children);
             }
         }
-        line.in_test = before || !regions.is_empty() || armed;
+        ctx.in_test = in_test;
+        ctx
     }
-    lines
+
+    /// The code tokens lying wholly inside bytes `lo..hi`.
+    pub(crate) fn span(&self, lo: usize, hi: usize) -> &[Tok] {
+        let a = self.code.partition_point(|t| t.start < lo);
+        let b = self.code.partition_point(|t| t.end <= hi).max(a);
+        &self.code[a..b]
+    }
+
+    /// True when a `// lint: allow(rule, ...)` hatch covers 1-based
+    /// `line`.
+    pub(crate) fn allowed(&self, line: usize, rule: &str) -> bool {
+        line.checked_sub(1)
+            .and_then(|i| self.hatches.get(i))
+            .is_some_and(|h| h.allows.iter().any(|r| r == rule))
+    }
 }
 
-/// The escape hatch check. Carry-forward happens in [`hatch_lines`],
-/// so a hatch written on the line itself or on any comment run above
-/// the statement has already landed on this line.
-fn hatched(lines: &[LineToks], i: usize, check: impl Fn(&LineToks) -> bool) -> bool {
-    check(&lines[i])
+/// What one file contributes to the lint.
+#[derive(Debug, Default)]
+pub struct FileScan {
+    /// Site (D1–D5), structural (E1, D6) and schema (S1) findings.
+    pub findings: Vec<Finding>,
+    /// Non-test `as <numeric-type>` sites (the N1 input; already
+    /// filtered by the allow hatch). Empty outside sim scope.
+    pub n1_sites: Vec<N1Site>,
+    /// P2 counts, E1 discard candidates and the X1 symbol harvest.
+    pub structure: rules::StructScan,
+    /// The file's T1 call-graph nodes.
+    pub fns: Vec<callgraph::FnDecl>,
 }
 
-/// Scans one source file. `sim_scope` turns on D1/D2/N1, `engine_scope`
-/// turns on D4/D5; D3 and the P1 count always run.
-pub fn scan_file(rel_path: &str, text: &str, sim_scope: bool, engine_scope: bool) -> FileScan {
-    let lines = preprocess(text);
-    let src = text;
+/// Scans one file of `target` with every per-file rule layer; `specs`
+/// are the golden S1 schema specs.
+pub fn scan_file(
+    target: &CrateTarget,
+    rel: &str,
+    text: &str,
+    specs: &[schema::SchemaSpec],
+) -> FileScan {
+    let ctx = FileCtx::new(rel, text);
+    let (sim, engine) = (target.sim_scope, target.engine_scope);
+    let prefix = module_prefix(&target.name, rel);
     let mut out = FileScan::default();
-    // Dedupe (rule, line, message): a needle matching twice on one line
-    // is still one finding, matching the v1 per-line semantics.
-    let mut seen: BTreeSet<(usize, &'static str, String)> = BTreeSet::new();
-    let push = |out: &mut FileScan,
-                    seen: &mut BTreeSet<(usize, &'static str, String)>,
-                    lineno: usize,
-                    rule: Rule,
-                    message: String,
-                    hint: &str| {
-        if seen.insert((lineno, rule.as_str(), message.clone())) {
-            out.findings.push(Finding {
-                file: rel_path.to_string(),
-                line: lineno,
-                rule,
-                message,
-                hint: hint.to_string(),
-            });
-        }
+    let site_lines = scan_sites(&ctx, sim, engine, &mut out);
+    out.structure = rules::scan_structure(&ctx, &prefix, sim, engine);
+    out.findings.append(&mut out.structure.findings);
+    out.findings.extend(schema::check_file(&ctx, specs));
+    // T1 input: every crate contributes call-graph nodes — a source in
+    // an analysis-side crate taints whatever sim code calls it, even
+    // though only sim-scope fns hold sinks.
+    out.fns = callgraph::harvest(&ctx, &prefix, &target.name, sim);
+    for s in out.fns.iter_mut().flat_map(|f| &mut f.sources) {
+        s.reported = site_lines[s.line - 1];
+    }
+    out
+}
+
+/// The per-line rules: the [`NEEDLES`] site rules, D3, and the N1
+/// cast sites. Returns, per line, whether a site rule reported it.
+fn scan_sites(ctx: &FileCtx, sim: bool, engine: bool, out: &mut FileScan) -> Vec<bool> {
+    let src = ctx.src;
+    let mut lines: Vec<&[Tok]> = vec![&[]; ctx.hatches.len()];
+    for chunk in ctx.code.chunk_by(|a, b| a.line == b.line) {
+        lines[chunk[0].line - 1] = chunk;
+    }
+    let has =
+        |toks: &[Tok], needle: &[&str]| (0..toks.len()).any(|i| match_at(src, toks, i, needle));
+    let has_ident = |toks: &[Tok], idents: &[&str]| {
+        toks.iter().any(|t| t.kind == TokKind::Ident && idents.contains(&t.text(src)))
     };
+    let mut push = |line: usize, rule: Rule, message: String, hint: &str| {
+        out.findings.push(Finding {
+            file: ctx.rel.to_string(),
+            line,
+            rule,
+            message,
+            hint: hint.to_string(),
+        });
+    };
+    let mut site_lines = vec![false; lines.len()];
 
-    for (i, line) in lines.iter().enumerate() {
+    for (i, toks) in lines.iter().enumerate() {
         let lineno = i + 1;
-        let toks = &line.toks;
-
-        // D1: anywhere in sim crates, test code included — a test that
-        // consults the wall clock flakes just as surely.
-        let mut d1_on_line = false;
-        if sim_scope {
-            for (needle, name) in D1_NEEDLES {
-                if line_has(src, toks, needle) {
-                    d1_on_line = true;
-                    push(
-                        &mut out,
-                        &mut seen,
-                        lineno,
-                        Rule::D1,
-                        format!("{name} is a nondeterminism source"),
-                        "derive all randomness from the seeded RngStreams; take time from \
-                         the simulation clock",
-                    );
-                }
+        let in_test = ctx.in_test[i];
+        let mut fired: Vec<Rule> = Vec::new();
+        for n in NEEDLES {
+            let Some((rule, scope, name)) = n.site else { continue };
+            let quiet = match rule {
+                D2 => ctx.hatches[i].sorted_iter,
+                // One D4/D5 finding per line is enough, and D5 exists
+                // for the wall-clock types D1's constructors miss.
+                D4 => fired.contains(&D4),
+                D5 => fired.contains(&D5) || fired.contains(&D1),
+                _ => false,
+            };
+            if quiet || !scope.applies(sim, engine, in_test) || !has(toks, n.toks) {
+                continue;
             }
+            fired.push(rule);
+            let (message, hint) = site_message(rule, name);
+            push(lineno, rule, message, hint);
         }
-
-        // D2: non-test sim code only, with the sorted-iter escape hatch.
-        if sim_scope && !line.in_test {
-            for token in ["HashMap", "HashSet"] {
-                if line_has_ident(src, toks, &[token])
-                    && !hatched(&lines, i, |l| l.sorted_iter)
-                {
-                    push(
-                        &mut out,
-                        &mut seen,
-                        lineno,
-                        Rule::D2,
-                        format!("{token} in simulation code iterates in seeded hash order"),
-                        "use BTreeMap/BTreeSet, or justify get-only use with \
-                         `// lint: sorted-iter`",
-                    );
-                }
-            }
-        }
-
-        // D4: non-test engine code must never thread. Tests may spawn
-        // (e.g. racing two sims to prove independence); the event loop
-        // and its models may not.
-        if engine_scope && !line.in_test {
-            for (needle, name) in D4_NEEDLES {
-                if line_has(src, toks, needle) {
-                    push(
-                        &mut out,
-                        &mut seen,
-                        lineno,
-                        Rule::D4,
-                        format!(
-                            "{name} inside an engine crate — parallelism is only allowed \
-                             across independent simulations"
-                        ),
-                        "keep the event loop single-threaded; fan out whole runs via \
-                         titan-runner::replicate instead",
-                    );
-                    break; // one finding per line is enough
-                }
-            }
-        }
-
-        // D5: non-test engine code may only record telemetry through
-        // the sim-time titan-obs API. A line D1 already reported (the
-        // `::now()` call) is not reported twice — D5 exists for the
-        // wall-clock *types* D1's constructor needles miss.
-        if engine_scope && !line.in_test && !d1_on_line {
-            for (needle, name) in D5_NEEDLES {
-                if line_has(src, toks, needle) {
-                    push(
-                        &mut out,
-                        &mut seen,
-                        lineno,
-                        Rule::D5,
-                        format!(
-                            "{name} inside an engine crate — telemetry there must stay in \
-                             the sim time domain"
-                        ),
-                        "record through titan-obs (sim-time counters/spans); wall-clock \
-                         profiling belongs in the runner/bench/CLI layer — see \
-                         OBSERVABILITY.md",
-                    );
-                    break; // one finding per line is enough
-                }
-            }
-        }
+        site_lines[i] = !fired.is_empty();
 
         // D3: everywhere, tests included — a NaN panic in a test
         // comparator hides the regression it was written to catch.
-        if line_has_ident(src, toks, &["partial_cmp"]) {
-            let ctx_lo = i.saturating_sub(3);
-            let in_comparator = lines[ctx_lo..=i]
+        if has_ident(toks, &["partial_cmp"]) {
+            let in_comparator =
+                lines[i.saturating_sub(3)..=i].iter().any(|l| has_ident(l, D3_CONTEXTS));
+            let unwrapped = lines[i..(i + 3).min(lines.len())]
                 .iter()
-                .any(|l| line_has_ident(src, &l.toks, D3_CONTEXTS));
-            let ctx_hi = (i + 3).min(lines.len());
-            let unwrapped = lines[i..ctx_hi].iter().any(|l| {
-                line_has(src, &l.toks, &[".", "unwrap", "(", ")"])
-                    || line_has(src, &l.toks, &[".", "expect", "("])
-            });
+                .any(|l| has(l, &[".", "unwrap", "(", ")"]) || has(l, &[".", "expect", "("]));
             if in_comparator && unwrapped {
                 push(
-                    &mut out,
-                    &mut seen,
                     lineno,
                     Rule::D3,
                     "partial_cmp().unwrap() comparator panics on NaN and is not a total \
@@ -595,27 +552,54 @@ pub fn scan_file(rel_path: &str, text: &str, sim_scope: bool, engine_scope: bool
         // minus hatched sites. Sites are *counted* per crate (the
         // ratchet), not reported one-by-one — the json n1_sites list is
         // the burn-down worklist.
-        if sim_scope && !line.in_test && !hatched(&lines, i, |l| l.allows.iter().any(|r| r == "N1"))
-        {
-            for w in 0..toks.len().saturating_sub(1) {
-                let a = &toks[w];
-                let b = &toks[w + 1];
-                if a.kind == TokKind::Ident
-                    && a.text(src) == "as"
-                    && b.kind == TokKind::Ident
-                    && N1_NUM_TYPES.contains(&b.text(src))
+        if sim && !in_test && !ctx.allowed(lineno, "N1") {
+            for w in toks.windows(2) {
+                if w[0].kind == TokKind::Ident
+                    && w[0].text(src) == "as"
+                    && w[1].kind == TokKind::Ident
+                    && N1_NUM_TYPES.contains(&w[1].text(src))
                 {
                     out.n1_sites.push(N1Site {
-                        file: rel_path.to_string(),
+                        file: ctx.rel.to_string(),
                         line: lineno,
-                        cast: format!("as {}", b.text(src)),
+                        cast: format!("as {}", w[1].text(src)),
                     });
                 }
             }
         }
-
     }
-    out
+    site_lines
+}
+
+/// A site rule's finding message for the needle `name`, and its hint.
+fn site_message(rule: Rule, name: &str) -> (String, &'static str) {
+    match rule {
+        D1 => (
+            format!("{name} is a nondeterminism source"),
+            "derive all randomness from the seeded RngStreams; take time from the simulation \
+             clock",
+        ),
+        D2 => (
+            format!("{name} in simulation code iterates in seeded hash order"),
+            "use BTreeMap/BTreeSet, or justify get-only use with `// lint: sorted-iter`",
+        ),
+        D4 => (
+            format!(
+                "{name} inside an engine crate — parallelism is only allowed across \
+                 independent simulations"
+            ),
+            "keep the event loop single-threaded; fan out whole runs via \
+             titan-runner::replicate instead",
+        ),
+        _ => (
+            format!(
+                "{name} inside an engine crate — telemetry there must stay in the sim time \
+                 domain"
+            ),
+            "record through titan-obs (sim-time counters/spans); wall-clock profiling \
+             belongs in the runner/bench/CLI layer — see OBSERVABILITY.md",
+        ),
+    }
 }
 
 // --- workspace walking -----------------------------------------------------
@@ -712,6 +696,15 @@ pub fn module_prefix(package: &str, rel: &str) -> String {
     out
 }
 
+/// `prefix::name`, or just `prefix` for an unnamed item.
+pub(crate) fn join(prefix: &str, name: &str) -> String {
+    if name.is_empty() {
+        prefix.to_string()
+    } else {
+        format!("{prefix}::{name}")
+    }
+}
+
 /// Reads `name = "..."` from a manifest's `[package]` section.
 fn crate_name(manifest: &Path) -> Option<String> {
     let text = std::fs::read_to_string(manifest).ok()?;
@@ -781,10 +774,9 @@ pub struct LintReport {
 /// Runs the full lint over a workspace root. `baseline` is the parsed
 /// committed baseline (empty if the file does not exist yet).
 ///
-/// Two layers share one pass over the tree: the line-level token rules
-/// ([`scan_file`]) and the structural rules ([`rules::scan_structure`],
-/// which lexes + parses each file once and feeds the P2 attribution,
-/// E1/D6 findings, and the [`symbols`] reference graph X1 consumes).
+/// Each file is read once into a `FileCtx` by [`scan_file`]; the
+/// workspace-wide joins (E1's must-use callees, the X1 reference graph,
+/// T1's call graph, the ratchets) run after the sweep.
 pub fn run_lint(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let mut per_crate_idents: std::collections::BTreeMap<
@@ -796,6 +788,9 @@ pub fn run_lint(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport>
     let mut must_use: BTreeSet<String> = BTreeSet::new();
     let mut discards: Vec<rules::Discard> = Vec::new();
     let mut cg_fns: Vec<callgraph::FnDecl> = Vec::new();
+    let (specs, spec_findings) = schema::load_specs(root)?;
+    report.findings.extend(spec_findings);
+    let mut swept: BTreeSet<String> = BTreeSet::new();
 
     for target in workspace_targets(root)? {
         let mut crate_casts = 0usize;
@@ -814,20 +809,11 @@ pub fn run_lint(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport>
                 .unwrap_or(&file)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let scan = scan_file(&rel, &text, target.sim_scope, target.engine_scope);
+            let scan = scan_file(&target, &rel, &text, &specs);
             report.findings.extend(scan.findings);
             crate_casts += scan.n1_sites.len();
             report.n1_sites.extend(scan.n1_sites);
-
-            let prefix = module_prefix(&target.name, &rel);
-            let ss = rules::scan_structure(
-                &rel,
-                &text,
-                &prefix,
-                target.sim_scope,
-                target.engine_scope,
-            );
-            report.findings.extend(ss.findings);
+            let ss = scan.structure;
             for (path, n) in ss.p2 {
                 *report.p2_counts.entry(path).or_insert(0) += n;
             }
@@ -839,16 +825,8 @@ pub fn run_lint(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport>
             }
             must_use.extend(ss.must_use_fns);
             discards.extend(ss.discards);
-            // T1 input: every crate contributes call-graph nodes — a
-            // source in an analysis-side crate taints whatever sim code
-            // calls it, even though only sim-scope fns hold sinks.
-            cg_fns.extend(callgraph::harvest_file(
-                &rel,
-                &text,
-                &prefix,
-                &target.name,
-                target.sim_scope,
-            ));
+            cg_fns.extend(scan.fns);
+            swept.insert(rel);
             report.files_scanned += 1;
         }
         if target.sim_scope {
@@ -898,10 +876,8 @@ pub fn run_lint(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport>
     report.t1_paths = t1_paths;
     report.t1_counts = t1_counts;
 
-    // S1: frozen output schemas against their golden specs.
-    let (specs, spec_findings) = schema::load_specs(root)?;
-    report.findings.extend(spec_findings);
-    report.findings.extend(schema::check_schemas(root, &specs));
+    // S1 for spec'd and guarded files outside the sweep.
+    report.findings.extend(schema::check_unswept(root, &specs, &swept));
 
     // P2 + N1 + X1 + T1 ratchets.
     let (p2, mut notes) = check_p2_baseline(baseline, &report.p2_counts);
@@ -943,16 +919,27 @@ pub fn run_lint(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport>
 mod tests {
     use super::*;
 
+    fn scan(text: &str, sim_scope: bool, engine_scope: bool) -> FileScan {
+        let target = CrateTarget {
+            name: "t".into(),
+            dir: "t".into(),
+            src_dir: PathBuf::new(),
+            sim_scope,
+            engine_scope,
+        };
+        scan_file(&target, "test.rs", text, &[])
+    }
+
     fn findings(text: &str, sim: bool) -> Vec<Rule> {
-        scan_file("test.rs", text, sim, false).findings.iter().map(|f| f.rule).collect()
+        scan(text, sim, false).findings.iter().map(|f| f.rule).collect()
     }
 
     fn engine_findings(text: &str) -> Vec<Rule> {
-        scan_file("test.rs", text, true, true).findings.iter().map(|f| f.rule).collect()
+        scan(text, true, true).findings.iter().map(|f| f.rule).collect()
     }
 
     fn n1_count(text: &str) -> usize {
-        scan_file("test.rs", text, true, false).n1_sites.len()
+        scan(text, true, false).n1_sites.len()
     }
 
     #[test]
@@ -1016,9 +1003,41 @@ mod tests {
                    }\n\
                    fn after() { let m = std::collections::HashMap::<u8, u8>::new(); }\n";
         // Only the HashMap *after* the test module fires.
-        let scan = scan_file("test.rs", src, true, false);
+        let scan = scan(src, true, false);
         assert_eq!(scan.findings.len(), 1);
         assert_eq!(scan.findings[0].line, 7);
+    }
+
+    #[test]
+    fn braceless_cfg_test_items_are_test_code_and_end_at_their_semicolon() {
+        // The gated `use` is test-only on its own line and the next one;
+        // the struct after its `;` is live code again.
+        let src = "#[cfg(test)] use std::collections::HashMap;\n\
+                   #[cfg(test)]\n\
+                   use std::collections::HashSet;\n\
+                   struct S { m: HashMap<u32, u32> }\n";
+        let scan = scan(src, true, false);
+        let lines: Vec<usize> = scan.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![4], "{:?}", scan.findings);
+    }
+
+    #[test]
+    fn test_gated_items_and_blocks_in_fn_bodies_are_test_code() {
+        let src = "pub fn outer() -> usize {\n\
+                       #[cfg(test)]\n\
+                       fn helper() -> usize {\n\
+                           let m: std::collections::HashMap<u8, u8> = Default::default();\n\
+                           m.len()\n\
+                       }\n\
+                       #[cfg(test)]\n\
+                       {\n\
+                           let probe: HashSet<u8> = HashSet::new();\n\
+                       }\n\
+                       let late: HashSet<u8> = HashSet::new();\n\
+                       late.len()\n\
+                   }\n";
+        let lines: Vec<usize> = scan(src, true, false).findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![11]);
     }
 
     #[test]
@@ -1132,9 +1151,9 @@ mod tests {
                    fn h(n: usize) -> usize { n }\n";
         assert_eq!(n1_count(src), 2);
         // Outside sim scope nothing is counted.
-        assert!(scan_file("t.rs", src, false, false).n1_sites.is_empty());
+        assert!(scan(src, false, false).n1_sites.is_empty());
         // Cast sites carry the spelled-out target type.
-        let sites = scan_file("t.rs", src, true, false).n1_sites;
+        let sites = scan(src, true, false).n1_sites;
         assert_eq!(sites[0].cast, "as u32");
         assert_eq!(sites[0].line, 1);
         assert_eq!(sites[1].cast, "as u64");
@@ -1216,7 +1235,7 @@ mod tests {
         // and the stray `}` inside it must not unbalance test tracking.
         let src = "static DOC: &str = \"\n   HashMap iteration }\n   Instant::now()\n\";\n\
                    fn real() { let m: HashMap<u8, u8> = HashMap::new(); }\n";
-        let scan = scan_file("test.rs", src, true, true);
+        let scan = scan(src, true, true);
         let d2: Vec<usize> = scan
             .findings
             .iter()

@@ -73,7 +73,8 @@ pub const RULE_META: &[RuleMeta] = &[
         why: "holding an Instant in engine state is already a time-domain leak even \
               before anyone calls .elapsed()",
         looks_for: "std::time:: paths, Instant, SystemTime, .elapsed( in non-test \
-                    engine-crate code (lines D1 already reported are not repeated)",
+                    engine-crate code (lines D1 already reported are not repeated; T1 \
+                    does not repeat a read on a line D5 reported)",
         hatch: "none — telemetry goes through the sim-time titan-obs API",
         sources: "",
         sinks: "",

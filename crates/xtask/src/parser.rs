@@ -6,8 +6,10 @@
 //! "is this draw inside a comparator closure", or "is this `pub` item
 //! ever referenced". Those questions need structure, so this module
 //! turns the token stream into an **item tree**: modules, functions,
-//! impl blocks, traits, type definitions, and closures, each with an
-//! exact byte span.
+//! impl blocks, traits, type definitions, closures, and the test-gated
+//! statements inside function bodies, each with an exact byte span.
+//! Its `cfg_test` flags are where every rule learns which code is
+//! test code.
 //!
 //! Design constraints, inherited from the lexer:
 //!
@@ -48,6 +50,9 @@ pub enum ItemKind {
     MacroDef,
     /// A closure inside a function body.
     Closure,
+    /// A test-gated statement or item inside a function body;
+    /// recorded so its lines count as test code.
+    Stmt,
 }
 
 /// One node of the item tree.
@@ -430,15 +435,18 @@ impl<'a> Parser<'a> {
     }
 
     /// True when the attribute group starting at `open` (the `[`)
-    /// marks test-only code: `#[test]`, `#[cfg(test)]`, or any
-    /// `#[cfg(...)]` mentioning `test`.
+    /// marks test-only code: `#[test]`, `#[cfg(test)]`, or a
+    /// `#[cfg(...)]` requiring `test` — one that mentions it with no
+    /// `not` or `any`, which could let the item into a non-test build.
     fn attr_is_test(&self, open: usize, after: usize) -> bool {
         let inner: Vec<&str> = (open + 1..after.saturating_sub(1))
             .map(|k| self.text(k))
             .collect();
         match inner.first() {
             Some(&"test") if inner.len() == 1 => true,
-            Some(&"cfg") => inner.iter().any(|t| *t == "test"),
+            Some(&"cfg") => {
+                inner.contains(&"test") && !inner.iter().any(|t| matches!(*t, "not" | "any"))
+            }
             _ => false,
         }
     }
@@ -559,9 +567,11 @@ impl<'a> Parser<'a> {
         last
     }
 
-    /// Scans a function body for closures. `|` is a closure head when
-    /// the previous code token cannot end an expression (so `a | b`
-    /// stays bitwise-or), or when it follows `move`/`return`.
+    /// Scans a function body for closures, and for test-gated
+    /// statements so that their lines count as test code. `|` is a
+    /// closure head when the previous code token cannot end an
+    /// expression (so `a | b` stays bitwise-or), or when it follows
+    /// `move`/`return`.
     fn closures(&self, lo: usize, hi: usize, in_test: bool) -> Vec<Item> {
         let mut out = Vec::new();
         // For each currently-open paren, the call identifier before it
@@ -587,6 +597,13 @@ impl<'a> Parser<'a> {
                     calls.pop();
                     i += 1;
                 }
+                "#" => match self.test_stmt(i, hi) {
+                    Some(Parsed { next, node: Some(node) }) => {
+                        out.push(node);
+                        i = next;
+                    }
+                    _ => i += 1,
+                },
                 "|" if self.closure_head(lo, i) => {
                     let ctx = calls.last().cloned().flatten();
                     if let Some(item) = self.closure(i, hi, ctx, in_test) {
@@ -603,6 +620,59 @@ impl<'a> Parser<'a> {
             }
         }
         out
+    }
+
+    /// The statement or item at `start` when its outer attributes mark
+    /// it test-only (see [`Self::attr_is_test`]). It runs through its
+    /// first top-level `;` or `,`, or through its first top-level
+    /// `{ ... }` block, and stops before an unmatched closer.
+    fn test_stmt(&self, start: usize, hi: usize) -> Option<Parsed> {
+        let mut i = start;
+        let mut test = false;
+        while self.text(i) == "#" && self.text(i + 1) == "[" {
+            let after = self.skip_group(i + 1, hi);
+            test |= self.attr_is_test(i + 1, after);
+            i = after;
+        }
+        if !test || i >= hi {
+            return None;
+        }
+        let mut next = i;
+        while next < hi {
+            match self.text(next) {
+                ";" | "," => {
+                    next += 1;
+                    break;
+                }
+                "{" => {
+                    next = self.skip_group(next, hi);
+                    break;
+                }
+                "(" | "[" => next = self.skip_group(next, hi),
+                ")" | "]" | "}" => break,
+                _ => next += 1,
+            }
+        }
+        if next == i {
+            return None;
+        }
+        Some(Parsed {
+            next,
+            node: Some(Item {
+                kind: ItemKind::Stmt,
+                name: String::new(),
+                vis_pub: false,
+                cfg_test: true,
+                must_use: false,
+                start: self.code[start].start,
+                end: self.code[next - 1].end,
+                body: None,
+                line: self.code[i].line,
+                ctx: None,
+                trait_of: None,
+                children: self.closures(i, next, true),
+            }),
+        })
     }
 
     /// True when the `|` at `i` starts a closure rather than a binary
@@ -736,6 +806,44 @@ mod tests {
         assert!(tests.children[0].cfg_test, "children inherit cfg(test)");
         // The attribute is part of the span.
         assert!(src[tests.start..tests.end].starts_with("#[cfg(test)]"));
+    }
+
+    #[test]
+    fn test_gated_statements_inside_fn_bodies_are_children() {
+        let src = "fn outer(v: &mut Vec<u32>) -> u32 {\n\
+                       #[inline]\n    fn plain() {}\n\
+                       #[cfg(test)]\n    fn helper(v: &mut Vec<u32>) { v.retain(|x| *x > 1); }\n\
+                       #[cfg(test)]\n    { check(|x| x > 1); }\n\
+                       #[cfg(test)]\n    let probe = [1, 2];\n\
+                       match v.len() { #[cfg(test)] 0 => 1, n => n as u32 }\n\
+                   }\n";
+        let items = parse_str(src);
+        let kids = &items[0].children;
+        let got: Vec<(ItemKind, &str)> =
+            kids.iter().map(|k| (k.kind, &src[k.start..k.end])).collect();
+        assert_eq!(
+            got,
+            vec![
+                (
+                    ItemKind::Stmt,
+                    "#[cfg(test)]\n    fn helper(v: &mut Vec<u32>) { v.retain(|x| *x > 1); }"
+                ),
+                (ItemKind::Stmt, "#[cfg(test)]\n    { check(|x| x > 1); }"),
+                (ItemKind::Stmt, "#[cfg(test)]\n    let probe = [1, 2];"),
+                (ItemKind::Stmt, "#[cfg(test)] 0 => 1,"),
+            ]
+        );
+        assert!(kids.iter().all(|k| k.cfg_test));
+        assert_eq!(kids[0].children[0].ctx.as_deref(), Some("retain"));
+    }
+
+    #[test]
+    fn only_cfgs_requiring_test_mark_test_code() {
+        let src = "#[cfg(all(test, unix))]\nfn a() {}\n\
+                   #[cfg(not(test))]\nfn b() {}\n\
+                   #[cfg(any(test, feature = \"x\"))]\nfn c() {}\n";
+        let gated: Vec<bool> = parse_str(src).iter().map(|it| it.cfg_test).collect();
+        assert_eq!(gated, vec![true, false, false]);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{lex, Tok, TokKind};
-use crate::parser::{self, Item, ItemKind};
+use crate::lexer::{text_at, Tok, TokKind, KEYWORDS};
+use crate::parser::{Item, ItemKind};
 use crate::symbols::PubItem;
-use crate::{hatch_lines, Finding, HatchLine, Rule};
+use crate::{join, FileCtx, Finding, Rule};
 
 /// Calls whose closure argument runs in an order/count the replay
 /// contract does not pin: comparator-driven sorts/searches, retain and
@@ -44,16 +44,6 @@ pub const UNSTABLE_CTX: &[&str] = &[
 /// wrappers): any of these advances a seeded stream.
 pub const DRAW_METHODS: &[&str] = &[
     "fill_bytes", "gen", "gen_bool", "gen_range", "next_u32", "next_u64", "sample",
-];
-
-/// Keywords that cannot be the *base* of an index expression — a `[`
-/// after one of these opens a slice pattern, an array type, or an
-/// array literal, not an indexing site.
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "do", "dyn", "else",
-    "enum", "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "type", "unsafe",
-    "use", "where", "while", "yield",
 ];
 
 /// A statement-position call whose result is discarded (`foo(x);`,
@@ -99,79 +89,45 @@ struct Region {
 
 /// Runs the structural rules over one file. `module_prefix` is the
 /// [`crate::module_prefix`] of the file; inline `mod`s extend it.
-pub fn scan_structure(
-    rel: &str,
-    src: &str,
+pub(crate) fn scan_structure(
+    ctx: &FileCtx,
     module_prefix: &str,
     sim_scope: bool,
     engine_scope: bool,
 ) -> StructScan {
-    let toks = lex(src);
-    let code: Vec<Tok> = toks.iter().filter(|t| !t.kind.is_trivia()).copied().collect();
-    let items = parser::parse(src, &toks);
-    let hatches = hatch_lines(src, &toks);
     let mut out = StructScan::default();
 
     // Symbol harvest: identifier counts, pub items, must_use APIs.
-    for t in &code {
+    for t in &ctx.code {
         if t.kind == TokKind::Ident {
-            *out.ident_counts.entry(t.text(src).to_string()).or_insert(0) += 1;
+            *out.ident_counts.entry(t.text(ctx.src).to_string()).or_insert(0) += 1;
         }
     }
     let mut regions = Vec::new();
-    harvest(
-        &items,
-        module_prefix,
-        rel,
-        src,
-        &code,
-        &hatches,
-        sim_scope,
-        &mut regions,
-        &mut out,
-    );
+    harvest(ctx, &ctx.items, module_prefix, sim_scope, &mut regions, &mut out);
 
     // P2: panic-surface sites attributed to their innermost region.
-    scan_p2(src, &code, &regions, &hatches, &mut out.p2);
+    scan_p2(ctx, &regions, &mut out.p2);
 
     // E1 legs (a), (b), and discard candidates for leg (c).
     if sim_scope {
-        scan_e1(rel, src, &code, &regions, &hatches, &mut out);
+        scan_e1(ctx, &regions, &mut out);
     }
 
     // D6: draws in unstable-evaluation-order positions.
     if engine_scope {
-        scan_d6(rel, src, &code, &items, &hatches, &mut out.findings);
+        scan_d6(ctx, &mut out.findings);
     }
 
     out
 }
 
-fn allow(hatches: &[HatchLine], line: usize, rule: &str) -> bool {
-    line >= 1
-        && hatches
-            .get(line - 1)
-            .is_some_and(|h| h.allows.iter().any(|r| r == rule))
-}
-
-fn join(prefix: &str, name: &str) -> String {
-    if name.is_empty() {
-        prefix.to_string()
-    } else {
-        format!("{prefix}::{name}")
-    }
-}
-
 /// Walks the item tree once collecting P2 regions, X1 pub items, and
 /// `#[must_use]` API names.
-#[allow(clippy::too_many_arguments)]
 fn harvest(
+    ctx: &FileCtx,
     items: &[Item],
     prefix: &str,
-    rel: &str,
-    src: &str,
-    code: &[Tok],
-    hatches: &[HatchLine],
     sim_scope: bool,
     regions: &mut Vec<Region>,
     out: &mut StructScan,
@@ -196,19 +152,15 @@ fn harvest(
             && x1_kind
             && !it.name.is_empty()
             && it.name != "main"
-            && !allow(hatches, it.line, "X1")
+            && !ctx.allowed(it.line, "X1")
         {
-            let self_refs = code
+            let self_refs = ctx
+                .span(it.start, it.end)
                 .iter()
-                .filter(|t| {
-                    t.kind == TokKind::Ident
-                        && t.start >= it.start
-                        && t.end <= it.end
-                        && t.text(src) == it.name
-                })
+                .filter(|t| t.kind == TokKind::Ident && t.text(ctx.src) == it.name)
                 .count();
             out.pub_items.push(PubItem {
-                file: rel.to_string(),
+                file: ctx.rel.to_string(),
                 line: it.line,
                 path: join(prefix, &it.name),
                 name: it.name.clone(),
@@ -230,18 +182,7 @@ fn harvest(
                 // lie inside this region and attribute to it.
             }
             ItemKind::Module | ItemKind::Impl | ItemKind::Trait => {
-                let nested = join(prefix, &it.name);
-                harvest(
-                    &it.children,
-                    &nested,
-                    rel,
-                    src,
-                    code,
-                    hatches,
-                    sim_scope,
-                    regions,
-                    out,
-                );
+                harvest(ctx, &it.children, &join(prefix, &it.name), sim_scope, regions, out);
             }
             _ => {}
         }
@@ -256,14 +197,9 @@ fn region_at<'a>(regions: &'a [Region], pos: usize) -> Option<&'a Region> {
 
 /// Counts P2 sites: `.unwrap()`, `.expect(`, `panic!`, and indexing
 /// (`expr[...]` — a `[` whose base is an identifier, `)`, or `]`).
-fn scan_p2(
-    src: &str,
-    code: &[Tok],
-    regions: &[Region],
-    hatches: &[HatchLine],
-    p2: &mut BTreeMap<String, usize>,
-) {
-    let text = |i: usize| -> &str { code.get(i).map(|t| t.text(src)).unwrap_or("") };
+fn scan_p2(ctx: &FileCtx, regions: &[Region], p2: &mut BTreeMap<String, usize>) {
+    let (src, code) = (ctx.src, &ctx.code);
+    let text = |i: usize| text_at(src, code, i);
     let mut i = 0;
     while i < code.len() {
         let t = &code[i];
@@ -284,7 +220,7 @@ fn scan_p2(
         };
         match advance {
             Some(adv) => {
-                if !allow(hatches, t.line, "P2") {
+                if !ctx.allowed(t.line, "P2") {
                     if let Some(r) = region_at(regions, t.start) {
                         if !r.cfg_test {
                             *p2.entry(r.path.clone()).or_insert(0) += 1;
@@ -302,7 +238,7 @@ fn scan_p2(
 /// expression rather than a slice pattern / array type / literal.
 fn is_index_base(src: &str, prev: &Tok) -> bool {
     match prev.kind {
-        TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text(src)),
+        TokKind::Ident => !KEYWORDS.contains(&prev.text(src)),
         TokKind::Punct => matches!(prev.text(src), ")" | "]"),
         _ => false,
     }
@@ -310,15 +246,9 @@ fn is_index_base(src: &str, prev: &Tok) -> bool {
 
 /// E1 legs (a) `let _ = expr;` and (b) bare `.ok();`, plus the
 /// discarded-call candidates for leg (c).
-fn scan_e1(
-    rel: &str,
-    src: &str,
-    code: &[Tok],
-    regions: &[Region],
-    hatches: &[HatchLine],
-    out: &mut StructScan,
-) {
-    let text = |i: usize| -> &str { code.get(i).map(|t| t.text(src)).unwrap_or("") };
+fn scan_e1(ctx: &FileCtx, regions: &[Region], out: &mut StructScan) {
+    let (rel, src, code) = (ctx.rel, ctx.src, &ctx.code);
+    let text = |i: usize| text_at(src, code, i);
     let in_live_region =
         |pos: usize| region_at(regions, pos).is_some_and(|r| !r.cfg_test);
 
@@ -334,7 +264,7 @@ fn scan_e1(
             && text(i + 2) == "="
         {
             let fmt_write = matches!(text(i + 3), "write" | "writeln") && text(i + 4) == "!";
-            if !fmt_write && in_live_region(t.start) && !allow(hatches, t.line, "E1") {
+            if !fmt_write && in_live_region(t.start) && !ctx.allowed(t.line, "E1") {
                 out.findings.push(Finding {
                     file: rel.to_string(),
                     line: t.line,
@@ -356,7 +286,7 @@ fn scan_e1(
             && text(i + 4) == ";"
             && statement_discards(src, code, i)
             && in_live_region(t.start)
-            && !allow(hatches, t.line, "E1")
+            && !ctx.allowed(t.line, "E1")
         {
             out.findings.push(Finding {
                 file: rel.to_string(),
@@ -376,7 +306,7 @@ fn scan_e1(
             if let Some((name_idx, name)) = call_name(src, code, i - 1) {
                 if statement_discards(src, code, name_idx)
                     && in_live_region(code[name_idx].start)
-                    && !allow(hatches, code[name_idx].line, "E1")
+                    && !ctx.allowed(code[name_idx].line, "E1")
                 {
                     out.discards.push(Discard {
                         file: rel.to_string(),
@@ -412,7 +342,7 @@ fn call_name(src: &str, code: &[Tok], close: usize) -> Option<(usize, String)> {
     }
     let name_idx = j.checked_sub(1)?;
     let t = code.get(name_idx)?;
-    if t.kind == TokKind::Ident && !NON_INDEX_KEYWORDS.contains(&t.text(src)) {
+    if t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text(src)) {
         Some((name_idx, t.text(src).to_string()))
     } else {
         None
@@ -460,33 +390,28 @@ fn statement_discards(src: &str, code: &[Tok], from: usize) -> bool {
 /// D6: seeded-stream draws inside comparator/retain closures and
 /// `Drop` impls, where evaluation order/count is not part of the
 /// replay contract.
-fn scan_d6(
-    rel: &str,
-    src: &str,
-    code: &[Tok],
-    items: &[Item],
-    hatches: &[HatchLine],
-    findings: &mut Vec<Finding>,
-) {
+fn scan_d6(ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    let src = ctx.src;
     let mut spans: Vec<(usize, usize, String)> = Vec::new();
-    collect_d6_spans(items, &mut spans);
+    collect_d6_spans(&ctx.items, &mut spans);
     let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
+    let code = &ctx.code;
     for (lo, hi, what) in &spans {
-        let mut k = 0;
-        while k + 1 < code.len() {
+        // A draw starts inside the span; its lookahead may run past it.
+        let first = code.partition_point(|t| t.start < *lo);
+        let end = first + ctx.span(*lo, *hi).len();
+        for k in first..end.min(code.len().saturating_sub(1)) {
             let t = &code[k];
-            if t.start >= *lo
-                && t.end <= *hi
-                && t.text(src) == "."
+            if t.text(src) == "."
                 && code[k + 1].kind == TokKind::Ident
                 && DRAW_METHODS.contains(&code[k + 1].text(src))
-                && matches!(code.get(k + 2).map(|n| n.text(src)), Some("(") | Some(":"))
+                && matches!(text_at(src, code, k + 2), "(" | ":")
             {
                 let method = code[k + 1].text(src).to_string();
                 let line = t.line;
-                if !allow(hatches, line, "D6") && seen.insert((line, method.clone())) {
+                if !ctx.allowed(line, "D6") && seen.insert((line, method.clone())) {
                     findings.push(Finding {
-                        file: rel.to_string(),
+                        file: ctx.rel.to_string(),
                         line,
                         rule: Rule::D6,
                         message: format!(
@@ -500,9 +425,6 @@ fn scan_d6(
                             .to_string(),
                     });
                 }
-                k += 2;
-            } else {
-                k += 1;
             }
         }
     }
@@ -537,8 +459,12 @@ fn collect_d6_spans(items: &[Item], out: &mut Vec<(usize, usize, String)>) {
 mod tests {
     use super::*;
 
+    fn structure(rel: &str, src: &str, prefix: &str, sim: bool, engine: bool) -> StructScan {
+        scan_structure(&FileCtx::new(rel, src), prefix, sim, engine)
+    }
+
     fn scan(src: &str) -> StructScan {
-        scan_structure("crates/simulator/src/engine.rs", src, "titan_sim::engine", true, true)
+        structure("crates/simulator/src/engine.rs", src, "titan_sim::engine", true, true)
     }
 
     fn rules_of(scan: &StructScan) -> Vec<Rule> {
@@ -640,7 +566,7 @@ mod tests {
     fn e1_is_sim_scope_only_and_respects_tests_and_hatches() {
         let src = "fn f(r: Result<u32, u8>) { let _ = r; }\n";
         let outside =
-            scan_structure("crates/stats/src/lib.rs", src, "titan_stats", false, false);
+            structure("crates/stats/src/lib.rs", src, "titan_stats", false, false);
         assert!(outside.findings.is_empty());
 
         let test_mod = "#[cfg(test)]\nmod tests {\n    fn t(r: Result<u8, u8>) { let _ = r; }\n}\n";
@@ -692,7 +618,7 @@ mod tests {
                         v.retain(|_| rng.gen_bool(0.5));\n\
                     }\n";
         let outside =
-            scan_structure("crates/stats/src/lib.rs", bare, "titan_stats", false, false);
+            structure("crates/stats/src/lib.rs", bare, "titan_stats", false, false);
         assert!(outside.findings.is_empty(), "stats is not engine scope");
     }
 

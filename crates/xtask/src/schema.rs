@@ -12,17 +12,18 @@
 //!
 //! Each schema has a golden spec committed under `crates/xtask/schemas/`
 //! (a tiny TOML: schema string, defining file, struct name, ordered
-//! top-level field list). S1 lexes the defining file and checks that
+//! top-level field list). S1 reads the defining file and checks that
 //! (a) the schema version string literal still appears, (b) the struct
 //! still declares exactly the spec'd fields in order, and (c) no *new*
 //! `titan-*/N` version literal exists in a guarded file without a spec
 //! — so bumping a schema version forces committing a new golden spec in
 //! the same change.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
-use crate::lexer::{lex, Tok, TokKind};
-use crate::{Finding, Rule};
+use crate::lexer::{Tok, TokKind};
+use crate::{FileCtx, Finding, Rule};
 
 /// Files whose `titan-*/N` string literals must all be spec'd. Schema
 /// strings are only ever *minted* in these files; everywhere else they
@@ -244,32 +245,18 @@ pub fn is_schema_literal(body: &str) -> bool {
         && ver.chars().all(|c| c.is_ascii_digit())
 }
 
-/// Runs the S1 check over a workspace root with pre-loaded specs.
-pub fn check_schemas(root: &Path, specs: &[SchemaSpec]) -> Vec<Finding> {
+/// S1 over one swept file: (a) and (b) for every spec whose struct it
+/// defines, and (c) when it is a guarded file.
+pub(crate) fn check_file(ctx: &FileCtx, specs: &[SchemaSpec]) -> Vec<Finding> {
+    let (src, code) = (ctx.src, &ctx.code);
     let mut findings = Vec::new();
 
-    for spec in specs {
-        let path = root.join(&spec.file);
-        let Ok(src) = std::fs::read_to_string(&path) else {
-            findings.push(Finding {
-                file: spec.spec_path.clone(),
-                line: 0,
-                rule: Rule::S1,
-                message: format!(
-                    "golden spec for `{}` points at missing file `{}`",
-                    spec.schema, spec.file
-                ),
-                hint: "update the spec's `file` to the struct's new home".to_string(),
-            });
-            continue;
-        };
-        let toks = lex(&src);
-
+    for spec in specs.iter().filter(|s| s.file == ctx.rel) {
         // (a) The frozen version string must still be minted there.
         let needle = format!("\"{}\"", spec.schema);
-        let lit = toks
+        let lit = code
             .iter()
-            .find(|t| t.kind == TokKind::Str && t.text(&src) == needle);
+            .find(|t| t.kind == TokKind::Str && t.text(src) == needle);
         if lit.is_none() {
             findings.push(Finding {
                 file: spec.file.clone(),
@@ -289,7 +276,7 @@ pub fn check_schemas(root: &Path, specs: &[SchemaSpec]) -> Vec<Finding> {
         }
 
         // (b) The document struct's top-level fields must match, in order.
-        match struct_fields(&src, &toks, &spec.strukt) {
+        match struct_fields(src, code, &spec.strukt) {
             None => findings.push(Finding {
                 file: spec.file.clone(),
                 line: 0,
@@ -324,19 +311,12 @@ pub fn check_schemas(root: &Path, specs: &[SchemaSpec]) -> Vec<Finding> {
     }
 
     // (c) Every minted `titan-*/N` literal in a guarded file needs a spec.
-    for rel in S1_FILES {
-        let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
-            continue; // synthetic test workspaces don't carry these files
-        };
-        for t in lex(&src) {
-            if t.kind != TokKind::Str {
-                continue;
-            }
-            let text = t.text(&src);
-            let body = text.trim_matches('"');
+    if S1_FILES.contains(&ctx.rel) {
+        for t in code.iter().filter(|t| t.kind == TokKind::Str) {
+            let body = t.text(src).trim_matches('"');
             if is_schema_literal(body) && !specs.iter().any(|s| s.schema == body) {
                 findings.push(Finding {
-                    file: rel.to_string(),
+                    file: ctx.rel.to_string(),
                     line: t.line,
                     rule: Rule::S1,
                     message: format!("schema version \"{body}\" has no golden spec"),
@@ -350,9 +330,48 @@ pub fn check_schemas(root: &Path, specs: &[SchemaSpec]) -> Vec<Finding> {
     findings
 }
 
+/// S1 over the spec'd and guarded files the sweep did not visit: a
+/// spec naming a missing file is a finding, a missing guarded file is
+/// skipped (synthetic test workspaces don't carry these files), and any
+/// other file is read and checked like a swept one.
+pub(crate) fn check_unswept(
+    root: &Path,
+    specs: &[SchemaSpec],
+    swept: &BTreeSet<String>,
+) -> Vec<Finding> {
+    let unswept: BTreeSet<&str> = specs
+        .iter()
+        .map(|s| s.file.as_str())
+        .chain(S1_FILES.iter().copied())
+        .filter(|f| !swept.contains(*f))
+        .collect();
+    let mut findings = Vec::new();
+    for rel in unswept {
+        match std::fs::read_to_string(root.join(rel)) {
+            Ok(src) => findings.extend(check_file(&FileCtx::new(rel, &src), specs)),
+            Err(_) => {
+                for spec in specs.iter().filter(|s| s.file == rel) {
+                    findings.push(Finding {
+                        file: spec.spec_path.clone(),
+                        line: 0,
+                        rule: Rule::S1,
+                        message: format!(
+                            "golden spec for `{}` points at missing file `{}`",
+                            spec.schema, spec.file
+                        ),
+                        hint: "update the spec's `file` to the struct's new home".to_string(),
+                    });
+                }
+            }
+        }
+    }
+    findings
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
 
     const SPEC: &str = "# golden\nschema = \"titan-obs/1\"\nfile = \"crates/obs/src/export.rs\"\n\
                         struct = \"MetricsDoc\"\nfields = [\n  \"schema\",\n  \"seed\",\n]\n";

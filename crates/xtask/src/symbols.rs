@@ -22,7 +22,7 @@ use crate::layering::CrateManifest;
 use crate::lexer::{lex, TokKind};
 
 /// One `pub` item eligible for dead-code analysis, harvested by
-/// [`crate::rules::scan_structure`].
+/// [`crate::scan_file`].
 #[derive(Debug, Clone)]
 pub struct PubItem {
     /// Workspace-relative file path of the definition.

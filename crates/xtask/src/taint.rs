@@ -18,15 +18,16 @@
 //! ever improve in that well-founded order, so the loop terminates;
 //! the pass bound is the classic Bellman–Ford `n` rounds.
 //!
-//! Site-level overlap: D1/D2/D5 already flag wall-clock, entropy, and
-//! hash containers *inside* sim/engine scope, so T1 reports those
-//! kinds only when laundered across a call boundary. Env reads,
-//! thread-width queries, and pointer-address casts have no site rule
-//! and are reported intra-function too.
+//! Site-level overlap: a read on a line a site rule (D1/D2/D4/D5)
+//! already reported is not reported again inside its own function (one
+//! defect, one finding); it still taints every caller. Any other read
+//! — an `.elapsed()` in `core`, which D5 does not cover, or an
+//! iteration of a `sorted-iter`-hatched map — is reported
+//! intra-function too.
 
 use std::collections::BTreeMap;
 
-use crate::callgraph::{FnDecl, SinkKind, SourceKind};
+use crate::callgraph::{FnDecl, SinkKind, SourceKind, TaintSource};
 use crate::layering::CrateManifest;
 use crate::symbols::{self, Callable, CallableIndex};
 
@@ -210,11 +211,9 @@ pub fn analyze(
             .iter()
             .min_by_key(|s| (s.line, s.kind))
             .expect("non-empty");
-        let emit = |paths: &mut Vec<T1Path>, chain: &Chain, anchor: usize| {
-            let (src_fn, src_line) = chain[0];
-            let Some(s) = best_source[src_fn] else { return };
-            let src = &fns[src_fn].sources[s];
-            debug_assert_eq!(src.line, src_line);
+        // A path from `src`, read in the chain's first fn.
+        let emit = |paths: &mut Vec<T1Path>, chain: &[(usize, usize)], anchor, src: &TaintSource| {
+            let src_fn = chain[0].0;
             let mut steps: Vec<T1Step> = chain
                 .iter()
                 .map(|&(k, l)| T1Step {
@@ -239,40 +238,15 @@ pub fn analyze(
             });
         };
 
-        // Intra-fn: only the kinds no site rule covers — D1/D2/D5
-        // already police the others inside sim/engine scope.
+        // Intra-fn: one path per source kind, skipping reads whose
+        // line a site rule already reported.
         let mut kinds_done: Vec<SourceKind> = Vec::new();
-        for (s, src) in f.sources.iter().enumerate() {
-            if src.kind.site_rule_covered() || kinds_done.contains(&src.kind) {
+        for src in &f.sources {
+            if src.reported || kinds_done.contains(&src.kind) {
                 continue;
             }
             kinds_done.push(src.kind);
-            // A one-hop chain rooted at this specific source.
-            let chain = vec![(i, src.line)];
-            let (src_fn, _) = chain[0];
-            if best_source[src_fn] == Some(s) {
-                emit(&mut paths, &chain, src.line);
-            } else {
-                // Not the representative source: build the path by hand
-                // so each uncovered kind still gets one witness.
-                let steps = vec![
-                    T1Step { path: f.path.clone(), file: f.file.clone(), line: src.line },
-                    T1Step { path: f.path.clone(), file: f.file.clone(), line: sink.line },
-                ];
-                paths.push(T1Path {
-                    sink_fn: f.path.clone(),
-                    file: f.file.clone(),
-                    line: src.line,
-                    crate_name: f.pkg.clone(),
-                    sink_kind: sink.kind,
-                    sink_line: sink.line,
-                    source_kind: src.kind,
-                    source_desc: src.desc.clone(),
-                    source_file: f.file.clone(),
-                    source_line: src.line,
-                    steps,
-                });
-            }
+            emit(&mut paths, &[(i, src.line)], src.line, src);
         }
 
         // Interprocedural: one path per distinct tainted callee, at its
@@ -283,10 +257,11 @@ pub fn analyze(
                 continue;
             }
             let Some(callee_chain) = &chains[e.callee] else { continue };
+            let Some(s) = best_source[callee_chain[0].0] else { continue };
             callees_done.push(e.callee);
             let mut chain = callee_chain.clone();
             chain.push((i, e.line));
-            emit(&mut paths, &chain, e.line);
+            emit(&mut paths, &chain, e.line, &fns[chain[0].0].sources[s]);
         }
     }
 
@@ -310,8 +285,8 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::harvest_file;
     use crate::layering::parse_manifest;
+    use crate::{scan_file, CrateTarget};
 
     fn manifests() -> Vec<CrateManifest> {
         vec![
@@ -328,12 +303,23 @@ mod tests {
         ]
     }
 
+    fn fns_of(dir: &str, name: &str, sim: bool, src: &str) -> Vec<FnDecl> {
+        let target = CrateTarget {
+            name: name.into(),
+            dir: dir.into(),
+            src_dir: Default::default(),
+            sim_scope: sim,
+            engine_scope: sim,
+        };
+        scan_file(&target, &format!("crates/{dir}/src/lib.rs"), src, &[]).fns
+    }
+
     fn stats_fns(src: &str) -> Vec<FnDecl> {
-        harvest_file("crates/stats/src/lib.rs", src, "fix_stats", "fix-stats", false)
+        fns_of("stats", "fix-stats", false, src)
     }
 
     fn sim_fns(src: &str) -> Vec<FnDecl> {
-        harvest_file("crates/simulator/src/lib.rs", src, "fix_sim", "fix-sim", true)
+        fns_of("simulator", "fix-sim", true, src)
     }
 
     #[test]
@@ -413,8 +399,8 @@ mod tests {
     }
 
     #[test]
-    fn intra_fn_env_read_is_reported_but_covered_kinds_are_not() {
-        // env has no site rule: intra-fn T1. Entropy is D1's job.
+    fn intra_fn_env_read_is_reported_but_site_reported_lines_are_not() {
+        // env has no site rule: intra-fn T1. The entropy line is D1's.
         let fns = sim_fns(
             "pub struct Engine { width: usize, jitter: u64 }\n\
              impl Engine {\n\

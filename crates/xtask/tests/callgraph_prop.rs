@@ -44,14 +44,7 @@ fn harvest() -> &'static Harvest {
                     .unwrap_or(&file)
                     .to_string_lossy()
                     .replace('\\', "/");
-                let prefix = xtask::module_prefix(&target.name, &rel);
-                fns.extend(xtask::callgraph::harvest_file(
-                    &rel,
-                    &text,
-                    &prefix,
-                    &target.name,
-                    target.sim_scope,
-                ));
+                fns.extend(xtask::scan_file(&target, &rel, &text, &[]).fns);
                 let set = idents.entry(rel).or_default();
                 for t in lex(&text) {
                     if t.kind == TokKind::Ident {

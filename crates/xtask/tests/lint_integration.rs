@@ -432,6 +432,41 @@ fn s1_unspecced_schema_literal_and_field_drift_fail() {
     assert_eq!(found[0].0, Rule::S1);
 }
 
+/// Specs naming files the per-file sweep never visits: a missing file
+/// is reported at the spec, and a file outside the crates' `src/` trees
+/// is still read and checked.
+#[test]
+fn s1_checks_spec_files_outside_the_sweep() {
+    let root = scaffold("lint_s1_unswept");
+    mkdirs(&root.join("crates/xtask/schemas"));
+    mkdirs(&root.join("tools"));
+    fs::write(
+        root.join("crates/xtask/schemas/titan-gone-1.toml"),
+        "schema = \"titan-gone/1\"\nfile = \"crates/gone/src/lib.rs\"\nstruct = \"GoneDoc\"\n\
+         fields = [\"schema\"]\n",
+    )
+    .unwrap();
+    fs::write(
+        root.join("crates/xtask/schemas/titan-tool-1.toml"),
+        "schema = \"titan-tool/1\"\nfile = \"tools/doc.rs\"\nstruct = \"ToolDoc\"\n\
+         fields = [\"schema\", \"count\"]\n",
+    )
+    .unwrap();
+    fs::write(
+        root.join("tools/doc.rs"),
+        "const V: &str = \"titan-tool/1\";\nstruct ToolDoc { schema: String, total: u64 }\n",
+    )
+    .unwrap();
+    let found = lint(&root, &Baseline::default());
+    assert_eq!(
+        found,
+        vec![
+            (Rule::S1, "crates/xtask/schemas/titan-gone-1.toml:0".to_string()),
+            (Rule::S1, "tools/doc.rs:1".to_string()),
+        ]
+    );
+}
+
 /// The real tree satisfies the layering contract and the golden
 /// schemas: the committed LAYERS table matches every manifest, and the
 /// frozen document schemas match their specs.
@@ -703,6 +738,56 @@ fn t1_fixture_reports_the_laundering_chain_end_to_end() {
     b.t1.insert("fix-sim".into(), 2);
     let budgeted = run_lint(&fixture("t1"), &b).expect("scan");
     assert!(budgeted.findings.is_empty(), "{:?}", budgeted.findings);
+}
+
+/// A wall-clock reading in `core` (sim scope, not engine scope): D1 has
+/// no `.elapsed(` needle and D5 does not run there, so no site rule
+/// reports the line and T1 must report the intra-fn path itself.
+#[test]
+fn t1_reports_a_core_elapsed_reading_no_site_rule_covers() {
+    let root = scaffold("lint_t1_core_elapsed");
+    mkdirs(&root.join("crates/core/src"));
+    fs::write(root.join("crates/core/Cargo.toml"), "[package]\nname = \"core\"\n").unwrap();
+    fs::write(
+        root.join("crates/core/src/lib.rs"),
+        "pub struct Study { pub took: u64 }\n\
+         impl Study {\n\
+             pub fn finish(&mut self, t0: std::time::Instant) {\n\
+                 self.took = t0.elapsed().as_secs();\n\
+             }\n\
+         }\n",
+    )
+    .unwrap();
+    let report = run_lint(&root, &Baseline::default()).expect("scan");
+    let found: Vec<(Rule, String)> =
+        report.findings.iter().map(|f| (f.rule, format!("{}:{}", f.file, f.line))).collect();
+    assert_eq!(found, vec![(Rule::T1, "crates/core/src/lib.rs:4".to_string())]);
+    assert!(report.findings[0].message.contains("wall-clock read `.elapsed`"));
+}
+
+/// Iterating a `sorted-iter`-hatched map: the hatch silences D2, so no
+/// site rule reports the `.keys()` line and T1 must report it.
+#[test]
+fn t1_reports_iteration_of_a_hatched_hash_map() {
+    let root = scaffold("lint_t1_hatched_keys");
+    fs::write(
+        root.join("crates/simulator/src/order.rs"),
+        "use std::collections::HashMap; // lint: sorted-iter\n\
+         pub struct Order { pub order: Vec<u32> }\n\
+         impl Order {\n\
+             pub fn rebuild(&mut self, by_id: &HashMap<u32, u64>) { // lint: sorted-iter\n\
+                 for k in by_id.keys() {\n\
+                     self.order.push(*k);\n\
+                 }\n\
+             }\n\
+         }\n",
+    )
+    .unwrap();
+    let report = run_lint(&root, &Baseline::default()).expect("scan");
+    let found: Vec<(Rule, String)> =
+        report.findings.iter().map(|f| (f.rule, format!("{}:{}", f.file, f.line))).collect();
+    assert_eq!(found, vec![(Rule::T1, "crates/simulator/src/order.rs:5".to_string())]);
+    assert!(report.findings[0].message.contains("HashMap/HashSet .keys()"));
 }
 
 /// Acceptance criterion: every T1 result in the SARIF log carries a
