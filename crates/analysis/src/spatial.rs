@@ -78,7 +78,7 @@ impl SpatialFiltering {
 /// incidents of opposite parity cancel each other in the summed grid
 /// even though each one stripes perfectly. The paper's observation is
 /// about structure *within* one incident's footprint ("nodes within the
-/// same job [are] allocated in this alternating manner"), so the honest
+/// same job \[are\] allocated in this alternating manner"), so the honest
 /// estimator scores each incident's own footprint and averages.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IncidentStripe {

@@ -16,7 +16,7 @@
 //! tests in `titan-runner`.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -33,7 +33,7 @@ use titan_gpu::pages::{RetireDecision, RetirementCause};
 use titan_gpu::{GpuErrorKind, MemoryStructure, PageAddress};
 use titan_nvsmi::{GpuSnapshot, JobEccDelta};
 use titan_obs::{CostKind, Obs, ObsEvent};
-use titan_topology::{node_to_gpu_index, NodeId, TOTAL_SLOTS};
+use titan_topology::{gpu_index_to_node, node_to_gpu_index, NodeId, TOTAL_SLOTS};
 use titan_workload::{ScheduledJob, WorkloadSchedule};
 
 use crate::config::SimConfig;
@@ -101,12 +101,25 @@ enum Ev {
 }
 
 /// Per-job runtime state.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct JobState {
     started: bool,
     ended: bool,
-    /// Reported per-structure SBE totals per node at job start, in
-    /// `MemoryStructure::ECC_COUNTED` order. Present only while running.
+    /// The nvidia-smi prologue, kept sparse: for each node of the job
+    /// whose reported SBE vector changed while the job held it, the
+    /// vector just before its first such change, in order of first
+    /// change. Every other node still reports what it reported at job
+    /// start. Present only while running.
+    pre_sbe: Option<Vec<(NodeId, [u64; 5])>>,
+    actual_end: SimTime,
+}
+
+/// [`JobState`] as `titan-ckpt/1` carries it: the prologue is the dense
+/// per-node vector list, in allocation order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct JobStateSnapshot {
+    started: bool,
+    ended: bool,
     pre_sbe: Option<Vec<[u64; 5]>>,
     actual_end: SimTime,
 }
@@ -115,28 +128,41 @@ struct JobState {
 /// active set with O(1) membership updates (`active_pos` tracks each
 /// job's index in `active`, so ending a job is a `swap_remove` instead
 /// of an O(active) scan).
+///
+/// The prologue/epilogue SBE delta costs O(counter changes), not
+/// O(allocated nodes): [`Fleet`] notes every change to a reported SBE
+/// vector, and [`JobTable::absorb`] hands each to every job holding the
+/// node before the set of holders next changes.
 #[derive(Debug)]
 struct JobTable {
     state: Vec<JobState>,
     /// Node → running job (NO_JOB when idle).
     node_job: Vec<u32>,
+    /// `(node, job)` for every running job that holds a node whose
+    /// `node_job` entry names another job or none. Job starts run
+    /// before job ends at one second, so a job handed a node at the
+    /// second its previous holder ends shares it until that end.
+    shared: BTreeSet<(u32, u32)>,
     /// Currently running jobs.
     active: Vec<u32>,
     /// Job → index in `active` (NO_JOB when not active).
     active_pos: Vec<u32>,
-    /// Recycled pre-SBE snapshot buffers (one allocation per concurrent
+    /// Recycled `pre_sbe` change lists (one allocation per concurrent
     /// job, reused across the whole run).
-    spare_pre: Vec<Vec<[u64; 5]>>,
+    spare_pre: Vec<Vec<(NodeId, [u64; 5])>>,
+    #[cfg(test)]
+    oracle: DenseOracle,
 }
 
 /// Portable [`JobTable`] state for checkpointing. The recycled
 /// `spare_pre` buffers are captured as a *count* only: their contents
 /// are cleared before every reuse, so only how many exist matters (it
 /// decides the `pre_sbe_reuse_hits` / `pre_sbe_allocs` counter split on
-/// the resumed run).
+/// the resumed run). `shared` is not captured: it follows from `state`,
+/// `node_job` and the schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct JobTableSnapshot {
-    state: Vec<JobState>,
+    state: Vec<JobStateSnapshot>,
     node_job: Vec<u32>,
     active: Vec<u32>,
     active_pos: Vec<u32>,
@@ -148,15 +174,42 @@ impl JobTable {
         JobTable {
             state: vec![JobState::default(); n_jobs],
             node_job: vec![NO_JOB; TOTAL_SLOTS],
+            shared: BTreeSet::new(),
             active: Vec::new(),
             active_pos: vec![NO_JOB; n_jobs],
             spare_pre: Vec::new(),
+            #[cfg(test)]
+            oracle: DenseOracle::default(),
         }
     }
 
-    fn snapshot(&self) -> JobTableSnapshot {
+    /// Captures the table, writing each running job's prologue densely:
+    /// the noted vector for nodes that changed, the current one for the
+    /// rest. Pending fleet changes must have been absorbed.
+    fn snapshot(&self, schedule: &WorkloadSchedule, fleet: &Fleet) -> JobTableSnapshot {
+        let state = self
+            .state
+            .iter()
+            .zip(&schedule.jobs)
+            .map(|(st, job)| JobStateSnapshot {
+                started: st.started,
+                ended: st.ended,
+                pre_sbe: st.pre_sbe.as_ref().map(|changed| {
+                    let first_change: BTreeMap<NodeId, [u64; 5]> =
+                        changed.iter().copied().collect();
+                    job.nodes
+                        .iter()
+                        .map(|n| match first_change.get(n) {
+                            Some(&before) => before,
+                            None => reported_sbe_vector(fleet, *n),
+                        })
+                        .collect()
+                }),
+                actual_end: st.actual_end,
+            })
+            .collect();
         JobTableSnapshot {
-            state: self.state.clone(),
+            state,
             node_job: self.node_job.clone(),
             active: self.active.clone(),
             active_pos: self.active_pos.clone(),
@@ -165,36 +218,96 @@ impl JobTable {
         }
     }
 
-    fn from_snapshot(s: &JobTableSnapshot) -> JobTable {
-        JobTable {
-            state: s.state.clone(),
+    /// Rebuilds the table from `s`: a running job's change list holds
+    /// the nodes whose dense prologue entry differs from what `fleet`
+    /// reports now, and `shared` the nodes it holds that `node_job`
+    /// gives to another job or none.
+    fn from_snapshot(s: &JobTableSnapshot, schedule: &WorkloadSchedule, fleet: &Fleet) -> JobTable {
+        let mut table = JobTable {
+            state: s
+                .state
+                .iter()
+                .map(|st| JobState {
+                    started: st.started,
+                    ended: st.ended,
+                    pre_sbe: None,
+                    actual_end: st.actual_end,
+                })
+                .collect(),
             node_job: s.node_job.clone(),
+            shared: BTreeSet::new(),
             active: s.active.clone(),
             active_pos: s.active_pos.clone(),
             spare_pre: (0..s.spare_pre_len).map(|_| Vec::new()).collect(),
+            #[cfg(test)]
+            oracle: DenseOracle::default(),
+        };
+        for ((j, st), job) in (0u32..).zip(&s.state).zip(&schedule.jobs) {
+            let Some(dense) = &st.pre_sbe else {
+                continue;
+            };
+            for n in &job.nodes {
+                if table.job_at(*n) != Some(j) {
+                    table.shared.insert((n.0, j));
+                }
+            }
+            let changed = job
+                .nodes
+                .iter()
+                .zip(dense)
+                .filter(|&(n, before)| *before != reported_sbe_vector(fleet, *n))
+                .map(|(n, before)| (*n, *before))
+                .collect();
+            if let Some(st) = job_state(&mut table.state, j) {
+                st.pre_sbe = Some(changed);
+            }
+        }
+        table
+    }
+
+    /// Notes each counter change `fleet` saw since the last call for
+    /// every job holding the changed node, keeping the first change per
+    /// job and node. Must run before the set of holders changes.
+    fn absorb(&mut self, fleet: &mut Fleet) {
+        for (slot, before) in fleet.drain_changes() {
+            let node = gpu_index_to_node(slot);
+            let others = self.shared.range((node.0, 0)..=(node.0, NO_JOB));
+            for j in self.job_at(node).into_iter().chain(others.map(|&(_, j)| j)) {
+                let changed = job_state(&mut self.state, j).and_then(|st| st.pre_sbe.as_mut());
+                if let Some(changed) = changed {
+                    if changed.iter().all(|(n, _)| *n != node) {
+                        changed.push((node, before));
+                    }
+                }
+            }
         }
     }
 
-    /// Marks job `j` started: occupies its nodes and snapshots the
-    /// reported SBE counters (the nvidia-smi prologue).
-    fn start(&mut self, j: u32, job: &ScheduledJob, fleet: &Fleet, obs: &mut Obs) {
+    /// Marks job `j` started and occupies its nodes. Reading the nodes'
+    /// SBE counters (the nvidia-smi prologue) is deferred to their first
+    /// change.
+    fn start(&mut self, j: u32, job: &ScheduledJob, fleet: &mut Fleet, obs: &mut Obs) {
+        self.absorb(fleet);
         let spare = self.spare_pre.pop();
         let reused = spare.is_some();
         let mut pre = spare.unwrap_or_default();
-        let Some(st) = self.state.get_mut(j as usize) else {
+        let Some(st) = job_state(&mut self.state, j) else {
             return;
         };
         st.started = true;
         st.actual_end = job.end;
         pre.clear();
-        pre.reserve(job.nodes.len());
+        st.pre_sbe = Some(pre);
         for n in &job.nodes {
             if let Some(slot) = self.node_job.get_mut(n.0 as usize) {
+                if *slot != NO_JOB {
+                    self.shared.insert((n.0, *slot));
+                }
                 *slot = j;
             }
-            pre.push(reported_sbe_vector(fleet, *n));
         }
-        st.pre_sbe = Some(pre);
+        #[cfg(test)]
+        self.oracle.start(j, job, fleet);
         let pos = self.active.len();
         if let Some(p) = self.active_pos.get_mut(j as usize) {
             // lint: allow(N1, active job count is bounded by the schedule length, far below 2^32)
@@ -215,11 +328,12 @@ impl JobTable {
         j: u32,
         t: SimTime,
         schedule: &WorkloadSchedule,
-        fleet: &Fleet,
+        fleet: &mut Fleet,
         out: &mut SimOutput,
         obs: &mut Obs,
     ) {
-        let Some(st) = self.state.get_mut(j as usize) else {
+        self.absorb(fleet);
+        let Some(st) = job_state(&mut self.state, j) else {
             return;
         };
         if !st.started || st.ended {
@@ -234,6 +348,8 @@ impl JobTable {
             if let Some(slot) = self.node_job.get_mut(n.0 as usize) {
                 if *slot == j {
                     *slot = NO_JOB;
+                } else {
+                    self.shared.remove(&(n.0, j));
                 }
             }
         }
@@ -256,12 +372,22 @@ impl JobTable {
             }
         }
 
-        // nvidia-smi epilogue: per-node SBE delta, kept only for nodes
-        // that gained one (see `JobEccDelta`).
-        let pre = st.pre_sbe.take().unwrap_or_default();
+        // nvidia-smi epilogue: per-node SBE delta over the nodes whose
+        // counters changed (every other node's delta is 0), kept only
+        // for nodes that gained one (see `JobEccDelta`), in allocation
+        // order.
+        let mut pre = st.pre_sbe.take().unwrap_or_default();
+        if pre.len() > 1 {
+            let first_change: BTreeMap<NodeId, [u64; 5]> = pre.drain(..).collect();
+            pre.extend(
+                job.nodes
+                    .iter()
+                    .filter_map(|n| first_change.get(n).map(|&before| (*n, before))),
+            );
+        }
         let mut per_node_sbe = Vec::new();
         let mut per_structure_sbe = vec![0u64; 5];
-        for (n, before) in job.nodes.iter().zip(&pre) {
+        for (n, before) in &pre {
             let after = reported_sbe_vector(fleet, *n);
             let mut node_total = 0;
             for ((a, b), ps) in after
@@ -284,11 +410,14 @@ impl JobTable {
             apid: job.spec.apid,
             nodes: job.nodes.len(),
         });
-        out.job_sbe.push(JobEccDelta {
+        let delta = JobEccDelta {
             apid: job.spec.apid,
             per_node_sbe,
             per_structure_sbe,
-        });
+        };
+        #[cfg(test)]
+        self.oracle.check(j, job, fleet, &delta);
+        out.job_sbe.push(delta);
 
         // Job log record with *actual* runtime.
         let wall = t.saturating_sub(job.start);
@@ -322,6 +451,61 @@ impl JobTable {
         self.job_at(node)
             .and_then(|j| schedule.jobs.get(j as usize))
             .map(|job| job.spec.apid)
+    }
+}
+
+/// Job `j`'s runtime state.
+fn job_state(state: &mut [JobState], j: u32) -> Option<&mut JobState> {
+    state.get_mut(j as usize)
+}
+
+/// The nvidia-smi prologue/epilogue read densely: every allocated
+/// node's reported SBE vector at job start and again at job end.
+/// [`JobTable::end`] checks its delta against this one for every job
+/// whose start the oracle saw.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct DenseOracle {
+    pre: BTreeMap<u32, Vec<[u64; 5]>>,
+    /// Deltas checked so far.
+    checked: usize,
+}
+
+#[cfg(test)]
+impl DenseOracle {
+    fn start(&mut self, j: u32, job: &ScheduledJob, fleet: &Fleet) {
+        let pre = job
+            .nodes
+            .iter()
+            .map(|n| reported_sbe_vector(fleet, *n))
+            .collect();
+        self.pre.insert(j, pre);
+    }
+
+    fn check(&mut self, j: u32, job: &ScheduledJob, fleet: &Fleet, delta: &JobEccDelta) {
+        let Some(pre) = self.pre.remove(&j) else {
+            return;
+        };
+        let mut per_node_sbe = Vec::new();
+        let mut per_structure_sbe = vec![0u64; 5];
+        for (n, before) in job.nodes.iter().zip(&pre) {
+            let after = reported_sbe_vector(fleet, *n);
+            let mut node_total = 0;
+            for ((a, b), ps) in after.iter().zip(before).zip(per_structure_sbe.iter_mut()) {
+                let d = a.saturating_sub(*b);
+                node_total += d;
+                *ps += d;
+            }
+            if node_total > 0 {
+                per_node_sbe.push((*n, node_total));
+            }
+        }
+        assert_eq!(delta.per_node_sbe, per_node_sbe, "job {j}: per-node deltas");
+        assert_eq!(
+            delta.per_structure_sbe, per_structure_sbe,
+            "job {j}: per-structure"
+        );
+        self.checked += 1;
     }
 }
 
@@ -552,7 +736,7 @@ impl EngineState {
             // lint: allow(N1, usize to u64 is lossless on 64-bit targets)
             initial_payload_len: self.initial_payload_len as u64,
             fleet: self.fleet.snapshot(),
-            jobs: self.jobs.snapshot(),
+            jobs: self.jobs.snapshot(&self.schedule, &self.fleet),
             sim_rng: self.sim_rng.state(),
             cascade_rng: self.cascade_rng.state(),
             spare_rng: self.spare_rng.state(),
@@ -583,7 +767,7 @@ impl EngineState {
         st.queue.payloads.extend(snap.payload_tail.iter().copied());
         st.queue.heap = snap.heap.iter().copied().map(Reverse).collect();
         st.fleet.restore(&snap.fleet);
-        st.jobs = JobTable::from_snapshot(&snap.jobs);
+        st.jobs = JobTable::from_snapshot(&snap.jobs, &st.schedule, &st.fleet);
         st.sim_rng = StdRng::from_state(snap.sim_rng);
         st.cascade_rng = StdRng::from_state(snap.cascade_rng);
         st.spare_rng = StdRng::from_state(snap.spare_rng);
@@ -1002,6 +1186,8 @@ impl EngineState {
                 }
             }
         }
+        // Snapshots read the change lists: leave no change unabsorbed.
+        jobs.absorb(fleet);
         obs.emit(ObsEvent::SliceEnd {
             rng_draws: sim_rng.draws() + cascade_rng.draws() + spare_rng.draws(),
             pushed: queue.payloads.len() - reported,
@@ -1026,7 +1212,7 @@ impl EngineState {
         });
         for j in still_active {
             self.jobs
-                .end(j, window, &self.schedule, &self.fleet, &mut self.out, obs);
+                .end(j, window, &self.schedule, &mut self.fleet, &mut self.out, obs);
         }
         let mut out = self.out;
 
@@ -1107,14 +1293,7 @@ impl Simulator {
 
 /// Reported per-structure SBE vector for the card on `node`.
 fn reported_sbe_vector(fleet: &Fleet, node: NodeId) -> [u64; 5] {
-    let mut v = [0u64; 5];
-    if let Some(slot) = node_to_gpu_index(node) {
-        let card = fleet.card(fleet.card_at_slot(slot));
-        for (slot_v, &s) in v.iter_mut().zip(MemoryStructure::ECC_COUNTED.iter()) {
-            *slot_v = card.inforom.reported_sbe(s);
-        }
-    }
-    v
+    node_to_gpu_index(node).map_or([0; 5], |slot| fleet.reported_sbe(slot))
 }
 
 /// Fire-time validation for a scheduled hot-spare swap. The swap was
@@ -1810,6 +1989,170 @@ mod tests {
         b.run_until(t2, &mut Obs::disabled());
         let resumed = b.snapshot(t2);
         assert_eq!(direct, resumed);
+    }
+
+    fn job_on(apid: u64, start: SimTime, end: SimTime, nodes: &[NodeId]) -> ScheduledJob {
+        ScheduledJob {
+            spec: titan_workload::JobSpec {
+                apid,
+                user: 0,
+                nodes: nodes.len() as u32,
+                submit: start,
+                wall: end - start,
+                mem_max_bytes: 0,
+                gpu_util: 1.0,
+                is_debug: false,
+            },
+            start,
+            end,
+            nodes: nodes.to_vec(),
+        }
+    }
+
+    fn land_sbe(fleet: &mut Fleet, node: NodeId) {
+        let card = fleet.card_at_slot(node_to_gpu_index(node).unwrap());
+        fleet
+            .card_mut(card)
+            .apply_sbe(MemoryStructure::DeviceMemory, None, false);
+    }
+
+    /// Job starts run before faults, which run before job ends, so a
+    /// job handed a node at second T shares it with the job releasing
+    /// it at T. An SBE there at T counts for both jobs, as the dense
+    /// prologue/epilogue diff counts it, and `per_node_sbe` lists the
+    /// nodes in allocation order, not in order of change.
+    #[test]
+    fn handoff_second_sbe_counts_for_both_holders() {
+        let t = 1_000;
+        let (n, m) = (gpu_index_to_node(5), gpu_index_to_node(9));
+        let schedule = WorkloadSchedule {
+            jobs: vec![job_on(1, 0, t, &[n]), job_on(2, t, 2 * t, &[m, n])],
+            dropped: 0,
+        };
+        let mut fleet = Fleet::new(0, &mut StdRng::seed_from_u64(1));
+        let mut jobs = JobTable::new(2);
+        let mut out = SimOutput::default();
+        let obs = &mut Obs::disabled();
+
+        jobs.start(0, &schedule.jobs[0], &mut fleet, obs);
+        jobs.start(1, &schedule.jobs[1], &mut fleet, obs);
+        land_sbe(&mut fleet, n);
+        jobs.end(0, t, &schedule, &mut fleet, &mut out, obs);
+        land_sbe(&mut fleet, m);
+        jobs.end(1, 2 * t, &schedule, &mut fleet, &mut out, obs);
+
+        let per_node: Vec<_> = out.job_sbe.iter().map(|d| d.per_node_sbe.clone()).collect();
+        assert_eq!(per_node, vec![vec![(n, 1)], vec![(m, 1), (n, 1)]]);
+        let device = MemoryStructure::ECC_COUNTED
+            .iter()
+            .position(|&s| s == MemoryStructure::DeviceMemory)
+            .unwrap();
+        assert_eq!(out.job_sbe[0].per_structure_sbe[device], 1);
+        assert_eq!(out.job_sbe[1].per_structure_sbe[device], 2);
+        assert_eq!(jobs.oracle.checked, 2);
+    }
+
+    /// A job that crashes at the handoff second leaves the node idle in
+    /// `node_job`, but the job releasing it at that second still holds
+    /// it until its own end: a change after the crash is still its.
+    #[test]
+    fn change_after_the_new_holder_crashes_counts_for_the_old_one() {
+        let t = 1_000;
+        let n = gpu_index_to_node(5);
+        let schedule = WorkloadSchedule {
+            jobs: vec![job_on(1, 0, t, &[n]), job_on(2, t, 2 * t, &[n])],
+            dropped: 0,
+        };
+        let mut fleet = Fleet::new(0, &mut StdRng::seed_from_u64(1));
+        let mut jobs = JobTable::new(2);
+        let mut out = SimOutput::default();
+        let obs = &mut Obs::disabled();
+
+        jobs.start(0, &schedule.jobs[0], &mut fleet, obs);
+        jobs.start(1, &schedule.jobs[1], &mut fleet, obs);
+        jobs.end(1, t, &schedule, &mut fleet, &mut out, obs);
+        assert_eq!(jobs.job_at(n), None);
+        land_sbe(&mut fleet, n);
+        jobs.end(0, t, &schedule, &mut fleet, &mut out, obs);
+
+        let per_node: Vec<_> = out.job_sbe.iter().map(|d| d.per_node_sbe.clone()).collect();
+        assert_eq!(per_node, vec![vec![], vec![(n, 1)]]);
+        assert!(jobs.shared.is_empty());
+        assert_eq!(jobs.oracle.checked, 2);
+    }
+
+    /// Every job's delta from the noted changes equals the dense
+    /// prologue/epilogue diff (`JobTable::end` checks each against the
+    /// oracle), over seeds and windows that crash jobs with DBEs and
+    /// off-the-bus failures, reboot nodes, swap cards under the
+    /// hot-spare policy, and close jobs at the horizon.
+    #[test]
+    fn sparse_deltas_match_the_dense_diff_across_seeds() {
+        let (mut nonzero, mut multi_node, mut swaps) = (0, 0, 0);
+        for (seed, days) in [(3, 40), (11, 75), (29, 60)] {
+            let cfg = SimConfig::quick(days, seed);
+            assert!(cfg.enable_hot_spare_policy);
+            let obs = &mut Obs::disabled();
+            let mut st = EngineState::new(&cfg, obs);
+            // Every card starts at the pull threshold, so each DBE
+            // schedules a hot-spare swap a day later.
+            for card in 0..st.fleet.n_cards() as u32 {
+                st.fleet.card_mut(card).lifetime_dbe = calibration::CARD_PULL_DBE_THRESHOLD;
+            }
+            st.run_until(SimTime::MAX, obs);
+            let checked = st.jobs.oracle.checked;
+            let open = st.jobs.active.len();
+            let out = st.finalize(obs);
+
+            assert_eq!(
+                checked + open,
+                out.job_sbe.len(),
+                "seed {seed}: unchecked deltas"
+            );
+            assert!(open > 0, "seed {seed}: no job closed at the horizon");
+            assert!(!out.truth.dbe.is_empty() && !out.truth.otb.is_empty());
+            swaps += out.truth.swaps.len();
+            nonzero += out.job_sbe.iter().filter(|d| d.total_sbe() > 0).count();
+            multi_node += out.job_sbe.iter().filter(|d| d.per_node_sbe.len() > 1).count();
+        }
+        assert!(swaps > 0, "no hot-spare swap fired");
+        assert!(nonzero > 0 && multi_node > 0, "{nonzero} nonzero, {multi_node} multi-node");
+    }
+
+    /// A checkpoint taken while a running job holds a noted change
+    /// writes the dense prologue; restoring rebuilds the change lists,
+    /// so snapshot → restore → snapshot gives the same bytes and the
+    /// resumed run ends exactly as the straight one.
+    #[test]
+    fn checkpoint_with_noted_changes_round_trips() {
+        let cfg = SimConfig::quick(30, 7);
+        let straight = Simulator::new(cfg.clone()).expect("valid config").run();
+
+        let obs = &mut Obs::disabled();
+        let mut st = EngineState::new(&cfg, obs);
+        let holds_change = |st: &EngineState| {
+            st.jobs.active.iter().any(|&j| {
+                st.jobs.state[j as usize]
+                    .pre_sbe
+                    .as_ref()
+                    .is_some_and(|changed| !changed.is_empty())
+            })
+        };
+        let t = (1..30u64)
+            .map(|h| h * 3_600)
+            .find(|&t| {
+                st.run_until(t, obs);
+                holds_change(&st)
+            })
+            .expect("no boundary with a noted change in the first 30 hours");
+
+        let snap = st.snapshot(t);
+        let bytes = serde_json::to_string(&snap).unwrap();
+        let mut resumed = EngineState::restore(&cfg, &snap, obs).expect("restore");
+        assert!(holds_change(&resumed));
+        assert_eq!(serde_json::to_string(&resumed.snapshot(t)).unwrap(), bytes);
+        resumed.run_until(SimTime::MAX, obs);
+        assert_eq!(resumed.finalize(obs), straight);
     }
 
     /// Restore must refuse a snapshot taken under a different config:

@@ -9,7 +9,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use titan_faults::susceptibility::{CardSusceptibility, SbeAliasSampler};
-use titan_gpu::{CardSerial, GpuCard};
+use titan_gpu::{CardSerial, GpuCard, MemoryStructure};
 use titan_stats::WeightedAlias;
 use titan_topology::{gpu_index_to_node, NodeId, ThermalModel, COMPUTE_NODES};
 
@@ -35,6 +35,9 @@ pub struct Fleet {
     dbe_picker: Option<WeightedAlias>,
     otb_picker: Option<WeightedAlias>,
     sbe_picker: Option<SbeAliasSampler>,
+    /// `(slot, reported SBE vector just before a change)` for every
+    /// change since the last `drain_changes`, oldest first.
+    changes: Vec<(u32, [u64; 5])>,
 }
 
 impl Fleet {
@@ -61,6 +64,7 @@ impl Fleet {
             dbe_picker: None,
             otb_picker: None,
             sbe_picker: None,
+            changes: Vec::new(),
         }
     }
 
@@ -94,9 +98,39 @@ impl Fleet {
         &self.cards[card as usize]
     }
 
-    /// Mutable card access.
+    /// Mutable card access. This and [`Fleet::swap_out`] are the only
+    /// ways to change the SBE counts nvidia-smi reports for a slot, so
+    /// both note the slot's reported vector before the change; the
+    /// engine drains the notes to build each job's SBE delta.
     pub fn card_mut(&mut self, card: u32) -> &mut GpuCard {
-        &mut self.cards[card as usize]
+        let i = card as usize;
+        if let Some(&Some(slot)) = self.card_slot.get(i) {
+            self.note_change(slot);
+        }
+        &mut self.cards[i]
+    }
+
+    /// The SBE totals nvidia-smi reports for the card in `slot`, per
+    /// structure in `MemoryStructure::ECC_COUNTED` order.
+    pub(crate) fn reported_sbe(&self, slot: u32) -> [u64; 5] {
+        let mut v = [0u64; 5];
+        let card = self.card(self.card_at_slot(slot));
+        for (x, &s) in v.iter_mut().zip(MemoryStructure::ECC_COUNTED.iter()) {
+            *x = card.inforom.reported_sbe(s);
+        }
+        v
+    }
+
+    /// Hands out every `(slot, vector before the change)` noted since
+    /// the last call, oldest first. A slot changed twice appears twice;
+    /// its first entry holds the vector from before both changes.
+    pub(crate) fn drain_changes(&mut self) -> std::vec::Drain<'_, (u32, [u64; 5])> {
+        self.changes.drain(..)
+    }
+
+    fn note_change(&mut self, slot: u32) {
+        let before = self.reported_sbe(slot);
+        self.changes.push((slot, before));
     }
 
     /// Marks a card's off-the-bus defect as expressed (and re-soldered).
@@ -110,6 +144,7 @@ impl Fleet {
     /// remain.
     pub fn swap_out(&mut self, slot: u32) -> Option<(u32, u32)> {
         let new_card = self.spares.pop()?;
+        self.note_change(slot);
         let old_card = self.slot_card[slot as usize];
         self.slot_card[slot as usize] = new_card;
         self.card_slot[old_card as usize] = None;
@@ -194,6 +229,7 @@ impl Fleet {
         self.card_slot = s.card_slot.clone();
         self.spares = s.spares.clone();
         self.otb_done = s.otb_done.clone();
+        self.changes.clear();
         self.dbe_picker = None;
         self.otb_picker = None;
         self.sbe_picker = None;

@@ -10,7 +10,8 @@
 //!
 //! - **call sites** — `name(...)`, `path::name(...)`, `.name(...)`,
 //!   `Type::<T>::name(...)`, and `<Type as Trait>::name(...)` forms,
-//!   each with its qualifier segments so [`crate::symbols::resolve_call`]
+//!   each with its qualifier segments so
+//!   [`CallableIndex::resolve`](crate::symbols::CallableIndex::resolve)
 //!   can pick candidates across the manifest dependency DAG;
 //! - a **summary**: the nondeterminism *sources* the body reads
 //!   directly (env, wall clock, thread-width queries, pointer-address

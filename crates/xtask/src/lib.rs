@@ -432,6 +432,14 @@ impl<'a> FileCtx<'a> {
         &self.code[a..b]
     }
 
+    /// True when 1-based `line` holds test code (see `in_test`).
+    pub(crate) fn is_test(&self, line: usize) -> bool {
+        line.checked_sub(1)
+            .and_then(|i| self.in_test.get(i))
+            .copied()
+            .unwrap_or(false)
+    }
+
     /// True when a `// lint: allow(rule, ...)` hatch covers 1-based
     /// `line`.
     pub(crate) fn allowed(&self, line: usize, rule: &str) -> bool {

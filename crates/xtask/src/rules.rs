@@ -79,12 +79,13 @@ pub struct StructScan {
 
 /// One attributable code region: a fn / const / static item's full
 /// span. Regions never overlap — nested named fns are not split out by
-/// the parser, and closures stay with their enclosing fn.
+/// the parser, and closures stay with their enclosing fn. Whether a
+/// site in it is test code is the line's test-ness (`FileCtx::in_test`),
+/// so a `#[cfg(test)]` fn nested in a live fn body stays test code.
 struct Region {
     start: usize,
     end: usize,
     path: String,
-    cfg_test: bool,
 }
 
 /// Runs the structural rules over one file. `module_prefix` is the
@@ -176,7 +177,6 @@ fn harvest(
                     start: it.start,
                     end: it.end,
                     path: join(prefix, &it.name),
-                    cfg_test: it.cfg_test,
                 });
                 // Closure children need no recursion here: their spans
                 // lie inside this region and attribute to it.
@@ -220,11 +220,9 @@ fn scan_p2(ctx: &FileCtx, regions: &[Region], p2: &mut BTreeMap<String, usize>) 
         };
         match advance {
             Some(adv) => {
-                if !ctx.allowed(t.line, "P2") {
+                if !ctx.allowed(t.line, "P2") && !ctx.is_test(t.line) {
                     if let Some(r) = region_at(regions, t.start) {
-                        if !r.cfg_test {
-                            *p2.entry(r.path.clone()).or_insert(0) += 1;
-                        }
+                        *p2.entry(r.path.clone()).or_insert(0) += 1;
                     }
                 }
                 i += adv;
@@ -250,7 +248,7 @@ fn scan_e1(ctx: &FileCtx, regions: &[Region], out: &mut StructScan) {
     let (rel, src, code) = (ctx.rel, ctx.src, &ctx.code);
     let text = |i: usize| text_at(src, code, i);
     let in_live_region =
-        |pos: usize| region_at(regions, pos).is_some_and(|r| !r.cfg_test);
+        |t: &Tok| !ctx.is_test(t.line) && region_at(regions, t.start).is_some();
 
     for i in 0..code.len() {
         let t = &code[i];
@@ -264,7 +262,7 @@ fn scan_e1(ctx: &FileCtx, regions: &[Region], out: &mut StructScan) {
             && text(i + 2) == "="
         {
             let fmt_write = matches!(text(i + 3), "write" | "writeln") && text(i + 4) == "!";
-            if !fmt_write && in_live_region(t.start) && !ctx.allowed(t.line, "E1") {
+            if !fmt_write && in_live_region(t) && !ctx.allowed(t.line, "E1") {
                 out.findings.push(Finding {
                     file: rel.to_string(),
                     line: t.line,
@@ -285,7 +283,7 @@ fn scan_e1(ctx: &FileCtx, regions: &[Region], out: &mut StructScan) {
             && text(i + 3) == ")"
             && text(i + 4) == ";"
             && statement_discards(src, code, i)
-            && in_live_region(t.start)
+            && in_live_region(t)
             && !ctx.allowed(t.line, "E1")
         {
             out.findings.push(Finding {
@@ -305,7 +303,7 @@ fn scan_e1(ctx: &FileCtx, regions: &[Region], out: &mut StructScan) {
         if text(i) == ";" && i >= 1 && text(i - 1) == ")" {
             if let Some((name_idx, name)) = call_name(src, code, i - 1) {
                 if statement_discards(src, code, name_idx)
-                    && in_live_region(code[name_idx].start)
+                    && in_live_region(&code[name_idx])
                     && !ctx.allowed(code[name_idx].line, "E1")
                 {
                     out.discards.push(Discard {

@@ -27,3 +27,13 @@ pub fn non_hits(n: u32) -> Result<u32, String> {
     let _ = inject(got);
     Ok(got)
 }
+
+/// Hit beside a non-hit: the live discard is flagged; the one in the
+/// nested `#[cfg(test)]` helper is test code and is not.
+fn nested(n: u32) {
+    #[cfg(test)]
+    fn helper(n: u32) {
+        let _ = inject(n);
+    }
+    let _ = inject(n);
+}

@@ -12,6 +12,17 @@ pub fn hatched(xs: &[u32]) -> u32 {
     xs[0]
 }
 
+/// Hit beside a non-hit: the live `.unwrap()` counts on the
+/// `titan_stats::outer` budget line; the one in the nested
+/// `#[cfg(test)]` helper is test code and does not.
+fn outer(x: Option<u32>) -> u32 {
+    #[cfg(test)]
+    fn helper() -> u32 {
+        Some(3).unwrap()
+    }
+    x.unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -518,16 +518,23 @@ fn p2_fixture_attributes_hits_and_skips_non_hits() {
         "unwrap + indexing: {:?}",
         report.p2_counts
     );
+    assert_eq!(
+        report.p2_counts.get("titan_stats::outer"),
+        Some(&1),
+        "the nested #[cfg(test)] helper's unwrap is test code: {:?}",
+        report.p2_counts
+    );
     assert!(
         report.p2_counts.keys().all(|k| !k.contains("hatched") && !k.contains("tests")),
         "hatched and test fns must stay off the budget: {:?}",
         report.p2_counts
     );
     let rules: Vec<Rule> = report.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(rules, vec![Rule::P2], "{:?}", report.findings);
+    assert_eq!(rules, vec![Rule::P2, Rule::P2], "{:?}", report.findings);
 
     let mut b = Baseline::default();
     b.p2.insert("titan_stats::risky".into(), 2);
+    b.p2.insert("titan_stats::outer".into(), 1);
     let clean = run_lint(&fixture("p2"), &b).expect("scan");
     assert!(clean.findings.is_empty(), "{:?}", clean.findings);
 }
@@ -536,7 +543,7 @@ fn p2_fixture_attributes_hits_and_skips_non_hits() {
 fn e1_fixture_flags_all_three_legs() {
     let report = run_lint(&fixture("e1"), &Baseline::default()).expect("scan");
     let e1: Vec<&Finding> = report.findings.iter().filter(|f| f.rule == Rule::E1).collect();
-    assert_eq!(e1.len(), 3, "{:?}", report.findings);
+    assert_eq!(e1.len(), 4, "{:?}", report.findings);
     assert!(e1.iter().all(|f| f.file == "crates/simulator/src/lib.rs"));
     assert!(e1.iter().any(|f| f.message.contains("`let _ = ...`")), "{e1:?}");
     assert!(e1.iter().any(|f| f.message.contains("bare `.ok();`")), "{e1:?}");
@@ -544,8 +551,12 @@ fn e1_fixture_flags_all_three_legs() {
         e1.iter().any(|f| f.message.contains("#[must_use] sim API `inject`")),
         "{e1:?}"
     );
+    // In `nested`, the live discard (line 38) is a hit; the one in its
+    // #[cfg(test)] helper (line 36) is not.
+    let lines: Vec<usize> = e1.iter().map(|f| f.line).collect();
+    assert!(lines.contains(&38) && !lines.contains(&36), "{lines:?}");
     // The non_hits fn contributes nothing, and no other rule fires.
-    assert_eq!(report.findings.len(), 3, "{:?}", report.findings);
+    assert_eq!(report.findings.len(), 4, "{:?}", report.findings);
 }
 
 #[test]
