@@ -1,10 +1,8 @@
-//! `bench_pr` — machine-readable performance snapshot for the PR
-//! trajectory: single-run wall time + events/sec, replication scaling
-//! (threaded vs sequential multi-seed fan-out), and the overhead of
-//! the metrics and health observability layers. Generalizes the old
-//! `bench_pr2` binary: `--pr N` stamps the snapshot and picks the
-//! default output name, so each PR commits its own `BENCH_PR<N>.json`
-//! and the throughput gate can diff against the previous one.
+//! `bench_pr` — the two performance numbers `e2e-bench` does not take:
+//! the wall cost of each observer sink over the plain run (the overhead
+//! arms), and the event loop's throughput, committed per PR as
+//! `BENCH_PR<N>.json` and merged into the trajectory. Render, parse,
+//! analysis and replication are timed layer by layer by `e2e-bench`.
 //!
 //! ```text
 //! cargo run --release -p titan-bench --bin bench_pr -- \
@@ -14,113 +12,142 @@
 //! cargo run --release -p titan-bench --bin bench_pr -- --trajectory [--out FILE]
 //! ```
 //!
-//! `--quick` shrinks the windows so CI can afford the run; the JSON
-//! schema is identical, with `"mode"` marking which one produced it.
-//! The speedup number is only meaningful on multi-core hosts, so the
-//! report records both `host_cores_detected` (what the machine has)
-//! and `pool_threads` (what the pool actually uses — the
-//! `TITAN_NUM_THREADS` override wins when set). Snapshots also embed a
-//! `prof` section — the deterministic `titan-prof/2` per-scope ledger
-//! of the overhead window — which `titan-repro bench diff` uses to
-//! attribute an events/sec delta between two snapshots to event kinds.
+//! `--quick` shrinks the windows so CI can afford the run; the
+//! snapshot's `"mode"` records which one produced it.
 //!
-//! Gates (each exits nonzero on breach; CI wires all four):
-//! - `--gate-metrics-overhead PCT`: metrics-on wall time vs metrics-off
-//!   (min-of-3 each) must stay within PCT percent.
-//! - `--gate-health-overhead PCT`: same contract for the health sink —
-//!   the online analytics must stay near-free.
-//! - `--gate-prof-overhead PCT`: same contract for the cost ledger —
-//!   the per-event accounting must stay near-free (the ISSUE bar is 1%).
-//! - `--gate-throughput-regression PCT`: `events_per_sec` must not drop
-//!   more than PCT percent below the highest-numbered committed
-//!   `BENCH_PR*.json` baseline. The baseline is read *before* the new
-//!   snapshot is written, so regenerating in place still compares
-//!   against the committed bytes. Baselines from a different `mode`
-//!   (full vs quick) are incomparable and skip the gate with a note.
+//! Throughput is `dequeues_per_s`, defined as `e2e-bench` defines
+//! `simulator.loop.dequeues_per_s`: the loop's heap dequeues (the cost
+//! ledger's deterministic `dequeues`, same seed and window) over the
+//! wall time of `EngineState::run_until` with no sink armed, set-up and
+//! finalize excluded. The snapshot also embeds the deterministic
+//! `titan-prof/2` ledger of the overhead window, which
+//! `titan-repro bench diff` uses to attribute a delta between two
+//! snapshots to the event kinds whose counts moved.
 //!
-//! `--trajectory` runs no simulation at all: it merges every committed
-//! `BENCH_PR*.json` into `BENCH_TRAJECTORY.json`
-//! (`titan-bench-trajectory/1`, one point per PR, ascending) and fails
-//! if the newest point regressed events/sec more than 10% against the
-//! previous same-mode point.
+//! Every measurement is taken [`GATE_ATTEMPTS`] times, every attempt is
+//! recorded in the snapshot, and each gate is judged on the median of
+//! its own attempts. The snapshot is written before the exit status is
+//! decided, so the file holds the numbers the verdict came from. The
+//! gates (CI wires all four):
+//! - `--gate-{metrics,health,prof}-overhead PCT`: the arm's median wall
+//!   overhead over the plain run must stay within PCT percent, or within
+//!   the median noise floor when that is wider: the host cannot certify
+//!   a percentage finer than its own jitter;
+//! - `--gate-throughput-regression PCT`: the median `dequeues_per_s`
+//!   must not drop more than PCT percent below the highest-numbered
+//!   `BENCH_PR*.json` in the working directory, read before the new
+//!   snapshot is written. A baseline of the other mode, or one written
+//!   before the unit existed, skips the gate with a note.
+//!
+//! `--trajectory` runs no simulation: it merges every `BENCH_PR*.json`
+//! that carries `dequeues_per_s` into `BENCH_TRAJECTORY.json`
+//! (`titan-bench-trajectory/2`, one point per PR, ascending) and fails
+//! if the newest point dropped more than 10% below the previous point
+//! of the same mode.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use serde::{Deserialize, Serialize};
 use titan_reliability::StudyConfig;
-use titan_runner::{replicate, run_seed, run_seed_with, KindCost, ObsPlan, ReplicateOptions};
-use titan_sim::{SimConfig, Simulator};
+use titan_runner::{run_seed_with, KindCost, Obs, ObsPlan};
+use titan_sim::{EngineState, SimConfig};
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut pr: u64 = 10;
-    let mut out_path: Option<String> = None;
-    let mut trajectory_mode = false;
-    let mut gates = Gates {
-        overhead: [None; ARMS.len()],
-        throughput: None,
+/// Independent measurements behind every gate. Odd, so the median is
+/// one of the recorded attempts.
+const GATE_ATTEMPTS: usize = 3;
+
+/// Runs of each variant inside one attempt; the attempt keeps the
+/// fastest, because scheduling noise only ever adds time.
+const RUNS_EACH: usize = 5;
+
+/// The bench seed (48716).
+const SEED: u64 = 0xBE4C;
+
+/// `--trajectory` fails when the newest point drops more than this far
+/// below the previous point of the same mode, in percent.
+const TRAJECTORY_GATE_PCT: f64 = 10.0;
+
+/// The observer arms timed against the plain run, in snapshot order;
+/// each arms exactly one sink (see [`arm_plan`]).
+const ARMS: [&str; 3] = ["metrics", "health", "prof"];
+
+/// The gate flags: one per arm of [`ARMS`], in order, then throughput.
+const GATE_FLAGS: [&str; 4] = [
+    "--gate-metrics-overhead",
+    "--gate-health-overhead",
+    "--gate-prof-overhead",
+    "--gate-throughput-regression",
+];
+
+struct Args {
+    quick: bool,
+    trajectory: bool,
+    pr: u64,
+    out: Option<String>,
+    /// Percent per flag of [`GATE_FLAGS`].
+    gates: [Option<f64>; 4],
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut a = Args {
+        quick: false,
+        trajectory: false,
+        pr: 21,
+        out: None,
+        gates: [None; 4],
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--quick" => quick = true,
-            "--trajectory" => trajectory_mode = true,
-            "--pr" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => pr = n,
-                _ => {
-                    eprintln!("--pr needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--gate-metrics-overhead"
-            | "--gate-health-overhead"
-            | "--gate-prof-overhead"
-            | "--gate-throughput-regression" => {
-                let Some(p) = parse_pct(it.next()) else {
-                    eprintln!("{flag} needs a non-negative percent");
-                    return ExitCode::from(2);
-                };
-                let slot = ARMS
+            "--quick" => a.quick = true,
+            "--trajectory" => a.trajectory = true,
+            "--pr" => a.pr = value()?.parse().map_err(|_| "--pr needs a number")?,
+            "--out" => a.out = Some(value()?.clone()),
+            _ => {
+                let (_, slot) = GATE_FLAGS
                     .iter()
-                    .zip(gates.overhead.iter_mut())
-                    .find(|(arm, _)| *flag == format!("--gate-{arm}-overhead"));
-                match slot {
-                    Some((_, gate)) => *gate = Some(p),
-                    None => gates.throughput = Some(p),
-                }
-            }
-            other => {
-                eprintln!(
-                    "unknown flag `{other}` (expected --quick, --pr N, --out FILE, \
-                     --trajectory, --gate-metrics-overhead PCT, \
-                     --gate-health-overhead PCT, --gate-prof-overhead PCT, \
-                     --gate-throughput-regression PCT)"
-                );
-                return ExitCode::from(2);
+                    .zip(a.gates.iter_mut())
+                    .find(|(gate, _)| *gate == flag)
+                    .ok_or_else(|| {
+                        format!(
+                            "unknown flag `{flag}` (expected --quick, --pr N, --out FILE, \
+                             --trajectory, {} PCT)",
+                            GATE_FLAGS.join(" PCT, ")
+                        )
+                    })?;
+                let pct = value()?.parse::<f64>().ok().filter(|p| *p >= 0.0);
+                *slot = Some(pct.ok_or_else(|| format!("{flag} needs a non-negative percent"))?);
             }
         }
     }
-    if trajectory_mode {
-        let out = out_path.unwrap_or_else(|| "BENCH_TRAJECTORY.json".to_string());
-        return match trajectory(&out) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bench_pr --trajectory: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let out_path = out_path.unwrap_or_else(|| format!("BENCH_PR{pr}.json"));
-    match emit(quick, pr, &out_path, &gates) {
+    Ok(a)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&args) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("bench_pr: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let result = if args.trajectory {
+        let out = args
+            .out
+            .unwrap_or_else(|| "BENCH_TRAJECTORY.json".to_string());
+        trajectory(Path::new("."), &out)
+    } else {
+        let out = args
+            .out
+            .unwrap_or_else(|| format!("BENCH_PR{}.json", args.pr));
+        emit(args.quick, args.pr, &out, args.gates)
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("bench_pr: {e}");
@@ -128,17 +155,6 @@ fn main() -> ExitCode {
         }
     }
 }
-
-fn parse_pct(arg: Option<&String>) -> Option<f64> {
-    match arg.map(|v| v.parse::<f64>()) {
-        Some(Ok(p)) if p >= 0.0 => Some(p),
-        _ => None,
-    }
-}
-
-/// The observer arms timed against the plain floor, in snapshot order;
-/// each arms exactly one sink (see [`arm_plan`]).
-const ARMS: [&str; 3] = ["metrics", "health", "prof"];
 
 /// The plan of one overhead arm of [`ARMS`]. The prof arm runs with
 /// *only* the ledger armed (no metrics sink, no probe, no wall hook), so
@@ -152,462 +168,613 @@ fn arm_plan(arm: &str) -> ObsPlan {
     }
 }
 
-struct Gates {
-    /// Overhead gate per arm of [`ARMS`], in percent.
-    overhead: [Option<f64>; ARMS.len()],
-    throughput: Option<f64>,
+/// A `BENCH_PR<N>.json` snapshot, written with `to_string_pretty` and
+/// read back by the throughput gate and `--trajectory`. The sections
+/// are optional only so that older snapshots still read: one without
+/// `throughput` was written before `dequeues_per_s` existed.
+#[derive(Serialize, Deserialize)]
+struct Snapshot {
+    pr: u64,
+    mode: String,
+    throughput: Option<Throughput>,
+    overhead: Option<Vec<Arm>>,
+    prof: Option<Prof>,
 }
 
-/// One interleaved overhead measurement: minimum walls for the plain
-/// floor and each arm of [`ARMS`], the arms' overhead over the floor,
-/// and the noise floor the host exhibited (relative gap between two
-/// independent minima of the same plain workload).
-struct OverheadMeasure {
-    off: f64,
-    on: [f64; ARMS.len()],
-    pct: [f64; ARMS.len()],
-    noise_pct: f64,
+/// The event loop's throughput.
+#[derive(Serialize, Deserialize)]
+struct Throughput {
+    window_days: u64,
+    seed: u64,
+    /// Heap dequeues of the loop: seed-deterministic.
+    dequeues: u64,
+    /// Each attempt's loop wall: the fastest of [`RUNS_EACH`] runs.
+    attempt_loop_seconds: Vec<f64>,
+    /// The median of `attempt_loop_seconds`.
+    loop_seconds: f64,
+    /// `dequeues / loop_seconds`.
+    dequeues_per_s: f64,
+    /// The snapshot the throughput gate compared against.
+    baseline: Option<Baseline>,
+    gate: Option<Verdict>,
 }
 
-/// Minimum wall time over `n` runs of `f` — min, not mean, because
-/// scheduling noise only ever adds time.
-fn min_wall<T>(n: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..n {
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        last = Some(out);
+#[derive(Serialize, Deserialize)]
+struct Baseline {
+    file: String,
+    dequeues_per_s: f64,
+}
+
+/// One observer sink's wall overhead over the plain run.
+#[derive(Serialize, Deserialize)]
+struct Arm {
+    arm: String,
+    window_days: u64,
+    runs_each: u64,
+    attempts: Vec<OverheadAttempt>,
+    median_overhead_pct: f64,
+    median_noise_floor_pct: f64,
+    gate: Option<Verdict>,
+}
+
+/// One interleaved measurement of one arm (see [`measure_overheads`]).
+#[derive(Serialize, Deserialize, Clone, Copy)]
+struct OverheadAttempt {
+    off_wall_seconds: f64,
+    on_wall_seconds: f64,
+    overhead_pct: f64,
+    noise_floor_pct: f64,
+}
+
+/// A gate's decision on the median of its own attempts.
+#[derive(Serialize, Deserialize)]
+struct Verdict {
+    /// The percent the gate flag set.
+    gate_pct: f64,
+    /// What the median was held to: `gate_pct`, or the median noise
+    /// floor when that is wider.
+    limit_pct: f64,
+    /// The median that was judged: an overhead over the plain run, or
+    /// a drop below the baseline.
+    median_pct: f64,
+    pass: bool,
+}
+
+/// The deterministic per-scope cost ledger of the overhead window.
+#[derive(Serialize, Deserialize)]
+struct Prof {
+    window_days: u64,
+    seed: u64,
+    kinds: BTreeMap<String, KindCost>,
+}
+
+/// The middle value of `xs`; NaN when empty.
+fn median(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = xs.into_iter().collect();
+    v.sort_by(f64::total_cmp);
+    v.get(v.len() / 2).copied().unwrap_or(f64::NAN)
+}
+
+fn judge(gate_pct: f64, median_pct: f64, noise_floor_pct: f64) -> Verdict {
+    let limit_pct = gate_pct.max(noise_floor_pct);
+    Verdict {
+        gate_pct,
+        limit_pct,
+        median_pct,
+        pass: median_pct <= limit_pct,
     }
-    (best, last.expect("n >= 1"))
 }
 
-/// The committed throughput baseline: the highest-numbered
-/// `BENCH_PR<N>.json` in the working directory, read before the new
-/// snapshot overwrites it. Returns `(path, mode, events_per_sec)`.
-fn read_baseline() -> Option<(String, String, f64)> {
-    let mut best: Option<(u64, String)> = None;
-    let entries = std::fs::read_dir(".").ok()?;
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Some(num) = name
-            .strip_prefix("BENCH_PR")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if !best.as_ref().is_some_and(|(b, _)| num <= *b) {
-            best = Some((num, name));
-        }
+/// One arm's record: its own attempts, their medians, and the verdict
+/// of its gate, if one was asked for.
+fn arm_record(
+    arm: &str,
+    window_days: u64,
+    attempts: Vec<OverheadAttempt>,
+    gate: Option<f64>,
+) -> Arm {
+    let median_overhead_pct = median(attempts.iter().map(|a| a.overhead_pct));
+    let median_noise_floor_pct = median(attempts.iter().map(|a| a.noise_floor_pct));
+    Arm {
+        arm: arm.to_string(),
+        window_days,
+        runs_each: RUNS_EACH as u64,
+        attempts,
+        median_overhead_pct,
+        median_noise_floor_pct,
+        gate: gate.map(|g| judge(g, median_overhead_pct, median_noise_floor_pct)),
     }
-    let (_, path) = best?;
-    let text = std::fs::read_to_string(&path).ok()?;
-    let mode = json_str_field(&text, "mode")?;
-    let eps = json_num_field(&text, "events_per_sec")?;
-    Some((path, mode, eps))
 }
 
-/// Pulls `"key": "value"` out of the snapshot JSON. The snapshots are
-/// emitted by this binary with a fixed shape, so a substring scan is
-/// enough — no JSON parser dependency.
-fn json_str_field(text: &str, key: &str) -> Option<String> {
-    let tail = text.split_once(&format!("\"{key}\": \""))?.1;
-    Some(tail.split_once('"')?.0.to_string())
+/// The `BENCH_PR<N>.json` file names in `dir`, PR-ascending.
+fn snapshot_names(dir: &Path) -> Result<Vec<(u64, String)>, String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
+    let mut found: Vec<(u64, String)> = entries
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().into_string().ok()?;
+            let num = name
+                .strip_prefix("BENCH_PR")?
+                .strip_suffix(".json")?
+                .parse()
+                .ok()?;
+            Some((num, name))
+        })
+        .collect();
+    found.sort();
+    Ok(found)
 }
 
-/// Pulls `"key": number` out of the snapshot JSON.
-fn json_num_field(text: &str, key: &str) -> Option<f64> {
-    let tail = text.split_once(&format!("\"{key}\": "))?.1;
-    let end = tail.find([',', '\n', '}'])?;
-    tail[..end].trim().parse().ok()
+fn read_snapshot(path: &Path) -> Result<Snapshot, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn emit(quick: bool, pr: u64, out_path: &str, gates: &Gates) -> Result<(), String> {
-    // Read the committed baseline before anything touches the file.
-    let baseline = read_baseline();
-
-    let seed = 0xBE4C;
-    // Single-run measurement: the full study window unless --quick.
-    let single_cfg = if quick {
-        SimConfig::quick(30, seed)
-    } else {
-        SimConfig::default()
-    };
-    let single_days = single_cfg.window / 86_400;
-    // Quick mode is cheap enough to take the min of three runs, which
-    // is what the throughput regression gate compares — a single
-    // sample would hand the gate straight to scheduler noise. Full
-    // mode's 21-month window stays single-shot.
-    let single_runs = if quick { 3 } else { 1 };
-    let (single_wall, output) = min_wall(single_runs, || {
-        let sim = Simulator::new(single_cfg.clone()).expect("bench sim config");
-        sim.run()
-    });
-
-    // "Events" = everything the loop dequeued that left a trace: job
-    // starts+ends, every console line, and every SBE draw (accepted or
-    // thinned). An honest floor on heap traffic, stable across PRs.
-    let sbe_total: u64 = output.truth.sbe_by_card.iter().sum();
-    let events = output.console.len() as u64
-        + 2 * output.jobs.len() as u64
-        + sbe_total
-        + output.truth.sbe_rejected;
-    let events_per_sec = events as f64 / single_wall.max(1e-9);
-
-    // Replication scaling: the same seed set sequentially and threaded.
-    // Short windows even in full mode — scaling is a ratio, it does not
-    // need the 21-month window the wall-time number above uses.
-    let rep_days = if quick { 10 } else { 60 };
-    let rep_seeds = 4u64;
-    let base = StudyConfig::quick(rep_days, seed);
-    let mut seq_opts = ReplicateOptions::consecutive(base.clone(), seed, rep_seeds, 1)?;
-    seq_opts.skip_expectations = true;
-    let t1 = Instant::now();
-    let seq = replicate(&seq_opts)?;
-    let seq_wall = t1.elapsed().as_secs_f64();
-
-    let par_threads = titan_runner::recommended_threads().min(rep_seeds as usize).max(1);
-    let mut par_opts = ReplicateOptions::consecutive(base.clone(), seed, rep_seeds, par_threads)?;
-    par_opts.skip_expectations = true;
-    let t2 = Instant::now();
-    let par = replicate(&par_opts)?;
-    let par_wall = t2.elapsed().as_secs_f64();
-
-    // Byte-identity across widths, and against a direct run.
-    let digests_match = seq.runs == par.runs
-        && seq
-            .runs
-            .iter()
-            .all(|r| run_seed(&base, r.seed, true).output_digest == r.output_digest);
-    if !digests_match {
-        return Err("replication digests diverged between thread widths".into());
-    }
-
-    // Observer overhead: see [`measure_overheads`]. The first
-    // measurement lands in the committed snapshot; the gates below may
-    // re-measure on a breach.
-    let ov_days = if quick { 30 } else { 60 };
-    let ov_cfg = StudyConfig::quick(ov_days, seed);
-    let runs_each = 5;
-    let (ov, prof_ledger) = measure_overheads(&ov_cfg, seed, runs_each)?;
-    // The embedded ledger is deterministic (same seed/window every PR),
-    // so `titan-repro bench diff` can attribute an events/sec delta
-    // between two snapshots to the event kinds whose counts moved.
-    let prof_kinds_json = serde_json::to_string(&prof_ledger)
-        .map_err(|e| format!("serialize prof ledger: {e}"))?;
-
-    let [on_wall, health_wall, prof_wall] = ov.on;
-    let [metrics_overhead_pct, health_overhead_pct, prof_overhead_pct] = ov.pct;
-    let host_cores_detected = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let pool_threads = rayon::current_num_threads();
-    let mode = if quick { "quick" } else { "full" };
-    let json = format!(
-        "{{\n  \"pr\": {pr},\n  \"mode\": \"{mode}\",\n  \
-         \"host_cores_detected\": {host_cores_detected},\n  \
-         \"pool_threads\": {pool_threads},\n  \
-         \"single_run\": {{\n    \"window_days\": {single_days},\n    \"seed\": {seed},\n    \
-         \"wall_seconds\": {single_wall:.3},\n    \"events\": {events},\n    \
-         \"events_per_sec\": {events_per_sec:.0},\n    \
-         \"console_events\": {console},\n    \"jobs\": {jobs},\n    \
-         \"sbe_total\": {sbe_total}\n  }},\n  \
-         \"replication\": {{\n    \"window_days\": {rep_days},\n    \"seeds\": {rep_seeds},\n    \
-         \"sequential_wall_seconds\": {seq_wall:.3},\n    \
-         \"parallel_threads\": {par_threads},\n    \
-         \"parallel_wall_seconds\": {par_wall:.3},\n    \
-         \"speedup\": {speedup:.2},\n    \"digests_match\": true\n  }},\n  \
-         \"metrics_overhead\": {{\n    \"window_days\": {ov_days},\n    \
-         \"runs_each\": {runs_each},\n    \
-         \"off_wall_seconds\": {off_floor:.3},\n    \
-         \"on_wall_seconds\": {on_wall:.3},\n    \
-         \"overhead_pct\": {metrics_overhead_pct:.2},\n    \
-         \"noise_floor_pct\": {noise_pct:.2},\n    \"digests_match\": true\n  }},\n  \
-         \"health_overhead\": {{\n    \"window_days\": {ov_days},\n    \
-         \"runs_each\": {runs_each},\n    \
-         \"off_wall_seconds\": {off_floor:.3},\n    \
-         \"on_wall_seconds\": {health_wall:.3},\n    \
-         \"overhead_pct\": {health_overhead_pct:.2},\n    \
-         \"noise_floor_pct\": {noise_pct:.2},\n    \"digests_match\": true\n  }},\n  \
-         \"prof_overhead\": {{\n    \"window_days\": {ov_days},\n    \
-         \"runs_each\": {runs_each},\n    \
-         \"off_wall_seconds\": {off_floor:.3},\n    \
-         \"on_wall_seconds\": {prof_wall:.3},\n    \
-         \"overhead_pct\": {prof_overhead_pct:.2},\n    \
-         \"noise_floor_pct\": {noise_pct:.2},\n    \"digests_match\": true\n  }},\n  \
-         \"prof\": {{\n    \"window_days\": {ov_days},\n    \"seed\": {seed},\n    \
-         \"kinds\": {prof_kinds_json}\n  }}\n}}\n",
-        console = output.console.len(),
-        jobs = output.jobs.len(),
-        speedup = seq_wall / par_wall.max(1e-9),
-        off_floor = ov.off,
-        noise_pct = ov.noise_pct,
-    );
-    std::fs::write(out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("{json}");
-    println!("wrote {out_path}");
-
-    // Gate evaluation with breach-retry: a wall-clock breach only
-    // counts after it reproduces on GATE_ATTEMPTS independent
-    // measurements — transient host noise almost never repeats, a real
-    // regression always does. Each retry re-measures from scratch
-    // (fresh noise floor included), and each individual check also
-    // widens its gate to the noise floor the host actually exhibited.
-    const GATE_ATTEMPTS: usize = 3;
-    if gates.overhead.iter().any(Option::is_some) {
-        let mut cur = ov;
-        for attempt in 1..=GATE_ATTEMPTS {
-            let breach = overhead_breach(&cur, gates);
-            match breach {
-                None => {
-                    let [metrics_pct, health_pct, prof_pct] = cur.pct;
-                    println!(
-                        "metrics overhead {metrics_pct:.2}%, health overhead {health_pct:.2}%, \
-                         prof overhead {prof_pct:.2}% (noise floor {:.2}%) — gates clear",
-                        cur.noise_pct
-                    );
-                    break;
-                }
-                Some(msg) if attempt == GATE_ATTEMPTS => {
-                    return Err(format!(
-                        "{msg} — reproduced on {GATE_ATTEMPTS} independent measurements"
-                    ));
-                }
-                Some(msg) => {
-                    println!("{msg} — re-measuring ({attempt}/{GATE_ATTEMPTS})");
-                    cur = measure_overheads(&ov_cfg, seed, runs_each)?.0;
-                }
-            }
-        }
-    }
-    if let Some(gate) = gates.throughput {
-        match baseline {
-            Some((path, base_mode, base_eps)) if base_mode == mode && base_eps > 0.0 => {
-                let mut eps = events_per_sec;
-                for attempt in 1..=GATE_ATTEMPTS {
-                    let drop_pct = (base_eps - eps) / base_eps * 100.0;
-                    if drop_pct <= gate {
-                        println!(
-                            "throughput {eps:.0} events/sec vs {path} baseline \
-                             {base_eps:.0} ({drop_pct:+.1}% drop, gate {gate:.1}%)"
-                        );
-                        break;
-                    }
-                    if attempt == GATE_ATTEMPTS {
-                        return Err(format!(
-                            "throughput regressed {drop_pct:.1}% vs {path} \
-                             ({base_eps:.0} -> {eps:.0} events/sec), gate is {gate:.1}% — \
-                             reproduced on {GATE_ATTEMPTS} independent measurements"
-                        ));
-                    }
-                    println!(
-                        "throughput {eps:.0} events/sec is {drop_pct:.1}% below the {path} \
-                         baseline {base_eps:.0} — re-measuring ({attempt}/{GATE_ATTEMPTS})"
-                    );
-                    let (wall, rerun) = min_wall(single_runs, || {
-                        let sim = Simulator::new(single_cfg.clone()).expect("bench sim config");
-                        sim.run()
-                    });
-                    let re_sbe: u64 = rerun.truth.sbe_by_card.iter().sum();
-                    let re_events = rerun.console.len() as u64
-                        + 2 * rerun.jobs.len() as u64
-                        + re_sbe
-                        + rerun.truth.sbe_rejected;
-                    eps = re_events as f64 / wall.max(1e-9);
-                }
-            }
-            Some((path, base_mode, _)) => {
-                println!(
-                    "throughput gate skipped: baseline {path} is `{base_mode}` mode, \
-                     this run is `{mode}` — incomparable windows"
-                );
-            }
-            None => {
-                println!("throughput gate skipped: no committed BENCH_PR*.json baseline");
-            }
-        }
-    }
+/// Writes `doc` to `path` and prints it.
+fn write_json<T: Serialize>(path: &str, doc: &T) -> Result<(), String> {
+    let mut json = serde_json::to_string_pretty(doc).map_err(|e| format!("serialize: {e}"))?;
+    json.push('\n');
+    std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
+    println!("{json}wrote {path}");
     Ok(())
 }
 
-/// Interleaved overhead measurement: each round times plain, every arm
-/// of [`ARMS`], and plain *again* — interleaving cancels slow host drift
-/// (thermal, cache warmup, a neighbor starting work) that back-to-back
-/// min-of-N would attribute to whichever variant ran later, and the gap
-/// between the two independent plain minima is the noise floor the host
-/// actually exhibited during this measurement. Also checks that no sink
-/// perturbed the output digest (the pure-observer invariant).
+/// The throughput gate's baseline: the highest-numbered snapshot in the
+/// working directory, when it is of `mode` and carries `dequeues_per_s`.
+fn baseline(mode: &str) -> Result<Option<Baseline>, String> {
+    let Some((_, file)) = snapshot_names(Path::new("."))?.pop() else {
+        return Ok(None);
+    };
+    let snap = read_snapshot(Path::new(&file))?;
+    let rate = snap
+        .throughput
+        .filter(|_| snap.mode == mode)
+        .map(|t| t.dequeues_per_s);
+    Ok(rate.map(|dequeues_per_s| Baseline {
+        file,
+        dequeues_per_s,
+    }))
+}
+
+/// One throughput attempt: the fastest of [`RUNS_EACH`] plain
+/// `run_until` walls, set-up and finalize outside the clock.
+fn loop_wall(cfg: &SimConfig) -> f64 {
+    (0..RUNS_EACH)
+        .map(|_| {
+            let mut obs = Obs::disabled();
+            let mut st = EngineState::new(cfg, &mut obs);
+            let t0 = Instant::now();
+            st.run_until(u64::MAX, &mut obs);
+            let s = t0.elapsed().as_secs_f64();
+            std::hint::black_box(&st);
+            s
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The loop's heap dequeues, from the cost ledger of one untimed run.
+fn loop_dequeues(cfg: &SimConfig) -> u64 {
+    let mut obs = Obs::from_plan(&arm_plan("prof"));
+    let mut st = EngineState::new(cfg, &mut obs);
+    st.run_until(u64::MAX, &mut obs);
+    obs.prof_finish();
+    obs.prof_ledger()
+        .ledger_map()
+        .values()
+        .map(|c| c.dequeues)
+        .sum()
+}
+
+/// One interleaved overhead attempt: each of [`RUNS_EACH`] rounds times
+/// the plain run, every arm of [`ARMS`], and the plain run *again*.
+/// Interleaving cancels slow host drift (thermal, cache warmup, a
+/// neighbor starting work) that back-to-back runs would charge to
+/// whichever variant ran later, and the gap between the two plain
+/// minima is the noise floor the host showed during this attempt.
+/// Also checks that no sink perturbed the output digest, and returns
+/// the prof arm's ledger.
 fn measure_overheads(
-    ov_cfg: &StudyConfig,
-    seed: u64,
-    runs_each: usize,
-) -> Result<(OverheadMeasure, BTreeMap<String, KindCost>), String> {
+    cfg: &StudyConfig,
+) -> Result<([OverheadAttempt; ARMS.len()], BTreeMap<String, KindCost>), String> {
+    let timed = |plan: &ObsPlan| {
+        let t0 = Instant::now();
+        let (run, docs) = run_seed_with(cfg, SEED, true, plan);
+        (t0.elapsed().as_secs_f64(), run.output_digest, docs.ledger)
+    };
     let (mut off_a, mut off_b) = (f64::INFINITY, f64::INFINITY);
     let mut on = [f64::INFINITY; ARMS.len()];
     let mut ledger = BTreeMap::new();
-    for _ in 0..runs_each {
-        let (w0, plain) = min_wall(1, || run_seed(ov_cfg, seed, true));
-        off_a = off_a.min(w0);
+    for _ in 0..RUNS_EACH {
+        let (w, plain, _) = timed(&ObsPlan::default());
+        off_a = off_a.min(w);
         for (arm, best) in ARMS.iter().zip(on.iter_mut()) {
-            let (w, (run, docs)) =
-                min_wall(1, || run_seed_with(ov_cfg, seed, true, &arm_plan(arm)));
+            let (w, digest, arm_ledger) = timed(&arm_plan(arm));
             *best = best.min(w);
-            if run.output_digest != plain.output_digest {
+            if digest != plain {
                 return Err(format!("the {arm} sink perturbed the simulation output"));
             }
-            ledger = docs.ledger.unwrap_or(ledger);
+            ledger = arm_ledger.unwrap_or(ledger);
         }
-        off_b = off_b.min(min_wall(1, || run_seed(ov_cfg, seed, true)).0);
+        off_b = off_b.min(timed(&ObsPlan::default()).0);
     }
     let off = off_a.min(off_b);
-    let measure = OverheadMeasure {
-        off,
-        on,
-        pct: on.map(|w| (w - off) / off.max(1e-9) * 100.0),
-        noise_pct: (off_a - off_b).abs() / off.max(1e-9) * 100.0,
+    let noise_floor_pct = (off_a - off_b).abs() / off.max(1e-9) * 100.0;
+    let attempts = on.map(|on| OverheadAttempt {
+        off_wall_seconds: off,
+        on_wall_seconds: on,
+        overhead_pct: (on - off) / off.max(1e-9) * 100.0,
+        noise_floor_pct,
+    });
+    Ok((attempts, ledger))
+}
+
+fn emit(quick: bool, pr: u64, out_path: &str, gates: [Option<f64>; 4]) -> Result<(), String> {
+    let mode = if quick { "quick" } else { "full" };
+    let [metrics_gate, health_gate, prof_gate, throughput_gate] = gates;
+    let loop_cfg = if quick {
+        SimConfig::quick(30, SEED)
+    } else {
+        SimConfig::default()
     };
-    Ok((measure, ledger))
+    let dequeues = loop_dequeues(&loop_cfg);
+    let attempt_loop_seconds: Vec<f64> = (0..GATE_ATTEMPTS).map(|_| loop_wall(&loop_cfg)).collect();
+    let loop_seconds = median(attempt_loop_seconds.iter().copied());
+    let dequeues_per_s = dequeues as f64 / loop_seconds.max(1e-9);
+    // Read before the new snapshot can overwrite it.
+    let baseline = match throughput_gate {
+        Some(_) => baseline(mode)?,
+        None => None,
+    };
+    let gate = throughput_gate.zip(baseline.as_ref()).map(|(gate, b)| {
+        judge(
+            gate,
+            (b.dequeues_per_s - dequeues_per_s) / b.dequeues_per_s * 100.0,
+            0.0,
+        )
+    });
+    if throughput_gate.is_some() && gate.is_none() {
+        println!(
+            "throughput gate skipped: the newest BENCH_PR*.json is not a `{mode}`-mode \
+             snapshot with dequeues_per_s"
+        );
+    }
+    let throughput = Throughput {
+        window_days: loop_cfg.window / 86_400,
+        seed: SEED,
+        dequeues,
+        attempt_loop_seconds,
+        loop_seconds,
+        dequeues_per_s,
+        baseline,
+        gate,
+    };
+
+    let ov_days = if quick { 30 } else { 60 };
+    let ov_cfg = StudyConfig::quick(ov_days, SEED);
+    let mut per_arm: [Vec<OverheadAttempt>; ARMS.len()] = Default::default();
+    let mut ledger = BTreeMap::new();
+    for _ in 0..GATE_ATTEMPTS {
+        let (attempt, attempt_ledger) = measure_overheads(&ov_cfg)?;
+        for (arm, a) in per_arm.iter_mut().zip(attempt) {
+            arm.push(a);
+        }
+        ledger = attempt_ledger;
+    }
+    let overhead = ARMS
+        .iter()
+        .zip(per_arm)
+        .zip([metrics_gate, health_gate, prof_gate])
+        .map(|((arm, attempts), gate)| arm_record(arm, ov_days, attempts, gate))
+        .collect();
+
+    let snapshot = Snapshot {
+        pr,
+        mode: mode.to_string(),
+        throughput: Some(throughput),
+        overhead: Some(overhead),
+        prof: Some(Prof {
+            window_days: ov_days,
+            seed: SEED,
+            kinds: ledger,
+        }),
+    };
+    write_json(out_path, &snapshot)?;
+    verdicts(&snapshot)
 }
 
-/// First overhead gate breached by this measurement, as a message, or
-/// `None` when all requested gates clear. Each gate widens to the
-/// measurement's own noise floor — the host cannot certify a
-/// percentage finer than its own jitter.
-fn overhead_breach(m: &OverheadMeasure, gates: &Gates) -> Option<String> {
-    let mut arms = ARMS.iter().zip(gates.overhead).zip(m.pct.iter().zip(m.on));
-    arms.find_map(|((arm, gate), (pct, on))| {
-        let gate = gate?;
-        (*pct > gate.max(m.noise_pct)).then(|| {
-            format!(
-                "{arm} overhead {pct:.2}% exceeds the {gate:.2}% gate \
-                 (noise floor {:.2}%, off {:.3}s, on {on:.3}s)",
-                m.noise_pct, m.off
-            )
-        })
-    })
+/// Prints every verdict in `snapshot`; `Err` names the gates whose
+/// median failed.
+fn verdicts(snapshot: &Snapshot) -> Result<(), String> {
+    let throughput = snapshot
+        .throughput
+        .iter()
+        .map(|t| ("throughput drop".to_string(), &t.gate));
+    let arms = snapshot
+        .overhead
+        .iter()
+        .flatten()
+        .map(|a| (format!("{} overhead", a.arm), &a.gate));
+    let mut failed = Vec::new();
+    for (name, verdict) in throughput.chain(arms) {
+        let Some(v) = verdict else { continue };
+        let word = if v.pass { "pass" } else { "FAIL" };
+        println!(
+            "{name}: median {:+.2}% against {:.2}% (gate {:.2}%) over {GATE_ATTEMPTS} \
+             attempts — {word}",
+            v.median_pct, v.limit_pct, v.gate_pct
+        );
+        if !v.pass {
+            failed.push(name);
+        }
+    }
+    if failed.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "gates failed on their medians: {}",
+        failed.join(", ")
+    ))
 }
 
-/// One point of the `titan-bench-trajectory/1` document, extracted from
-/// a committed `BENCH_PR<N>.json` snapshot's `single_run` section.
-#[derive(serde::Serialize)]
+/// One point of the `titan-bench-trajectory/2` document.
+#[derive(Serialize)]
 struct TrajectoryPoint {
     pr: u64,
     mode: String,
-    window_days: u64,
-    events: u64,
-    events_per_sec: f64,
-    wall_seconds: f64,
+    throughput: Throughput,
 }
 
-/// The merged perf-trajectory document: every committed bench snapshot
-/// as one point, PR-ascending, so a plot of events/sec over the PR
-/// sequence is a single `jq` away.
-#[derive(serde::Serialize)]
+/// The merged perf-trajectory document: one point per snapshot that
+/// carries `dequeues_per_s`, PR-ascending.
+#[derive(Serialize)]
 struct TrajectoryDoc {
     schema: String,
     points: Vec<TrajectoryPoint>,
 }
 
-/// `--trajectory`: merge committed `BENCH_PR*.json` snapshots into the
-/// trajectory document and gate the newest point against the previous
-/// same-mode point (>10% events/sec regression fails). Pure file work —
-/// no simulation runs.
-fn trajectory(out_path: &str) -> Result<(), String> {
-    let mut found: Vec<(u64, String)> = Vec::new();
-    let entries = std::fs::read_dir(".").map_err(|e| format!("read .: {e}"))?;
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(num) = name
-            .strip_prefix("BENCH_PR")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|n| n.parse::<u64>().ok())
-        {
-            found.push((num, name));
-        }
-    }
-    if found.is_empty() {
-        return Err("no BENCH_PR*.json snapshots in the working directory".into());
-    }
-    found.sort();
+/// `--trajectory`: merges the `BENCH_PR*.json` snapshots in `dir` into
+/// the trajectory document at `out_path` and gates the newest point
+/// (see [`trajectory_gate`]). Pure file work — no simulation runs.
+fn trajectory(dir: &Path, out_path: &str) -> Result<(), String> {
     let mut points = Vec::new();
-    for (num, name) in &found {
-        let text =
-            std::fs::read_to_string(name).map_err(|e| format!("read {name}: {e}"))?;
-        let Some(mode) = json_str_field(&text, "mode") else {
-            println!("skipping {name}: no `mode` field (pre-schema snapshot)");
-            continue;
-        };
-        // First occurrence wins in all of these, which is the
-        // `single_run` section — the sections after it repeat
-        // `window_days` but never precede it.
-        let (Some(window_days), Some(events), Some(eps), Some(wall)) = (
-            json_num_field(&text, "window_days"),
-            json_num_field(&text, "events"),
-            json_num_field(&text, "events_per_sec"),
-            json_num_field(&text, "wall_seconds"),
-        ) else {
-            println!("skipping {name}: incomplete single_run section");
-            continue;
-        };
-        points.push(TrajectoryPoint {
-            pr: *num,
-            mode,
-            // lint: allow(N1, snapshot values are small non-negative integers by construction)
-            window_days: window_days as u64,
-            // lint: allow(N1, snapshot values are small non-negative integers by construction)
-            events: events as u64,
-            events_per_sec: eps,
-            wall_seconds: wall,
-        });
+    for (_, name) in snapshot_names(dir)? {
+        let snap = read_snapshot(&dir.join(&name))?;
+        match snap.throughput {
+            Some(throughput) => points.push(TrajectoryPoint {
+                pr: snap.pr,
+                mode: snap.mode,
+                throughput,
+            }),
+            None => {
+                println!("skipping {name}: no dequeues_per_s (written before the unit existed)")
+            }
+        }
     }
     if points.is_empty() {
-        return Err("no parseable BENCH_PR*.json snapshots".into());
-    }
-    for p in &points {
-        println!(
-            "pr {:>3} [{:>5}] {:>10.0} events/sec  ({} events over {} days in {:.3}s)",
-            p.pr, p.mode, p.events_per_sec, p.events, p.window_days, p.wall_seconds
-        );
+        return Err(format!(
+            "no BENCH_PR*.json in {} carries dequeues_per_s",
+            dir.display()
+        ));
     }
     let doc = TrajectoryDoc {
-        schema: "titan-bench-trajectory/1".to_string(),
+        schema: "titan-bench-trajectory/2".to_string(),
         points,
     };
-    let mut json = serde_json::to_string_pretty(&doc)
-        .map_err(|e| format!("serialize trajectory: {e}"))?;
-    json.push('\n');
-    std::fs::write(out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
+    write_json(out_path, &doc)?;
+    println!("{}", trajectory_gate(&doc.points)?);
+    Ok(())
+}
 
-    // Regression gate: newest point vs the previous point of the same
-    // mode (full and quick windows are incomparable).
-    // lint: allow(P2, points.is_empty() returned an error above)
-    let newest = doc.points.last().expect("points is non-empty");
-    // lint: allow(P2, len - 1 is in bounds: points is non-empty)
-    let prev = doc.points[..doc.points.len() - 1]
-        .iter()
-        .rev()
-        .find(|p| p.mode == newest.mode);
-    match prev {
-        Some(prev) if prev.events_per_sec > 0.0 => {
-            let drop_pct =
-                (prev.events_per_sec - newest.events_per_sec) / prev.events_per_sec * 100.0;
-            if drop_pct > 10.0 {
-                return Err(format!(
-                    "pr {} regressed events/sec {:.1}% vs pr {} \
-                     ({:.0} -> {:.0}) — over the 10% trajectory gate",
-                    newest.pr, drop_pct, prev.pr, prev.events_per_sec, newest.events_per_sec
-                ));
-            }
-            println!(
-                "trajectory gate clear: pr {} vs pr {} ({:+.1}%)",
-                newest.pr, prev.pr, -drop_pct
-            );
-        }
-        _ => println!(
+/// The newest point against the previous point of the same mode (full
+/// and quick windows are incomparable): `Err` on a drop of more than
+/// [`TRAJECTORY_GATE_PCT`].
+fn trajectory_gate(points: &[TrajectoryPoint]) -> Result<String, String> {
+    let Some((newest, older)) = points.split_last() else {
+        return Err("the trajectory has no points".into());
+    };
+    let Some(prev) = older.iter().rev().find(|p| p.mode == newest.mode) else {
+        return Ok(format!(
             "trajectory gate skipped: no previous `{}`-mode point before pr {}",
             newest.mode, newest.pr
-        ),
+        ));
+    };
+    let (was, now) = (
+        prev.throughput.dequeues_per_s,
+        newest.throughput.dequeues_per_s,
+    );
+    let drop_pct = (was - now) / was * 100.0;
+    if drop_pct > TRAJECTORY_GATE_PCT {
+        return Err(format!(
+            "pr {} dropped {drop_pct:.1}% below pr {} ({was:.0} -> {now:.0} dequeues/s) — over \
+             the {TRAJECTORY_GATE_PCT}% trajectory gate",
+            newest.pr, prev.pr
+        ));
     }
-    Ok(())
+    Ok(format!(
+        "trajectory gate clear: pr {} vs pr {} ({:+.1}%)",
+        newest.pr, prev.pr, -drop_pct
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn attempt(overhead_pct: f64, noise_floor_pct: f64) -> OverheadAttempt {
+        OverheadAttempt {
+            off_wall_seconds: 0.4,
+            on_wall_seconds: 0.4 * (1.0 + overhead_pct / 100.0),
+            overhead_pct,
+            noise_floor_pct,
+        }
+    }
+
+    fn snapshot(pr: u64, mode: &str, dequeues_per_s: f64) -> Snapshot {
+        Snapshot {
+            pr,
+            mode: mode.to_string(),
+            throughput: Some(Throughput {
+                window_days: 30,
+                seed: SEED,
+                dequeues: 17_046,
+                attempt_loop_seconds: vec![0.03, 0.02, 0.04],
+                loop_seconds: 0.03,
+                dequeues_per_s,
+                baseline: None,
+                gate: Some(judge(10.0, 1.5, 0.0)),
+            }),
+            overhead: Some(vec![arm_record(
+                "prof",
+                30,
+                vec![attempt(0.5, 0.2), attempt(2.0, 0.4), attempt(0.1, 0.3)],
+                Some(1.0),
+            )]),
+            prof: Some(Prof {
+                window_days: 30,
+                seed: SEED,
+                kinds: BTreeMap::from([("ev:sbe".to_string(), KindCost::default())]),
+            }),
+        }
+    }
+
+    /// A fresh directory for one test's snapshot files.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("bench_pr-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn write_snapshot(dir: &Path, snap: &Snapshot) {
+        let path = dir.join(format!("BENCH_PR{}.json", snap.pr));
+        write_json(path.to_str().unwrap(), snap).unwrap();
+    }
+
+    /// A snapshot from before `dequeues_per_s`: `events_per_sec` only.
+    const OLD_SNAPSHOT: &str = r#"{
+  "pr": 1,
+  "mode": "quick",
+  "single_run": {"window_days": 30, "seed": 48716, "wall_seconds": 0.087,
+                 "events": 60766, "events_per_sec": 701188},
+  "metrics_overhead": {"overhead_pct": 1.22, "noise_floor_pct": 2.59}
+}
+"#;
+
+    #[test]
+    fn median_picks_the_middle_attempt() {
+        assert_eq!(median([9.0, 1.0, 4.0]), 4.0);
+        assert_eq!(median([2.0]), 2.0);
+        assert!(median([]).is_nan());
+    }
+
+    #[test]
+    fn each_gate_is_judged_on_the_median_of_its_own_attempts() {
+        // One outlier attempt per arm does not decide its verdict.
+        let metrics = arm_record(
+            "metrics",
+            30,
+            vec![attempt(9.0, 0.5), attempt(2.0, 0.5), attempt(3.0, 0.5)],
+            Some(5.0),
+        );
+        let v = metrics.gate.as_ref().unwrap();
+        assert_eq!((v.median_pct, v.pass), (3.0, true));
+        let health = arm_record(
+            "health",
+            30,
+            vec![attempt(0.2, 0.1), attempt(1.5, 0.1), attempt(1.8, 0.1)],
+            Some(1.0),
+        );
+        let v = health.gate.as_ref().unwrap();
+        assert_eq!((v.median_pct, v.pass), (1.5, false));
+        // The noise-floor rule applies to the medians: a median noise
+        // floor of 2% certifies a 1.5% median against a 1% gate.
+        let noisy = arm_record(
+            "prof",
+            30,
+            vec![attempt(1.5, 2.0), attempt(1.5, 1.0), attempt(1.5, 3.0)],
+            Some(1.0),
+        );
+        let v = noisy.gate.as_ref().unwrap();
+        assert_eq!((v.limit_pct, v.pass), (2.0, true));
+        // No gate asked for: every attempt is still recorded.
+        let ungated = arm_record("prof", 30, vec![attempt(50.0, 0.0); 3], None);
+        assert!(ungated.gate.is_none());
+        assert_eq!(ungated.attempts.len(), 3);
+    }
+
+    #[test]
+    fn another_gates_breaches_do_not_reproduce_the_first() {
+        // Attempt 1 breaches the prof gate only; attempts 2 and 3 breach
+        // the metrics gate only. Prof breached once in three and passes;
+        // metrics fails on its own attempts, and its breaches never count
+        // as prof reproducing.
+        let prof = arm_record(
+            "prof",
+            30,
+            vec![attempt(8.6, 0.1), attempt(0.4, 0.1), attempt(0.6, 0.1)],
+            Some(1.0),
+        );
+        let metrics = arm_record(
+            "metrics",
+            30,
+            vec![attempt(1.0, 0.1), attempt(7.0, 0.1), attempt(6.0, 0.1)],
+            Some(5.0),
+        );
+        assert!(
+            prof.gate.as_ref().unwrap().pass,
+            "prof breached once, not three times"
+        );
+        assert!(!metrics.gate.as_ref().unwrap().pass);
+        let snap = Snapshot {
+            overhead: Some(vec![metrics, prof]),
+            ..snapshot(21, "quick", 1.0)
+        };
+        let err = verdicts(&snap).unwrap_err();
+        assert!(err.contains("metrics") && !err.contains("prof"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_round_trips_through_the_struct() {
+        let text = serde_json::to_string_pretty(&snapshot(21, "quick", 600_000.0)).unwrap();
+        let back: Snapshot = serde_json::from_str(&text).unwrap();
+        assert_eq!(serde_json::to_string_pretty(&back).unwrap(), text);
+        let old: Snapshot = serde_json::from_str(OLD_SNAPSHOT).unwrap();
+        assert_eq!((old.pr, old.mode.as_str()), (1, "quick"));
+        assert!(old.throughput.is_none() && old.overhead.is_none() && old.prof.is_none());
+    }
+
+    #[test]
+    fn trajectory_gates_dequeues_per_s_and_skips_snapshots_without_it() {
+        let dir = scratch_dir("trajectory");
+        std::fs::write(dir.join("BENCH_PR1.json"), OLD_SNAPSHOT).unwrap();
+        write_snapshot(&dir, &snapshot(2, "quick", 1_000.0));
+        write_snapshot(&dir, &snapshot(3, "full", 100.0));
+        write_snapshot(&dir, &snapshot(4, "quick", 950.0));
+        let out = dir.join("trajectory.json");
+        let out = out.to_str().unwrap();
+        trajectory(&dir, out).unwrap();
+        let doc = std::fs::read_to_string(out).unwrap();
+        assert!(
+            doc.contains("\"schema\": \"titan-bench-trajectory/2\""),
+            "{doc}"
+        );
+        let prs: Vec<&str> = doc
+            .lines()
+            .filter(|l| l.contains("\"pr\":"))
+            .map(str::trim)
+            .collect();
+        assert_eq!(
+            prs,
+            ["\"pr\": 2,", "\"pr\": 3,", "\"pr\": 4,"],
+            "the events_per_sec-only snapshot is skipped"
+        );
+
+        // pr 5 is 11.6% below pr 4, the previous quick point, and fails;
+        // pr 3, a full-mode point, is not compared.
+        write_snapshot(&dir, &snapshot(5, "quick", 840.0));
+        let err = trajectory(&dir, out).unwrap_err();
+        assert!(err.contains("pr 5 dropped 11.6% below pr 4"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -11,9 +11,8 @@
 //! the parser additionally tolerates (and counts) malformed lines, since
 //! real console streams interleave GPU events with unrelated chatter.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
-use bytes::BytesMut;
 use titan_gpu::{GpuErrorKind, MemoryStructure, Xid};
 use titan_topology::Location;
 
@@ -117,15 +116,6 @@ pub fn rendered_len(ev: &ConsoleEvent) -> usize {
         n += " apid=".len() + digits(a);
     }
     n
-}
-
-/// Renders a batch of events into a newline-delimited buffer.
-pub fn render_stream(events: &[ConsoleEvent]) -> BytesMut {
-    let mut text = String::with_capacity(events.len() * 96);
-    for ev in events {
-        let _ = writeln!(text, "{ev}");
-    }
-    BytesMut::from(text.into_bytes())
 }
 
 /// Parses one console-log line. `None` for anything that is not a
@@ -383,20 +373,6 @@ random kernel chatter
     fn parser_rejects_bad_cname() {
         let line = "[2013-06-01 00:00:10] c9-0c1s2n3 GPU Xid 13: Graphics Engine Exception";
         assert_eq!(parse_line(line), None);
-    }
-
-    #[test]
-    fn render_stream_is_line_per_event() {
-        let evs = vec![
-            sample(GpuErrorKind::DoubleBitError),
-            sample(GpuErrorKind::GpuStoppedProcessing),
-        ];
-        let buf = render_stream(&evs);
-        let text = std::str::from_utf8(&buf).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        let (parsed, stats) = parse_stream(text);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(stats.skipped, 0);
     }
 
     #[test]

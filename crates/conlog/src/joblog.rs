@@ -10,7 +10,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use titan_topology::NodeId;
+use titan_topology::{NodeId, TOTAL_SLOTS};
 
 use crate::time::SimTime;
 
@@ -257,24 +257,27 @@ fn write_ranges(f: &mut fmt::Formatter<'_>, ids: impl Iterator<Item = u32>) -> f
     Ok(())
 }
 
-/// Inverse of [`compress_ranges`].
+/// Inverse of [`compress_ranges`]. `None` for a malformed list, and for
+/// one that expands past [`TOTAL_SLOTS`] ids: no job runs on more nodes
+/// than the machine has, and a short `0-4294967295` must not ask for
+/// 2^32 ids.
 pub fn expand_ranges(s: &str) -> Option<Vec<NodeId>> {
     if s == "-" {
         return Some(Vec::new());
     }
     let mut out = Vec::new();
     for part in s.split(',') {
-        match part.split_once('-') {
-            Some((a, b)) => {
-                let a: u32 = a.parse().ok()?;
-                let b: u32 = b.parse().ok()?;
-                if a > b {
-                    return None;
-                }
-                out.extend((a..=b).map(NodeId));
+        let (a, b) = match part.split_once('-') {
+            Some((a, b)) => (a.parse::<u32>().ok()?, b.parse::<u32>().ok()?),
+            None => {
+                let n = part.parse::<u32>().ok()?;
+                (n, n)
             }
-            None => out.push(NodeId(part.parse().ok()?)),
+        };
+        if a > b || usize::try_from(b - a).ok()? >= TOTAL_SLOTS - out.len() {
+            return None;
         }
+        out.extend((a..=b).map(NodeId));
     }
     Some(out)
 }
@@ -337,6 +340,31 @@ mod tests {
         assert_eq!(expand_ranges("9-5"), None);
         assert_eq!(expand_ranges("abc"), None);
         assert_eq!(expand_ranges("1,,2"), None);
+    }
+
+    #[test]
+    fn node_lists_past_the_machine_are_rejected_before_expanding() {
+        let line = |nodes: &str| {
+            format!(
+                "JOB apid=1 user=1 start=0 end=1 gpu_core_hours=0 max_mem=0 total_mem_bh=0 \
+                 nodes={nodes}"
+            )
+        };
+        // About 100 bytes that ask for 2^32 ids (16 GiB): an error, with
+        // nothing materialized.
+        let err = JobRecord::parse(&line("0-4294967295")).unwrap_err();
+        assert!(err.to_string().contains("bad nodes"), "{err}");
+        // Every slot of the machine is still one valid list.
+        let all = JobRecord::parse(&line("0-19199")).unwrap();
+        assert_eq!(all.nodes.len(), TOTAL_SLOTS);
+        assert_eq!(all.nodes.last(), Some(&NodeId(19_199)));
+        // One id more is not, in one range or summed over parts.
+        assert_eq!(expand_ranges("0-19200"), None);
+        assert_eq!(expand_ranges("0-19198,5,6"), None);
+        assert_eq!(
+            expand_ranges("0-19198,5").map(|v| v.len()),
+            Some(TOTAL_SLOTS)
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::path::Path;
 use crate::{Finding, Rule, ENGINE_CRATE_DIRS};
 
 /// The layering contract: crate dir → titan crate dirs it may list in
-/// `[dependencies]`. Vendored stubs (serde, rand, bytes, ...) are not
+/// `[dependencies]`. Vendored stubs (serde, rand, ...) are not
 /// constrained except `rayon`, which is banned from engine crates
 /// outright (the manifest-level mirror of rule D4).
 ///

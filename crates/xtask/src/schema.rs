@@ -4,7 +4,7 @@
 //! (metrics documents), `titan-check/1` (per-check verdicts),
 //! `titan-obs-replicate/1` (replication bands), `titan-trace/1`
 //! (flight-recorder records), `titan-prof/2` (cost-ledger profile
-//! documents), and `titan-bench-trajectory/1` (merged perf-snapshot
+//! documents), and `titan-bench-trajectory/2` (merged perf-snapshot
 //! trajectories). Downstream tooling
 //! parses them by field name, so a renamed or reordered field is a
 //! silent break — the same failure shape as the nvidia-smi DBE counter

@@ -494,7 +494,7 @@ fn real_tree_layering_and_schemas_are_clean() {
     assert_eq!(
         names,
         [
-            "titan-bench-trajectory/1",
+            "titan-bench-trajectory/2",
             "titan-check/1",
             "titan-ckpt/1",
             "titan-health/1",

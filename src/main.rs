@@ -223,7 +223,7 @@ commands:
                                     interval whose chained digest diverges
   bench diff A.json B.json
                                     compare two bench_pr snapshots (BENCH_PR*.json)
-                                    and attribute the events/sec delta to the
+                                    and attribute the dequeues_per_s delta to the
                                     deterministic per-kind cost ledger they embed
 
 Without --days the full 21-month study window runs (~2 min in release).";
@@ -622,19 +622,18 @@ fn load_checkpoint_chain(dir: &str) -> Result<Vec<titan_runner::CheckpointDoc>, 
     Ok(docs)
 }
 
-/// The `single_run` section of a bench_pr snapshot (every field is
-/// optional: older snapshots predate some of them, and the vendored
-/// serde maps a missing key to `None`).
+/// The `throughput` section of a bench_pr snapshot. Snapshots written
+/// before `dequeues_per_s` existed lack it.
 #[derive(serde::Deserialize)]
-struct BenchSingleRun {
-    window_days: Option<u64>,
-    events: Option<u64>,
-    events_per_sec: Option<f64>,
-    wall_seconds: Option<f64>,
+struct BenchThroughput {
+    window_days: u64,
+    dequeues: u64,
+    loop_seconds: f64,
+    dequeues_per_s: f64,
 }
 
 /// The `prof` section a `titan-prof/2`-aware bench_pr embeds: the
-/// deterministic per-scope ledger of the snapshot's single run.
+/// deterministic per-scope ledger of the overhead window.
 #[derive(serde::Deserialize)]
 struct BenchProfSection {
     kinds: Option<std::collections::BTreeMap<String, titan_obs::KindCost>>,
@@ -647,7 +646,7 @@ struct BenchProfSection {
 struct BenchSnapshot {
     pr: Option<u64>,
     mode: Option<String>,
-    single_run: Option<BenchSingleRun>,
+    throughput: Option<BenchThroughput>,
     prof: Option<BenchProfSection>,
 }
 
@@ -658,7 +657,7 @@ fn read_bench_snapshot(path: &str) -> Result<BenchSnapshot, String> {
 
 /// The `bench` subcommand: offline tooling over bench_pr snapshots
 /// (`BENCH_PR*.json`, written by `cargo run --release -p titan-bench
-/// --bin bench_pr`). `diff` explains an events/sec delta between two
+/// --bin bench_pr`). `diff` explains a `dequeues_per_s` delta between two
 /// snapshots in terms of the deterministic cost ledger they embed —
 /// count deltas are seed-deterministic, so a throughput change splits
 /// cleanly into "the workload mix changed" (counts moved) versus "the
@@ -694,19 +693,16 @@ fn print_bench_diff(a: &BenchSnapshot, b: &BenchSnapshot, a_path: &str, b_path: 
     if a.mode != b.mode {
         println!("note: the snapshots ran different modes; walls are not comparable");
     }
-    let field = |s: &BenchSnapshot, f: fn(&BenchSingleRun) -> Option<f64>| {
-        s.single_run.as_ref().and_then(f)
-    };
-    let rows: [(&str, fn(&BenchSingleRun) -> Option<f64>); 4] = [
-        // lint: allow(N1, u64 event counts are far below f64's exact-integer range)
-        ("window_days", |r| r.window_days.map(|v| v as f64)),
-        // lint: allow(N1, u64 event counts are far below f64's exact-integer range)
-        ("events", |r| r.events.map(|v| v as f64)),
-        ("wall_seconds", |r| r.wall_seconds),
-        ("events_per_sec", |r| r.events_per_sec),
+    let rows: [(&str, fn(&BenchThroughput) -> f64); 4] = [
+        // lint: allow(N1, u64 day and dequeue counts are far below f64's exact-integer range)
+        ("window_days", |t| t.window_days as f64),
+        // lint: allow(N1, u64 day and dequeue counts are far below f64's exact-integer range)
+        ("dequeues", |t| t.dequeues as f64),
+        ("loop_seconds", |t| t.loop_seconds),
+        ("dequeues_per_s", |t| t.dequeues_per_s),
     ];
     for (name, get) in rows {
-        match (field(a, get), field(b, get)) {
+        match (a.throughput.as_ref().map(get), b.throughput.as_ref().map(get)) {
             (Some(va), Some(vb)) => {
                 let pct = if va != 0.0 { (vb - va) / va * 100.0 } else { 0.0 };
                 println!("  {name:<16} {va:>14.2} -> {vb:>14.2}  ({pct:+.1}%)");
@@ -768,7 +764,7 @@ fn print_bench_diff(a: &BenchSnapshot, b: &BenchSnapshot, a_path: &str, b_path: 
     }
     if !moved {
         println!(
-            "  (no scope moved — the event mix is identical; any events/sec \
+            "  (no scope moved — the event mix is identical; any dequeues_per_s \
              delta is host or per-event cost, not workload)"
         );
     }

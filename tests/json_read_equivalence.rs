@@ -893,11 +893,11 @@ fn check_doc<T: Deserialize + Serialize>(text: &str, what: &str) {
 /// The slice of a `BENCH_PR*.json` snapshot `bench diff` reads: the
 /// same shape as the CLI's reader.
 #[derive(Serialize, Deserialize)]
-struct BenchSingleRun {
-    window_days: Option<u64>,
-    events: Option<u64>,
-    events_per_sec: Option<f64>,
-    wall_seconds: Option<f64>,
+struct BenchThroughput {
+    window_days: u64,
+    dequeues: u64,
+    loop_seconds: f64,
+    dequeues_per_s: f64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -909,7 +909,7 @@ struct BenchProfSection {
 struct BenchSnapshot {
     pr: Option<u64>,
     mode: Option<String>,
-    single_run: Option<BenchSingleRun>,
+    throughput: Option<BenchThroughput>,
     prof: Option<BenchProfSection>,
 }
 

@@ -265,8 +265,10 @@ fn profile_exports_have_documented_determinism() {
 }
 
 /// `bench diff` reads the committed snapshots: the pre-ledger baseline
-/// pairs with the current one (per-kind attribution unavailable), and
-/// a self-diff of the current snapshot shows a quiet ledger.
+/// pairs with a ledger one (per-kind attribution unavailable), a
+/// snapshot from before `dequeues_per_s` pairs with one that carries it
+/// (the rows are absent, the ledger deltas print), and a self-diff of
+/// the current snapshot shows a quiet ledger.
 #[test]
 fn bench_diff_reads_committed_snapshots() {
     // Integration tests run with the package root as cwd, where the
@@ -274,16 +276,24 @@ fn bench_diff_reads_committed_snapshots() {
     let old_new = run_in(Path::new("."), "1", &["bench", "diff", "BENCH_PR8.json", "BENCH_PR10.json"]);
     let text = String::from_utf8_lossy(&old_new.stdout);
     assert!(text.contains("bench diff:"), "missing header:\n{text}");
-    assert!(text.contains("events_per_sec"), "missing throughput row:\n{text}");
     assert!(
         text.contains("pre-titan-prof/2"),
         "PR8 snapshot predates the ledger; expected the fallback note:\n{text}"
     );
-    let same = run_in(Path::new("."), "1", &["bench", "diff", "BENCH_PR10.json", "BENCH_PR10.json"]);
+    // PR10 predates dequeues_per_s; PR21 carries it and the ledger.
+    let across = run_in(Path::new("."), "1", &["bench", "diff", "BENCH_PR10.json", "BENCH_PR21.json"]);
+    let text = String::from_utf8_lossy(&across.stdout);
+    assert!(
+        text.contains("dequeues_per_s") && text.contains("(absent from one snapshot)"),
+        "missing throughput row:\n{text}"
+    );
+    assert!(text.contains("deterministic ledger deltas"), "missing delta table:\n{text}");
+    let same = run_in(Path::new("."), "1", &["bench", "diff", "BENCH_PR21.json", "BENCH_PR21.json"]);
     let text = String::from_utf8_lossy(&same.stdout);
+    assert!(text.contains("dequeues_per_s") && text.contains("(+0.0%)"), "missing throughput row:\n{text}");
     assert!(
         text.contains("deterministic ledger deltas"),
-        "PR10 snapshot carries a ledger; expected the delta table:\n{text}"
+        "PR21 snapshot carries a ledger; expected the delta table:\n{text}"
     );
     assert!(text.contains("no scope moved"), "self-diff shows movement:\n{text}");
 }
