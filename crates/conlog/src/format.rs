@@ -16,8 +16,9 @@ use std::fmt;
 use titan_gpu::{GpuErrorKind, MemoryStructure, Xid};
 use titan_topology::Location;
 
+use crate::line::{self, digits, Cursor, LogLine};
 use crate::record::ConsoleEvent;
-use crate::time::StudyCalendar;
+use crate::time::{CalendarTime, StudyCalendar};
 
 /// Counters from a parsing pass over a log stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,52 +29,60 @@ pub struct ParseStats {
     pub skipped: u64,
 }
 
-/// Writes the event's console-log line (no trailing newline). This is
-/// the one definition of the line format: [`render_line`], the log
-/// renderers and the run digest all write through it, the latter two
-/// straight into their sink without a per-line allocation.
-impl fmt::Display for ConsoleEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{}] {} ",
-            StudyCalendar.breakdown(self.time),
-            self.node.location()
-        )?;
+/// Appends the event's console-log line (no trailing newline). This is
+/// the one definition of the line format: [`render_line`], `Display`,
+/// the log renderers and the run digest all write through it.
+impl LogLine for ConsoleEvent {
+    fn write_line(&self, out: &mut String) {
+        out.push('[');
+        line::push_timestamp(out, &StudyCalendar.breakdown(self.time));
+        out.push_str("] ");
+        line::push_cname(out, &self.node.location());
+        out.push(' ');
         match self.kind.xid() {
-            Some(x) => write!(f, "GPU Xid {x}: {}", self.kind.description())?,
+            Some(x) => {
+                out.push_str("GPU Xid ");
+                line::push_uint(out, u64::from(x.0));
+                out.push_str(": ");
+                out.push_str(self.kind.description());
+            }
             None => match self.kind {
-                GpuErrorKind::OffTheBus => f.write_str("GPU has fallen off the bus")?,
+                GpuErrorKind::OffTheBus => out.push_str(OFF_THE_BUS),
                 // SBEs never appear in console logs; render defensively anyway.
-                _ => f.write_str(self.kind.description())?,
+                _ => out.push_str(self.kind.description()),
             },
         }
         if let Some(st) = self.structure {
-            write!(f, " struct=\"{}\"", st.label())?;
+            out.push_str(" struct=\"");
+            out.push_str(st.label());
+            out.push('"');
         }
         if let Some(p) = self.page {
-            write!(f, " page=0x{p:08x}")?;
+            out.push_str(" page=0x");
+            line::push_hex8(out, p);
         }
         if let Some(a) = self.apid {
-            write!(f, " apid={a}")?;
+            out.push_str(" apid=");
+            line::push_uint(out, a);
         }
-        Ok(())
     }
 }
+
+/// The console-log line, through [`LogLine::write_line`].
+impl fmt::Display for ConsoleEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        line::display(self, f)
+    }
+}
+
+/// The off-the-bus line body, which carries no XID.
+const OFF_THE_BUS: &str = "GPU has fallen off the bus";
 
 /// Renders one event as a console-log line (no trailing newline).
 pub fn render_line(ev: &ConsoleEvent) -> String {
-    ev.to_string()
-}
-
-/// Decimal digit count of `v` (1 for zero).
-fn digits(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 10 {
-        v /= 10;
-        n += 1;
-    }
-    n
+    let mut s = String::with_capacity(rendered_len(ev));
+    ev.write_line(&mut s);
+    s
 }
 
 /// Exact byte length of [`render_line`] for `ev`, computed without
@@ -102,7 +111,7 @@ pub fn rendered_len(ev: &ConsoleEvent) -> usize {
     match ev.kind.xid() {
         Some(x) => n += "GPU Xid ".len() + digits(u64::from(x.0)) + ": ".len() + ev.kind.description().len(),
         None => match ev.kind {
-            GpuErrorKind::OffTheBus => n += "GPU has fallen off the bus".len(),
+            GpuErrorKind::OffTheBus => n += OFF_THE_BUS.len(),
             _ => n += ev.kind.description().len(),
         },
     }
@@ -120,7 +129,97 @@ pub fn rendered_len(ev: &ConsoleEvent) -> usize {
 
 /// Parses one console-log line. `None` for anything that is not a
 /// GPU event line (the stream carries plenty of other traffic).
+/// Canonical lines, the ones [`LogLine::write_line`] writes, take
+/// [`parse_line_fast`]; every other line goes to [`parse_line_fields`].
 pub fn parse_line(line: &str) -> Option<ConsoleEvent> {
+    parse_line_fast(line).or_else(|| parse_line_fields(line))
+}
+
+/// The byte-cursor fast path of [`parse_line`]: takes only the exact
+/// line [`LogLine::write_line`] writes (single spaces, canonical
+/// numbers, the kind's own description, attributes in render order,
+/// nothing after the last one). `None` means "not canonical", not "not
+/// an event": the line may still parse through [`parse_line_fields`],
+/// which returns the same event for every line this accepts.
+pub fn parse_line_fast(line: &str) -> Option<ConsoleEvent> {
+    let mut c = Cursor::new(line);
+    c.tag("[")?;
+    let year = c.fixed(4)?;
+    c.tag("-")?;
+    let month = c.fixed(2)?;
+    c.tag("-")?;
+    let day = c.fixed(2)?;
+    c.tag(" ")?;
+    let hour = c.fixed(2)?;
+    c.tag(":")?;
+    let minute = c.fixed(2)?;
+    c.tag(":")?;
+    let second = c.fixed(2)?;
+    let time = StudyCalendar.sim_time(CalendarTime {
+        year: u16::try_from(year).ok()?,
+        month: u8::try_from(month).ok()?,
+        day: u8::try_from(day).ok()?,
+        hour: u8::try_from(hour).ok()?,
+        minute: u8::try_from(minute).ok()?,
+        second: u8::try_from(second).ok()?,
+    })?;
+    c.tag("] c")?;
+    let col = c.uint()?;
+    c.tag("-")?;
+    let row = c.uint()?;
+    c.tag("c")?;
+    let cage = c.uint()?;
+    c.tag("s")?;
+    let blade = c.uint()?;
+    c.tag("n")?;
+    let slot = c.uint()?;
+    let loc = Location {
+        row: u8::try_from(row).ok()?,
+        col: u8::try_from(col).ok()?,
+        cage: u8::try_from(cage).ok()?,
+        blade: u8::try_from(blade).ok()?,
+        node: u8::try_from(slot).ok()?,
+    };
+    if !loc.is_valid() {
+        return None;
+    }
+    let kind = if c.eat(" GPU Xid ") {
+        let kind = GpuErrorKind::from_xid(Xid(u8::try_from(c.uint()?).ok()?))?;
+        c.tag(": ")?;
+        c.tag(kind.description())?;
+        kind
+    } else {
+        c.tag(" ")?;
+        c.tag(OFF_THE_BUS)?;
+        GpuErrorKind::OffTheBus
+    };
+    let structure = if c.eat(" struct=\"") {
+        let st = MemoryStructure::from_label(c.until(b'"')?)?;
+        c.tag("\"")?;
+        Some(st)
+    } else {
+        None
+    };
+    let page = if c.eat(" page=0x") { Some(c.hex8()?) } else { None };
+    let apid = if c.eat(" apid=") { Some(c.uint()?) } else { None };
+    if !c.is_empty() {
+        return None;
+    }
+    Some(ConsoleEvent {
+        time,
+        node: loc.node_id(),
+        kind,
+        structure,
+        page,
+        apid,
+    })
+}
+
+/// The field-map parser behind [`parse_line`]: tolerates trailing
+/// whitespace, any number formatting `str::parse` takes, attributes in
+/// any order and unknown ones. It is the fallback for non-canonical
+/// lines and the oracle [`parse_line_fast`] is tested against.
+pub fn parse_line_fields(line: &str) -> Option<ConsoleEvent> {
     let cal = StudyCalendar;
     let line = line.trim_end();
     // "[" ts "]" — fixed-width timestamp.
@@ -135,17 +234,17 @@ pub fn parse_line(line: &str) -> Option<ConsoleEvent> {
     let sp = rest.find(' ')?;
     let (cname, rest) = rest.split_at(sp);
     let node = Location::parse_cname(cname).ok()?.node_id();
-    let rest = &rest[1..];
+    let rest = rest.get(1..)?;
 
     // Event body.
     let (kind, after): (GpuErrorKind, &str) = if let Some(r) = rest.strip_prefix("GPU Xid ") {
         let colon = r.find(':')?;
-        let xid: u8 = r[..colon].parse().ok()?;
+        let xid: u8 = r.get(..colon)?.parse().ok()?;
         let kind = GpuErrorKind::from_xid(Xid(xid))?;
         // Skip ": <description>" through to the attribute section.
-        let body = &r[colon + 1..];
+        let body = r.get(colon + 1..)?;
         (kind, attr_tail(body))
-    } else if let Some(r) = rest.strip_prefix("GPU has fallen off the bus") {
+    } else if let Some(r) = rest.strip_prefix(OFF_THE_BUS) {
         (GpuErrorKind::OffTheBus, r)
     } else {
         return None;
@@ -176,15 +275,16 @@ pub fn parse_line(line: &str) -> Option<ConsoleEvent> {
     })
 }
 
-/// Finds the start of the `key=value` attribute section: the first
-/// ` key=` occurrence after the free-text description.
+/// Finds the start of the `key=value` attribute section: the earliest
+/// ` key=` occurrence after the free-text description, whichever key it
+/// is.
 fn attr_tail(body: &str) -> &str {
-    for key in [" struct=", " page=", " apid="] {
-        if let Some(i) = body.find(key) {
-            return &body[i..];
-        }
-    }
-    ""
+    [" struct=", " page=", " apid="]
+        .into_iter()
+        .filter_map(|key| body.find(key))
+        .min()
+        .and_then(|i| body.get(i..))
+        .unwrap_or("")
 }
 
 /// Iterates `key=value` pairs; values may be double-quoted to contain
@@ -373,6 +473,38 @@ random kernel chatter
     fn parser_rejects_bad_cname() {
         let line = "[2013-06-01 00:00:10] c9-0c1s2n3 GPU Xid 13: Graphics Engine Exception";
         assert_eq!(parse_line(line), None);
+    }
+
+    #[test]
+    fn attributes_are_found_whichever_key_comes_first() {
+        // The attribute section starts at the earliest key, not at the
+        // first key of a fixed list that occurs anywhere in the line.
+        let pf = "[2013-06-01 00:00:10] c0-0c1s2n3 GPU Xid 31: GPU memory page fault \
+                  apid=5 page=0x00000001";
+        let ev = parse_line(pf).unwrap();
+        assert_eq!((ev.apid, ev.page), (Some(5), Some(1)));
+        let dbe = "[2013-06-01 00:00:10] c0-0c1s2n3 GPU Xid 48: Double Bit Error \
+                   page=0x00000001 struct=\"Device Memory\"";
+        let ev = parse_line(dbe).unwrap();
+        assert_eq!(ev.page, Some(1));
+        assert_eq!(ev.structure, Some(MemoryStructure::DeviceMemory));
+        // Neither is canonical: both took the field-map parser.
+        assert_eq!(parse_line_fast(pf), None);
+        assert_eq!(parse_line_fast(dbe), None);
+    }
+
+    #[test]
+    fn descriptions_and_labels_hold_no_attribute_syntax() {
+        // The field-map parser finds the attribute section by its keys;
+        // a description or label carrying `=` or `"` could fake one.
+        for kind in GpuErrorKind::ALL {
+            let d = kind.description();
+            assert!(!d.contains('=') && !d.contains('"'), "{d}");
+        }
+        for st in MemoryStructure::ALL {
+            let l = st.label();
+            assert!(!l.contains('=') && !l.contains('"'), "{l}");
+        }
     }
 
     #[test]

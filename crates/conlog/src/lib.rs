@@ -12,6 +12,9 @@
 //!   time ⇄ wall-clock conversions and the month axis used by every
 //!   monthly-frequency figure.
 //! * [`record`] — the typed console event (node, XID, structure, apid).
+//! * [`mod@line`] — the [`LogLine`] writer trait every log format implements,
+//!   the digit writer behind it, and the byte cursor of the parse fast
+//!   paths.
 //! * [`mod@format`] — the text wire format: rendering events to console-log
 //!   lines and the robust parser the analysis pipeline uses. Parsing is
 //!   total: garbage lines are counted, never panicked on.
@@ -31,12 +34,14 @@
 
 pub mod format;
 pub mod joblog;
+pub mod line;
 pub mod record;
 pub mod sec;
 pub mod time;
 
 pub use format::{parse_line, render_line, rendered_len, ParseStats};
 pub use joblog::{Aprun, JobLogError, JobRecord};
+pub use line::LogLine;
 pub use record::{ConsoleEvent, Severity};
 pub use sec::{SecAction, SecEngine, SecRule, SecStats};
 pub use time::{SimTime, StudyCalendar, STUDY_MONTHS, STUDY_SECONDS};

@@ -78,14 +78,13 @@ pub struct CalendarTime {
     pub second: u8,
 }
 
-/// Writes the log timestamp form, `2013-06-01 12:34:56`.
+/// Writes the log timestamp form, `2013-06-01 12:34:56`, through the
+/// same digit writer the console lines use.
 impl fmt::Display for CalendarTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:04}-{:02}-{:02} {:02}:{:02}:{:02}",
-            self.year, self.month, self.day, self.hour, self.minute, self.second
-        )
+        let mut s = String::with_capacity(19);
+        crate::line::push_timestamp(&mut s, self);
+        f.write_str(&s)
     }
 }
 

@@ -1,9 +1,13 @@
-//! Property tests: the log wire formats must round-trip exactly, and the
-//! parsers must be total (never panic) on arbitrary input.
+//! Property tests: the log wire formats must round-trip exactly, the
+//! parsers must be total (never panic) on arbitrary input, and each
+//! byte-cursor fast path must take every rendered line and agree with
+//! the field-map parser on every line it takes.
 
 use proptest::prelude::*;
-use titan_conlog::format::{parse_line, parse_stream, render_line};
-use titan_conlog::joblog::{compress_ranges, expand_ranges, JobRecord};
+use titan_conlog::format::{
+    parse_line, parse_line_fast, parse_line_fields, parse_stream, render_line,
+};
+use titan_conlog::joblog::{compress_ranges, expand_ranges, Aprun, JobRecord};
 use titan_conlog::time::{StudyCalendar, STUDY_SECONDS};
 use titan_conlog::ConsoleEvent;
 use titan_gpu::{GpuErrorKind, MemoryStructure};
@@ -22,6 +26,101 @@ fn any_structure() -> impl Strategy<Value = Option<MemoryStructure>> {
     prop::option::of(prop::sample::select(MemoryStructure::ALL.to_vec()))
 }
 
+/// A job record as the simulator writes one: nodes sorted and distinct,
+/// floats at the four decimals the log keeps.
+#[allow(clippy::too_many_arguments)]
+fn job(
+    apid: u64,
+    user: u32,
+    ids: &[u32],
+    start: u64,
+    dur: u64,
+    gch: f64,
+    max_mem: u64,
+    tmb: f64,
+) -> JobRecord {
+    let mut nodes: Vec<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    JobRecord {
+        apid,
+        user,
+        nodes,
+        start,
+        end: start + dur,
+        gpu_core_hours: (gch * 1e4).round() / 1e4,
+        max_memory_bytes: max_mem,
+        total_memory_byte_hours: (tmb * 1e4).round() / 1e4,
+    }
+}
+
+/// Start of the `at`-th run of ASCII digits in `b` (cyclically), if any.
+fn digit_run(b: &[u8], at: usize) -> Option<usize> {
+    let starts: Vec<usize> = (0..b.len())
+        .filter(|&i| b[i].is_ascii_digit() && (i == 0 || !b[i - 1].is_ascii_digit()))
+        .collect();
+    (!starts.is_empty()).then(|| starts[at % starts.len()])
+}
+
+/// One edit of a rendered (ASCII) line, of the kinds a fast path must
+/// refuse or read exactly as the field-map parser does: a `+` sign, a
+/// leading zero, uppercase hex, a doubled space, two fields swapped,
+/// trailing whitespace, truncation, or one number replaced (which can
+/// invert a span, repeat a node or overflow a field).
+fn mutate(line: &str, how: u8, at: usize) -> String {
+    let mut b = line.as_bytes().to_vec();
+    match how {
+        0 | 1 => {
+            if let Some(i) = digit_run(&b, at) {
+                b.insert(i, if how == 0 { b'+' } else { b'0' });
+            }
+        }
+        2 => {
+            let from = at % (b.len() + 1);
+            b[from..].make_ascii_uppercase();
+        }
+        3 => {
+            let spaces: Vec<usize> = (0..b.len()).filter(|&i| b[i] == b' ').collect();
+            if !spaces.is_empty() {
+                b.insert(spaces[at % spaces.len()], b' ');
+            }
+        }
+        4 => {
+            let mut tokens: Vec<&str> = line.split(' ').collect();
+            if tokens.len() > 1 {
+                let k = at % (tokens.len() - 1);
+                tokens.swap(k, k + 1);
+            }
+            b = tokens.join(" ").into_bytes();
+        }
+        5 => b.push([b' ', b'\t'][at % 2]),
+        6 => b.truncate(at % (b.len() + 1)),
+        _ => {
+            if let Some(i) = digit_run(&b, at) {
+                let end = (i..b.len()).find(|&k| !b[k].is_ascii_digit()).unwrap_or(b.len());
+                let new = ["0", "1", "19199", "4294967296"][at % 4];
+                b.splice(i..end, new.bytes());
+            }
+        }
+    }
+    String::from_utf8(b).expect("edits of an ASCII line stay ASCII")
+}
+
+/// The fast path of each parser either declines `line` or returns what
+/// the field-map parser returns.
+fn fast_paths_agree(line: &str) {
+    if let Some(ev) = parse_line_fast(line) {
+        prop_assert_eq!(parse_line_fields(line), Some(ev), "{}", line);
+    }
+    prop_assert_eq!(parse_line(line), parse_line_fields(line), "{}", line);
+    if let Some(j) = JobRecord::parse_fast(line) {
+        prop_assert_eq!(JobRecord::parse_fields(line), Ok(j), "{}", line);
+    }
+    if let Some(a) = Aprun::parse_fast(line) {
+        prop_assert_eq!(Aprun::parse_fields(line), Some(a), "{}", line);
+    }
+}
+
 proptest! {
     /// Console event -> line -> event is the identity.
     #[test]
@@ -36,6 +135,8 @@ proptest! {
         let ev = ConsoleEvent { time, node: NodeId(node), kind, structure, page, apid };
         let line = render_line(&ev);
         prop_assert_eq!(parse_line(&line), Some(ev), "{}", line);
+        // Every rendered line takes the fast path itself.
+        prop_assert_eq!(parse_line_fast(&line), Some(ev), "{}", line);
     }
 
     /// The line parser never panics and never invents events from noise
@@ -73,7 +174,7 @@ proptest! {
     }
 
     /// Job records round-trip exactly (floats rendered with enough
-    /// precision for the analysis tolerances).
+    /// precision for the analysis tolerances), through the fast path.
     #[test]
     fn job_roundtrip(
         apid in any::<u64>(),
@@ -85,22 +186,70 @@ proptest! {
         max_mem in 0u64..6_442_450_944,
         tmb in 0.0f64..1e15,
     ) {
-        let mut nodes: Vec<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let j = JobRecord {
-            apid, user, nodes,
-            start, end: start + dur,
-            gpu_core_hours: (gch * 1e4).round() / 1e4,
-            max_memory_bytes: max_mem,
-            total_memory_byte_hours: (tmb * 1e4).round() / 1e4,
-        };
-        let back = JobRecord::parse(&j.render()).unwrap();
+        let j = job(apid, user, &ids, start, dur, gch, max_mem, tmb);
+        let line = j.render();
+        let back = JobRecord::parse(&line).unwrap();
         prop_assert_eq!(back.apid, j.apid);
         prop_assert_eq!(back.user, j.user);
         prop_assert_eq!(&back.nodes, &j.nodes);
         prop_assert!((back.gpu_core_hours - j.gpu_core_hours).abs() < 1e-3);
         prop_assert_eq!(back.max_memory_bytes, j.max_memory_bytes);
+        // Every rendered line takes the fast path itself.
+        prop_assert_eq!(JobRecord::parse_fast(&line), Some(back), "{}", line);
+    }
+
+    /// Aprun segments round-trip exactly, through the fast path.
+    #[test]
+    fn aprun_roundtrip(
+        apid in any::<u64>(),
+        index in any::<u32>(),
+        start in 0u64..STUDY_SECONDS,
+        dur in 0u64..86_400,
+    ) {
+        let a = Aprun { apid, index, start, end: start + dur };
+        let line = a.render();
+        prop_assert_eq!(Aprun::parse(&line), Some(a), "{}", line);
+        prop_assert_eq!(Aprun::parse_fast(&line), Some(a), "{}", line);
+    }
+
+    /// The aprun parser never panics, and what it returns is a real
+    /// segment: `end >= start`, so `duration` cannot underflow.
+    #[test]
+    fn aprun_parser_total(s in "\\PC{0,200}") {
+        if let Some(a) = Aprun::parse(&s) {
+            prop_assert!(a.end >= a.start);
+            let _ = a.duration();
+        }
+        if !s.contains("APRUN") {
+            prop_assert_eq!(Aprun::parse(&s), None);
+        }
+    }
+
+    /// The aprun parser stays total on near-miss lines: edited renders
+    /// and `key=value` soup.
+    #[test]
+    fn aprun_parser_total_on_near_misses(
+        apid in any::<u64>(),
+        start in 0u64..STUDY_SECONDS,
+        end in 0u64..STUDY_SECONDS,
+        how in 0u8..8,
+        at in 0usize..64,
+        junk in "\\PC{0,24}",
+    ) {
+        let line = format!("APRUN apid={apid} idx=0 start={start} end={end}");
+        for l in [mutate(&line, how, at), format!("{line} {junk}"), format!("APRUN {junk}")] {
+            if let Some(a) = Aprun::parse(&l) {
+                prop_assert!(a.end >= a.start, "{}", l);
+            }
+        }
+        prop_assert_eq!(Aprun::parse(&line).is_some(), end >= start);
+    }
+
+    /// On arbitrary text the fast paths never take a line the field-map
+    /// parsers read differently.
+    #[test]
+    fn fast_paths_agree_on_noise(s in "\\PC{0,200}") {
+        fast_paths_agree(&s);
     }
 
     /// Timestamp render/parse round-trips across the window.
@@ -108,5 +257,63 @@ proptest! {
     fn timestamp_roundtrip(t in 0u64..STUDY_SECONDS) {
         let cal = StudyCalendar;
         prop_assert_eq!(cal.parse_timestamp(&cal.format_timestamp(t)), Some(t));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On edited console lines the fast path declines or agrees.
+    #[test]
+    fn console_fast_path_agrees_on_edits(
+        time in 0u64..STUDY_SECONDS,
+        node in 0u32..19_200,
+        kind in any_kind(),
+        structure in any_structure(),
+        page in prop::option::of(any::<u32>()),
+        apid in prop::option::of(any::<u64>()),
+        how in 0u8..8,
+        at in 0usize..256,
+    ) {
+        let ev = ConsoleEvent { time, node: NodeId(node), kind, structure, page, apid };
+        fast_paths_agree(&mutate(&render_line(&ev), how, at));
+    }
+
+    /// On edited job lines the fast path declines or agrees, and a
+    /// parsed job is always a real one: it ends no earlier than it
+    /// starts and lists each node once, in order.
+    #[test]
+    fn job_fast_path_agrees_on_edits(
+        apid in any::<u64>(),
+        user in any::<u32>(),
+        ids in prop::collection::vec(0u32..19_200, 1..50),
+        start in 0u64..STUDY_SECONDS,
+        dur in 0u64..86_400,
+        gch in 0.0f64..1e6,
+        tmb in 0.0f64..1e15,
+        how in 0u8..8,
+        at in 0usize..256,
+    ) {
+        let j = job(apid, user, &ids, start, dur, gch, 1 << 32, tmb);
+        let line = mutate(&j.render(), how, at);
+        fast_paths_agree(&line);
+        if let Ok(back) = JobRecord::parse(&line) {
+            prop_assert!(back.end >= back.start, "{}", line);
+            prop_assert!(back.nodes.windows(2).all(|w| w[0] < w[1]), "{}", line);
+        }
+    }
+
+    /// On edited aprun lines the fast path declines or agrees.
+    #[test]
+    fn aprun_fast_path_agrees_on_edits(
+        apid in any::<u64>(),
+        index in any::<u32>(),
+        start in 0u64..STUDY_SECONDS,
+        dur in 0u64..86_400,
+        how in 0u8..8,
+        at in 0usize..64,
+    ) {
+        let a = Aprun { apid, index, start, end: start + dur };
+        fast_paths_agree(&mutate(&a.render(), how, at));
     }
 }

@@ -1,10 +1,8 @@
 //! The [`Study`] runner: simulate → render logs → re-parse → analyze.
 
-use std::fmt::{self, Write as _};
-
 use serde::{Deserialize, Serialize};
 use titan_conlog::format::{parse_into, ParseStats};
-use titan_conlog::{Aprun, ConsoleEvent, JobRecord};
+use titan_conlog::{Aprun, ConsoleEvent, JobRecord, LogLine};
 use titan_nvsmi::{GpuSnapshot, JobEccDelta};
 use titan_obs::Obs;
 use titan_sim::{SimConfig, SimOutput, Simulator};
@@ -156,11 +154,12 @@ impl Study {
 /// and hands the text to `parse`. The pieces concatenate to the whole
 /// rendered log and each ends in a newline, so splitting each piece into
 /// lines yields exactly the lines of the whole log.
-fn for_each_rendered<T: fmt::Display>(records: &[T], mut parse: impl FnMut(&str)) {
+fn for_each_rendered<T: LogLine>(records: &[T], mut parse: impl FnMut(&str)) {
     let mut line = String::new();
     for r in records {
         line.clear();
-        let _ = writeln!(line, "{r}");
+        r.write_line(&mut line);
+        line.push('\n');
         parse(&line);
     }
 }

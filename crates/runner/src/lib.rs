@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 use serde::{Deserialize, Serialize};
-use titan_conlog::SecEngine;
+use titan_conlog::{LogLine, SecEngine};
 
 pub mod ckpt;
 
@@ -598,14 +598,20 @@ pub fn output_digest(sim: &SimOutput) -> u64 {
 
 fn stream_output(h: &mut Fnv1a, sim: &SimOutput) -> fmt::Result {
     sim.write_json(h)?;
-    for ev in &sim.console {
-        writeln!(h, "{ev}")?;
-    }
-    for j in &sim.jobs {
-        writeln!(h, "{j}")?;
-    }
-    for a in &sim.apruns {
-        writeln!(h, "{a}")?;
+    let mut line = String::new();
+    stream_lines(h, &mut line, &sim.console)?;
+    stream_lines(h, &mut line, &sim.jobs)?;
+    stream_lines(h, &mut line, &sim.apruns)
+}
+
+/// Hashes each record's log line, newline-terminated, through one
+/// reused `line` buffer.
+fn stream_lines<T: LogLine>(h: &mut Fnv1a, line: &mut String, records: &[T]) -> fmt::Result {
+    for r in records {
+        line.clear();
+        r.write_line(line);
+        line.push('\n');
+        h.write_str(line)?;
     }
     Ok(())
 }

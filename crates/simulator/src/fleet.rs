@@ -26,8 +26,11 @@ pub struct Fleet {
     spares: Vec<u32>,
     /// Per-card static susceptibility (travels with the card).
     pub susceptibility: CardSusceptibility,
-    /// Thermal model (property of the slot, not the card).
-    pub thermal: ThermalModel,
+    /// Per-slot `(off-the-bus, DBE)` thermal accelerations, computed
+    /// on the first pick (see [`slot_accelerations`]).
+    accel: Option<Vec<(f64, f64)>>,
+    /// Scratch weight vector the pickers are rebuilt from.
+    weights: Vec<f64>,
     /// Cards that already had their off-the-bus failure (the defect does
     /// not recur on a re-soldered card).
     otb_done: Vec<bool>,
@@ -59,7 +62,8 @@ impl Fleet {
             card_slot,
             spares,
             susceptibility,
-            thermal: ThermalModel::default(),
+            accel: None,
+            weights: Vec::new(),
             otb_done: vec![false; n_cards],
             dbe_picker: None,
             otb_picker: None,
@@ -162,17 +166,15 @@ impl Fleet {
     /// resident card's DBE proneness.
     pub fn pick_dbe_slot<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u32 {
         if self.dbe_picker.is_none() {
-            let weights: Vec<f64> = (0..COMPUTE_NODES as u32)
-                .map(|slot| {
-                    let node = gpu_index_to_node(slot);
-                    let card = self.slot_card[slot as usize];
-                    self.thermal
-                        .acceleration(node)
-                        .powf(titan_faults::calibration::DBE_THERMAL_EXPONENT)
-                        * self.susceptibility.dbe_weight(card as usize)
-                })
-                .collect();
-            self.dbe_picker = Some(WeightedAlias::new(&weights).expect("positive weights"));
+            let accel = self.accel.get_or_insert_with(slot_accelerations);
+            self.weights.clear();
+            self.weights.extend(
+                self.slot_card
+                    .iter()
+                    .zip(accel.iter())
+                    .map(|(&card, &(_, a))| a * self.susceptibility.dbe_weight(card as usize)),
+            );
+            self.dbe_picker = Some(WeightedAlias::new(&self.weights).expect("positive weights"));
         }
         self.dbe_picker.as_ref().expect("just built").sample(rng) as u32
     }
@@ -182,17 +184,16 @@ impl Fleet {
     /// defect already expressed.
     pub fn pick_otb_slot<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<u32> {
         if self.otb_picker.is_none() {
-            let weights: Vec<f64> = (0..COMPUTE_NODES as u32)
-                .map(|slot| {
-                    let card = self.slot_card[slot as usize];
-                    if self.otb_done[card as usize] {
-                        0.0
-                    } else {
-                        self.thermal.acceleration(gpu_index_to_node(slot))
-                    }
-                })
-                .collect();
-            self.otb_picker = WeightedAlias::new(&weights);
+            let accel = self.accel.get_or_insert_with(slot_accelerations);
+            self.weights.clear();
+            self.weights.extend(self.slot_card.iter().zip(accel.iter()).map(|(&card, &(a, _))| {
+                if self.otb_done.get(card as usize).copied().unwrap_or(false) {
+                    0.0
+                } else {
+                    a
+                }
+            }));
+            self.otb_picker = WeightedAlias::new(&self.weights);
         }
         self.otb_picker.as_ref().map(|p| p.sample(rng) as u32)
     }
@@ -220,9 +221,9 @@ impl Fleet {
 
     /// Overlays a snapshot onto a freshly generated fleet. The cached
     /// pickers are dropped (they are deterministic functions of the
-    /// overlaid placement state and rebuild lazily), and susceptibility
-    /// / thermal stay as generated — they are pure functions of the
-    /// seed, never mutated.
+    /// overlaid placement state and rebuild lazily); susceptibility (a
+    /// pure function of the seed) and the per-slot thermal accelerations
+    /// (of the machine) are never mutated and stay as they are.
     pub(crate) fn restore(&mut self, s: &FleetSnapshot) {
         self.cards = s.cards.clone();
         self.slot_card = s.slot_card.clone();
@@ -236,11 +237,26 @@ impl Fleet {
     }
 }
 
+/// Thermal acceleration of each slot under the default [`ThermalModel`]
+/// (a property of the slot, not the card, and never changed), paired
+/// with its power under the DBE class's stronger thermal exponent: the
+/// off-the-bus and DBE pickers' slot weights, computed once per fleet
+/// instead of on every picker rebuild.
+fn slot_accelerations() -> Vec<(f64, f64)> {
+    let thermal = ThermalModel::default();
+    (0..COMPUTE_NODES as u32)
+        .map(|slot| {
+            let a = thermal.acceleration(gpu_index_to_node(slot));
+            (a, a.powf(titan_faults::calibration::DBE_THERMAL_EXPONENT))
+        })
+        .collect()
+}
+
 /// Portable [`Fleet`] state for checkpointing: everything the event loop
-/// mutates. Susceptibility, the thermal model, and the cached alias
-/// samplers are deliberately absent — the first two are regenerated from
-/// the seed by [`Fleet::new`], and the samplers are lazy caches over the
-/// fields captured here.
+/// mutates. Susceptibility, the thermal accelerations, and the cached
+/// alias samplers are deliberately absent — susceptibility is regenerated
+/// from the seed by [`Fleet::new`], the accelerations from the machine,
+/// and the samplers are lazy caches over the fields captured here.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct FleetSnapshot {
     cards: Vec<GpuCard>,

@@ -1,11 +1,9 @@
 //! Simulation outputs: the four observable data sources the analysis
 //! consumes, plus ground truth for verification only.
 
-use std::fmt::Write as _;
-
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
-use titan_conlog::{Aprun, ConsoleEvent, JobRecord};
+use titan_conlog::{Aprun, ConsoleEvent, JobRecord, LogLine};
 use titan_gpu::pages::RetirementCause;
 use titan_gpu::MemoryStructure;
 use titan_nvsmi::{GpuSnapshot, JobEccDelta};
@@ -115,35 +113,34 @@ impl SimOutput {
     /// Renders the console log as text — the exact artifact the paper's
     /// pipeline parsed on the SMW.
     pub fn render_console_log(&self) -> String {
-        let mut s = String::with_capacity(self.console.len() * 96);
-        for ev in &self.console {
-            let _ = writeln!(s, "{ev}");
-        }
-        s
+        render_log(&self.console, 96)
     }
 
     /// Renders the job log.
     pub fn render_job_log(&self) -> String {
-        let mut s = String::with_capacity(self.jobs.len() * 160);
-        for j in &self.jobs {
-            let _ = writeln!(s, "{j}");
-        }
-        s
+        render_log(&self.jobs, 160)
     }
 
     /// Renders the aprun (ALPS) log.
     pub fn render_aprun_log(&self) -> String {
-        let mut s = String::with_capacity(self.apruns.len() * 48);
-        for a in &self.apruns {
-            let _ = writeln!(s, "{a}");
-        }
-        s
+        render_log(&self.apruns, 48)
     }
 
     /// Console events of one error kind.
     pub fn console_of_kind(&self, kind: titan_gpu::GpuErrorKind) -> Vec<&ConsoleEvent> {
         self.console.iter().filter(|e| e.kind == kind).collect()
     }
+}
+
+/// Renders one log: each record's line, newline-terminated, written
+/// straight into the result (`line_hint` bytes reserved per record).
+fn render_log<T: LogLine>(records: &[T], line_hint: usize) -> String {
+    let mut s = String::with_capacity(records.len() * line_hint);
+    for r in records {
+        r.write_line(&mut s);
+        s.push('\n');
+    }
+    s
 }
 
 #[cfg(test)]
