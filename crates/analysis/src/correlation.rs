@@ -126,7 +126,7 @@ pub fn job_sbe_correlations(
 
     let clean_rows: Vec<(&JobRecord, f64)> = rows
         .iter()
-        .filter(|(j, _)| !j.nodes.iter().any(|n| offender_set.contains(n)))
+        .filter(|(j, _)| !j.nodes.intersects(&offender_set))
         .copied()
         .collect();
 

@@ -10,6 +10,8 @@
 //! ignored if the time difference is less than five seconds. Effectively,
 //! this counts only one XID 13 event per job."
 
+use std::collections::BTreeMap;
+
 use titan_conlog::ConsoleEvent;
 use titan_gpu::GpuErrorKind;
 
@@ -34,6 +36,57 @@ impl FilterOutcome {
     }
 }
 
+/// The parent/child rule every filter here applies, one event at a
+/// time: an event is a child when the last *kept* event of its key lies
+/// less than `window_secs` before it; otherwise it is kept (a parent)
+/// and restarts the window for its key. Feed events in time order.
+#[derive(Debug, Clone)]
+pub struct ChildRule<K> {
+    window_secs: u64,
+    last_kept: BTreeMap<K, u64>,
+}
+
+impl<K: Ord> ChildRule<K> {
+    /// A rule with no event kept yet.
+    pub fn new(window_secs: u64) -> Self {
+        ChildRule {
+            window_secs,
+            last_kept: BTreeMap::new(),
+        }
+    }
+
+    /// Whether an event of `key` at `time` is a child; a parent is
+    /// remembered as its key's last kept event.
+    pub fn is_child(&mut self, key: K, time: u64) -> bool {
+        match self.last_kept.get(&key) {
+            Some(&t) if time.saturating_sub(t) < self.window_secs => true,
+            _ => {
+                self.last_kept.insert(key, time);
+                false
+            }
+        }
+    }
+}
+
+/// Splits `events` with `rule`, keyed by `key`; events `key` maps to
+/// `None` pass through untouched into `parents`.
+fn split<K: Ord>(
+    events: &[ConsoleEvent],
+    mut rule: ChildRule<K>,
+    key: impl Fn(&ConsoleEvent) -> Option<K>,
+) -> FilterOutcome {
+    let mut parents = Vec::new();
+    let mut children = Vec::new();
+    for ev in events {
+        if key(ev).is_some_and(|k| rule.is_child(k, ev.time)) {
+            children.push(*ev);
+        } else {
+            parents.push(*ev);
+        }
+    }
+    FilterOutcome { parents, children }
+}
+
 /// Job-level dedup for one error kind: after a surviving event of `kind`,
 /// every same-kind event within `window_secs` is a child (regardless of
 /// node — one incident reports across all the job's nodes).
@@ -45,23 +98,7 @@ pub fn dedup_job_level(
     kind: GpuErrorKind,
     window_secs: u64,
 ) -> FilterOutcome {
-    let mut parents = Vec::new();
-    let mut children = Vec::new();
-    let mut last_kept: Option<u64> = None;
-    for ev in events {
-        if ev.kind != kind {
-            parents.push(*ev);
-            continue;
-        }
-        match last_kept {
-            Some(t) if ev.time.saturating_sub(t) < window_secs => children.push(*ev),
-            _ => {
-                last_kept = Some(ev.time);
-                parents.push(*ev);
-            }
-        }
-    }
-    FilterOutcome { parents, children }
+    split(events, ChildRule::new(window_secs), |ev| (ev.kind == kind).then_some(()))
 }
 
 /// Apid-aware variant: an event is a child only when a same-kind event
@@ -73,24 +110,7 @@ pub fn dedup_by_job(
     kind: GpuErrorKind,
     window_secs: u64,
 ) -> FilterOutcome {
-    use std::collections::BTreeMap;
-    let mut parents = Vec::new();
-    let mut children = Vec::new();
-    let mut last_kept: BTreeMap<Option<u64>, u64> = BTreeMap::new();
-    for ev in events {
-        if ev.kind != kind {
-            parents.push(*ev);
-            continue;
-        }
-        match last_kept.get(&ev.apid) {
-            Some(&t) if ev.time.saturating_sub(t) < window_secs => children.push(*ev),
-            _ => {
-                last_kept.insert(ev.apid, ev.time);
-                parents.push(*ev);
-            }
-        }
-    }
-    FilterOutcome { parents, children }
+    split(events, ChildRule::new(window_secs), |ev| (ev.kind == kind).then_some(ev.apid))
 }
 
 /// Generic parent/child split per (node, kind): repeats of the same kind
@@ -98,24 +118,11 @@ pub fn dedup_by_job(
 /// children. This is the §2.2 "filtering scheme similar to other works
 /// [15, 21, 30, 32]" used before failure characterization.
 pub fn split_parents_children(events: &[ConsoleEvent], window_secs: u64) -> FilterOutcome {
-    use std::collections::BTreeMap;
-    let mut parents = Vec::new();
-    let mut children = Vec::new();
-    let mut last_kept: BTreeMap<(u32, GpuErrorKind), u64> = BTreeMap::new();
-    for ev in events {
-        let key = (ev.node.0, ev.kind);
-        match last_kept.get(&key) {
-            Some(&t) if ev.time.saturating_sub(t) < window_secs => children.push(*ev),
-            _ => {
-                last_kept.insert(key, ev.time);
-                parents.push(*ev);
-            }
-        }
-    }
-    FilterOutcome { parents, children }
+    split(events, ChildRule::new(window_secs), |ev| Some((ev.node.0, ev.kind)))
 }
 
-/// Keeps only events of one kind (helper used all over the figures).
+/// Keeps only events of one kind, as a copy (the figures filter while
+/// counting; the tests build their oracles with this).
 pub fn of_kind(events: &[ConsoleEvent], kind: GpuErrorKind) -> Vec<ConsoleEvent> {
     events.iter().filter(|e| e.kind == kind).copied().collect()
 }

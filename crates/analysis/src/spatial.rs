@@ -7,7 +7,7 @@ use titan_gpu::GpuErrorKind;
 use titan_topology::grid::CageTally;
 use titan_topology::CabinetGrid;
 
-use crate::filtering::{dedup_job_level, of_kind};
+use crate::filtering::ChildRule;
 
 /// Cabinet grid of event counts for one kind. `distinct_nodes` counts
 /// each node once (the paper's "distinct GPU cards" view — at console-log
@@ -95,9 +95,9 @@ pub struct IncidentStripe {
 }
 
 /// Groups time-sorted `kind` events into incidents with the same rule as
-/// [`dedup_job_level`] (a parent plus everything within `window_secs` of
-/// the last kept parent) and scores each incident's footprint. `None`
-/// when no events of `kind` exist.
+/// [`dedup_job_level`](crate::filtering::dedup_job_level) (a parent plus
+/// everything within `window_secs` of the last kept parent) and scores
+/// each incident's footprint. `None` when no events of `kind` exist.
 pub fn incident_stripe(
     events: &[ConsoleEvent],
     kind: GpuErrorKind,
@@ -107,33 +107,32 @@ pub fn incident_stripe(
     let mut weighted_null = 0.0;
     let mut total_events = 0.0;
     let mut incidents = 0u64;
-    let mut current: Vec<ConsoleEvent> = Vec::new();
-    let mut last_kept: Option<u64> = None;
-    let mut flush = |batch: &mut Vec<ConsoleEvent>| {
-        if batch.is_empty() {
+    // The current incident: its footprint and its event count.
+    let mut footprint = CabinetGrid::new();
+    let mut size = 0usize;
+    let mut rule = ChildRule::new(window_secs);
+    let mut flush = |footprint: &mut CabinetGrid, size: &mut usize| {
+        if *size == 0 {
             return;
         }
-        let grid = spatial_grid(batch, kind, false);
-        if let Some(c) = grid.stripe_contrast() {
-            let n = batch.len() as f64;
+        if let Some(c) = footprint.stripe_contrast() {
+            let n = *size as f64;
             weighted_contrast += n * c;
             weighted_null += n * (2.0 / (std::f64::consts::PI * n)).sqrt().min(1.0);
             total_events += n;
             incidents += 1;
         }
-        batch.clear();
+        *footprint = CabinetGrid::new();
+        *size = 0;
     };
     for ev in events.iter().filter(|e| e.kind == kind) {
-        match last_kept {
-            Some(t) if ev.time.saturating_sub(t) < window_secs => {}
-            _ => {
-                flush(&mut current);
-                last_kept = Some(ev.time);
-            }
+        if !rule.is_child((), ev.time) {
+            flush(&mut footprint, &mut size);
         }
-        current.push(*ev);
+        footprint.add_node(ev.node, 1.0);
+        size += 1;
     }
-    flush(&mut current);
+    flush(&mut footprint, &mut size);
     if total_events == 0.0 {
         return None;
     }
@@ -150,22 +149,31 @@ pub fn spatial_with_filtering(events: &[ConsoleEvent], kind: GpuErrorKind) -> Sp
 }
 
 /// [`spatial_with_filtering`] with an explicit window (the ablation bench
-/// sweeps this).
+/// sweeps this). One counting pass: each `kind` event goes to the
+/// unfiltered panel and to the filtered or children panel by
+/// [`dedup_job_level`](crate::filtering::dedup_job_level)'s rule, with no event
+/// copied.
 pub fn spatial_with_filtering_window(
     events: &[ConsoleEvent],
     kind: GpuErrorKind,
     window_secs: u64,
 ) -> SpatialFiltering {
-    let only = of_kind(events, kind);
-    let unfiltered = spatial_grid(&only, kind, false);
-    let outcome = dedup_job_level(&only, kind, window_secs);
-    let filtered = spatial_grid(&outcome.parents, kind, false);
-    let children = spatial_grid(&outcome.children, kind, false);
-    SpatialFiltering {
-        unfiltered,
-        filtered,
-        children,
+    let mut panels = SpatialFiltering {
+        unfiltered: CabinetGrid::new(),
+        filtered: CabinetGrid::new(),
+        children: CabinetGrid::new(),
+    };
+    let mut rule = ChildRule::new(window_secs);
+    for ev in events.iter().filter(|e| e.kind == kind) {
+        panels.unfiltered.add_node(ev.node, 1.0);
+        let panel = if rule.is_child((), ev.time) {
+            &mut panels.children
+        } else {
+            &mut panels.filtered
+        };
+        panel.add_node(ev.node, 1.0);
     }
+    panels
 }
 
 #[cfg(test)]

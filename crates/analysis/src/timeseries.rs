@@ -6,6 +6,8 @@ use titan_conlog::time::{StudyCalendar, STUDY_MONTHS};
 use titan_conlog::ConsoleEvent;
 use titan_gpu::GpuErrorKind;
 
+use crate::filtering::ChildRule;
+
 /// A monthly count series over the study window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MonthlySeries {
@@ -50,10 +52,41 @@ impl MonthlySeries {
 
 /// Builds the monthly series for `kind` from (already filtered) events.
 pub fn monthly_counts(events: &[ConsoleEvent], kind: GpuErrorKind) -> MonthlySeries {
+    monthly_series(kind, events.iter().filter(|e| e.kind == kind))
+}
+
+/// The monthly series of `kind` at incident granularity (Fig. 9's
+/// job-wide XIDs): the events [`dedup_by_job`] keeps as parents, counted
+/// in the same pass that filters them, with no event copied. Equal to
+/// `monthly_counts(&dedup_by_job(events, kind, window_secs).parents, kind)`.
+///
+/// [`dedup_by_job`]: crate::filtering::dedup_by_job
+pub fn monthly_incidents(
+    events: &[ConsoleEvent],
+    kind: GpuErrorKind,
+    window_secs: u64,
+) -> MonthlySeries {
+    let mut rule = ChildRule::new(window_secs);
+    monthly_series(
+        kind,
+        events
+            .iter()
+            .filter(|e| e.kind == kind && !rule.is_child(e.apid, e.time)),
+    )
+}
+
+/// The monthly series of `kind` counting every event of `events`.
+fn monthly_series<'a>(
+    kind: GpuErrorKind,
+    events: impl Iterator<Item = &'a ConsoleEvent>,
+) -> MonthlySeries {
     let cal = StudyCalendar;
     let mut counts = vec![0u64; STUDY_MONTHS];
-    for ev in events.iter().filter(|e| e.kind == kind) {
-        counts[cal.month_index(ev.time)] += 1;
+    for ev in events {
+        // `month_index` is below `STUDY_MONTHS` by construction.
+        if let Some(c) = counts.get_mut(cal.month_index(ev.time)) {
+            *c += 1;
+        }
     }
     MonthlySeries {
         kind,

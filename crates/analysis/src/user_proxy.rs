@@ -62,7 +62,7 @@ pub fn user_level_correlation(
             let Some(&sbe) = sbe_by_apid.get(&j.apid) else {
                 continue;
             };
-            if exclude_offenders && j.nodes.iter().any(|n| offenders.contains(n)) {
+            if exclude_offenders && j.nodes.intersects(&offenders) {
                 continue;
             }
             let row = by_user.entry(j.user).or_insert(UserRow {

@@ -1,7 +1,12 @@
 //! Property-based tests for the analysis methodology.
 
 use proptest::prelude::*;
-use titan_analysis::filtering::{dedup_job_level, of_kind, split_parents_children};
+use titan_analysis::filtering::{dedup_by_job, dedup_job_level, of_kind, split_parents_children};
+use titan_analysis::spatial::{
+    incident_stripe, spatial_grid, spatial_with_filtering_window, IncidentStripe,
+    SpatialFiltering,
+};
+use titan_analysis::timeseries::{monthly_counts, monthly_incidents};
 use titan_analysis::{cooccurrence_heatmap, retirement_delays};
 use titan_conlog::ConsoleEvent;
 use titan_gpu::GpuErrorKind;
@@ -36,7 +41,109 @@ fn arb_events(max: usize) -> impl Strategy<Value = Vec<ConsoleEvent>> {
     })
 }
 
+/// Bursts of a few kinds on a few apids, each in the first hour of one
+/// of three study days in different months, so that a 5 s window has
+/// parents and children to split.
+fn arb_bursts(max: usize) -> impl Strategy<Value = Vec<ConsoleEvent>> {
+    use GpuErrorKind::*;
+    let kinds = vec![GraphicsEngineException, GpuMemoryPageFault, GpuStoppedProcessing];
+    prop::collection::vec(
+        (
+            (prop::sample::select(vec![0u64, 40, 400]), 0u64..3_600),
+            0u32..19_200,
+            prop::sample::select(kinds),
+            prop::option::of(0u64..4),
+        ),
+        0..max,
+    )
+    .prop_map(|v| {
+        let mut v: Vec<_> = v.into_iter().map(|((day, t), n, k, a)| (day * 86_400 + t, n, k, a)).collect();
+        v.sort_by_key(|e| e.0);
+        v.into_iter()
+            .map(|(time, node, kind, apid)| ConsoleEvent {
+                time,
+                node: NodeId(node),
+                kind,
+                structure: None,
+                page: None,
+                apid,
+            })
+            .collect()
+    })
+}
+
+/// Fig. 12 built from copies: the three grids of the `kind` events, of
+/// [`dedup_job_level`]'s parents and of its children.
+fn fig12_from_copies(events: &[ConsoleEvent], kind: GpuErrorKind, w: u64) -> SpatialFiltering {
+    let only = of_kind(events, kind);
+    let split = dedup_job_level(&only, kind, w);
+    SpatialFiltering {
+        unfiltered: spatial_grid(&only, kind, false),
+        filtered: spatial_grid(&split.parents, kind, false),
+        children: spatial_grid(&split.children, kind, false),
+    }
+}
+
+/// The incident score from copies: each [`dedup_job_level`] parent opens
+/// an incident that its children join, scored as a grid of its events.
+fn stripe_from_copies(events: &[ConsoleEvent], kind: GpuErrorKind, w: u64) -> Option<IncidentStripe> {
+    let split = dedup_job_level(&of_kind(events, kind), kind, w);
+    let mut incidents: Vec<Vec<ConsoleEvent>> = Vec::new();
+    let (mut parents, mut children) = (split.parents.iter().peekable(), split.children.iter().peekable());
+    loop {
+        // A child comes after its parent: at a later second, or at the
+        // parent's own second.
+        let next_is_parent = match (parents.peek(), children.peek()) {
+            (Some(p), Some(c)) => p.time <= c.time,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        if next_is_parent {
+            incidents.push(vec![*parents.next().unwrap()]);
+        } else {
+            incidents.last_mut().unwrap().push(*children.next().unwrap());
+        }
+    }
+    let (mut contrast, mut null, mut total, mut scored) = (0.0, 0.0, 0.0, 0u64);
+    for batch in &incidents {
+        if let Some(c) = spatial_grid(batch, kind, false).stripe_contrast() {
+            let n = batch.len() as f64;
+            contrast += n * c;
+            null += n * (2.0 / (std::f64::consts::PI * n)).sqrt().min(1.0);
+            total += n;
+            scored += 1;
+        }
+    }
+    (total > 0.0).then(|| IncidentStripe {
+        contrast: contrast / total,
+        null: null / total,
+        incidents: scored,
+    })
+}
+
 proptest! {
+    /// The one-pass Fig. 9 and Fig. 12 counts equal the same counts
+    /// taken over the `dedup_*` copies.
+    #[test]
+    fn one_pass_filtering_matches_the_copies(events in arb_bursts(150), w in 1u64..30) {
+        use GpuErrorKind::*;
+        for kind in [GraphicsEngineException, GpuMemoryPageFault, GpuStoppedProcessing] {
+            prop_assert_eq!(
+                monthly_incidents(&events, kind, w),
+                monthly_counts(&dedup_by_job(&events, kind, w).parents, kind)
+            );
+            prop_assert_eq!(
+                spatial_with_filtering_window(&events, kind, w),
+                fig12_from_copies(&events, kind, w)
+            );
+            prop_assert_eq!(
+                incident_stripe(&events, kind, w),
+                stripe_from_copies(&events, kind, w)
+            );
+        }
+    }
+
     /// Filtering conserves events: parents + children == input.
     #[test]
     fn filtering_conserves(events in arb_events(120), window in 1u64..600) {

@@ -30,9 +30,11 @@
 //! decided, so the file holds the numbers the verdict came from. The
 //! gates (CI wires all four):
 //! - `--gate-{metrics,health,prof}-overhead PCT`: the arm's median wall
-//!   overhead over the plain run must stay within PCT percent, or within
-//!   the median noise floor when that is wider: the host cannot certify
-//!   a percentage finer than its own jitter;
+//!   overhead over the plain run must be at most PCT percent. A median
+//!   within the gate passes only when the attempts' median noise floor
+//!   is within it too; a wider noise floor makes the gate `Unresolved`
+//!   (the host cannot certify a percentage finer than its own jitter),
+//!   which fails the run as `Fail` does;
 //! - `--gate-throughput-regression PCT`: the median `dequeues_per_s`
 //!   must not drop more than PCT percent below the highest-numbered
 //!   `BENCH_PR*.json` in the working directory, read before the new
@@ -226,18 +228,34 @@ struct OverheadAttempt {
     noise_floor_pct: f64,
 }
 
+/// What a gate decided.
+#[derive(Serialize, Deserialize, Clone, Copy, Debug, PartialEq, Eq)]
+enum Outcome {
+    /// The median and the noise floor are both at or below the gate.
+    Pass,
+    /// The median is above the gate (or missing).
+    Fail,
+    /// The median is at or below the gate, but the noise floor is above
+    /// it: the host's jitter is too wide to certify the gate either way.
+    Unresolved,
+}
+
 /// A gate's decision on the median of its own attempts.
 #[derive(Serialize, Deserialize)]
 struct Verdict {
     /// The percent the gate flag set.
     gate_pct: f64,
-    /// What the median was held to: `gate_pct`, or the median noise
-    /// floor when that is wider.
-    limit_pct: f64,
     /// The median that was judged: an overhead over the plain run, or
     /// a drop below the baseline.
     median_pct: f64,
-    pass: bool,
+    /// The median noise floor of the judged attempts; 0 for the
+    /// throughput drop, which is judged against a recorded baseline.
+    /// Absent in snapshots written before `Unresolved` existed, which
+    /// recorded a `limit_pct` instead.
+    noise_floor_pct: Option<f64>,
+    /// The decision. Absent in those older snapshots, whose `pass` held
+    /// the median to the wider of the gate and the noise floor.
+    outcome: Option<Outcome>,
 }
 
 /// The deterministic per-scope cost ledger of the overhead window.
@@ -255,13 +273,23 @@ fn median(xs: impl IntoIterator<Item = f64>) -> f64 {
     v.get(v.len() / 2).copied().unwrap_or(f64::NAN)
 }
 
+/// Judges `median_pct` against `gate_pct`: a median above the gate
+/// fails whatever the noise; one within it passes only when the noise
+/// floor is within it too, and is `Unresolved` otherwise. A NaN median
+/// fails and a NaN noise floor never certifies.
 fn judge(gate_pct: f64, median_pct: f64, noise_floor_pct: f64) -> Verdict {
-    let limit_pct = gate_pct.max(noise_floor_pct);
+    let outcome = if median_pct.is_nan() || median_pct > gate_pct {
+        Outcome::Fail
+    } else if noise_floor_pct.is_nan() || noise_floor_pct > gate_pct {
+        Outcome::Unresolved
+    } else {
+        Outcome::Pass
+    };
     Verdict {
         gate_pct,
-        limit_pct,
         median_pct,
-        pass: median_pct <= limit_pct,
+        noise_floor_pct: Some(noise_floor_pct),
+        outcome: Some(outcome),
     }
 }
 
@@ -483,8 +511,8 @@ fn emit(quick: bool, pr: u64, out_path: &str, gates: [Option<f64>; 4]) -> Result
     verdicts(&snapshot)
 }
 
-/// Prints every verdict in `snapshot`; `Err` names the gates whose
-/// median failed.
+/// Prints every verdict in `snapshot`; `Err` names the gates that did
+/// not pass: those whose median failed and those left unresolved.
 fn verdicts(snapshot: &Snapshot) -> Result<(), String> {
     let throughput = snapshot
         .throughput
@@ -496,25 +524,40 @@ fn verdicts(snapshot: &Snapshot) -> Result<(), String> {
         .flatten()
         .map(|a| (format!("{} overhead", a.arm), &a.gate));
     let mut failed = Vec::new();
+    let mut unresolved = Vec::new();
     for (name, verdict) in throughput.chain(arms) {
         let Some(v) = verdict else { continue };
-        let word = if v.pass { "pass" } else { "FAIL" };
+        let (word, list) = match v.outcome {
+            Some(Outcome::Pass) => ("pass", None),
+            Some(Outcome::Unresolved) => ("UNRESOLVED", Some(&mut unresolved)),
+            Some(Outcome::Fail) | None => ("FAIL", Some(&mut failed)),
+        };
         println!(
-            "{name}: median {:+.2}% against {:.2}% (gate {:.2}%) over {GATE_ATTEMPTS} \
-             attempts — {word}",
-            v.median_pct, v.limit_pct, v.gate_pct
+            "{name}: median {:+.2}% against the {:.2}% gate, noise floor {:.2}%, over \
+             {GATE_ATTEMPTS} attempts — {word}",
+            v.median_pct,
+            v.gate_pct,
+            v.noise_floor_pct.unwrap_or(f64::NAN)
         );
-        if !v.pass {
-            failed.push(name);
+        if let Some(list) = list {
+            list.push(name);
         }
     }
-    if failed.is_empty() {
-        return Ok(());
+    let mut problems = Vec::new();
+    if !failed.is_empty() {
+        problems.push(format!("gates failed on their medians: {}", failed.join(", ")));
     }
-    Err(format!(
-        "gates failed on their medians: {}",
-        failed.join(", ")
-    ))
+    if !unresolved.is_empty() {
+        problems.push(format!(
+            "gates unresolved (median within the gate, noise floor above it): {}",
+            unresolved.join(", ")
+        ));
+    }
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(problems.join("; "))
+    }
 }
 
 /// One point of the `titan-bench-trajectory/2` document.
@@ -678,7 +721,7 @@ mod tests {
             Some(5.0),
         );
         let v = metrics.gate.as_ref().unwrap();
-        assert_eq!((v.median_pct, v.pass), (3.0, true));
+        assert_eq!((v.median_pct, v.outcome), (3.0, Some(Outcome::Pass)));
         let health = arm_record(
             "health",
             30,
@@ -686,17 +729,17 @@ mod tests {
             Some(1.0),
         );
         let v = health.gate.as_ref().unwrap();
-        assert_eq!((v.median_pct, v.pass), (1.5, false));
-        // The noise-floor rule applies to the medians: a median noise
-        // floor of 2% certifies a 1.5% median against a 1% gate.
+        assert_eq!((v.median_pct, v.outcome), (1.5, Some(Outcome::Fail)));
+        // The noise floor is judged on its median too: a 2% median noise
+        // floor leaves a 0.5% median against a 1% gate unresolved.
         let noisy = arm_record(
             "prof",
             30,
-            vec![attempt(1.5, 2.0), attempt(1.5, 1.0), attempt(1.5, 3.0)],
+            vec![attempt(0.5, 2.0), attempt(0.5, 1.0), attempt(0.5, 3.0)],
             Some(1.0),
         );
         let v = noisy.gate.as_ref().unwrap();
-        assert_eq!((v.limit_pct, v.pass), (2.0, true));
+        assert_eq!((v.noise_floor_pct, v.outcome), (Some(2.0), Some(Outcome::Unresolved)));
         // No gate asked for: every attempt is still recorded.
         let ungated = arm_record("prof", 30, vec![attempt(50.0, 0.0); 3], None);
         assert!(ungated.gate.is_none());
@@ -721,17 +764,85 @@ mod tests {
             vec![attempt(1.0, 0.1), attempt(7.0, 0.1), attempt(6.0, 0.1)],
             Some(5.0),
         );
-        assert!(
-            prof.gate.as_ref().unwrap().pass,
+        assert_eq!(
+            prof.gate.as_ref().unwrap().outcome,
+            Some(Outcome::Pass),
             "prof breached once, not three times"
         );
-        assert!(!metrics.gate.as_ref().unwrap().pass);
+        assert_eq!(metrics.gate.as_ref().unwrap().outcome, Some(Outcome::Fail));
         let snap = Snapshot {
             overhead: Some(vec![metrics, prof]),
             ..snapshot(21, "quick", 1.0)
         };
         let err = verdicts(&snap).unwrap_err();
         assert!(err.contains("metrics") && !err.contains("prof"), "{err}");
+    }
+
+    #[test]
+    fn judge_passes_only_a_median_and_a_noise_floor_within_the_gate() {
+        let outcome = |gate, median, noise| judge(gate, median, noise).outcome.unwrap();
+        use Outcome::*;
+        // At or below the gate, on a quiet host.
+        assert_eq!(outcome(5.0, 3.0, 0.5), Pass);
+        assert_eq!(outcome(5.0, 5.0, 5.0), Pass);
+        assert_eq!(outcome(5.0, -2.0, 0.0), Pass);
+        // Above the gate fails, however noisy the host: BENCH_PR21.json's
+        // metrics (8.61% against 5%) and health (8.22% against 1%)
+        // medians under an 11.86% median noise floor.
+        assert_eq!(outcome(5.0, 8.61, 11.86), Fail);
+        assert_eq!(outcome(1.0, 8.22, 11.86), Fail);
+        assert_eq!(outcome(1.0, 1.0001, 0.0), Fail);
+        // Within the gate, but the host jitters more than the gate.
+        assert_eq!(outcome(1.0, 0.4, 11.86), Unresolved);
+        assert_eq!(outcome(1.0, 1.0, 1.0001), Unresolved);
+        // Nothing measured never passes.
+        assert_eq!(outcome(5.0, f64::NAN, 0.0), Fail);
+        assert_eq!(outcome(5.0, 1.0, f64::NAN), Unresolved);
+        // The throughput drop: no noise floor, a negative drop is a gain.
+        assert_eq!(outcome(10.0, -95.9, 0.0), Pass);
+        assert_eq!(outcome(10.0, 10.5, 0.0), Fail);
+    }
+
+    #[test]
+    fn unresolved_gates_fail_the_run_by_name() {
+        let snap = Snapshot {
+            overhead: Some(vec![
+                arm_record("metrics", 30, vec![attempt(2.0, 9.0); 3], Some(5.0)),
+                arm_record("health", 30, vec![attempt(2.0, 0.1); 3], Some(1.0)),
+                arm_record("prof", 30, vec![attempt(0.2, 0.1); 3], Some(1.0)),
+            ]),
+            ..snapshot(22, "quick", 1.0)
+        };
+        let err = verdicts(&snap).unwrap_err();
+        assert!(
+            err.contains("failed on their medians: health")
+                && err.contains("unresolved (median within the gate, noise floor above it): metrics")
+                && !err.contains("prof"),
+            "{err}"
+        );
+        let clean = Snapshot {
+            overhead: Some(vec![arm_record("prof", 30, vec![attempt(0.2, 0.1); 3], Some(1.0))]),
+            ..snapshot(22, "quick", 1.0)
+        };
+        assert_eq!(verdicts(&clean), Ok(()));
+    }
+
+    #[test]
+    fn committed_snapshots_still_read() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for (_, name) in snapshot_names(&root).unwrap() {
+            let snap = read_snapshot(&root.join(&name)).unwrap();
+            // Gates written before `outcome` existed read without one.
+            for arm in snap.overhead.iter().flatten() {
+                if let Some(v) = &arm.gate {
+                    assert!(v.outcome.is_none() || v.noise_floor_pct.is_some(), "{name}");
+                }
+            }
+        }
+        let pr21 = read_snapshot(&root.join("BENCH_PR21.json")).unwrap();
+        let metrics = &pr21.overhead.unwrap()[0];
+        assert_eq!(metrics.arm, "metrics");
+        assert_eq!(metrics.gate.as_ref().map(|v| v.outcome), Some(None));
     }
 
     #[test]

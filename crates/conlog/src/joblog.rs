@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 use titan_topology::{NodeId, TOTAL_SLOTS};
 
 use crate::line::{self, Cursor, LogLine};
+use crate::nodeset::NodeSet;
 use crate::time::SimTime;
 
 /// One completed batch job.
@@ -23,8 +24,9 @@ pub struct JobRecord {
     /// Submitting user (the paper uses userID "as a proxy for the kind of
     /// application", Observation 13).
     pub user: u32,
-    /// Allocated compute nodes.
-    pub nodes: Vec<NodeId>,
+    /// Allocated compute nodes, in allocation order when the simulator
+    /// wrote the record and ascending when the job log was parsed.
+    pub nodes: NodeSet,
     /// Job start.
     pub start: SimTime,
     /// Job end.
@@ -96,7 +98,7 @@ impl JobRecord {
         c.tag(" total_mem_bh=")?;
         let total_memory_byte_hours = c.fixed4()?.parse().ok()?;
         c.tag(" nodes=")?;
-        let nodes = if c.eat("-") { Vec::new() } else { canonical_ranges(&mut c)? };
+        let nodes = if c.eat("-") { NodeSet::default() } else { canonical_ranges(&mut c)? };
         if !c.is_empty() {
             return None;
         }
@@ -144,7 +146,9 @@ impl JobRecord {
                 "total_mem_bh" => {
                     total_mem = Some(v.parse().map_err(|_| err("bad total_mem_bh"))?)
                 }
-                "nodes" => nodes = Some(expand_ranges(v).ok_or_else(|| err("bad nodes"))?),
+                "nodes" => {
+                    nodes = Some(expand_ranges(v).map(NodeSet::from).ok_or_else(|| err("bad nodes"))?)
+                }
                 _ => return Err(err("unknown field")),
             }
         }
@@ -184,7 +188,7 @@ impl LogLine for JobRecord {
         line::push_uint(out, self.max_memory_bytes);
         let _ = write!(out, " total_mem_bh={:.4}", self.total_memory_byte_hours);
         out.push_str(" nodes=");
-        push_ranges(out, &self.nodes);
+        push_ranges(out, self.nodes.iter());
     }
 }
 
@@ -329,7 +333,7 @@ impl std::error::Error for JobLogError {}
 /// Compresses sorted-or-not node ids to `a-b,c,d-e` ranges.
 pub fn compress_ranges(nodes: &[NodeId]) -> String {
     let mut s = String::new();
-    push_ranges(&mut s, nodes);
+    push_ranges(&mut s, nodes.iter().copied());
     s
 }
 
@@ -340,18 +344,20 @@ const SLOT_WORDS: usize = TOTAL_SLOTS.div_ceil(64);
 /// deduplicated. Ids inside the machine go through a stack bitmap, so
 /// an unsorted allocation is never copied or sorted; a list holding an
 /// id past [`TOTAL_SLOTS`] takes a sorted copy instead.
-fn push_ranges(out: &mut String, nodes: &[NodeId]) {
-    if nodes.is_empty() {
-        out.push('-');
-        return;
-    }
+fn push_ranges(out: &mut String, nodes: impl Iterator<Item = NodeId> + Clone) {
     let mut words = [0u64; SLOT_WORDS];
-    for n in nodes {
+    let mut empty = true;
+    for n in nodes.clone() {
+        empty = false;
         let id = usize::try_from(n.0).unwrap_or(usize::MAX);
         match words.get_mut(id / 64) {
             Some(w) => *w |= 1 << (id % 64),
             None => return push_sorted_ranges(out, nodes),
         }
+    }
+    if empty {
+        out.push('-');
+        return;
     }
     let mut first = true;
     let mut from = 0;
@@ -380,8 +386,8 @@ fn next_bit(words: &[u64; SLOT_WORDS], from: usize, set: bool) -> Option<usize> 
 
 /// The fallback of [`push_ranges`] for ids past the machine: a sorted,
 /// deduplicated copy walked run by run.
-fn push_sorted_ranges(out: &mut String, nodes: &[NodeId]) {
-    let mut ids: Vec<u32> = nodes.iter().map(|n| n.0).collect();
+fn push_sorted_ranges(out: &mut String, nodes: impl Iterator<Item = NodeId>) {
+    let mut ids: Vec<u32> = nodes.map(|n| n.0).collect();
     ids.sort_unstable();
     ids.dedup();
     let mut first = true;
@@ -414,7 +420,7 @@ fn push_run(out: &mut String, first: &mut bool, start: u64, end: u64) {
 /// [`TOTAL_SLOTS`] ids. `None` for anything else, including a list that
 /// [`expand_ranges`] would take. The runs are read first so the id list
 /// is allocated once, at its exact length.
-fn canonical_ranges(c: &mut Cursor<'_>) -> Option<Vec<NodeId>> {
+fn canonical_ranges(c: &mut Cursor<'_>) -> Option<NodeSet> {
     let mut runs: Vec<(u32, u32)> = Vec::new();
     let mut total = 0usize;
     let mut next_start = 0u32;
@@ -432,11 +438,7 @@ fn canonical_ranges(c: &mut Cursor<'_>) -> Option<Vec<NodeId>> {
         }
         next_start = b.checked_add(2)?;
     }
-    let mut out = Vec::with_capacity(total);
-    for (a, b) in runs {
-        out.extend((a..=b).map(NodeId));
-    }
-    Some(out)
+    Some(NodeSet::from_runs(&runs, total))
 }
 
 /// Inverse of [`compress_ranges`]. `None` for a malformed list, for one
@@ -477,7 +479,7 @@ mod tests {
         JobRecord {
             apid: 1_048_576,
             user: 42,
-            nodes: vec![NodeId(5), NodeId(6), NodeId(7), NodeId(100), NodeId(200), NodeId(201)],
+            nodes: vec![NodeId(5), NodeId(6), NodeId(7), NodeId(100), NodeId(200), NodeId(201)].into(),
             start: 1000,
             end: 8200,
             gpu_core_hours: 12.5,
@@ -544,7 +546,7 @@ mod tests {
         // Every slot of the machine is still one valid list.
         let all = JobRecord::parse(&line("0-19199")).unwrap();
         assert_eq!(all.nodes.len(), TOTAL_SLOTS);
-        assert_eq!(all.nodes.last(), Some(&NodeId(19_199)));
+        assert_eq!(all.nodes.iter().last(), Some(NodeId(19_199)));
         // One id more is not, in one range or summed over parts.
         assert_eq!(expand_ranges("0-19200"), None);
         assert_eq!(expand_ranges("0-19198,5,6"), None);

@@ -24,6 +24,8 @@
 //! * [`joblog`] — batch job records (user, node list, walltime, GPU
 //!   core-hours, memory) matching the job-log + RUR utilization sources
 //!   the correlation study (§4) joins against.
+//! * [`nodeset`] — the job node list those records hold, at two bytes
+//!   per id.
 //!
 //! The crate is deliberately independent of the simulator: the analysis
 //! pipeline consumes *only* these formats, mirroring how the paper's
@@ -35,6 +37,7 @@
 pub mod format;
 pub mod joblog;
 pub mod line;
+pub mod nodeset;
 pub mod record;
 pub mod sec;
 pub mod time;
@@ -42,6 +45,7 @@ pub mod time;
 pub use format::{parse_line, render_line, rendered_len, ParseStats};
 pub use joblog::{Aprun, JobLogError, JobRecord};
 pub use line::LogLine;
+pub use nodeset::NodeSet;
 pub use record::{ConsoleEvent, Severity};
 pub use sec::{SecAction, SecEngine, SecRule, SecStats};
 pub use time::{SimTime, StudyCalendar, STUDY_MONTHS, STUDY_SECONDS};

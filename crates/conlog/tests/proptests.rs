@@ -3,13 +3,16 @@
 //! byte-cursor fast path must take every rendered line and agree with
 //! the field-map parser on every line it takes.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 use titan_conlog::format::{
     parse_line, parse_line_fast, parse_line_fields, parse_stream, render_line,
 };
 use titan_conlog::joblog::{compress_ranges, expand_ranges, Aprun, JobRecord};
 use titan_conlog::time::{StudyCalendar, STUDY_SECONDS};
-use titan_conlog::ConsoleEvent;
+use titan_conlog::{ConsoleEvent, NodeSet};
 use titan_gpu::{GpuErrorKind, MemoryStructure};
 use titan_topology::NodeId;
 
@@ -45,13 +48,25 @@ fn job(
     JobRecord {
         apid,
         user,
-        nodes,
+        nodes: nodes.into(),
         start,
         end: start + dur,
         gpu_core_hours: (gch * 1e4).round() / 1e4,
         max_memory_bytes: max_mem,
         total_memory_byte_hours: (tmb * 1e4).round() / 1e4,
     }
+}
+
+/// An id as a `Vec<NodeId>` may hold one: mostly a slot of the machine,
+/// else one around 2^16 or any `u32`.
+fn any_id() -> impl Strategy<Value = u32> {
+    (0u8..4, 0u32..19_200, 65_530u32..65_545, any::<u32>()).prop_map(|(pick, slot, edge, any)| {
+        match pick {
+            0 | 1 => slot,
+            2 => edge,
+            _ => any,
+        }
+    })
 }
 
 /// Start of the `at`-th run of ASCII digits in `b` (cyclically), if any.
@@ -157,6 +172,49 @@ proptest! {
         let nonempty = text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
         prop_assert_eq!(stats.parsed + stats.skipped, nonempty);
         prop_assert_eq!(events.len() as u64, stats.parsed);
+    }
+
+    /// A `NodeSet` stands in for the `Vec<NodeId>` it was built from,
+    /// whatever the list: unsorted, repeated, empty, ids past 2^16.
+    #[test]
+    fn node_set_stands_in_for_the_vec(
+        ids in prop::collection::vec(any_id(), 0..80),
+        probe in prop::collection::vec(any_id(), 0..6),
+        member in any::<usize>(),
+    ) {
+        let v: Vec<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
+        let s: NodeSet = v.iter().copied().collect();
+        prop_assert_eq!(s.len(), v.len());
+        prop_assert_eq!(s.is_empty(), v.is_empty());
+        prop_assert_eq!(s.iter().collect::<Vec<_>>(), v.clone());
+        prop_assert_eq!(s.iter().len(), v.len());
+        prop_assert_eq!(format!("{s:?}"), format!("{v:?}"));
+        prop_assert_eq!(&NodeSet::from(v.clone()), &s);
+
+        let mut set: BTreeSet<NodeId> = probe.iter().map(|&i| NodeId(i)).collect();
+        prop_assert_eq!(s.intersects(&set), v.iter().any(|n| set.contains(n)));
+        if !v.is_empty() {
+            set.insert(v[member % v.len()]);
+            prop_assert!(s.intersects(&set));
+        }
+
+        let json = serde_json::to_string(&v).unwrap();
+        prop_assert_eq!(serde_json::to_string(&s).unwrap(), json.clone());
+        prop_assert_eq!(s.to_value(), v.to_value());
+        let back: NodeSet = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &s);
+        prop_assert_eq!(&NodeSet::from_value(&v.to_value()).unwrap(), &s);
+
+        // In a job line: the ranges of the sorted, distinct ids.
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let j = JobRecord { nodes: s, ..job(1, 2, &[], 3, 4, 5.0, 6, 7.0) };
+        prop_assert_eq!(j.render(), job(1, 2, &sorted, 3, 4, 5.0, 6, 7.0).render());
+        if sorted.len() <= 19_200 {
+            let back = JobRecord::parse(&j.render()).unwrap();
+            prop_assert_eq!(back.nodes.iter().map(|n| n.0).collect::<Vec<_>>(), sorted);
+        }
     }
 
     /// Node-range compression round-trips through expansion (after
@@ -299,7 +357,7 @@ proptest! {
         fast_paths_agree(&line);
         if let Ok(back) = JobRecord::parse(&line) {
             prop_assert!(back.end >= back.start, "{}", line);
-            prop_assert!(back.nodes.windows(2).all(|w| w[0] < w[1]), "{}", line);
+            prop_assert!(back.nodes.to_vec().windows(2).all(|w| w[0] < w[1]), "{}", line);
         }
     }
 

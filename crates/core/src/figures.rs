@@ -7,13 +7,14 @@ use titan_analysis::cooccurrence::{cooccurrence_heatmap, Heatmap};
 use titan_analysis::correlation::{job_sbe_correlations, CorrelationStudy};
 use titan_analysis::interarrival::{retirement_delays, RetirementDelays};
 use titan_analysis::offenders::{sbe_offender_analysis, OffenderAnalysis};
-use titan_analysis::filtering::dedup_by_job;
 use titan_analysis::granularity::{aprun_granularity, GranularityReport};
 use titan_analysis::spatial::{
     cage_tally, incident_stripe, spatial_grid, spatial_with_filtering, IncidentStripe,
     SpatialFiltering,
 };
-use titan_analysis::timeseries::{burstiness, monthly_counts, mtbf_hours, MonthlySeries};
+use titan_analysis::timeseries::{
+    burstiness, monthly_counts, monthly_incidents, mtbf_hours, MonthlySeries,
+};
 use titan_analysis::thermal::{thermal_survey, ThermalSurvey};
 use titan_analysis::user_proxy::{user_level_correlation, UserStudy};
 use titan_analysis::workload_charac::{workload_characterization, WorkloadCharacterization};
@@ -179,10 +180,9 @@ impl Figures {
             .iter()
             .map(|&k| {
                 if k.user_application_possible() {
-                    // Incident granularity: collapse the per-node job
-                    // re-reports with the paper's 5 s filter first.
-                    let deduped = dedup_by_job(console, k, 5);
-                    monthly_counts(&deduped.parents, k)
+                    // Incident granularity: the per-node job re-reports
+                    // collapse under the paper's 5 s filter.
+                    monthly_incidents(console, k, 5)
                 } else {
                     monthly_counts(console, k)
                 }
@@ -243,6 +243,41 @@ mod tests {
         assert_eq!(x42.total(), 0);
         // Structure table covers the ECC-counted set.
         assert_eq!(f.sbe_by_structure.len(), 5);
+    }
+
+    #[test]
+    fn filtered_figures_equal_the_dedup_copies() {
+        use titan_analysis::filtering::{dedup_by_job, dedup_job_level, of_kind};
+        use GpuErrorKind::GraphicsEngineException as X13;
+        for seed in [99, 3] {
+            let study = Study::new(StudyConfig::quick(30, seed)).run();
+            let console = &study.data.console;
+            let f = study.figures();
+            let mut incidents = 0;
+            for s in &f.fig09_xid_monthly {
+                let oracle = if s.kind.user_application_possible() {
+                    let split = dedup_by_job(console, s.kind, 5);
+                    incidents += split.children.len();
+                    monthly_counts(&split.parents, s.kind)
+                } else {
+                    monthly_counts(console, s.kind)
+                };
+                assert_eq!(*s, oracle, "seed {seed}");
+            }
+            let only = of_kind(console, X13);
+            let split = dedup_job_level(&only, X13, 5);
+            assert_eq!(
+                f.fig12_xid13_spatial,
+                SpatialFiltering {
+                    unfiltered: spatial_grid(&only, X13, false),
+                    filtered: spatial_grid(&split.parents, X13, false),
+                    children: spatial_grid(&split.children, X13, false),
+                },
+                "seed {seed}"
+            );
+            // Both filters had re-reports to fold.
+            assert!(incidents > 0 && !split.children.is_empty(), "seed {seed}");
+        }
     }
 
     #[test]

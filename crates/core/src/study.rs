@@ -187,9 +187,9 @@ mod tests {
             assert_eq!(a.apid, b.apid);
             // The job-log wire format stores nodes as sorted id ranges, so
             // allocation order is normalized away; compare as sets.
-            let mut bn = b.nodes.clone();
+            let mut bn = b.nodes.to_vec();
             bn.sort_unstable();
-            assert_eq!(a.nodes, bn);
+            assert_eq!(a.nodes.to_vec(), bn);
             assert!((a.gpu_core_hours - b.gpu_core_hours).abs() < 1e-3);
         }
     }

@@ -470,8 +470,8 @@ mod tests {
             let dense: Vec<_> = nodes[&d.apid]
                 .iter()
                 .map(|n| {
-                    let c = d.per_node_sbe.iter().find(|(m, _)| m == n);
-                    (*n, c.map_or(0, |&(_, c)| c))
+                    let c = d.per_node_sbe.iter().find(|&&(m, _)| m == n);
+                    (n, c.map_or(0, |&(_, c)| c))
                 })
                 .collect();
             zeros += dense.len() - d.per_node_sbe.len();

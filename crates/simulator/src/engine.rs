@@ -429,7 +429,7 @@ impl JobTable {
         out.jobs.push(JobRecord {
             apid: job.spec.apid,
             user: job.spec.user,
-            nodes: job.nodes.clone(),
+            nodes: job.nodes.iter().copied().collect(),
             start: job.start,
             end: t,
             gpu_core_hours: job.spec.gpu_core_hours() * frac.min(1.0),

@@ -36,7 +36,10 @@ pub struct Fleet {
     otb_done: Vec<bool>,
     /// Cached weighted pickers, invalidated on swaps.
     dbe_picker: Option<WeightedAlias>,
-    otb_picker: Option<WeightedAlias>,
+    /// The off-the-bus picker, rebuilt in place (every off-the-bus event
+    /// changes its weights) when `otb_stale`.
+    otb_picker: WeightedAlias,
+    otb_stale: bool,
     sbe_picker: Option<SbeAliasSampler>,
     /// `(slot, reported SBE vector just before a change)` for every
     /// change since the last `drain_changes`, oldest first.
@@ -66,7 +69,8 @@ impl Fleet {
             weights: Vec::new(),
             otb_done: vec![false; n_cards],
             dbe_picker: None,
-            otb_picker: None,
+            otb_picker: WeightedAlias::default(),
+            otb_stale: true,
             sbe_picker: None,
             changes: Vec::new(),
         }
@@ -140,7 +144,7 @@ impl Fleet {
     /// Marks a card's off-the-bus defect as expressed (and re-soldered).
     pub fn mark_otb_done(&mut self, card: u32) {
         self.otb_done[card as usize] = true;
-        self.otb_picker = None;
+        self.otb_stale = true;
     }
 
     /// Swaps the card in `slot` out to the spare pool and installs a
@@ -156,7 +160,7 @@ impl Fleet {
         self.cards[old_card as usize].move_to_hot_spare();
         // Placement-sensitive pickers are stale now.
         self.dbe_picker = None;
-        self.otb_picker = None;
+        self.otb_stale = true;
         self.sbe_picker = None;
         Some((old_card, new_card))
     }
@@ -183,7 +187,7 @@ impl Fleet {
     /// (integration defect, not card electronics), excluding cards whose
     /// defect already expressed.
     pub fn pick_otb_slot<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<u32> {
-        if self.otb_picker.is_none() {
+        if self.otb_stale {
             let accel = self.accel.get_or_insert_with(slot_accelerations);
             self.weights.clear();
             self.weights.extend(self.slot_card.iter().zip(accel.iter()).map(|(&card, &(a, _))| {
@@ -193,9 +197,10 @@ impl Fleet {
                     a
                 }
             }));
-            self.otb_picker = WeightedAlias::new(&self.weights);
+            self.otb_picker.rebuild(&self.weights);
+            self.otb_stale = false;
         }
-        self.otb_picker.as_ref().map(|p| p.sample(rng) as u32)
+        (self.otb_picker.support() > 0).then(|| self.otb_picker.sample(rng) as u32)
     }
 
     /// Picks the card struck by an SBE (susceptibility travels with the
@@ -232,7 +237,7 @@ impl Fleet {
         self.otb_done = s.otb_done.clone();
         self.changes.clear();
         self.dbe_picker = None;
-        self.otb_picker = None;
+        self.otb_stale = true;
         self.sbe_picker = None;
     }
 }

@@ -113,17 +113,18 @@ impl SimOutput {
     /// Renders the console log as text — the exact artifact the paper's
     /// pipeline parsed on the SMW.
     pub fn render_console_log(&self) -> String {
-        render_log(&self.console, 96)
+        render_log(&self.console, self.console.len() * 96)
     }
 
-    /// Renders the job log.
+    /// Renders the job log into a string sized from the jobs' node
+    /// counts, so it grows at most once.
     pub fn render_job_log(&self) -> String {
-        render_log(&self.jobs, 160)
+        render_log(&self.jobs, job_log_reserve(&self.jobs))
     }
 
     /// Renders the aprun (ALPS) log.
     pub fn render_aprun_log(&self) -> String {
-        render_log(&self.apruns, 48)
+        render_log(&self.apruns, self.apruns.len() * 48)
     }
 
     /// Console events of one error kind.
@@ -132,10 +133,18 @@ impl SimOutput {
     }
 }
 
+/// The bytes reserved for the job log. A line is ~130 bytes of fields
+/// plus the node ranges: at most 6 bytes per node (`19199,`), 3.6 on
+/// average over a full study. 160 + 4 bytes per node is never less than
+/// half the log, so the log grows at most once and mostly not at all.
+fn job_log_reserve(jobs: &[JobRecord]) -> usize {
+    jobs.iter().map(|j| 160 + 4 * j.nodes.len()).sum()
+}
+
 /// Renders one log: each record's line, newline-terminated, written
-/// straight into the result (`line_hint` bytes reserved per record).
-fn render_log<T: LogLine>(records: &[T], line_hint: usize) -> String {
-    let mut s = String::with_capacity(records.len() * line_hint);
+/// straight into the result (`reserve` bytes reserved up front).
+fn render_log<T: LogLine>(records: &[T], reserve: usize) -> String {
+    let mut s = String::with_capacity(reserve);
     for r in records {
         r.write_line(&mut s);
         s.push('\n');
@@ -154,6 +163,28 @@ mod tests {
         let out = SimOutput::default();
         assert_eq!(out.render_console_log(), "");
         assert_eq!(out.render_job_log(), "");
+    }
+
+    #[test]
+    fn job_log_reserve_holds_at_least_half_the_log() {
+        // Widest fields, and every node its own five-digit run.
+        let job = |apid| JobRecord {
+            apid,
+            user: u32::MAX,
+            nodes: (10_000..19_200).step_by(2).map(NodeId).collect(),
+            start: u64::MAX / 2,
+            end: u64::MAX,
+            gpu_core_hours: 1e15,
+            max_memory_bytes: u64::MAX,
+            total_memory_byte_hours: 1e15,
+        };
+        let out = SimOutput {
+            jobs: vec![job(u64::MAX), job(1)],
+            ..SimOutput::default()
+        };
+        let text = out.render_job_log();
+        assert!(text.len() <= 2 * job_log_reserve(&out.jobs), "{}", text.len());
+        assert_eq!(text, out.jobs.iter().map(|j| j.render() + "\n").collect::<String>());
     }
 
     #[test]

@@ -55,7 +55,7 @@ proptest! {
             prop_assert!(d.per_node_sbe.iter().all(|&(_, c)| c > 0), "zero delta stored");
             let mut alloc = j.nodes.iter();
             for (n, _) in &d.per_node_sbe {
-                prop_assert!(alloc.any(|a| a == n), "node {:?} out of allocation order", n);
+                prop_assert!(alloc.any(|a| a == *n), "node {:?} out of allocation order", n);
             }
             let per_structure: u64 = d.per_structure_sbe.iter().sum();
             prop_assert_eq!(d.total_sbe(), per_structure);

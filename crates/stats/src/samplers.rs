@@ -305,50 +305,80 @@ mod tests {
 ///
 /// Used for the fleet's weighted card/slot picks (per-card SBE
 /// susceptibility, per-cage thermal acceleration), which happen hundreds
-/// of thousands of times per simulated study.
-#[derive(Debug, Clone)]
+/// of thousands of times per simulated study. A table whose weights
+/// change is rebuilt in place by [`rebuild`](Self::rebuild).
+#[derive(Debug, Clone, Default)]
 pub struct WeightedAlias {
     items: Vec<usize>,
     prob: Vec<f64>,
     alias: Vec<usize>,
+    /// The build's work lists, kept so a rebuild allocates nothing.
+    small: Vec<usize>,
+    large: Vec<usize>,
 }
 
 impl WeightedAlias {
     /// Builds the table. Returns `None` when no weight is positive or any
     /// weight is negative/non-finite.
     pub fn new(weights: &[f64]) -> Option<Self> {
+        let mut table = WeightedAlias::default();
+        table.rebuild(weights).then_some(table)
+    }
+
+    /// Rebuilds the table for `weights` in place, reusing its lists: the
+    /// table [`new`](Self::new) builds, bit for bit, so it draws the same
+    /// indices from the same stream. Returns `false` where `new` returns
+    /// `None`, leaving an empty table (`support() == 0`) that must not be
+    /// sampled.
+    pub fn rebuild(&mut self, weights: &[f64]) -> bool {
+        self.items.clear();
+        self.prob.clear();
+        self.alias.clear();
         if weights.iter().any(|w| *w < 0.0 || !w.is_finite()) {
-            return None;
+            return false;
         }
-        let entries: Vec<(usize, f64)> = weights
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(i, &w)| (i, w))
-            .collect();
-        if entries.is_empty() {
-            return None;
+        for (i, &w) in weights.iter().enumerate().filter(|(_, &w)| w > 0.0) {
+            self.items.push(i);
+            self.prob.push(w);
         }
-        let n = entries.len();
-        let total: f64 = entries.iter().map(|&(_, w)| w).sum();
-        let mut prob: Vec<f64> = entries.iter().map(|&(_, w)| w * n as f64 / total).collect();
-        let items: Vec<usize> = entries.iter().map(|&(i, _)| i).collect();
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = (0..n).filter(|&i| prob[i] < 1.0).collect();
-        let mut large: Vec<usize> = (0..n).filter(|&i| prob[i] >= 1.0).collect();
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s] = l;
-            prob[l] = prob[l] + prob[s] - 1.0;
-            if prob[l] < 1.0 {
-                small.push(l);
+        if self.items.is_empty() {
+            return false;
+        }
+        let n = self.items.len();
+        let total: f64 = self.prob.iter().sum();
+        for p in &mut self.prob {
+            *p = *p * n as f64 / total;
+        }
+        self.alias.resize(n, 0);
+        let indexed = self.prob.iter().enumerate();
+        self.small.clear();
+        self.small.extend(indexed.clone().filter(|&(_, &p)| p < 1.0).map(|(i, _)| i));
+        self.large.clear();
+        self.large.extend(indexed.filter(|&(_, &p)| p >= 1.0).map(|(i, _)| i));
+        while let (Some(s), Some(l)) = (self.small.pop(), self.large.pop()) {
+            // `s` and `l` index `prob` and `alias`, both `n` long.
+            let (Some(&ps), Some(&pl)) = (self.prob.get(s), self.prob.get(l)) else {
+                break;
+            };
+            if let Some(a) = self.alias.get_mut(s) {
+                *a = l;
+            }
+            let pl = pl + ps - 1.0;
+            if let Some(p) = self.prob.get_mut(l) {
+                *p = pl;
+            }
+            if pl < 1.0 {
+                self.small.push(l);
             } else {
-                large.push(l);
+                self.large.push(l);
             }
         }
-        for i in small.into_iter().chain(large) {
-            prob[i] = 1.0;
+        for &i in self.small.iter().chain(&self.large) {
+            if let Some(p) = self.prob.get_mut(i) {
+                *p = 1.0;
+            }
         }
-        Some(WeightedAlias { items, prob, alias })
+        true
     }
 
     /// Number of positive-weight entries.
@@ -399,6 +429,79 @@ mod alias_tests {
                 let got = counts[i] as f64 / N as f64;
                 let want = wi / 10.0;
                 assert!((got - want).abs() < 0.01, "item {i}: {got} vs {want}");
+            }
+        }
+    }
+
+    /// The table as `new` built it before tables were rebuilt in place.
+    fn table_before_rebuild(weights: &[f64]) -> Option<(Vec<usize>, Vec<f64>, Vec<usize>)> {
+        if weights.iter().any(|w| *w < 0.0 || !w.is_finite()) {
+            return None;
+        }
+        let entries: Vec<(usize, f64)> = weights
+            .iter()
+            .enumerate()
+            .filter(|(_, &w)| w > 0.0)
+            .map(|(i, &w)| (i, w))
+            .collect();
+        if entries.is_empty() {
+            return None;
+        }
+        let n = entries.len();
+        let total: f64 = entries.iter().map(|&(_, w)| w).sum();
+        let mut prob: Vec<f64> = entries.iter().map(|&(_, w)| w * n as f64 / total).collect();
+        let items: Vec<usize> = entries.iter().map(|&(i, _)| i).collect();
+        let mut alias = vec![0usize; n];
+        let mut small: Vec<usize> = (0..n).filter(|&i| prob[i] < 1.0).collect();
+        let mut large: Vec<usize> = (0..n).filter(|&i| prob[i] >= 1.0).collect();
+        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+            alias[s] = l;
+            prob[l] = prob[l] + prob[s] - 1.0;
+            if prob[l] < 1.0 {
+                small.push(l);
+            } else {
+                large.push(l);
+            }
+        }
+        for i in small.into_iter().chain(large) {
+            prob[i] = 1.0;
+        }
+        Some((items, prob, alias))
+    }
+
+    #[test]
+    fn rebuilt_tables_are_bit_identical_to_fresh_ones() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut table = WeightedAlias::default();
+        for round in 0..300 {
+            let n = rng.gen_range(0..400);
+            let mut w: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..6) {
+                    0 => 0.0,
+                    1 => rng.gen::<f64>() * 1e-300,
+                    2 => rng.gen::<f64>() * 1e12,
+                    _ => rng.gen::<f64>(),
+                })
+                .collect();
+            if round % 50 == 7 && n > 0 {
+                w[0] = f64::NAN;
+            }
+            let want = table_before_rebuild(&w);
+            assert_eq!(table.rebuild(&w), want.is_some(), "round {round}");
+            let Some((items, prob, alias)) = want else {
+                assert_eq!(table.support(), 0);
+                assert!(WeightedAlias::new(&w).is_none());
+                continue;
+            };
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(table.items, items, "round {round}");
+            assert_eq!(bits(&table.prob), bits(&prob), "round {round}");
+            assert_eq!(table.alias, alias, "round {round}");
+            // The same draws as a table built fresh.
+            let fresh = WeightedAlias::new(&w).unwrap();
+            let (mut a, mut b) = (StdRng::seed_from_u64(round), StdRng::seed_from_u64(round));
+            for _ in 0..50 {
+                assert_eq!(table.sample(&mut a), fresh.sample(&mut b));
             }
         }
     }
