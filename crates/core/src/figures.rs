@@ -1,5 +1,5 @@
 //! Every table and figure of the paper, computed from the observable
-//! data bundle. Independent figure families run in parallel under rayon.
+//! data bundle. The analyses run as two halves of one `rayon::join`.
 
 use serde::{Deserialize, Serialize};
 use titan_analysis::consistency::{dbe_accounting, DbeAccounting};
@@ -110,105 +110,147 @@ pub struct Figures {
 }
 
 impl Figures {
-    /// Computes everything from a data bundle. The heavier, independent
-    /// figure families are evaluated on rayon's pool.
+    /// Computes everything from a data bundle, as two halves of one
+    /// `rayon::join` (inline on a one-thread pool or on a replicate
+    /// worker; see the `rayon` stand-in's docs).
     pub fn compute(data: &StudyData) -> Figures {
         use GpuErrorKind::*;
 
         let console = &data.console;
 
-        // The four heavier analyses are mutually independent. The job
-        // correlation and the user study dominate, so each side of one
-        // join takes one of them; a nested join would only spawn more
-        // short-lived threads. Everything else is cheap linear scans.
-        let ((offenders, correlation), (user, heatmap)) = rayon::join(
+        // Each side takes about half of the work: the job correlation,
+        // the time series and Fig. 21 on the caller, the user study, the
+        // Fig. 13 heatmap and the spatial maps on the other thread. What
+        // the other thread returns lives in its own malloc arena, which
+        // the caller's allocations cannot reuse, so Fig. 21's per-job
+        // vectors are built on the caller. A nested join would only
+        // spawn more short-lived threads.
+        let (
+            (
+                offenders,
+                correlation,
+                sbe_by_structure,
+                fig02,
+                fig04,
+                fig06,
+                fig08,
+                fig09,
+                fig10,
+                fig11,
+                fig21,
+            ),
+            (user, heatmap, fig03, fig05, fig07, fig12, thermal, granularity),
+        ) = rayon::join(
             || {
                 (
                     sbe_offender_analysis(&data.snapshots),
                     job_sbe_correlations(&data.jobs, &data.job_sbe, &data.snapshots),
+                    sbe_by_structure(data),
+                    (
+                        monthly_counts(console, DoubleBitError),
+                        mtbf_hours(console, DoubleBitError),
+                        burstiness(console, DoubleBitError),
+                    ),
+                    monthly_counts(console, OffTheBus),
+                    monthly_counts(console, EccPageRetirement),
+                    retirement_delays(console, calibration::retirement_xid_introduced()),
+                    [
+                        GpuMemoryPageFault,
+                        PushBufferStream,
+                        GpuStoppedProcessing,
+                        ContextSwitchFault,
+                        DriverFirmware,
+                        VideoProcessorSw,
+                    ]
+                    .iter()
+                    .map(|&k| {
+                        if k.user_application_possible() {
+                            // Incident granularity: the per-node job
+                            // re-reports collapse under the paper's 5 s
+                            // filter.
+                            monthly_incidents(console, k, 5)
+                        } else {
+                            monthly_counts(console, k)
+                        }
+                    })
+                    .collect(),
+                    (
+                        monthly_counts(console, GraphicsEngineException),
+                        burstiness(console, GraphicsEngineException),
+                        burstiness(console, GpuStoppedProcessing),
+                    ),
+                    [MicrocontrollerHaltOld, MicrocontrollerHaltNew]
+                        .iter()
+                        .map(|&k| monthly_counts(console, k))
+                        .collect(),
+                    workload_characterization(&data.jobs),
                 )
             },
             || {
                 (
                     user_level_correlation(&data.jobs, &data.job_sbe, &data.snapshots),
                     cooccurrence_heatmap(console),
+                    (
+                        spatial_grid(console, DoubleBitError, false),
+                        cage_tally(console, DoubleBitError),
+                        dbe_accounting(console, &data.snapshots),
+                    ),
+                    (
+                        spatial_grid(console, OffTheBus, false),
+                        cage_tally(console, OffTheBus),
+                    ),
+                    (
+                        spatial_grid(console, EccPageRetirement, false),
+                        cage_tally(console, EccPageRetirement),
+                    ),
+                    (
+                        spatial_with_filtering(console, GraphicsEngineException),
+                        incident_stripe(console, GraphicsEngineException, 5),
+                    ),
+                    thermal_survey(&data.snapshots),
+                    aprun_granularity(&data.apruns, &data.job_sbe),
                 )
             },
         );
 
-        let mut sbe_by_structure: Vec<(MemoryStructure, u64)> = MemoryStructure::ECC_COUNTED
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| {
-                let total = data
-                    .job_sbe
-                    .iter()
-                    .map(|d| d.per_structure_sbe.get(i).copied().unwrap_or(0))
-                    .sum();
-                (m, total)
-            })
-            .collect();
-        sbe_by_structure.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-
         Figures {
-            fig02_dbe_monthly: monthly_counts(console, DoubleBitError),
-            fig02_mtbf_hours: mtbf_hours(console, DoubleBitError),
-            fig02_burstiness: burstiness(console, DoubleBitError),
+            fig02_dbe_monthly: fig02.0,
+            fig02_mtbf_hours: fig02.1,
+            fig02_burstiness: fig02.2,
 
-            fig03_dbe_grid: spatial_grid(console, DoubleBitError, false),
-            fig03_dbe_cage: cage_tally(console, DoubleBitError),
-            fig03_accounting: dbe_accounting(console, &data.snapshots),
+            fig03_dbe_grid: fig03.0,
+            fig03_dbe_cage: fig03.1,
+            fig03_accounting: fig03.2,
 
-            fig04_otb_monthly: monthly_counts(console, OffTheBus),
-            fig05_otb_grid: spatial_grid(console, OffTheBus, false),
-            fig05_otb_cage: cage_tally(console, OffTheBus),
+            fig04_otb_monthly: fig04,
+            fig05_otb_grid: fig05.0,
+            fig05_otb_cage: fig05.1,
 
-            fig06_retire_monthly: monthly_counts(console, EccPageRetirement),
-            fig07_retire_grid: spatial_grid(console, EccPageRetirement, false),
-            fig07_retire_cage: cage_tally(console, EccPageRetirement),
+            fig06_retire_monthly: fig06,
+            fig07_retire_grid: fig07.0,
+            fig07_retire_cage: fig07.1,
 
-            fig08_delays: retirement_delays(console, calibration::retirement_xid_introduced()),
+            fig08_delays: fig08,
 
-            fig09_xid_monthly: [
-                GpuMemoryPageFault,
-                PushBufferStream,
-                GpuStoppedProcessing,
-                ContextSwitchFault,
-                DriverFirmware,
-                VideoProcessorSw,
-            ]
-            .iter()
-            .map(|&k| {
-                if k.user_application_possible() {
-                    // Incident granularity: the per-node job re-reports
-                    // collapse under the paper's 5 s filter.
-                    monthly_incidents(console, k, 5)
-                } else {
-                    monthly_counts(console, k)
-                }
-            })
-            .collect(),
-            fig10_xid13_monthly: monthly_counts(console, GraphicsEngineException),
-            fig10_xid13_burstiness: burstiness(console, GraphicsEngineException),
-            fig10_xid43_burstiness: burstiness(console, GpuStoppedProcessing),
-            fig11_uchalt_monthly: [MicrocontrollerHaltOld, MicrocontrollerHaltNew]
-                .iter()
-                .map(|&k| monthly_counts(console, k))
-                .collect(),
+            fig09_xid_monthly: fig09,
+            fig10_xid13_monthly: fig10.0,
+            fig10_xid13_burstiness: fig10.1,
+            fig10_xid43_burstiness: fig10.2,
+            fig11_uchalt_monthly: fig11,
 
-            fig12_xid13_spatial: spatial_with_filtering(console, GraphicsEngineException),
-            fig12_incident_stripe: incident_stripe(console, GraphicsEngineException, 5),
+            fig12_xid13_spatial: fig12.0,
+            fig12_incident_stripe: fig12.1,
 
             fig13_heatmap: heatmap,
             fig14_15_offenders: offenders,
             fig16_19_correlation: correlation,
             fig20_user: user,
-            fig21_workload: workload_characterization(&data.jobs),
+            fig21_workload: fig21,
 
             sbe_by_structure,
 
-            thermal: thermal_survey(&data.snapshots),
-            granularity: aprun_granularity(&data.apruns, &data.job_sbe),
+            thermal,
+            granularity,
         }
     }
 
@@ -216,6 +258,25 @@ impl Figures {
     pub fn fig09_series(&self, kind: GpuErrorKind) -> Option<&MonthlySeries> {
         self.fig09_xid_monthly.iter().find(|s| s.kind == kind)
     }
+}
+
+/// §4's SBE totals per ECC-counted structure over every job delta,
+/// largest first.
+fn sbe_by_structure(data: &StudyData) -> Vec<(MemoryStructure, u64)> {
+    let mut totals: Vec<(MemoryStructure, u64)> = MemoryStructure::ECC_COUNTED
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| {
+            let total = data
+                .job_sbe
+                .iter()
+                .map(|d| d.per_structure_sbe.get(i).copied().unwrap_or(0))
+                .sum();
+            (m, total)
+        })
+        .collect();
+    totals.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+    totals
 }
 
 #[cfg(test)]

@@ -1,5 +1,8 @@
 //! The [`Study`] runner: simulate → render logs → re-parse → analyze.
 
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
+
 use serde::{Deserialize, Serialize};
 use titan_conlog::format::{parse_into, ParseStats};
 use titan_conlog::{Aprun, ConsoleEvent, JobRecord, LogLine};
@@ -33,7 +36,7 @@ impl StudyConfig {
 }
 
 /// The observable data bundle the analysis runs on.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StudyData {
     /// Console events (parsed back from rendered text unless the
     /// shortcut was taken).
@@ -110,36 +113,7 @@ impl Study {
                 job_parse_errors: 0,
             }
         } else {
-            // The honest path: render to text, parse back, one record
-            // at a time so no whole-log string is built.
-            let mut console = Vec::with_capacity(sim.console.len());
-            let mut console_parse = ParseStats::default();
-            for_each_rendered(&sim.console, |text| {
-                parse_into(text, &mut console, &mut console_parse);
-            });
-            let mut jobs = Vec::with_capacity(sim.jobs.len());
-            let mut job_parse_errors = 0u64;
-            for_each_rendered(&sim.jobs, |text| {
-                for line in text.lines() {
-                    match JobRecord::parse(line) {
-                        Ok(j) => jobs.push(j),
-                        Err(_) => job_parse_errors += 1,
-                    }
-                }
-            });
-            let mut apruns = Vec::with_capacity(sim.apruns.len());
-            for_each_rendered(&sim.apruns, |text| {
-                apruns.extend(text.lines().filter_map(Aprun::parse));
-            });
-            StudyData {
-                console,
-                jobs,
-                job_sbe: sim.job_sbe.clone(),
-                apruns,
-                snapshots: sim.final_snapshots.clone(),
-                console_parse,
-                job_parse_errors,
-            }
+            parse_back(&sim)
         };
         CompletedStudy {
             config: self.config.clone(),
@@ -147,6 +121,81 @@ impl Study {
             data,
         }
     }
+}
+
+/// The honest path: renders the three logs to text and parses them
+/// back, one record at a time so no whole-log string is built.
+///
+/// The logs are independent, so one `rayon::join` runs them on two
+/// threads. The caller takes job records from the front; the worker
+/// renders the console and aprun logs, then takes job records from the
+/// back. The split point is wherever the two meet, so it follows the
+/// input's sizes and the host's speed with nothing tuned, and the
+/// worker's tail is appended after the caller's head in log order.
+/// Every output `Vec` is allocated here, before the join: a worker
+/// thread allocates from its own malloc arena, which cannot reuse the
+/// memory the simulator freed.
+fn parse_back(sim: &SimOutput) -> StudyData {
+    let mut console = Vec::with_capacity(sim.console.len());
+    let mut apruns = Vec::with_capacity(sim.apruns.len());
+    let mut jobs = Vec::with_capacity(sim.jobs.len());
+    // The worker's share of the job log, in reverse log order. Its share
+    // is not known in advance; only the part it fills is written.
+    let mut tail = Vec::with_capacity(sim.jobs.len());
+    let unclaimed = Mutex::new(0..sim.jobs.len());
+    let (head_errors, (console_parse, tail_errors)) = rayon::join(
+        || parse_jobs(&sim.jobs, &unclaimed, Range::next, &mut jobs),
+        || {
+            let mut console_parse = ParseStats::default();
+            for_each_rendered(&sim.console, |text| {
+                parse_into(text, &mut console, &mut console_parse);
+            });
+            for_each_rendered(&sim.apruns, |text| {
+                apruns.extend(text.lines().filter_map(Aprun::parse));
+            });
+            let errors = parse_jobs(&sim.jobs, &unclaimed, Range::next_back, &mut tail);
+            (console_parse, errors)
+        },
+    );
+    jobs.extend(tail.into_iter().rev());
+    StudyData {
+        console,
+        jobs,
+        job_sbe: sim.job_sbe.clone(),
+        apruns,
+        snapshots: sim.final_snapshots.clone(),
+        console_parse,
+        job_parse_errors: head_errors + tail_errors,
+    }
+}
+
+/// Renders and parses back the job records that `claim` takes from the
+/// shared `unclaimed` range, pushing each in claim order; returns the
+/// number of lines that failed to parse. A job record is one line.
+fn parse_jobs(
+    records: &[JobRecord],
+    unclaimed: &Mutex<Range<usize>>,
+    claim: fn(&mut Range<usize>) -> Option<usize>,
+    out: &mut Vec<JobRecord>,
+) -> u64 {
+    let mut line = String::new();
+    let mut errors = 0;
+    loop {
+        // The guard drops at the end of this statement, so the lock is
+        // held only for the claim. `Range::next`/`next_back` cannot
+        // panic, so the other side never poisons it.
+        let claimed = claim(&mut unclaimed.lock().unwrap_or_else(PoisonError::into_inner));
+        let Some(record) = claimed.and_then(|i| records.get(i)) else {
+            break;
+        };
+        line.clear();
+        record.write_line(&mut line);
+        match JobRecord::parse(&line) {
+            Ok(j) => out.push(j),
+            Err(_) => errors += 1,
+        }
+    }
+    errors
 }
 
 /// Renders each record as its log line (newline-terminated, as the

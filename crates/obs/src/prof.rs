@@ -23,9 +23,13 @@
 //! rule D4 keeps the engine single-threaded, so the *engine* scopes'
 //! (`ev:*`, `engine:*`) alloc numbers are a deterministic function of
 //! the seed across thread widths — but CLI/study scopes cover
-//! rayon-parallel figure work whose inline-vs-worker placement depends
-//! on the pool width, so their alloc counters are host-variant
-//! ([`ProfDoc::deterministic_json`] zeroes them). And no alloc counter
+//! rayon-parallel work whose inline-vs-worker placement depends on the
+//! pool width, so their alloc counters are host-variant
+//! ([`ProfDoc::deterministic_json`] zeroes them). On a pool wider than
+//! one, `study:render_parse_logs` counts only the caller's share of the
+//! log round trip: the console and aprun logs and the job log's tail
+//! are parsed on the join's other thread, whose allocations its own
+//! counters see. And no alloc counter
 //! survives resume ([`ProfDoc::invariant_json`] — heap capacity is
 //! host-process state a checkpoint does not carry, so a resumed run's
 //! realloc pattern differs from the straight run's).

@@ -53,6 +53,11 @@ use titan_runner::RunDocs;
 /// by design (lint rule D4), so the engine thread's cells observe every
 /// engine allocation and the probe's deltas are deterministic — rayon
 /// replication workers each count their own thread without contending.
+/// The study's joins are not engine work: when they thread, the other
+/// thread's allocations are not counted, so `study:render_parse_logs`
+/// excludes the console, aprun and job-tail parsing done there (and
+/// `cli:figures_checks` half of the analyses);
+/// `ProfDoc::deterministic_json` zeroes both scopes' alloc columns.
 mod alloc_track {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;

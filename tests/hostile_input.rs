@@ -8,14 +8,18 @@
 //!    of a real checkpoint return `Ok` or `Err`, never panic, and a
 //!    corruption that still parses as a checkpoint fails the schema or
 //!    digest check unless it left the document itself unchanged.
+//! 3. `parse_trace` and `parse_health` are total: arbitrary text and one
+//!    edit of a rendered `titan-trace/1` or `titan-health/1` document
+//!    return `Ok` or `Err`, never panic.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::OnceLock;
 
+use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use titan_gpu_reliability::obs::Obs;
-use titan_gpu_reliability::runner::ckpt;
+use titan_gpu_reliability::obs::{parse_health, parse_trace, Obs, ObsPlan};
+use titan_gpu_reliability::runner::{ckpt, run_seed_with};
 use titan_gpu_reliability::StudyConfig;
 
 const DAY: u64 = 86_400;
@@ -101,41 +105,56 @@ const SPLICE: &[&str] = &[
     "null", "é",
 ];
 
+/// Up to 63 arbitrary bytes, made valid UTF-8 lossily.
+fn arbitrary_text(rng: &mut TestRng) -> String {
+    let bytes: Vec<u8> = (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect();
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Applies one edit to `text` at byte `at` (at most `text.len()`):
+/// `op` 0 truncates there, 1 deletes 1 + `len` bytes, 2 inserts
+/// `splice`, 3 replaces 1 + `len` bytes with `splice`, and 4 changes the
+/// first digit from there on, which keeps JSON valid.
+fn edit(text: &mut String, at: u64, len: u64, splice: &str, op: u64) {
+    let mut at = at as usize;
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    let mut end = (at + 1 + len as usize).min(text.len());
+    while !text.is_char_boundary(end) {
+        end += 1;
+    }
+    match op {
+        0 => text.truncate(at),
+        1 => text.replace_range(at..end, ""),
+        2 => text.insert_str(at, splice),
+        3 => text.replace_range(at..end, splice),
+        _ => {
+            if let Some(d) = text[at..].find(|c: char| c.is_ascii_digit()) {
+                let digit = if &text[at + d..at + d + 1] == "7" {
+                    "3"
+                } else {
+                    "7"
+                };
+                text.replace_range(at + d..at + d + 1, digit);
+            }
+        }
+    }
+}
+
 /// Either arbitrary text or one to three random corruptions of the
 /// real checkpoint. A digit swap keeps the text valid JSON, so those
 /// reach the digest check.
 fn corruption(rng: &mut TestRng) -> String {
     if rng.below(8) == 0 {
-        let bytes: Vec<u8> = (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect();
-        return String::from_utf8_lossy(&bytes).into_owned();
+        return arbitrary_text(rng);
     }
     let mut text = checkpoint_text().to_string();
     for _ in 0..1 + rng.below(3) {
-        let mut at = rng.below(text.len() as u64 + 1) as usize;
-        while !text.is_char_boundary(at) {
-            at -= 1;
-        }
-        let mut end = (at + 1 + rng.below(8) as usize).min(text.len());
-        while !text.is_char_boundary(end) {
-            end += 1;
-        }
+        let at = rng.below(text.len() as u64 + 1);
+        let len = rng.below(8);
         let splice = SPLICE[rng.below(SPLICE.len() as u64) as usize];
-        match rng.below(5) {
-            0 => text.truncate(at),
-            1 => text.replace_range(at..end, ""),
-            2 => text.insert_str(at, splice),
-            3 => text.replace_range(at..end, splice),
-            _ => {
-                if let Some(d) = text[at..].find(|c: char| c.is_ascii_digit()) {
-                    let digit = if &text[at + d..at + d + 1] == "7" {
-                        "3"
-                    } else {
-                        "7"
-                    };
-                    text.replace_range(at + d..at + d + 1, digit);
-                }
-            }
-        }
+        edit(&mut text, at, len, splice, rng.below(5));
     }
     text
 }
@@ -169,4 +188,71 @@ fn parse_checkpoint_is_total() {
 fn the_uncorrupted_checkpoint_verifies() {
     let doc = ckpt::parse_checkpoint(checkpoint_text()).expect("verify");
     assert_eq!(ckpt::render_checkpoint(&doc), checkpoint_text());
+}
+
+/// The trace and health documents of a 4-day run with both sinks armed.
+fn obs_documents() -> &'static (String, String) {
+    static DOCS: OnceLock<(String, String)> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let plan = ObsPlan {
+            trace: true,
+            health: true,
+            ..ObsPlan::default()
+        };
+        let (_, docs) = run_seed_with(&StudyConfig::quick(4, 11), 11, true, &plan);
+        (
+            docs.trace.expect("trace planned"),
+            docs.health.expect("health planned"),
+        )
+    })
+}
+
+/// `doc` with one edit; `at` is reduced to a byte offset within it.
+fn edited(doc: &str, at: u64, len: u64, splice: usize, op: u64) -> String {
+    let mut text = doc.to_string();
+    let at = at % (doc.len() as u64 + 1);
+    edit(&mut text, at, len, SPLICE[splice], op);
+    text
+}
+
+#[test]
+fn the_unedited_obs_documents_parse() {
+    let (trace, health) = obs_documents();
+    let (_, records) = parse_trace(trace).expect("trace parses");
+    assert!(!records.is_empty());
+    let doc = parse_health(health).expect("health parses");
+    assert!(!doc.records.is_empty());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any text reaches `Ok` or `Err` in both JSONL readers.
+    #[test]
+    fn obs_readers_are_total_on_arbitrary_text(text in "\\PC{0,400}") {
+        let _ = parse_trace(&text);
+        let _ = parse_health(&text);
+    }
+
+    /// One edit of a real trace reaches `Ok` or `Err`.
+    #[test]
+    fn parse_trace_is_total_on_edits(
+        at in any::<u64>(),
+        len in 0u64..8,
+        splice in 0usize..SPLICE.len(),
+        op in 0u64..5,
+    ) {
+        let _ = parse_trace(&edited(&obs_documents().0, at, len, splice, op));
+    }
+
+    /// One edit of a real health document reaches `Ok` or `Err`.
+    #[test]
+    fn parse_health_is_total_on_edits(
+        at in any::<u64>(),
+        len in 0u64..8,
+        splice in 0usize..SPLICE.len(),
+        op in 0u64..5,
+    ) {
+        let _ = parse_health(&edited(&obs_documents().1, at, len, splice, op));
+    }
 }
