@@ -284,7 +284,8 @@ impl TraceStream {
     }
 
     /// Renders the full stream as `titan-trace/1` JSONL (header first,
-    /// one compact JSON record per line, trailing newline).
+    /// one compact JSON record per line, trailing newline). Every line
+    /// is written straight into the one output buffer.
     pub fn render_jsonl(&self, seed: u64, window_days: u64) -> String {
         let header = TraceHeader {
             schema: TRACE_SCHEMA.to_string(),
@@ -293,10 +294,13 @@ impl TraceStream {
             // lint: allow(N1, usize to u64 is lossless on 64-bit targets)
             records: self.records.len() as u64,
         };
-        let mut out = serde_json::to_string(&header).unwrap_or_else(|_| "{}".to_string());
+        let mut out = String::new();
+        // lint: allow(E1, writing into a String cannot fail)
+        let _ = header.write_json(&mut out);
         out.push('\n');
         for r in &self.records {
-            out.push_str(&serde_json::to_string(r).unwrap_or_else(|_| "{}".to_string()));
+            // lint: allow(E1, writing into a String cannot fail)
+            let _ = r.write_json(&mut out);
             out.push('\n');
         }
         out

@@ -23,7 +23,13 @@
 //! Corruption is detected, never propagated: [`parse_checkpoint`]
 //! recomputes the digest and refuses a document whose stored digest
 //! does not match (a single flipped byte fails cleanly, without a
-//! panic and without resuming from poisoned state).
+//! panic and without resuming from poisoned state). It hashes the bytes
+//! it was given, beside the parse, rather than re-serializing what it
+//! parsed: the text [`render_checkpoint`] writes *is* the hashed
+//! document, up to the digest's own digits
+//! ([`checkpoint_text_digest`]). Text in any other layout (re-indented,
+//! re-escaped) falls back to [`checkpoint_digest`] of the parsed
+//! document, so it verifies exactly as before.
 
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
@@ -114,17 +120,52 @@ pub fn render_checkpoint(doc: &CheckpointDoc) -> String {
     s
 }
 
+/// The chained digest read off a checkpoint's own bytes: FNV-1a over
+/// `text` (trailing whitespace trimmed) with the digits after its first
+/// `,"digest":` read as `0`. In the text [`render_checkpoint`] writes,
+/// that is the top-level key right after `prev_digest`, and the value
+/// equals [`checkpoint_digest`] of the parsed document, with no
+/// re-serialization. For text in any other layout it is some other
+/// value. `None` when the key is missing or no digits follow it.
+pub fn checkpoint_text_digest(text: &str) -> Option<u64> {
+    const KEY: &str = ",\"digest\":";
+    let (head, rest) = text.trim_end().split_once(KEY)?;
+    let tail = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+    if tail.len() == rest.len() {
+        return None;
+    }
+    let mut h = Fnv1a::new();
+    for part in [head, KEY, "0", tail] {
+        h.update(part.as_bytes());
+    }
+    Some(h.finish())
+}
+
 /// Parses and **verifies** a checkpoint document: schema must match and
 /// the recomputed chained digest must equal the stored one. A corrupted
 /// file (any flipped byte) fails here with a clean error.
+///
+/// One [`rayon::join`] parses the text on the caller and hashes its
+/// bytes ([`checkpoint_text_digest`]) on the other thread. When the
+/// byte hash equals the stored digest, the text is the canonical
+/// document and is verified. Otherwise the parsed document is
+/// re-serialized and hashed ([`checkpoint_digest`]), which verifies a
+/// re-indented file and names the canonical value on a mismatch.
 pub fn parse_checkpoint(text: &str) -> Result<CheckpointDoc, String> {
-    let mut doc: CheckpointDoc =
-        serde_json::from_str(text.trim_end()).map_err(|e| format!("checkpoint parse: {e}"))?;
+    let text = text.trim_end();
+    let (doc, on_bytes) = rayon::join(
+        || serde_json::from_str::<CheckpointDoc>(text),
+        || checkpoint_text_digest(text),
+    );
+    let mut doc = doc.map_err(|e| format!("checkpoint parse: {e}"))?;
     if doc.schema != CKPT_SCHEMA {
         return Err(format!(
             "unsupported checkpoint schema `{}` (expected `{CKPT_SCHEMA}`)",
             doc.schema
         ));
+    }
+    if on_bytes == Some(doc.digest) {
+        return Ok(doc);
     }
     // Zero the stored digest while hashing so the document is hashed in
     // place rather than copied.

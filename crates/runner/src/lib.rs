@@ -24,8 +24,9 @@ use titan_conlog::{LogLine, SecEngine};
 pub mod ckpt;
 
 pub use ckpt::{
-    bisect, checkpoint_digest, parse_checkpoint, render_checkpoint, resume_checkpointed,
-    run_checkpointed, BisectInterval, BisectReport, CheckpointDoc, CKPT_SCHEMA,
+    bisect, checkpoint_digest, checkpoint_text_digest, parse_checkpoint, render_checkpoint,
+    resume_checkpointed, run_checkpointed, BisectInterval, BisectReport, CheckpointDoc,
+    CKPT_SCHEMA,
 };
 // Re-exported so CLI code can name the telemetry types through the
 // runner without a direct titan-obs dependency.
@@ -571,15 +572,20 @@ impl Fnv1a {
     pub(crate) fn finish(&self) -> u64 {
         self.0
     }
+
+    /// Folds `bytes` into the hash.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
 }
 
 impl fmt::Write for Fnv1a {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(PRIME);
-        }
+        self.update(s.as_bytes());
         Ok(())
     }
 }

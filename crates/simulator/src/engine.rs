@@ -603,6 +603,30 @@ impl EngineSnapshot {
     }
 }
 
+/// Checks a snapshot's heap against the run it would resume: every
+/// entry names a payload (`seq` below `payloads`), lies at or after the
+/// pause time `t` (the loop had run every earlier event), and names a
+/// `seq` no other entry names. The event loop skips an entry with no
+/// payload, so without this check an inconsistent checkpoint would
+/// resume to a silently different run instead of failing.
+fn check_heap(heap: &[(SimTime, u8, u64)], t: SimTime, payloads: usize) -> Result<(), String> {
+    let mut seen = vec![false; payloads];
+    for (i, &(at, class, seq)) in heap.iter().enumerate() {
+        let entry = || format!("checkpoint heap entry {i} (t {at}, class {class}, seq {seq})");
+        let slot = usize::try_from(seq).ok().and_then(|s| seen.get_mut(s));
+        let Some(slot) = slot else {
+            return Err(format!("{} names no payload: the run holds {payloads}", entry()));
+        };
+        if at < t {
+            return Err(format!("{} lies before the checkpoint time {t}", entry()));
+        }
+        if std::mem::replace(slot, true) {
+            return Err(format!("{} repeats the seq of an earlier entry", entry()));
+        }
+    }
+    Ok(())
+}
+
 impl EngineState {
     /// Builds the initial engine state for `cfg`: generates the
     /// workload, drafts every fault stream, and seeds the runtime RNGs.
@@ -748,7 +772,9 @@ impl EngineState {
     /// Rebuilds a paused run from `snap`: re-runs the deterministic
     /// setup for `cfg`, then overlays the captured loop state. Fails if
     /// the regenerated setup does not line up with the snapshot — the
-    /// cheap tell that `cfg` is not the config the checkpoint came from.
+    /// cheap tell that `cfg` is not the config the checkpoint came from —
+    /// or if a heap entry could not have been left by a run paused at
+    /// the snapshot's time.
     pub fn restore(
         cfg: &SimConfig,
         snap: &EngineSnapshot,
@@ -765,6 +791,7 @@ impl EngineState {
             ));
         }
         st.queue.payloads.extend(snap.payload_tail.iter().copied());
+        check_heap(&snap.heap, snap.t, st.queue.payloads.len())?;
         st.queue.heap = snap.heap.iter().copied().map(Reverse).collect();
         st.fleet.restore(&snap.fleet);
         st.jobs = JobTable::from_snapshot(&snap.jobs, &st.schedule, &st.fleet);
@@ -2167,6 +2194,37 @@ mod tests {
         let other = SimConfig::quick(40, 7);
         let err = EngineState::restore(&other, &snap, &mut Obs::disabled());
         assert!(err.is_err(), "restore accepted a mismatched config");
+    }
+
+    /// Restore refuses a heap no paused run could hold, naming the
+    /// entry: a seq with no payload, an entry before the pause, and a
+    /// seq named twice.
+    #[test]
+    fn restore_rejects_an_inconsistent_heap() {
+        let cfg = SimConfig::quick(10, 7);
+        let t = 86_400;
+        let mut st = EngineState::new(&cfg, &mut Obs::disabled());
+        st.run_until(t, &mut Obs::disabled());
+        let snap = st.snapshot(t);
+        assert!(EngineState::restore(&cfg, &snap, &mut Obs::disabled()).is_ok());
+        let payloads = snap.initial_payload_len + snap.payload_tail.len() as u64;
+        let (first, last) = (snap.heap[0], snap.heap.len() - 1);
+        let (end_t, end_class, _) = snap.heap[last];
+        // What the error names, the entry replaced, and its replacement.
+        let cases = [
+            ("names no payload", 0, (first.0, first.1, payloads)),
+            ("names no payload", 0, (first.0, first.1, u64::MAX)),
+            ("lies before the checkpoint time", 0, (t - 1, first.1, first.2)),
+            ("repeats the seq", last, (end_t, end_class, first.2)),
+        ];
+        for (want, i, entry) in cases {
+            let mut bad = snap.clone();
+            bad.heap[i] = entry;
+            let err = EngineState::restore(&cfg, &bad, &mut Obs::disabled())
+                .err()
+                .unwrap_or_else(|| panic!("restore accepted a heap that {want}"));
+            assert!(err.contains("checkpoint heap entry") && err.contains(want), "{err}");
+        }
     }
 
     /// The divergence probe visibly corrupts the run (it steals one RNG

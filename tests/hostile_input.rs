@@ -8,7 +8,9 @@
 //!    of a real checkpoint return `Ok` or `Err`, never panic, and a
 //!    corruption that still parses as a checkpoint fails the schema or
 //!    digest check unless it left the document itself unchanged.
-//! 3. `parse_trace` and `parse_health` are total: arbitrary text and one
+//! 3. A checkpoint re-sealed around an inconsistent engine heap passes
+//!    the digest but fails to resume, naming the heap entry.
+//! 4. `parse_trace` and `parse_health` are total: arbitrary text and one
 //!    edit of a rendered `titan-trace/1` or `titan-health/1` document
 //!    return `Ok` or `Err`, never panic.
 
@@ -18,6 +20,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use serde::{Deserialize, Serialize, Value};
 use titan_gpu_reliability::obs::{parse_health, parse_trace, Obs, ObsPlan};
 use titan_gpu_reliability::runner::{ckpt, run_seed_with};
 use titan_gpu_reliability::StudyConfig;
@@ -188,6 +191,54 @@ fn parse_checkpoint_is_total() {
 fn the_uncorrupted_checkpoint_verifies() {
     let doc = ckpt::parse_checkpoint(checkpoint_text()).expect("verify");
     assert_eq!(ckpt::render_checkpoint(&doc), checkpoint_text());
+}
+
+/// `field` of a JSON object.
+fn field<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
+    match v {
+        Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == name).expect(name).1,
+        _ => panic!("`{name}`: not an object"),
+    }
+}
+
+/// The `(t, class, seq)` parts of heap entry `i` of a checkpoint tree.
+fn heap_entry(v: &mut Value, i: usize) -> &mut Vec<Value> {
+    match field(field(v, "engine"), "heap") {
+        Value::Array(heap) => match &mut heap[i] {
+            Value::Array(parts) => parts,
+            _ => panic!("heap entry: not an array"),
+        },
+        _ => panic!("heap: not an array"),
+    }
+}
+
+/// Checkpoints that pass the digest but hold an engine heap no paused
+/// run could hold fail to resume with an error naming the entry, never
+/// a resume that silently differs.
+#[test]
+fn inconsistent_checkpoints_fail_to_resume() {
+    let doc = ckpt::parse_checkpoint(checkpoint_text()).expect("verify");
+    let resume = |doc: &ckpt::CheckpointDoc| {
+        ckpt::resume_checkpointed(doc, 0, None, &mut Obs::from_plan(&doc.plan()), |_| Ok(()))
+    };
+    assert!(resume(&doc).is_ok(), "the unedited checkpoint resumes");
+    let first_seq = heap_entry(&mut doc.to_value(), 0)[2].clone();
+    // Each edit sets one part (0 = t, 2 = seq) of one heap entry.
+    let edits = [
+        ("names no payload", 0, 2, Value::UInt(1 << 40)),
+        ("lies before the checkpoint time", 0, 0, Value::UInt(doc.t - 1)),
+        ("repeats the seq", 1, 2, first_seq),
+    ];
+    for (want, entry, part, value) in edits {
+        let mut v = doc.to_value();
+        heap_entry(&mut v, entry)[part] = value;
+        let mut edited = ckpt::CheckpointDoc::from_value(&v).expect("edited doc");
+        edited.digest = ckpt::checkpoint_digest(&edited);
+        let edited = ckpt::parse_checkpoint(&ckpt::render_checkpoint(&edited))
+            .expect("the re-sealed checkpoint passes the digest");
+        let err = resume(&edited).err().unwrap_or_else(|| panic!("resumed a heap that {want}"));
+        assert!(err.contains("checkpoint heap entry") && err.contains(want), "{err}");
+    }
 }
 
 /// The trace and health documents of a 4-day run with both sinks armed.

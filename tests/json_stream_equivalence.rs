@@ -7,16 +7,20 @@
 //! streamed bytes; [`reference_pretty`] is the tree printer it replaced.
 //! Every digest and frozen document is defined over these bytes, so the
 //! paths must never differ: checked here on generated trees full of
-//! awkward scalars and on the workspace's real documents.
+//! awkward scalars and on the workspace's real documents. The flight
+//! recorder's JSONL, written straight into one buffer, is checked
+//! against one `to_string` per record.
 
 use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::{Serialize, Value};
-use titan_gpu_reliability::obs::{parse_health, parse_trace, Obs, ProfDoc, WallDoc, WallScope};
+use titan_gpu_reliability::obs::{
+    parse_health, parse_trace, Obs, ProfDoc, TraceHeader, WallDoc, WallScope, TRACE_SCHEMA,
+};
 use titan_gpu_reliability::runner::{ckpt, run_seed_with, ObsPlan};
-use titan_gpu_reliability::StudyConfig;
+use titan_gpu_reliability::{Study, StudyConfig};
 
 const DAY: u64 = 86_400;
 
@@ -489,4 +493,31 @@ fn real_documents_match() {
     assert_same_bytes(&health.header, "HealthHeader");
     assert_same_bytes(&health.records, "health records");
     assert_same_bytes(&health.summary, "HealthSummary");
+}
+
+/// The flight recorder's JSONL, written record by record into one
+/// buffer, equals its reference form on an armed 30-day run: the header,
+/// then `serde_json::to_string` of each record, every line
+/// newline-terminated.
+#[test]
+fn trace_render_matches_one_string_per_record() {
+    let (seed, days) = (23, 30);
+    let mut obs = Obs::new(true);
+    obs.enable_trace();
+    obs.enable_health();
+    Study::new(StudyConfig::quick(days, seed)).run_with_obs(&mut obs);
+    let records = obs.stream.records();
+    assert!(records.len() > 1_000, "only {} trace records", records.len());
+    let header = TraceHeader {
+        schema: TRACE_SCHEMA.to_string(),
+        seed,
+        window_days: days,
+        records: records.len() as u64,
+    };
+    let mut reference = serde_json::to_string(&header).expect("header") + "\n";
+    for r in records {
+        reference += &serde_json::to_string(r).expect("record");
+        reference.push('\n');
+    }
+    assert_same_text(&obs.stream.render_jsonl(seed, days), &reference, "trace JSONL");
 }
