@@ -65,16 +65,6 @@ impl Heatmap {
         h
     }
 
-    /// Kinds whose row *and* diagonal are ~zero — the "relatively more
-    /// isolated in nature" set (paper: off the bus, XID 38, 48, 63).
-    pub fn isolated_kinds(&self, threshold: f64) -> Vec<GpuErrorKind> {
-        self.kinds
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.fraction[i][i] <= threshold)
-            .map(|(_, &k)| k)
-            .collect()
-    }
 }
 
 /// Builds the Fig. 13 heatmap. Events must be time-sorted.
@@ -225,20 +215,6 @@ mod tests {
         assert!((d - 2.0 / 3.0).abs() < 1e-9);
         let no_diag = h.without_diagonal();
         assert_eq!(no_diag.get(GpuStoppedProcessing, GpuStoppedProcessing), Some(0.0));
-    }
-
-    #[test]
-    fn isolated_kinds_detected() {
-        let events = vec![
-            ev(0, 1, DriverFirmware, None),
-            ev(100_000, 2, DriverFirmware, None),
-            ev(0, 3, GpuStoppedProcessing, None),
-            ev(10, 3, GpuStoppedProcessing, None),
-        ];
-        let h = cooccurrence_heatmap(&events);
-        let isolated = h.isolated_kinds(0.0);
-        assert!(isolated.contains(&DriverFirmware));
-        assert!(!isolated.contains(&GpuStoppedProcessing));
     }
 
     #[test]

@@ -24,18 +24,6 @@ pub struct FilterOutcome {
     pub children: Vec<ConsoleEvent>,
 }
 
-impl FilterOutcome {
-    /// Fraction of raw events classified as children.
-    pub fn child_fraction(&self) -> f64 {
-        let total = self.parents.len() + self.children.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.children.len() as f64 / total as f64
-        }
-    }
-}
-
 /// The parent/child rule every filter here applies, one event at a
 /// time: an event is a child when the last *kept* event of its key lies
 /// less than `window_secs` before it; otherwise it is kept (a parent)
@@ -93,6 +81,7 @@ fn split<K: Ord>(
 ///
 /// Events must be sorted by time (console logs are). Non-matching kinds
 /// pass through untouched into `parents`.
+// lint: allow(X1, reference implementation the one-pass Fig. 12 counts are checked against)
 pub fn dedup_job_level(
     events: &[ConsoleEvent],
     kind: GpuErrorKind,
@@ -111,20 +100,6 @@ pub fn dedup_by_job(
     window_secs: u64,
 ) -> FilterOutcome {
     split(events, ChildRule::new(window_secs), |ev| (ev.kind == kind).then_some(ev.apid))
-}
-
-/// Generic parent/child split per (node, kind): repeats of the same kind
-/// on the same node within `window_secs` of the previous *kept* event are
-/// children. This is the §2.2 "filtering scheme similar to other works
-/// [15, 21, 30, 32]" used before failure characterization.
-pub fn split_parents_children(events: &[ConsoleEvent], window_secs: u64) -> FilterOutcome {
-    split(events, ChildRule::new(window_secs), |ev| Some((ev.node.0, ev.kind)))
-}
-
-/// Keeps only events of one kind, as a copy (the figures filter while
-/// counting; the tests build their oracles with this).
-pub fn of_kind(events: &[ConsoleEvent], kind: GpuErrorKind) -> Vec<ConsoleEvent> {
-    events.iter().filter(|e| e.kind == kind).copied().collect()
 }
 
 #[cfg(test)]
@@ -157,7 +132,6 @@ mod tests {
         let out = dedup_job_level(&events, X13, 5);
         assert_eq!(out.parents.len(), 2);
         assert_eq!(out.children.len(), 3);
-        assert!((out.child_fraction() - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -191,22 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn node_kind_split() {
-        use GpuErrorKind::GpuStoppedProcessing as X43;
-        let events = vec![
-            ev(0, 1, X43, None),
-            ev(10, 1, X43, None),  // child (within 60)
-            ev(100, 1, X43, None), // parent (past window of the kept one)
-            ev(10, 2, X43, None),  // other node: parent
-        ];
-        let mut sorted = events.clone();
-        sorted.sort_by_key(|e| e.time);
-        let out = split_parents_children(&sorted, 60);
-        assert_eq!(out.parents.len(), 3);
-        assert_eq!(out.children.len(), 1);
-    }
-
-    #[test]
     fn window_measured_from_kept_event_not_last_child() {
         use GpuErrorKind::GpuStoppedProcessing as X43;
         // Chain: 0, 4, 8, 12 with window 5. Children at 4; 8 is ≥5 after
@@ -217,27 +175,14 @@ mod tests {
             ev(8, 1, X43, None),
             ev(12, 1, X43, None),
         ];
-        let out = split_parents_children(&events, 5);
+        let out = dedup_job_level(&events, X43, 5);
         let kept: Vec<u64> = out.parents.iter().map(|e| e.time).collect();
         assert_eq!(kept, vec![0, 8]);
     }
 
     #[test]
     fn empty_input() {
-        let out = split_parents_children(&[], 10);
+        let out = dedup_job_level(&[], GpuErrorKind::GpuStoppedProcessing, 10);
         assert!(out.parents.is_empty() && out.children.is_empty());
-        assert_eq!(out.child_fraction(), 0.0);
-    }
-
-    #[test]
-    fn of_kind_filters() {
-        use GpuErrorKind::*;
-        let events = vec![
-            ev(0, 1, DoubleBitError, None),
-            ev(1, 1, OffTheBus, None),
-            ev(2, 1, DoubleBitError, None),
-        ];
-        assert_eq!(of_kind(&events, DoubleBitError).len(), 2);
-        assert_eq!(of_kind(&events, GraphicsEngineException).len(), 0);
     }
 }

@@ -40,10 +40,6 @@ pub struct RetirementDelays {
 }
 
 impl RetirementDelays {
-    /// Total retirement records examined.
-    pub fn total_retirements(&self) -> u64 {
-        self.within_10min + self.min10_to_6h + self.later + self.no_preceding_dbe
-    }
 
     /// The paper's qualitative claim: the prompt bucket dominates the
     /// 10 min–6 h bucket.
@@ -143,7 +139,6 @@ mod tests {
         assert_eq!(d.min10_to_6h, 1);
         assert_eq!(d.later, 1);
         assert_eq!(d.no_preceding_dbe, 1);
-        assert_eq!(d.total_retirements(), 4);
         assert_eq!(d.delays, vec![100, 1_000, 100_000]);
     }
 
@@ -177,7 +172,7 @@ mod tests {
     fn since_cutoff_applies() {
         let events = vec![ev(10, 1, DBE), ev(20, 1, RET)];
         let d = retirement_delays(&events, 1_000);
-        assert_eq!(d.total_retirements(), 0);
+        assert_eq!(d.no_preceding_dbe + d.within_10min + d.min10_to_6h + d.later, 0);
         assert_eq!(d.dbe_pairs_without_retirement, 0);
     }
 

@@ -17,7 +17,6 @@
 //! | [`workload_charac`] | workload shapes: Fig. 21 (Obs. 14) |
 //! | [`consistency`] | console vs nvidia-smi DBE accounting (Obs. 2) |
 //! | [`checkpoint`] | extension: Young/Daly intervals + policy replay on the failure trace (the intro's checkpointing motivation; ref \[32\]) |
-//! | [`prediction`] | extension: precursor-based failure prediction (Obs. 9's correlation-for-prediction reading) |
 //! | [`thermal`] | the §3.1 temperature derivation: cage gradient from nvidia-smi snapshots |
 //! | [`granularity`] | §4's aprun-attribution limitation, quantified |
 //!
@@ -39,7 +38,6 @@ pub mod filtering;
 pub mod granularity;
 pub mod interarrival;
 pub mod offenders;
-pub mod prediction;
 pub mod spatial;
 pub mod thermal;
 pub mod timeseries;
@@ -50,11 +48,10 @@ pub use checkpoint::{daly_interval, evaluate_policy, young_interval, CheckpointP
 pub use consistency::{dbe_accounting, DbeAccounting};
 pub use cooccurrence::{cooccurrence_heatmap, Heatmap};
 pub use correlation::{job_sbe_correlations, CorrelationStudy, SortedSeries};
-pub use filtering::{dedup_job_level, split_parents_children, FilterOutcome};
+pub use filtering::FilterOutcome;
 pub use granularity::{aprun_granularity, GranularityReport};
 pub use interarrival::{retirement_delays, RetirementDelays};
 pub use offenders::{sbe_offender_analysis, OffenderAnalysis};
-pub use prediction::{train_and_evaluate, PrecursorModel, PredictionScore};
 pub use spatial::{cage_tally, spatial_grid, spatial_with_filtering, SpatialFiltering};
 pub use thermal::{thermal_survey, ThermalSurvey};
 pub use timeseries::{monthly_counts, MonthlySeries};

@@ -25,20 +25,6 @@ impl MonthlySeries {
         self.counts.iter().sum()
     }
 
-    /// Index of the peak month, or `None` when empty.
-    pub fn peak_month(&self) -> Option<usize> {
-        if self.total() == 0 {
-            return None;
-        }
-        let mut best = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > self.counts[best] {
-                best = i;
-            }
-        }
-        Some(best)
-    }
-
     /// Count in the months strictly before study month `m`.
     pub fn total_before(&self, m: usize) -> u64 {
         self.counts[..m.min(self.counts.len())].iter().sum()
@@ -117,16 +103,6 @@ pub fn burstiness(events: &[ConsoleEvent], kind: GpuErrorKind) -> Option<f64> {
     titan_stats::burstiness(&ts)
 }
 
-/// Daily-count Fano factor for `kind` — the second burstiness lens.
-pub fn daily_fano(events: &[ConsoleEvent], kind: GpuErrorKind) -> Option<f64> {
-    let ts: Vec<u64> = events
-        .iter()
-        .filter(|e| e.kind == kind)
-        .map(|e| e.time)
-        .collect();
-    titan_stats::estimators::fano_factor(&ts, 86_400)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,17 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_month() {
-        let events: Vec<ConsoleEvent> = (0..5)
-            .map(|i| ev(100 + i, GpuErrorKind::OffTheBus))
-            .collect();
-        let s = monthly_counts(&events, GpuErrorKind::OffTheBus);
-        assert_eq!(s.peak_month(), Some(0));
-        let empty = monthly_counts(&[], GpuErrorKind::OffTheBus);
-        assert_eq!(empty.peak_month(), None);
-    }
-
-    #[test]
     fn mtbf_weekly() {
         let week = 7 * 24 * 3600;
         let events: Vec<ConsoleEvent> = (0..10u64)
@@ -205,7 +170,5 @@ mod tests {
         let b43 = burstiness(&all, GpuErrorKind::GpuStoppedProcessing).unwrap();
         assert!(b13 > 0.5, "{b13}");
         assert!(b43 < -0.9, "{b43}");
-        let f13 = daily_fano(&all, GpuErrorKind::GraphicsEngineException).unwrap();
-        assert!(f13 > 5.0, "{f13}");
     }
 }

@@ -96,15 +96,6 @@ pub fn user_level_correlation(
     }
 }
 
-impl UserStudy {
-    /// The heaviest users by core-hours (the "zoomed" right panel of
-    /// Fig. 20 looks at the light end; this helper serves both).
-    pub fn top_users(&self, k: usize) -> &[UserRow] {
-        let n = self.rows.len();
-        &self.rows[n.saturating_sub(k)..]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,17 +180,6 @@ mod tests {
         // With only 2 effective users post-exclusion the coefficient may
         // be degenerate but must not panic.
         let _ = s.spearman_excluding_top10;
-    }
-
-    #[test]
-    fn top_users_slice() {
-        let jobs = vec![job(1, 1, &[0], 1.0), job(2, 2, &[0], 9.0)];
-        let deltas = vec![delta(1, 0), delta(2, 0)];
-        let s = user_level_correlation(&jobs, &deltas, &[]);
-        let top = s.top_users(1);
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].user, 2);
-        assert_eq!(s.top_users(10).len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the analysis methodology.
 
 use proptest::prelude::*;
-use titan_analysis::filtering::{dedup_by_job, dedup_job_level, of_kind, split_parents_children};
+use titan_analysis::filtering::{dedup_by_job, dedup_job_level};
 use titan_analysis::spatial::{
     incident_stripe, spatial_grid, spatial_with_filtering_window, IncidentStripe,
     SpatialFiltering,
@@ -75,7 +75,7 @@ fn arb_bursts(max: usize) -> impl Strategy<Value = Vec<ConsoleEvent>> {
 /// Fig. 12 built from copies: the three grids of the `kind` events, of
 /// [`dedup_job_level`]'s parents and of its children.
 fn fig12_from_copies(events: &[ConsoleEvent], kind: GpuErrorKind, w: u64) -> SpatialFiltering {
-    let only = of_kind(events, kind);
+    let only: Vec<_> = events.iter().filter(|e| e.kind == kind).copied().collect();
     let split = dedup_job_level(&only, kind, w);
     SpatialFiltering {
         unfiltered: spatial_grid(&only, kind, false),
@@ -87,7 +87,8 @@ fn fig12_from_copies(events: &[ConsoleEvent], kind: GpuErrorKind, w: u64) -> Spa
 /// The incident score from copies: each [`dedup_job_level`] parent opens
 /// an incident that its children join, scored as a grid of its events.
 fn stripe_from_copies(events: &[ConsoleEvent], kind: GpuErrorKind, w: u64) -> Option<IncidentStripe> {
-    let split = dedup_job_level(&of_kind(events, kind), kind, w);
+    let only: Vec<_> = events.iter().filter(|e| e.kind == kind).copied().collect();
+    let split = dedup_job_level(&only, kind, w);
     let mut incidents: Vec<Vec<ConsoleEvent>> = Vec::new();
     let (mut parents, mut children) = (split.parents.iter().peekable(), split.children.iter().peekable());
     loop {
@@ -147,18 +148,17 @@ proptest! {
     /// Filtering conserves events: parents + children == input.
     #[test]
     fn filtering_conserves(events in arb_events(120), window in 1u64..600) {
-        let out = split_parents_children(&events, window);
+        let out = dedup_job_level(&events, GpuErrorKind::GraphicsEngineException, window);
         prop_assert_eq!(out.parents.len() + out.children.len(), events.len());
-        let out2 = dedup_job_level(&events, GpuErrorKind::GraphicsEngineException, window);
-        prop_assert_eq!(out2.parents.len() + out2.children.len(), events.len());
     }
 
     /// Filtering is idempotent: re-filtering the parents produces no new
     /// children.
     #[test]
     fn filtering_idempotent(events in arb_events(120), window in 1u64..600) {
-        let once = split_parents_children(&events, window);
-        let twice = split_parents_children(&once.parents, window);
+        let kind = GpuErrorKind::GraphicsEngineException;
+        let once = dedup_job_level(&events, kind, window);
+        let twice = dedup_job_level(&once.parents, kind, window);
         prop_assert!(twice.children.is_empty(),
             "second pass found {} children", twice.children.len());
     }
@@ -196,7 +196,7 @@ proptest! {
             .iter()
             .filter(|e| e.kind == GpuErrorKind::EccPageRetirement && e.time >= since)
             .count() as u64;
-        prop_assert_eq!(d.total_retirements(), recs);
+        prop_assert_eq!(d.within_10min + d.min10_to_6h + d.later + d.no_preceding_dbe, recs);
         prop_assert_eq!(d.delays.len() as u64, recs - d.no_preceding_dbe);
         // DBE pairs: n DBEs -> n-1 pairs, classified exhaustively.
         let dbes = events
@@ -206,12 +206,12 @@ proptest! {
         prop_assert!(d.dbe_pairs_without_retirement <= dbes.saturating_sub(1));
     }
 
-    /// of_kind + dedup on a single-kind stream equals dedup on the mixed
+    /// Dedup on a single-kind stream equals dedup on the mixed
     /// stream restricted to that kind.
     #[test]
     fn kind_restriction_commutes(events in arb_events(100), w in 1u64..120) {
         let kind = GpuErrorKind::GraphicsEngineException;
-        let only = of_kind(&events, kind);
+        let only: Vec<_> = events.iter().filter(|e| e.kind == kind).copied().collect();
         let direct = dedup_job_level(&only, kind, w);
         let mixed = dedup_job_level(&events, kind, w);
         let mixed_kind_parents: Vec<_> = mixed

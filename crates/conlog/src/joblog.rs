@@ -50,11 +50,6 @@ impl JobRecord {
         self.nodes.len()
     }
 
-    /// Node-hours (nodes × wall-clock hours).
-    pub fn node_hours(&self) -> f64 {
-        self.node_count() as f64 * self.wall_seconds() as f64 / 3600.0
-    }
-
     /// Renders one job-log line (the [`LogLine::write_line`] form).
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -330,13 +325,6 @@ impl std::fmt::Display for JobLogError {
 
 impl std::error::Error for JobLogError {}
 
-/// Compresses sorted-or-not node ids to `a-b,c,d-e` ranges.
-pub fn compress_ranges(nodes: &[NodeId]) -> String {
-    let mut s = String::new();
-    push_ranges(&mut s, nodes.iter().copied());
-    s
-}
-
 /// Words of a bitmap over every slot of the machine.
 const SLOT_WORDS: usize = TOTAL_SLOTS.div_ceil(64);
 
@@ -441,7 +429,7 @@ fn canonical_ranges(c: &mut Cursor<'_>) -> Option<NodeSet> {
     Some(NodeSet::from_runs(&runs, total))
 }
 
-/// Inverse of [`compress_ranges`]. `None` for a malformed list, for one
+/// Inverse of the job-log node-list writer. `None` for a malformed list, for one
 /// whose runs are not ascending and disjoint (a run must start after the
 /// previous run's end, so a parsed list is always sorted and distinct),
 /// and for one that expands past [`TOTAL_SLOTS`] ids: no job runs on
@@ -475,6 +463,12 @@ pub fn expand_ranges(s: &str) -> Option<Vec<NodeId>> {
 mod tests {
     use super::*;
 
+    fn compress_ranges(nodes: &[NodeId]) -> String {
+        let mut s = String::new();
+        push_ranges(&mut s, nodes.iter().copied());
+        s
+    }
+
     fn job() -> JobRecord {
         JobRecord {
             apid: 1_048_576,
@@ -493,7 +487,6 @@ mod tests {
         let j = job();
         assert_eq!(j.wall_seconds(), 7200);
         assert_eq!(j.node_count(), 6);
-        assert!((j.node_hours() - 12.0).abs() < 1e-9);
     }
 
     #[test]

@@ -46,6 +46,6 @@ pub use format::{parse_line, render_line, rendered_len, ParseStats};
 pub use joblog::{Aprun, JobLogError, JobRecord};
 pub use line::LogLine;
 pub use nodeset::NodeSet;
-pub use record::{ConsoleEvent, Severity};
+pub use record::ConsoleEvent;
 pub use sec::{SecAction, SecEngine, SecRule, SecStats};
 pub use time::{SimTime, StudyCalendar, STUDY_MONTHS, STUDY_SECONDS};

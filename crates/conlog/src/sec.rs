@@ -121,30 +121,6 @@ impl SecAction {
     }
 }
 
-/// Errors loading a rule file.
-#[derive(Debug)]
-pub struct RuleFileError(String);
-
-impl std::fmt::Display for RuleFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SEC rule file error: {}", self.0)
-    }
-}
-
-impl std::error::Error for RuleFileError {}
-
-/// Serializes a rule set to the JSON config format operators edit —
-/// Observation 5: "System operators have to keep updating their log
-/// parsing rules to account for such new introductions."
-pub fn rules_to_json(rules: &[SecRule]) -> String {
-    serde_json::to_string_pretty(rules).expect("rules serialize")
-}
-
-/// Loads a rule set from the JSON config format.
-pub fn rules_from_json(text: &str) -> Result<Vec<SecRule>, RuleFileError> {
-    serde_json::from_str(text).map_err(|e| RuleFileError(e.to_string()))
-}
-
 /// Pipeline statistics for one engine's lifetime, all in the sim time
 /// domain (pure event counts). Consumed by the observability layer —
 /// `titan-conlog` stays independent of `titan-obs`, so these are plain
@@ -450,13 +426,13 @@ mod tests {
                 window: 86_400,
             },
         ];
-        let json = rules_to_json(&rules);
-        let back = rules_from_json(&json).unwrap();
+        let json = serde_json::to_string_pretty(&rules).unwrap();
+        let back: Vec<SecRule> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rules);
-        assert!(rules_from_json("not json").is_err());
+        assert!(serde_json::from_str::<Vec<SecRule>>("not json").is_err());
         // Operators adding a rule for a new XID (Observation 5) is a
-        // config edit, not a code change:
-        let mut extended = rules_from_json(&json).unwrap();
+        // data edit, not a code change:
+        let mut extended = back;
         extended.push(SecRule::AlertEach {
             kind: GpuErrorKind::EccPageRetirement,
         });

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use titan_conlog::format::{
     parse_line, parse_line_fast, parse_line_fields, parse_stream, render_line,
 };
-use titan_conlog::joblog::{compress_ranges, expand_ranges, Aprun, JobRecord};
+use titan_conlog::joblog::{Aprun, JobRecord};
 use titan_conlog::time::{StudyCalendar, STUDY_SECONDS};
 use titan_conlog::{ConsoleEvent, NodeSet};
 use titan_gpu::{GpuErrorKind, MemoryStructure};
@@ -215,20 +215,6 @@ proptest! {
             let back = JobRecord::parse(&j.render()).unwrap();
             prop_assert_eq!(back.nodes.iter().map(|n| n.0).collect::<Vec<_>>(), sorted);
         }
-    }
-
-    /// Node-range compression round-trips through expansion (after
-    /// sort+dedup normalization).
-    #[test]
-    fn ranges_roundtrip(ids in prop::collection::vec(0u32..19_200, 0..200)) {
-        let nodes: Vec<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
-        let mut normalized: Vec<u32> = ids.clone();
-        normalized.sort_unstable();
-        normalized.dedup();
-        let s = compress_ranges(&nodes);
-        let back = expand_ranges(&s).unwrap();
-        let back_ids: Vec<u32> = back.iter().map(|n| n.0).collect();
-        prop_assert_eq!(back_ids, normalized);
     }
 
     /// Job records round-trip exactly (floats rendered with enough

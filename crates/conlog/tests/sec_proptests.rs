@@ -1,7 +1,7 @@
 //! Property-based tests for the SEC rule engine.
 
 use proptest::prelude::*;
-use titan_conlog::sec::{rules_from_json, rules_to_json, SecAction, SecEngine, SecRule};
+use titan_conlog::sec::{SecAction, SecEngine, SecRule};
 use titan_conlog::ConsoleEvent;
 use titan_gpu::GpuErrorKind;
 use titan_topology::NodeId;
@@ -95,7 +95,8 @@ proptest! {
                 _ => SecRule::Cluster { kind, count, window },
             })
             .collect();
-        let back = rules_from_json(&rules_to_json(&rules)).unwrap();
+        let json = serde_json::to_string_pretty(&rules).unwrap();
+        let back: Vec<SecRule> = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, rules);
     }
 

@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn filtered_figures_equal_the_dedup_copies() {
-        use titan_analysis::filtering::{dedup_by_job, dedup_job_level, of_kind};
+        use titan_analysis::filtering::{dedup_by_job, dedup_job_level};
         use GpuErrorKind::GraphicsEngineException as X13;
         for seed in [99, 3] {
             let study = Study::new(StudyConfig::quick(30, seed)).run();
@@ -325,7 +325,7 @@ mod tests {
                 };
                 assert_eq!(*s, oracle, "seed {seed}");
             }
-            let only = of_kind(console, X13);
+            let only: Vec<_> = console.iter().filter(|e| e.kind == X13).copied().collect();
             let split = dedup_job_level(&only, X13, 5);
             assert_eq!(
                 f.fig12_xid13_spatial,

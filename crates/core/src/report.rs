@@ -9,7 +9,6 @@ use std::fmt::Write as _;
 use titan_analysis::correlation::JobMetric;
 
 use crate::expectations::evaluate_all;
-use crate::figures::Figures;
 use crate::render::{table, Render};
 use crate::study::CompletedStudy;
 
@@ -204,18 +203,6 @@ pub fn full_report(study: &CompletedStudy) -> String {
     out
 }
 
-/// Renders the report directly from figures (no study handle), losing
-/// only the header metadata.
-pub fn figures_summary(f: &Figures) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", f.fig02_dbe_monthly.render());
-    let _ = writeln!(out, "{}", f.fig13_heatmap.render());
-    for e in evaluate_all(f) {
-        let _ = writeln!(out, "[{}] {:<6} {}", e.verdict, e.id, e.measured);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,14 +226,5 @@ mod tests {
         }
         // Registry lines present with verdicts.
         assert!(r.contains("[PASS]") || r.contains("[WEAK]") || r.contains("[FAIL]"));
-    }
-
-    #[test]
-    fn figures_summary_smaller_than_full() {
-        let study = Study::new(StudyConfig::quick(20, 4)).run();
-        let full = full_report(&study);
-        let summary = figures_summary(&study.figures());
-        assert!(summary.len() < full.len());
-        assert!(summary.contains("Monthly frequency"));
     }
 }

@@ -16,10 +16,6 @@ pub const DBE_FLEET_RATE_PER_SEC: f64 = 1.0 / (160.0 * 3600.0);
 /// "86% of double bit errors happen in the device memory."
 pub const DBE_DEVICE_MEMORY_FRACTION: f64 = 0.86;
 
-/// "the remaining 14% of the double bit errors happen in the register
-/// files only."
-pub const DBE_REGISTER_FILE_FRACTION: f64 = 0.14;
-
 /// Thermal exponent for DBE placement: DBE-prone DRAM retention faults
 /// accelerate faster with temperature than the baseline error classes,
 /// so the slot picker raises the thermal acceleration to this power.
@@ -215,11 +211,6 @@ mod tests {
         let expected_total = DBE_FLEET_RATE_PER_SEC * STUDY_SECONDS as f64;
         // 638 days at one-per-160h ≈ 95.7 events.
         assert!((90.0..101.0).contains(&expected_total), "{expected_total}");
-    }
-
-    #[test]
-    fn dbe_structure_fractions_sum_to_one() {
-        assert!((DBE_DEVICE_MEMORY_FRACTION + DBE_REGISTER_FILE_FRACTION - 1.0).abs() < 1e-12);
     }
 
     #[test]

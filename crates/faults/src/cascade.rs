@@ -14,7 +14,6 @@
 //! source of truth for that mechanism.
 
 use rand::Rng;
-use titan_conlog::time::SimTime;
 use titan_gpu::GpuErrorKind;
 
 /// One cascade rule.
@@ -133,12 +132,6 @@ impl CascadeModel {
         &self.rules
     }
 
-    /// Kinds that must stay isolated (no cascade rule fires on them):
-    /// used by tests to pin the paper's "isolated events" list.
-    pub fn is_isolated_parent(&self, kind: GpuErrorKind) -> bool {
-        !self.rules.iter().any(|r| r.parent == kind)
-    }
-
     /// Samples the children spawned by one parent event.
     pub fn spawn<R: Rng + ?Sized>(
         &self,
@@ -167,26 +160,6 @@ impl CascadeModel {
         out
     }
 
-    /// Applies the model to a stream of `(time, kind)` parents, returning
-    /// absolute-time children clamped to `horizon`.
-    pub fn spawn_all<R: Rng + ?Sized>(
-        &self,
-        parents: &[(SimTime, GpuErrorKind)],
-        horizon: SimTime,
-        rng: &mut R,
-    ) -> Vec<(SimTime, CascadeChild)> {
-        let mut out = Vec::new();
-        for &(t, kind) in parents {
-            for child in self.spawn(kind, rng) {
-                let ct = t.saturating_add(child.delay);
-                if ct < horizon {
-                    out.push((ct, child));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|&(t, _)| t);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -206,9 +179,9 @@ mod tests {
         // "off the bus, XID 38, XID 48 … and XID 63 do not show multiple
         // occurrences": none of them may *self*-cascade; 38/63/OTB must be
         // fully isolated.
-        assert!(m.is_isolated_parent(OffTheBus));
-        assert!(m.is_isolated_parent(DriverFirmware));
-        assert!(m.is_isolated_parent(EccPageRetirement));
+        for kind in [OffTheBus, DriverFirmware, EccPageRetirement] {
+            assert!(!m.rules().iter().any(|r| r.parent == kind), "{kind:?}");
+        }
         assert!(!m.rules().iter().any(|r| r.parent == DoubleBitError && r.child == DoubleBitError));
     }
 
@@ -265,19 +238,6 @@ mod tests {
         for kind in GpuErrorKind::ALL {
             assert!(m.spawn(kind, &mut r).is_empty());
         }
-    }
-
-    #[test]
-    fn spawn_all_respects_horizon_and_order() {
-        let m = CascadeModel::default();
-        let mut r = rng();
-        let parents: Vec<(SimTime, GpuErrorKind)> = (0..500)
-            .map(|i| (i * 1000, GraphicsEngineException))
-            .collect();
-        let children = m.spawn_all(&parents, 100_000, &mut r);
-        assert!(children.iter().all(|&(t, _)| t < 100_000));
-        assert!(children.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(!children.is_empty());
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl Default for DbeProcess {
 }
 
 impl DbeProcess {
-    /// Process with a custom fleet rate (for ablations).
-    pub fn with_rate(rate_per_sec: f64) -> Self {
-        DbeProcess { rate: rate_per_sec }
-    }
-
     /// Samples all DBE drafts over the study window.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<DbeDraft> {
         let p = PoissonProcess::new(self.rate).expect("calibrated rate");
@@ -185,14 +180,6 @@ impl Default for SbeProcess {
 }
 
 impl SbeProcess {
-    /// Process with custom daily volume (ablations).
-    pub fn with_per_day(per_day: f64) -> Self {
-        SbeProcess {
-            per_day,
-            ..SbeProcess::default()
-        }
-    }
-
     /// Expected total SBEs over the window.
     pub fn expected_total(&self) -> f64 {
         // lint: allow(N1, STUDY_SECONDS = 55,123,200 is exact in f64)
@@ -271,7 +258,7 @@ mod tests {
     #[test]
     fn dbe_structure_split_near_86_14() {
         // Crank the rate for statistics.
-        let drafts = DbeProcess::with_rate(0.001).sample(&mut rng());
+        let drafts = DbeProcess { rate: 0.001 }.sample(&mut rng());
         assert!(drafts.len() > 10_000);
         let dm = drafts
             .iter()
@@ -290,7 +277,7 @@ mod tests {
 
     #[test]
     fn dbe_inforom_loss_rate() {
-        let drafts = DbeProcess::with_rate(0.001).sample(&mut rng());
+        let drafts = DbeProcess { rate: 0.001 }.sample(&mut rng());
         let lost = drafts.iter().filter(|d| !d.inforom_persisted).count() as f64
             / drafts.len() as f64;
         assert!(
@@ -318,7 +305,7 @@ mod tests {
 
     #[test]
     fn sbe_daily_volume() {
-        let p = SbeProcess::with_per_day(100.0);
+        let p = SbeProcess { per_day: 100.0, ..SbeProcess::default() };
         let drafts = p.sample(&mut rng());
         let days = (STUDY_SECONDS / 86_400) as f64;
         let per_day = drafts.len() as f64 / days;
@@ -327,7 +314,7 @@ mod tests {
 
     #[test]
     fn sbe_structure_mix_l2_dominant() {
-        let drafts = SbeProcess::with_per_day(200.0).sample(&mut rng());
+        let drafts = SbeProcess { per_day: 200.0, ..SbeProcess::default() }.sample(&mut rng());
         let l2 = drafts
             .iter()
             .filter(|d| d.structure == MemoryStructure::L2Cache)

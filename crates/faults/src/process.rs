@@ -72,14 +72,6 @@ impl PiecewisePoisson {
         Some(PiecewisePoisson { segments })
     }
 
-    /// Rate active at `t`.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        match self.segments.iter().rev().find(|&&(s, _)| s <= t) {
-            Some(&(_, r)) => r,
-            None => 0.0,
-        }
-    }
-
     /// Samples all arrivals in `[start, end)` by sampling each constant
     /// segment independently (valid by Poisson independence).
     pub fn sample_window<R: Rng + ?Sized>(
@@ -224,15 +216,6 @@ mod tests {
         assert!(PiecewisePoisson::new(vec![(0, 1.0), (0, 2.0)]).is_none());
         assert!(PiecewisePoisson::new(vec![(0, -1.0)]).is_none());
         assert!(PiecewisePoisson::new(vec![(0, 1.0), (10, 0.5)]).is_some());
-    }
-
-    #[test]
-    fn piecewise_rate_lookup() {
-        let p = PiecewisePoisson::new(vec![(0, 1.0), (100, 5.0), (200, 0.0)]).unwrap();
-        assert_eq!(p.rate_at(0), 1.0);
-        assert_eq!(p.rate_at(99), 1.0);
-        assert_eq!(p.rate_at(100), 5.0);
-        assert_eq!(p.rate_at(1_000_000), 0.0);
     }
 
     #[test]

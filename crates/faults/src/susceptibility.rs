@@ -86,44 +86,6 @@ impl CardSusceptibility {
         &self.sbe_weight
     }
 
-    /// Sum of SBE weights (the normalizer when distributing fleet-level
-    /// SBE volume across cards).
-    pub fn total_sbe_weight(&self) -> f64 {
-        self.sbe_weight.iter().sum()
-    }
-
-    /// Sum of DBE weights.
-    pub fn total_dbe_weight(&self) -> f64 {
-        self.dbe_weight.iter().sum()
-    }
-
-    /// Indices of susceptible (nonzero-SBE) cards.
-    pub fn susceptible_cards(&self) -> Vec<usize> {
-        self.sbe_weight
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Samples a card index proportional to SBE weight. Returns `None`
-    /// when no card is susceptible. O(n) walk — callers in hot paths
-    /// should use [`SbeAliasSampler`] instead.
-    pub fn sample_sbe_card<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        let total = self.total_sbe_weight();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut x = rng.gen::<f64>() * total;
-        for (i, &w) in self.sbe_weight.iter().enumerate() {
-            x -= w;
-            if x <= 0.0 {
-                return Some(i);
-            }
-        }
-        Some(self.sbe_weight.len() - 1)
-    }
 }
 
 /// O(1) weighted card sampler for the SBE hot path: the fleet draws
@@ -163,7 +125,7 @@ mod tests {
     #[test]
     fn susceptible_fraction_near_five_percent() {
         let s = build(18_688);
-        let k = s.susceptible_cards().len();
+        let k = s.sbe_weights().iter().filter(|&&w| w > 0.0).count();
         // Paper: < 1000 cards, < 5% of the system.
         assert!(k < 1000, "susceptible cards {k}");
         assert!(k > 600, "susceptible cards {k} suspiciously few");
@@ -196,38 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sampling_prefers_heavy_cards() {
-        let s = build(2_000);
-        let mut rng = StdRng::seed_from_u64(1);
-        let heavy = {
-            let w = s.sbe_weights();
-            (0..w.len()).max_by(|&a, &b| w[a].total_cmp(&w[b])).unwrap()
-        };
-        let mut heavy_hits = 0;
-        for _ in 0..5_000 {
-            let c = s.sample_sbe_card(&mut rng).unwrap();
-            assert!(s.sbe_weight(c) > 0.0, "sampled immune card");
-            if c == heavy {
-                heavy_hits += 1;
-            }
-        }
-        let expected = 5_000.0 * s.sbe_weight(heavy) / s.total_sbe_weight();
-        assert!(
-            (heavy_hits as f64) > expected * 0.5,
-            "heavy card {heavy_hits} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn dbe_normalizer_sums_per_card_weights() {
-        let s = build(2_000);
-        let total = s.total_dbe_weight();
-        assert!(total > 0.0);
-        let summed: f64 = (0..2_000).map(|c| s.dbe_weight(c)).sum();
-        assert!((total - summed).abs() < 1e-9, "total {total} vs {summed}");
-    }
-
-    #[test]
     fn alias_sampler_matches_weights() {
         let s = build(2_000);
         let sampler = SbeAliasSampler::new(&s).unwrap();
@@ -238,8 +168,8 @@ mod tests {
             *counts.entry(sampler.sample(&mut rng)).or_default() += 1;
         }
         // Compare empirical frequency to weight for the 5 heaviest cards.
-        let total_w = s.total_sbe_weight();
-        let mut heavy: Vec<usize> = s.susceptible_cards();
+        let total_w: f64 = s.sbe_weights().iter().sum();
+        let mut heavy: Vec<usize> = (0..s.len()).filter(|&c| s.sbe_weight(c) > 0.0).collect();
         heavy.sort_by(|&a, &b| s.sbe_weight(b).total_cmp(&s.sbe_weight(a)));
         for &c in &heavy[..5] {
             let expected = s.sbe_weight(c) / total_w;
@@ -263,9 +193,6 @@ mod tests {
             sbe_weight: vec![0.0; 10],
             dbe_weight: vec![1.0; 10],
         };
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(s.sample_sbe_card(&mut rng).is_none());
         assert!(SbeAliasSampler::new(&s).is_none());
-        assert_eq!(s.susceptible_cards().len(), 0);
     }
 }

@@ -123,10 +123,6 @@ impl GpuCard {
         self.state = CardState::ReturnedToVendor;
     }
 
-    /// Whether this card is currently usable in production.
-    pub fn in_production(&self) -> bool {
-        self.state == CardState::Production
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +138,7 @@ mod tests {
     #[test]
     fn fresh_card() {
         let c = GpuCard::new(CardSerial(1));
-        assert!(c.in_production());
+        assert_eq!(c.state, CardState::Production);
         assert_eq!(c.lifetime_dbe, 0);
     }
 
@@ -236,7 +232,6 @@ mod tests {
     fn lifecycle_transitions() {
         let mut c = GpuCard::new(CardSerial(5));
         c.move_to_hot_spare();
-        assert!(!c.in_production());
         assert_eq!(c.state, CardState::HotSpare);
         c.return_to_vendor();
         assert_eq!(c.state, CardState::ReturnedToVendor);

@@ -91,11 +91,6 @@ impl InfoRom {
         self.unflushed_sbe = [0; N_COUNTED];
     }
 
-    /// Aggregate (persistent) SBE count for one structure.
-    pub fn aggregate_sbe(&self, s: MemoryStructure) -> u64 {
-        counted_index(s).map_or(0, |i| self.agg_sbe[i])
-    }
-
     /// The aggregate SBE count *as NVML reports it*: persisted plus
     /// pending-flush. This is what nvidia-smi prints; the pending part is
     /// what a crash loses (the undercount pathology).
@@ -118,20 +113,6 @@ impl InfoRom {
         counted_index(s).map_or(0, |i| self.vol_dbe[i])
     }
 
-    /// Total aggregate SBEs across structures.
-    pub fn total_aggregate_sbe(&self) -> u64 {
-        self.agg_sbe.iter().sum()
-    }
-
-    /// Total aggregate DBEs across structures.
-    pub fn total_aggregate_dbe(&self) -> u64 {
-        self.agg_dbe.iter().sum()
-    }
-
-    /// Total volatile SBEs across structures.
-    pub fn total_volatile_sbe(&self) -> u64 {
-        self.vol_sbe.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -145,12 +126,12 @@ mod tests {
         ir.record_sbe(L2Cache);
         ir.record_sbe(L2Cache);
         assert_eq!(ir.volatile_sbe(L2Cache), 2);
-        assert_eq!(ir.aggregate_sbe(L2Cache), 0);
+        assert_eq!(ir.agg_sbe[counted_index(L2Cache).unwrap()], 0);
         ir.flush_sbe();
-        assert_eq!(ir.aggregate_sbe(L2Cache), 2);
+        assert_eq!(ir.agg_sbe[counted_index(L2Cache).unwrap()], 2);
         // Flushing twice must not double count.
         ir.flush_sbe();
-        assert_eq!(ir.aggregate_sbe(L2Cache), 2);
+        assert_eq!(ir.agg_sbe[counted_index(L2Cache).unwrap()], 2);
     }
 
     #[test]
@@ -169,7 +150,7 @@ mod tests {
         ir.record_sbe(DeviceMemory);
         ir.record_sbe(DeviceMemory);
         ir.driver_reload(false); // crash
-        assert_eq!(ir.aggregate_sbe(DeviceMemory), 0);
+        assert_eq!(ir.agg_sbe[counted_index(DeviceMemory).unwrap()], 0);
         assert_eq!(ir.volatile_sbe(DeviceMemory), 0);
     }
 
@@ -178,7 +159,7 @@ mod tests {
         let mut ir = InfoRom::new();
         ir.record_sbe(RegisterFile);
         ir.driver_reload(true);
-        assert_eq!(ir.aggregate_sbe(RegisterFile), 1);
+        assert_eq!(ir.agg_sbe[counted_index(RegisterFile).unwrap()], 1);
         assert_eq!(ir.volatile_sbe(RegisterFile), 0);
     }
 
@@ -191,9 +172,9 @@ mod tests {
         ir.driver_reload(false); // SBE lost
         ir.record_dbe(DeviceMemory, true);
         ir.record_dbe(DeviceMemory, true);
-        assert!(ir.total_aggregate_dbe() > ir.total_aggregate_sbe());
+        assert!(ir.agg_dbe.iter().sum::<u64>() > ir.agg_sbe.iter().sum::<u64>());
         // The volatile view forgot the pre-reload SBE entirely.
-        assert_eq!(ir.total_volatile_sbe(), 0);
+        assert_eq!(ir.vol_sbe.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -201,9 +182,8 @@ mod tests {
         let mut ir = InfoRom::new();
         ir.record_sbe(ControlLogic);
         ir.record_dbe(ReadOnlyCache, true);
-        assert_eq!(ir.total_aggregate_sbe(), 0);
-        assert_eq!(ir.total_aggregate_dbe(), 0);
-        assert_eq!(ir.aggregate_sbe(ControlLogic), 0);
+        assert_eq!(ir.agg_sbe.iter().sum::<u64>(), 0);
+        assert_eq!(ir.agg_dbe.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -212,9 +192,9 @@ mod tests {
         ir.record_sbe(L2Cache);
         ir.record_sbe(DeviceMemory);
         ir.flush_sbe();
-        assert_eq!(ir.aggregate_sbe(L2Cache), 1);
-        assert_eq!(ir.aggregate_sbe(DeviceMemory), 1);
-        assert_eq!(ir.aggregate_sbe(RegisterFile), 0);
-        assert_eq!(ir.total_aggregate_sbe(), 2);
+        assert_eq!(ir.agg_sbe[counted_index(L2Cache).unwrap()], 1);
+        assert_eq!(ir.agg_sbe[counted_index(DeviceMemory).unwrap()], 1);
+        assert_eq!(ir.agg_sbe[counted_index(RegisterFile).unwrap()], 0);
+        assert_eq!(ir.agg_sbe.iter().sum::<u64>(), 2);
     }
 }

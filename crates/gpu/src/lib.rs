@@ -3,20 +3,10 @@
 //! Device model of the NVIDIA Tesla K20X (GK110) as deployed on Titan —
 //! the hardware substrate of the paper's §2.1:
 //!
-//! * [`arch`] — the chip inventory: 14 SMs × 192 CUDA cores, 6 GB GDDR5,
-//!   1536 KB shared L2, per-SM register file / shared memory / L1 /
-//!   read-only cache, with peak-rate constants.
-//! * [`structures`] — the memory-structure taxonomy with sizes and
-//!   protection class (SECDED, parity, or unprotected), matching the
-//!   paper's protection inventory ("register files, shared-memory, L1 and
-//!   L2 caches are SECDED ECC protected, while the read-only data cache is
-//!   parity protected").
+//! * [`structures`] — the memory-structure taxonomy, with the
+//!   SECDED-protected subset whose counters nvidia-smi reports.
 //! * [`errors`] — the GPU error taxonomy of Tables 1 and 2, keyed by
 //!   NVIDIA XID code.
-//! * [`ecc`] — the SECDED outcome state machine: single-bit upsets are
-//!   corrected and counted, double-bit upsets are detected and crash the
-//!   executing application, upsets in unprotected logic escape as crashes
-//!   or silent data corruption.
 //! * [`pages`] — dynamic page retirement: a device-memory page is retired
 //!   after one DBE or two SBEs, addresses persist in the InfoROM, and the
 //!   framebuffer excludes them at the next driver load (paper §3.1).
@@ -24,11 +14,6 @@
 //!   pathology: a DBE that brings the node down before the NVML write
 //!   completes is never persisted, which is why nvidia-smi undercounts
 //!   DBEs relative to the console log (Observation 2).
-//! * [`interleave`] — the ECC-interleaving model behind Observation 3:
-//!   the 86%/14% device-memory/register-file DBE split *derived* from
-//!   upset-cluster statistics, structure areas, and per-structure
-//!   interleaving degrees (the register file's being minimal — the
-//!   "area and time overhead" trade the paper names).
 //! * [`card`] — a physical card: serial number + InfoROM + page state,
 //!   which keeps its history when operators move it between slots and the
 //!   hot-spare cluster.
@@ -36,20 +21,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arch;
 pub mod card;
-pub mod ecc;
 pub mod errors;
 pub mod inforom;
-pub mod interleave;
 pub mod pages;
 pub mod structures;
 
-pub use arch::K20X;
 pub use card::{CardSerial, GpuCard};
-pub use ecc::{EccEvent, EccOutcome};
 pub use errors::{ErrorCategory, GpuErrorKind, Xid};
 pub use inforom::InfoRom;
-pub use interleave::{dbe_probability, derived_dbe_split, ClusterDistribution};
 pub use pages::{PageAddress, PageRetirement, RetirementCause};
-pub use structures::{MemoryStructure, Protection};
+pub use structures::MemoryStructure;

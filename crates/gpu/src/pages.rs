@@ -16,8 +16,6 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::arch::K20X;
-
 /// Device-memory page index (4 KiB pages over the 6 GB framebuffer).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
@@ -27,8 +25,11 @@ pub struct PageAddress(pub u32);
 /// Bytes per retirable page.
 pub const PAGE_BYTES: u64 = 4096;
 
+/// GDDR5 device memory of a K20X, bytes (6 GB, paper §2.1).
+const DEVICE_MEMORY_BYTES: u64 = 6 * 1024 * 1024 * 1024;
+
 /// Number of retirable pages on a K20X.
-pub const PAGE_COUNT: u32 = (K20X::DEVICE_MEMORY_BYTES / PAGE_BYTES) as u32;
+pub const PAGE_COUNT: u32 = (DEVICE_MEMORY_BYTES / PAGE_BYTES) as u32;
 
 /// Why a page was retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -132,18 +133,6 @@ impl PageRetirement {
         (dbe, sbe)
     }
 
-    /// Pages currently carrying exactly one SBE (one more retires them).
-    pub fn pages_at_risk(&self) -> usize {
-        self.sbe_counts
-            .values()
-            .filter(|&&c| c == SBE_RETIRE_THRESHOLD - 1)
-            .count()
-    }
-
-    /// Framebuffer bytes lost to retirement.
-    pub fn retired_bytes(&self) -> u64 {
-        self.retired.len() as u64 * PAGE_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +141,7 @@ mod tests {
 
     #[test]
     fn page_count_matches_capacity() {
-        assert_eq!(PAGE_COUNT as u64 * PAGE_BYTES, K20X::DEVICE_MEMORY_BYTES);
+        assert_eq!(PAGE_COUNT as u64 * PAGE_BYTES, DEVICE_MEMORY_BYTES);
         assert_eq!(PAGE_COUNT, 1_572_864);
     }
 
@@ -169,13 +158,12 @@ mod tests {
     fn two_sbes_same_page_retire() {
         let mut pr = PageRetirement::new();
         assert_eq!(pr.record_sbe(PageAddress(7)), RetireDecision::None);
-        assert_eq!(pr.pages_at_risk(), 1);
+        assert_eq!(pr.sbe_counts.len(), 1);
         assert_eq!(
             pr.record_sbe(PageAddress(7)),
             RetireDecision::Retired(RetirementCause::MultipleSingleBitErrors)
         );
         assert_eq!(pr.retired_counts(), (0, 1));
-        assert_eq!(pr.pages_at_risk(), 0);
     }
 
     #[test]
@@ -185,7 +173,7 @@ mod tests {
             assert_eq!(pr.record_sbe(PageAddress(i)), RetireDecision::None);
         }
         assert_eq!(pr.retired_pages().len(), 0);
-        assert_eq!(pr.pages_at_risk(), 100);
+        assert_eq!(pr.sbe_counts.len(), 100);
     }
 
     #[test]
@@ -211,7 +199,6 @@ mod tests {
             RetireDecision::TableFull
         );
         assert_eq!(pr.retired_pages().len(), RETIREMENT_TABLE_CAPACITY);
-        assert_eq!(pr.retired_bytes(), RETIREMENT_TABLE_CAPACITY as u64 * 4096);
     }
 
     #[test]

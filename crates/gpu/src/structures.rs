@@ -1,4 +1,4 @@
-//! Memory-structure taxonomy with capacities and protection classes.
+//! Memory-structure taxonomy.
 //!
 //! Paper §2.1: "Major structures of a GPU, such as device memory, L2
 //! cache, instruction cache, register files, shared memory, and L1 cache
@@ -9,20 +9,6 @@
 //! schedulers and the interconnect are unprotected.
 
 use serde::{Deserialize, Serialize};
-
-use crate::arch::K20X;
-
-/// ECC protection class of a structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Protection {
-    /// Single-error-correct, double-error-detect ECC.
-    Secded,
-    /// Parity: detects single-bit flips but cannot correct them. The
-    /// read-only data cache can recover by refetching clean data.
-    Parity,
-    /// No protection: upsets escape as crashes or silent corruption.
-    Unprotected,
-}
 
 /// Storage and logic structures of the K20X that faults can strike.
 ///
@@ -75,36 +61,6 @@ impl MemoryStructure {
         MemoryStructure::TextureMemory,
     ];
 
-    /// Protection class on the K20X.
-    pub fn protection(self) -> Protection {
-        match self {
-            MemoryStructure::DeviceMemory
-            | MemoryStructure::L2Cache
-            | MemoryStructure::RegisterFile
-            | MemoryStructure::SharedL1
-            | MemoryStructure::TextureMemory
-            | MemoryStructure::InstructionCache => Protection::Secded,
-            MemoryStructure::ReadOnlyCache => Protection::Parity,
-            MemoryStructure::ControlLogic => Protection::Unprotected,
-        }
-    }
-
-    /// Capacity in bytes (0 for pure logic).
-    pub fn capacity_bytes(self) -> u64 {
-        match self {
-            MemoryStructure::DeviceMemory => K20X::DEVICE_MEMORY_BYTES,
-            MemoryStructure::L2Cache => K20X::L2_BYTES,
-            MemoryStructure::RegisterFile => K20X::register_file_bytes(),
-            MemoryStructure::SharedL1 => K20X::shmem_l1_bytes(),
-            MemoryStructure::ReadOnlyCache => K20X::readonly_bytes(),
-            // Texture path shares the read-only cache arrays on GK110; we
-            // model a nominal distinct capacity for accounting.
-            MemoryStructure::TextureMemory => K20X::readonly_bytes(),
-            MemoryStructure::InstructionCache => 8 * 1024 * (K20X::SM_COUNT as u64),
-            MemoryStructure::ControlLogic => 0,
-        }
-    }
-
     /// Short label used in logs and reports (matches nvidia-smi wording
     /// where one exists).
     pub fn label(self) -> &'static str {
@@ -137,44 +93,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protection_matches_paper() {
-        use MemoryStructure::*;
-        assert_eq!(RegisterFile.protection(), Protection::Secded);
-        assert_eq!(SharedL1.protection(), Protection::Secded);
-        assert_eq!(L2Cache.protection(), Protection::Secded);
-        assert_eq!(DeviceMemory.protection(), Protection::Secded);
-        assert_eq!(ReadOnlyCache.protection(), Protection::Parity);
-        assert_eq!(ControlLogic.protection(), Protection::Unprotected);
-    }
-
-    #[test]
     fn label_roundtrip() {
         for m in MemoryStructure::ALL {
             assert_eq!(MemoryStructure::from_label(m.label()), Some(m));
             assert_eq!(format!("{m}"), m.label());
         }
         assert_eq!(MemoryStructure::from_label("bogus"), None);
-    }
-
-    #[test]
-    fn ecc_counted_are_all_secded() {
-        for m in MemoryStructure::ECC_COUNTED {
-            assert_eq!(m.protection(), Protection::Secded);
-        }
-    }
-
-    #[test]
-    fn device_memory_is_largest() {
-        let dm = MemoryStructure::DeviceMemory.capacity_bytes();
-        for m in MemoryStructure::ALL {
-            if m != MemoryStructure::DeviceMemory {
-                assert!(dm > m.capacity_bytes());
-            }
-        }
-    }
-
-    #[test]
-    fn control_logic_has_no_capacity() {
-        assert_eq!(MemoryStructure::ControlLogic.capacity_bytes(), 0);
     }
 }

@@ -1,46 +1,12 @@
 //! Property-based tests for the GPU device model.
 
 use proptest::prelude::*;
-use titan_gpu::ecc::{resolve, EccEvent};
 use titan_gpu::pages::{
     PageAddress, PageRetirement, RetireDecision, RETIREMENT_TABLE_CAPACITY,
 };
-use titan_gpu::{EccOutcome, GpuErrorKind, InfoRom, MemoryStructure, Protection, Xid};
-
-fn any_structure() -> impl Strategy<Value = MemoryStructure> {
-    prop::sample::select(MemoryStructure::ALL.to_vec())
-}
+use titan_gpu::{GpuErrorKind, InfoRom, MemoryStructure, Xid};
 
 proptest! {
-    /// SECDED never lets a multi-bit error pass silently and never crashes
-    /// on a single bit — the two halves of its contract.
-    #[test]
-    fn secded_contract(s in any_structure(), bits in 0u8..8, coin in any::<bool>()) {
-        let out = resolve(EccEvent { structure: s, flipped_bits: bits }, coin);
-        if s.protection() == Protection::Secded {
-            if bits <= 1 {
-                prop_assert_eq!(out, EccOutcome::CorrectedSbe);
-            } else {
-                prop_assert_eq!(out, EccOutcome::UncorrectedDbe);
-            }
-            prop_assert!(out.observable());
-        }
-    }
-
-    /// Parity detects exactly the odd flip counts.
-    #[test]
-    fn parity_detects_odd(bits in 1u8..8, coin in any::<bool>()) {
-        let out = resolve(EccEvent {
-            structure: MemoryStructure::ReadOnlyCache,
-            flipped_bits: bits,
-        }, coin);
-        if bits % 2 == 1 {
-            prop_assert_eq!(out, EccOutcome::ParityRecovered);
-        } else {
-            prop_assert_eq!(out, EccOutcome::SilentCorruption);
-        }
-    }
-
     /// XID mapping is a partial bijection: from_xid(xid(k)) == k.
     #[test]
     fn xid_bijection(code in 0u8..=255) {
@@ -97,12 +63,13 @@ proptest! {
                 recorded_sbe += 1;
             }
         }
-        prop_assert_eq!(ir.total_aggregate_dbe(), persisted_dbe);
-        prop_assert!(ir.total_aggregate_sbe() <= recorded_sbe);
+        let total = |f: &dyn Fn(MemoryStructure) -> u64| -> u64 {
+            MemoryStructure::ECC_COUNTED.iter().map(|&s| f(s)).sum()
+        };
+        prop_assert_eq!(total(&|s| ir.aggregate_dbe(s)), persisted_dbe);
+        prop_assert_eq!(total(&|s| ir.reported_sbe(s)), recorded_sbe);
         ir.flush_sbe();
-        let after_first = ir.total_aggregate_sbe();
-        prop_assert_eq!(after_first, recorded_sbe);
         ir.flush_sbe();
-        prop_assert_eq!(ir.total_aggregate_sbe(), after_first);
+        prop_assert_eq!(total(&|s| ir.reported_sbe(s)), recorded_sbe);
     }
 }

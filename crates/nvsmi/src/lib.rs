@@ -21,16 +21,14 @@
 //!    on a per aprun basis".
 //!
 //! * [`snapshot`] — point-in-time per-GPU ECC readings.
-//! * [`jobdiff`] — the before/after-job snapshot framework.
-//! * [`render`] — `nvidia-smi -q -d ECC`-style text output and parser.
+//! * [`jobdiff`] — the per-job SBE delta the before/after-job snapshots
+//!   yield (the simulator's engine computes it at job end).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod jobdiff;
-pub mod render;
 pub mod snapshot;
 
-pub use jobdiff::{JobEccDelta, JobSnapshotFramework};
-pub use render::{parse_ecc_report, render_ecc_report};
+pub use jobdiff::JobEccDelta;
 pub use snapshot::{summarize, EccCounts, FleetEccSummary, GpuSnapshot};

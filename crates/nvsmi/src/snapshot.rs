@@ -89,14 +89,6 @@ impl GpuSnapshot {
         self.aggregate.iter().map(|c| c.dbe).sum()
     }
 
-    /// Aggregate counts for one structure, `None` if not ECC-counted.
-    pub fn counts_for(&self, s: MemoryStructure) -> Option<EccCounts> {
-        MemoryStructure::ECC_COUNTED
-            .iter()
-            .position(|&m| m == s)
-            .map(|i| self.aggregate[i])
-    }
-
     /// The Observation 2 inconsistency check: true when this card reports
     /// more DBEs than SBEs — "Nvidia-smi reports a greater number of
     /// double bit errors than single bit errors for some cards".
@@ -175,15 +167,9 @@ mod tests {
         let s = GpuSnapshot::take(NodeId(10), &c, 1000);
         assert_eq!(s.total_sbe(), 3);
         assert_eq!(s.total_dbe(), 1);
-        assert_eq!(
-            s.counts_for(MemoryStructure::L2Cache).unwrap().sbe,
-            2
-        );
-        assert_eq!(
-            s.counts_for(MemoryStructure::DeviceMemory).unwrap().dbe,
-            1
-        );
-        assert_eq!(s.counts_for(MemoryStructure::ControlLogic), None);
+        let at = |m| MemoryStructure::ECC_COUNTED.iter().position(|&s| s == m).unwrap();
+        assert_eq!(s.aggregate[at(MemoryStructure::L2Cache)].sbe, 2);
+        assert_eq!(s.aggregate[at(MemoryStructure::DeviceMemory)].dbe, 1);
         assert_eq!(s.retired_pages, (1, 0));
         assert!(!s.dbe_exceeds_sbe());
     }

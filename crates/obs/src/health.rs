@@ -121,7 +121,8 @@ pub struct HealthEvent {
 
 /// Declarative alert rules. Serialized (serde-derived JSON) into the
 /// doc header so every alert stream documents the rule set that
-/// produced it; [`rules_from_json`] parses the same shape back.
+/// produced it; [`rules_to_json`] renders the same shape for the
+/// `health rules` CLI.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum HealthRule {
     /// `count` events of `class` inside a sliding `window_secs` window.
@@ -212,11 +213,6 @@ pub fn rules_to_json(rules: &[HealthRule]) -> String {
     let mut s = serde_json::to_string_pretty(&rules.to_vec()).unwrap_or_else(|_| "[]".to_string());
     s.push('\n');
     s
-}
-
-/// Parses a rule set rendered by [`rules_to_json`].
-pub fn rules_from_json(text: &str) -> Result<Vec<HealthRule>, String> {
-    serde_json::from_str(text).map_err(|e| format!("health rules: {e}"))
 }
 
 /// First line of a `titan-health/1` JSONL doc.
@@ -1731,9 +1727,8 @@ mod tests {
         let rules = olcf_default_rules();
         let json = rules_to_json(&rules);
         assert!(json.contains("Burst"), "{json}");
-        let back = rules_from_json(&json).expect("parse rules");
+        let back: Vec<HealthRule> = serde_json::from_str(&json).expect("parse rules");
         assert_eq!(rules, back);
-        assert!(rules_from_json("nonsense").is_err());
     }
 
     fn trace_rec(id: u64, parent: u64, kind: &str) -> TraceRecord {

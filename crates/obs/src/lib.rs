@@ -55,7 +55,7 @@ pub use flight::{
     TraceKind, TraceRecord, TraceStream, VerifyReport, TRACE_SCHEMA,
 };
 pub use health::{
-    olcf_default_rules, parse_health, rules_from_json, rules_to_json, summarize_health,
+    olcf_default_rules, parse_health, rules_to_json, summarize_health,
     verify_health_alerts, watch_health, HealthAlert, HealthDoc, HealthEvent, HealthHeader,
     HealthInterval, HealthRec, HealthRule, HealthSink, HealthSnap, HealthSummary,
     DEFAULT_HEALTH_INTERVAL_SECS, HEALTH_SCHEMA,

@@ -161,12 +161,14 @@ impl Registry {
     }
 
     /// Current value of a counter (0 for a foreign handle).
-    pub fn counter_value(&self, c: Counter) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn counter_value(&self, c: Counter) -> u64 {
         self.counters.get(c.0 as usize).copied().unwrap_or(0)
     }
 
     /// Current value of a gauge.
-    pub fn gauge_value(&self, g: Gauge) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn gauge_value(&self, g: Gauge) -> u64 {
         self.gauges.get(g.0 as usize).copied().unwrap_or(0)
     }
 

@@ -616,6 +616,7 @@ impl ProfDoc {
     /// whether that work runs inline (counted) or on pool workers
     /// (uncounted) depends on the pool width — so their alloc counters
     /// are host-variant, the same class as wall clock.
+    // lint: allow(X1, the form the thread-width determinism tests compare prof documents in)
     pub fn deterministic_json(&self) -> String {
         let mut doc = self.clone();
         doc.wall = WallDoc::default();
@@ -648,6 +649,7 @@ impl ProfDoc {
     /// run's amortized doubling. Everything else — dequeues, pushes,
     /// console, RNG, trace — is machine-state arithmetic and survives
     /// resume byte for byte.
+    // lint: allow(X1, the form the resume determinism tests compare prof documents in)
     pub fn invariant_json(&self) -> String {
         let mut doc = self.clone();
         doc.wall = WallDoc::default();

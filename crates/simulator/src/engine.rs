@@ -221,8 +221,39 @@ impl JobTable {
     /// Rebuilds the table from `s`: a running job's change list holds
     /// the nodes whose dense prologue entry differs from what `fleet`
     /// reports now, and `shared` the nodes it holds that `node_job`
-    /// gives to another job or none.
-    fn from_snapshot(s: &JobTableSnapshot, schedule: &WorkloadSchedule, fleet: &Fleet) -> JobTable {
+    /// gives to another job or none. Fails unless the table has one
+    /// entry per job and per slot and names only scheduled jobs, each
+    /// active one where `active_pos` says and no other job placed.
+    fn from_snapshot(
+        s: &JobTableSnapshot,
+        schedule: &WorkloadSchedule,
+        fleet: &Fleet,
+    ) -> Result<JobTable, String> {
+        let jobs = schedule.jobs.len();
+        for (name, len, want) in [
+            ("state", s.state.len(), jobs),
+            ("active_pos", s.active_pos.len(), jobs),
+            ("node_job", s.node_job.len(), TOTAL_SLOTS),
+        ] {
+            if len != want {
+                return Err(format!("{name} holds {len} entries, want {want}"));
+            }
+        }
+        // lint: allow(N1, u32 job id to usize is lossless)
+        let known = |j: u32| (j as usize) < jobs;
+        if let Some(j) = s.node_job.iter().find(|&&j| j != NO_JOB && !known(j)) {
+            return Err(format!("node_job names job {j}, the schedule has {jobs}"));
+        }
+        for (pos, &j) in (0u32..).zip(&s.active) {
+            // lint: allow(N1, u32 job id to usize is lossless)
+            if !known(j) || s.active_pos.get(j as usize) != Some(&pos) {
+                return Err(format!("active[{pos}] names job {j}, which active_pos does not place there"));
+            }
+        }
+        let placed = s.active_pos.iter().filter(|&&p| p != NO_JOB).count();
+        if placed != s.active.len() {
+            return Err(format!("active_pos places {placed} jobs, active holds {}", s.active.len()));
+        }
         let mut table = JobTable {
             state: s
                 .state
@@ -262,7 +293,7 @@ impl JobTable {
                 st.pre_sbe = Some(changed);
             }
         }
-        table
+        Ok(table)
     }
 
     /// Notes each counter change `fleet` saw since the last call for
@@ -596,13 +627,6 @@ pub struct EngineSnapshot {
     out: SimOutput,
 }
 
-impl EngineSnapshot {
-    /// The sim-time boundary this snapshot was taken at.
-    pub fn sim_time(&self) -> SimTime {
-        self.t
-    }
-}
-
 /// Checks a snapshot's heap against the run it would resume: every
 /// entry names a payload (`seq` below `payloads`), lies at or after the
 /// pause time `t` (the loop had run every earlier event), and names a
@@ -793,8 +817,9 @@ impl EngineState {
         st.queue.payloads.extend(snap.payload_tail.iter().copied());
         check_heap(&snap.heap, snap.t, st.queue.payloads.len())?;
         st.queue.heap = snap.heap.iter().copied().map(Reverse).collect();
-        st.fleet.restore(&snap.fleet);
-        st.jobs = JobTable::from_snapshot(&snap.jobs, &st.schedule, &st.fleet);
+        st.fleet.restore(&snap.fleet).map_err(|e| format!("checkpoint engine.fleet: {e}"))?;
+        st.jobs = JobTable::from_snapshot(&snap.jobs, &st.schedule, &st.fleet)
+            .map_err(|e| format!("checkpoint engine.jobs: {e}"))?;
         st.sim_rng = StdRng::from_state(snap.sim_rng);
         st.cascade_rng = StdRng::from_state(snap.cascade_rng);
         st.spare_rng = StdRng::from_state(snap.spare_rng);
@@ -1646,7 +1671,7 @@ mod tests {
     #[test]
     fn app_xids_replicate_across_job_nodes() {
         let out = quick_run(30, 13);
-        let x13 = out.console_of_kind(GpuErrorKind::GraphicsEngineException);
+        let x13: Vec<_> = out.console.iter().filter(|e| e.kind == GpuErrorKind::GraphicsEngineException).collect();
         assert!(!x13.is_empty());
         // Group by apid: each incident must cover > 1 node for multi-node
         // jobs and span ≤ 5 s.
@@ -1679,7 +1704,7 @@ mod tests {
         // Full-window features need the real window; run 8 months.
         let out = quick_run(240, 17);
         let cut = calibration::retirement_xid_introduced();
-        for e in out.console_of_kind(GpuErrorKind::EccPageRetirement) {
+        for e in out.console.iter().filter(|e| e.kind == GpuErrorKind::EccPageRetirement) {
             assert!(e.time >= cut, "retirement record at {} < {cut}", e.time);
         }
         for r in &out.truth.retirements {
@@ -1729,9 +1754,7 @@ mod tests {
         let out = Simulator::new(cfg).unwrap().run();
         assert!(!out.truth.retirements.is_empty(), "no retirements in 300 days");
         let emitted = out.truth.retirements.iter().filter(|r| r.emitted).count();
-        let records = out
-            .console_of_kind(GpuErrorKind::EccPageRetirement)
-            .len();
+        let records = out.console.iter().filter(|e| e.kind == GpuErrorKind::EccPageRetirement).count();
         assert_eq!(
             emitted, records,
             "truth claims {emitted} emitted records, console has {records}"
@@ -1987,7 +2010,7 @@ mod tests {
         let mut st = EngineState::new(&cfg, &mut Obs::disabled());
         st.run_until(t, &mut Obs::disabled());
         let snap = st.snapshot(t);
-        assert_eq!(snap.sim_time(), t);
+        assert_eq!(snap.t, t);
 
         let mut resumed =
             EngineState::restore(&cfg, &snap, &mut Obs::disabled()).expect("restore");

@@ -229,7 +229,44 @@ impl Fleet {
     /// overlaid placement state and rebuild lazily); susceptibility (a
     /// pure function of the seed) and the per-slot thermal accelerations
     /// (of the machine) are never mutated and stay as they are.
-    pub(crate) fn restore(&mut self, s: &FleetSnapshot) {
+    ///
+    /// Fails, leaving the fleet as it was, unless the snapshot holds a
+    /// placement this fleet could be in: one entry per card and per
+    /// slot, `slot_card` and `card_slot` inverse maps, and spares that
+    /// are distinct and placed nowhere.
+    pub(crate) fn restore(&mut self, s: &FleetSnapshot) -> Result<(), String> {
+        let (cards, slots) = (self.cards.len(), self.slot_card.len());
+        for (name, len, want) in [
+            ("cards", s.cards.len(), cards),
+            ("card_slot", s.card_slot.len(), cards),
+            ("otb_done", s.otb_done.len(), cards),
+            ("slot_card", s.slot_card.len(), slots),
+        ] {
+            if len != want {
+                return Err(format!("{name} holds {len} entries, the machine has {want}"));
+            }
+        }
+        for (slot, &card) in (0u32..).zip(&s.slot_card) {
+            // lint: allow(N1, u32 card id to usize is lossless)
+            if s.card_slot.get(card as usize) != Some(&Some(slot)) {
+                return Err(format!("slot_card[{slot}] = {card}, but card_slot does not map it back"));
+            }
+        }
+        // Every slot's card maps back, so the maps are inverse once no
+        // further card claims a slot.
+        let placed = s.card_slot.iter().flatten().count();
+        if placed != slots {
+            return Err(format!("card_slot places {placed} cards in {slots} slots"));
+        }
+        let mut pooled = vec![false; cards];
+        for &card in &s.spares {
+            // lint: allow(N1, u32 card id to usize is lossless)
+            let c = card as usize;
+            match pooled.get_mut(c) {
+                Some(seen) if !*seen && s.card_slot.get(c) == Some(&None) => *seen = true,
+                _ => return Err(format!("spare card {card} is out of range, repeated or placed")),
+            }
+        }
         self.cards = s.cards.clone();
         self.slot_card = s.slot_card.clone();
         self.card_slot = s.card_slot.clone();
@@ -239,6 +276,7 @@ impl Fleet {
         self.dbe_picker = None;
         self.otb_stale = true;
         self.sbe_picker = None;
+        Ok(())
     }
 }
 
@@ -300,7 +338,7 @@ mod tests {
         assert_eq!(f.card_at_slot(100), new);
         assert_eq!(f.slot_of_card(old), None);
         assert_eq!(f.slot_of_card(new), Some(100));
-        assert!(!f.card(old).in_production());
+        assert_ne!(f.card(old).state, titan_gpu::card::CardState::Production);
         assert_eq!(f.n_spares(), 7);
     }
 

@@ -87,28 +87,6 @@ pub fn stress_test<R: Rng + ?Sized>(
     }
 }
 
-/// Expected burn-in error count for a card (the detection-power planning
-/// number: how long must burn-in be to catch a `weight`-times-worse
-/// card?).
-pub fn expected_errors(config: &StressTestConfig, dbe_weight: f64) -> f64 {
-    config.base_rate_per_hour * dbe_weight * config.acceleration * config.burn_in_hours
-}
-
-/// Burn-in hours needed to reproduce at least one error with probability
-/// `confidence` for a card `dbe_weight` times the fleet average.
-pub fn required_burn_in_hours(
-    config: &StressTestConfig,
-    dbe_weight: f64,
-    confidence: f64,
-) -> f64 {
-    // P(N >= 1) = 1 - exp(-rate * h) >= confidence.
-    let rate = config.base_rate_per_hour * dbe_weight * config.acceleration;
-    if rate <= 0.0 || !(0.0..1.0).contains(&confidence) {
-        return f64::INFINITY;
-    }
-    -(1.0 - confidence).ln() / rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,26 +116,6 @@ mod tests {
             .filter(|_| stress_test(&cfg, 10_000.0, &mut rng).returned_to_vendor)
             .count();
         assert!(fails > 950, "{fails}");
-    }
-
-    #[test]
-    fn expected_errors_scale_linearly() {
-        let cfg = StressTestConfig::default();
-        let e1 = expected_errors(&cfg, 100.0);
-        let e2 = expected_errors(&cfg, 200.0);
-        assert!((e2 / e1 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn required_burn_in_decreases_with_weight() {
-        let cfg = StressTestConfig::default();
-        let h_bad = required_burn_in_hours(&cfg, 10_000.0, 0.9);
-        let h_worse = required_burn_in_hours(&cfg, 100_000.0, 0.9);
-        assert!(h_worse < h_bad);
-        assert!(h_bad.is_finite());
-        // Degenerate inputs.
-        assert!(required_burn_in_hours(&cfg, 0.0, 0.9).is_infinite());
-        assert!(required_burn_in_hours(&cfg, 1.0, 1.5).is_infinite());
     }
 
     #[test]

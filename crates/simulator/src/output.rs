@@ -127,10 +127,6 @@ impl SimOutput {
         render_log(&self.apruns, self.apruns.len() * 48)
     }
 
-    /// Console events of one error kind.
-    pub fn console_of_kind(&self, kind: titan_gpu::GpuErrorKind) -> Vec<&ConsoleEvent> {
-        self.console.iter().filter(|e| e.kind == kind).collect()
-    }
 }
 
 /// The bytes reserved for the job log. A line is ~130 bytes of fields

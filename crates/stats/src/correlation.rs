@@ -19,14 +19,6 @@ pub struct CorrResult {
     pub n: usize,
 }
 
-impl CorrResult {
-    /// True when the coefficient is significant at the given level
-    /// (the paper uses p < 0.05 throughout §4).
-    pub fn significant_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Pearson product-moment correlation of two equal-length slices.
 ///
 /// Returns `None` when the slices differ in length, have fewer than two
@@ -255,7 +247,7 @@ mod tests {
         let y: Vec<f64> = (0..60).map(|i| ((i * 104_729 + 31) % 97) as f64).collect();
         let r = pearson(&x, &y).unwrap();
         assert!(r.r.abs() < 0.35, "got {}", r.r);
-        assert!(!r.significant_at(0.01));
+        assert!(r.p_value >= 0.01);
     }
 
     #[test]

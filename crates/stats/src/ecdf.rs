@@ -28,26 +28,6 @@ impl Ecdf {
         self.sorted.is_empty()
     }
 
-    /// F(x) = fraction of samples ≤ x. Returns 0 for an empty ECDF.
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        // partition_point gives the count of samples <= x.
-        let k = self.sorted.partition_point(|&v| v <= x);
-        k as f64 / self.sorted.len() as f64
-    }
-
-    /// Kolmogorov–Smirnov distance to another ECDF (sup over both sample
-    /// sets' points).
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        let mut d: f64 = 0.0;
-        for &x in self.sorted.iter().chain(other.sorted.iter()) {
-            d = d.max((self.eval(x) - other.eval(x)).abs());
-        }
-        d
-    }
-
     /// Lorenz-style concentration: the fraction of the total carried by the
     /// largest `k` samples. Fig. 14's story is `share_of_top(10)` and
     /// `share_of_top(50)` being large for SBE counts.
@@ -88,36 +68,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eval_steps() {
-        let e = Ecdf::new(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.eval(0.5), 0.0);
-        assert_eq!(e.eval(1.0), 0.25);
-        assert_eq!(e.eval(2.5), 0.5);
-        assert_eq!(e.eval(4.0), 1.0);
-        assert_eq!(e.eval(100.0), 1.0);
-    }
-
-    #[test]
     fn empty_ecdf() {
         let e = Ecdf::new(&[]);
         assert!(e.is_empty());
-        assert_eq!(e.eval(1.0), 0.0);
         assert_eq!(e.gini(), 0.0);
         assert_eq!(e.share_of_top(10), 0.0);
-    }
-
-    #[test]
-    fn ks_identical_is_zero() {
-        let a = Ecdf::new(&[1.0, 2.0, 3.0]);
-        let b = Ecdf::new(&[1.0, 2.0, 3.0]);
-        assert_eq!(a.ks_distance(&b), 0.0);
-    }
-
-    #[test]
-    fn ks_disjoint_is_one() {
-        let a = Ecdf::new(&[1.0, 2.0]);
-        let b = Ecdf::new(&[10.0, 20.0]);
-        assert_eq!(a.ks_distance(&b), 1.0);
     }
 
     #[test]

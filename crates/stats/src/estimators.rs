@@ -69,19 +69,6 @@ pub fn mtbf_hours(timestamps: &[u64]) -> Option<f64> {
         .map(|s| s / 3600.0)
 }
 
-/// Maximum-likelihood rate of an exponential model over inter-arrival gaps
-/// (λ̂ = 1 / mean gap). Returns events-per-second. `None` when degenerate.
-pub fn exponential_mle(gaps: &[f64]) -> Option<f64> {
-    if gaps.is_empty() {
-        return None;
-    }
-    let mean = Summary::of(gaps).mean();
-    if mean <= 0.0 {
-        return None;
-    }
-    Some(1.0 / mean)
-}
-
 /// Burstiness index of Goh & Barabási: B = (σ−μ)/(σ+μ) over inter-arrival
 /// gaps. B ≈ 0 for Poisson arrivals, → 1 for extreme bursts, → −1 for a
 /// perfectly regular (periodic) signal. `None` with fewer than two gaps.
@@ -96,32 +83,6 @@ pub fn burstiness(timestamps: &[u64]) -> Option<f64> {
         return None;
     }
     Some((sigma - mu) / (sigma + mu))
-}
-
-/// Fano factor over fixed windows: variance/mean of per-window counts.
-/// 1 for a Poisson process; ≫1 for clustered arrivals. Used alongside
-/// [`burstiness`] when classifying XID streams (Observation 6).
-/// Returns `None` when the span covers fewer than two windows.
-pub fn fano_factor(timestamps: &[u64], window_seconds: u64) -> Option<f64> {
-    if timestamps.is_empty() || window_seconds == 0 {
-        return None;
-    }
-    let lo = *timestamps.iter().min().expect("nonempty");
-    let hi = *timestamps.iter().max().expect("nonempty");
-    let nwin = ((hi - lo) / window_seconds + 1) as usize;
-    if nwin < 2 {
-        return None;
-    }
-    let mut counts = vec![0.0f64; nwin];
-    for &t in timestamps {
-        counts[((t - lo) / window_seconds) as usize] += 1.0;
-    }
-    let s = Summary::of(&counts);
-    let mean = s.mean();
-    if mean == 0.0 {
-        return None;
-    }
-    Some(s.variance() / mean)
 }
 
 #[cfg(test)]
@@ -151,21 +112,6 @@ mod tests {
     fn mtbf_needs_two_events() {
         assert!(mtbf_hours(&[]).is_none());
         assert!(mtbf_hours(&[100]).is_none());
-    }
-
-    #[test]
-    fn exponential_mle_recovers_rate() {
-        let d = Exponential::new(0.01).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let gaps: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
-        let lam = exponential_mle(&gaps).unwrap();
-        assert!((lam - 0.01).abs() / 0.01 < 0.02, "lam {lam}");
-    }
-
-    #[test]
-    fn exponential_mle_degenerate() {
-        assert!(exponential_mle(&[]).is_none());
-        assert!(exponential_mle(&[0.0, 0.0]).is_none());
     }
 
     #[test]
@@ -202,40 +148,5 @@ mod tests {
         }
         let b = burstiness(&ts).unwrap();
         assert!(b > 0.5, "b {b}");
-    }
-
-    #[test]
-    fn fano_poisson_near_one() {
-        let d = Exponential::new(1.0 / 50.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut t = 0.0;
-        let ts: Vec<u64> = (0..20_000)
-            .map(|_| {
-                t += d.sample(&mut rng);
-                t as u64
-            })
-            .collect();
-        let f = fano_factor(&ts, 1000).unwrap();
-        assert!((f - 1.0).abs() < 0.15, "fano {f}");
-    }
-
-    #[test]
-    fn fano_clustered_much_greater_than_one() {
-        let mut ts = Vec::new();
-        for burst in 0..30u64 {
-            let base = burst * 100_000;
-            for k in 0..100u64 {
-                ts.push(base + k);
-            }
-        }
-        let f = fano_factor(&ts, 10_000).unwrap();
-        assert!(f > 10.0, "fano {f}");
-    }
-
-    #[test]
-    fn fano_edge_cases() {
-        assert!(fano_factor(&[], 10).is_none());
-        assert!(fano_factor(&[5], 10).is_none()); // single window
-        assert!(fano_factor(&[5, 6], 0).is_none());
     }
 }

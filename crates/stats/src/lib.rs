@@ -16,20 +16,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod correlation;
 pub mod ecdf;
 pub mod estimators;
-pub mod histogram;
 pub mod rank;
 pub mod samplers;
 pub mod summary;
 
-pub use bootstrap::{spearman_bootstrap, BootstrapInterval};
 pub use correlation::{pearson, spearman, CorrResult};
 pub use ecdf::Ecdf;
-pub use estimators::{burstiness, exponential_mle, mtbf_hours, InterArrival};
-pub use histogram::{Histogram, HistogramError};
+pub use estimators::{burstiness, mtbf_hours, InterArrival};
 pub use rank::{average_ranks, top_k_indices};
 pub use samplers::{Exponential, LogNormal, Pareto, PoissonCounter, Weibull, WeightedAlias};
 pub use summary::Summary;

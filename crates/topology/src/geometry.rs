@@ -36,16 +36,6 @@ impl NodeId {
         }
     }
 
-    /// The Gemini router shared by this node and its neighbour.
-    /// Nodes 0–1 of a blade share one router, nodes 2–3 the other.
-    pub fn gemini_router(self) -> u32 {
-        self.0 / 2
-    }
-
-    /// The other node on the same Gemini router.
-    pub fn gemini_partner(self) -> NodeId {
-        NodeId(self.0 ^ 1)
-    }
 }
 
 impl std::fmt::Display for NodeId {
@@ -232,17 +222,6 @@ mod tests {
     #[test]
     fn cname_tolerates_whitespace() {
         assert!(Location::parse_cname("  c0-0c0s0n0 ").is_ok());
-    }
-
-    #[test]
-    fn gemini_pairing() {
-        let a = NodeId(10);
-        let b = NodeId(11);
-        assert_eq!(a.gemini_router(), b.gemini_router());
-        assert_eq!(a.gemini_partner(), b);
-        assert_eq!(b.gemini_partner(), a);
-        // Nodes 0-1 and 2-3 of a blade are on different routers.
-        assert_ne!(NodeId(0).gemini_router(), NodeId(2).gemini_router());
     }
 
     #[test]

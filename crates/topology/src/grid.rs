@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::{Location, NodeId};
+use crate::geometry::NodeId;
 use crate::{CABINETS, COLS, ROWS};
 
 /// A per-cabinet accumulator laid out as the machine-room floor:
@@ -30,11 +30,6 @@ impl CabinetGrid {
     /// Adds `w` to the cabinet containing `node`.
     pub fn add_node(&mut self, node: NodeId, w: f64) {
         self.cells[node.location().cabinet_index()] += w;
-    }
-
-    /// Adds `w` to the cabinet at `loc`.
-    pub fn add_location(&mut self, loc: Location, w: f64) {
-        self.cells[loc.cabinet_index()] += w;
     }
 
     /// Cell value at (row, col).
@@ -67,13 +62,6 @@ impl CabinetGrid {
             }
         }
         out
-    }
-
-    /// Per-row sums.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..ROWS)
-            .map(|r| (0..COLS).map(|c| self.get(r, c)).sum())
-            .collect()
     }
 
     /// Ratio of mass on even columns vs the even/odd mean; > 1 indicates
@@ -119,21 +107,6 @@ impl CabinetGrid {
             .sum::<f64>()
             / n;
         var.sqrt() / mean
-    }
-
-    /// Index of the heaviest cell as (row, col), or `None` when empty.
-    pub fn argmax(&self) -> Option<(usize, usize)> {
-        if self.total() == 0.0 {
-            return None;
-        }
-        let (mut bi, mut bv) = (0usize, f64::NEG_INFINITY);
-        for (i, &v) in self.cells.iter().enumerate() {
-            if v > bv {
-                bi = i;
-                bv = v;
-            }
-        }
-        Some((bi / COLS, bi % COLS))
     }
 
     /// Merges another grid (parallel reduction).
@@ -185,13 +158,13 @@ impl CageTally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Location;
 
     #[test]
     fn empty_grid() {
         let g = CabinetGrid::new();
         assert_eq!(g.total(), 0.0);
         assert_eq!(g.even_column_bias(), None);
-        assert_eq!(g.argmax(), None);
         assert_eq!(g.spatial_cv(), 0.0);
     }
 
@@ -205,11 +178,10 @@ mod tests {
             blade: 2,
             node: 0,
         };
-        g.add_location(loc, 2.0);
+        g.add_node(loc.node_id(), 2.0);
         g.add_node(loc.node_id(), 1.0);
         assert_eq!(g.get(3, 5), 3.0);
         assert_eq!(g.total(), 3.0);
-        assert_eq!(g.argmax(), Some((3, 5)));
     }
 
     #[test]
@@ -226,10 +198,6 @@ mod tests {
         let sums = g.column_sums();
         assert_eq!(sums[0], 25.0);
         assert_eq!(sums[1], 0.0);
-        // Each row carries exactly its four even-column units.
-        let rows = g.row_sums();
-        assert_eq!(rows.len(), ROWS);
-        assert!(rows.iter().all(|&s| (s - 4.0).abs() < 1e-12), "{rows:?}");
     }
 
     #[test]

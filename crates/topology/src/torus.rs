@@ -48,7 +48,7 @@ impl Torus {
     /// * `z` = cage·8 + blade (24 per cabinet);
     /// * `y` = 2·fold⁻¹(column) + (router-within-blade), where blade nodes
     ///   0–1 sit on router 0 and nodes 2–3 on router 1, and fold⁻¹ undoes
-    ///   the physical cabling fold (see [`Torus::physical_col_of_y`]) —
+    ///   the physical cabling fold (see `logical_pair_of_col`) —
     ///   logically adjacent Y live in *alternating* physical columns.
     pub fn coord_of(&self, node: NodeId) -> GeminiCoord {
         let loc = node.location();
@@ -60,29 +60,15 @@ impl Torus {
         }
     }
 
-    /// Inverse of the cabling fold: physical column → logical column pair,
-    /// so that `physical_col_of_y(logical_pair_of_col(c) * 2) == c`.
+    /// Inverse of the cabling fold: physical column → logical column pair.
+    /// The fold maps logical Y 0,1,2,…,15 to physical columns
+    /// 0,0,2,2,4,4,6,6,7,7,5,5,3,3,1,1 — out along even columns, back
+    /// along odd ones, exactly like folded torus cabling.
     fn logical_pair_of_col(col: u8) -> u8 {
         if col % 2 == 0 {
             col / 2 // 0,2,4,6 -> 0,1,2,3 (the outbound run)
         } else {
             7 - col / 2 // 7,5,3,1 -> 4,5,6,7 (the return run)
-        }
-    }
-
-    /// Physical cabinet column hosting logical Y coordinate `y`.
-    ///
-    /// The fold: logical order 0,1,2,…,15 maps to physical columns
-    /// 0,0,2,2,4,4,6,6,7,7,5,5,3,3,1,1 — out along even columns, back
-    /// along odd ones, exactly like folded torus cabling. Consecutive
-    /// *cabinet-changing* steps in Y therefore skip a physical column,
-    /// which is what smears one job across alternating cabinets.
-    pub fn physical_col_of_y(&self, y: u8) -> u8 {
-        let pair = y / 2; // 0..8: logical column index
-        if pair < 4 {
-            pair * 2 // 0,2,4,6
-        } else {
-            15 - pair * 2 // pair 4..8 -> 7,5,3,1
         }
     }
 
@@ -108,20 +94,6 @@ impl Torus {
         order
     }
 
-    /// Hop distance between two routers on the torus (with wraparound),
-    /// the metric Gemini routing actually minimizes.
-    pub fn hop_distance(&self, a: GeminiCoord, b: GeminiCoord) -> u32 {
-        fn axis(a: u8, b: u8, dim: usize) -> u32 {
-            let d = (a as i32 - b as i32).unsigned_abs();
-            d.min(dim as u32 - d)
-        }
-        axis(a.x, b.x, DIM_X) + axis(a.y, b.y, DIM_Y) + axis(a.z, b.z, DIM_Z)
-    }
-}
-
-/// Validates a coordinate against the torus extents.
-pub fn in_bounds(c: GeminiCoord) -> bool {
-    (c.x as usize) < DIM_X && (c.y as usize) < DIM_Y && (c.z as usize) < DIM_Z
 }
 
 #[cfg(test)]
@@ -134,7 +106,8 @@ mod tests {
     fn coords_in_bounds_exhaustive() {
         let t = Torus;
         for i in 0..TOTAL_SLOTS as u32 {
-            assert!(in_bounds(t.coord_of(NodeId(i))));
+            let c = t.coord_of(NodeId(i));
+            assert!((c.x as usize) < DIM_X && (c.y as usize) < DIM_Y && (c.z as usize) < DIM_Z);
         }
     }
 
@@ -147,26 +120,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 9_600);
         assert!(seen.values().all(|&c| c == 2));
-    }
-
-    #[test]
-    fn fold_is_a_permutation_of_columns() {
-        let t = Torus;
-        let cols: HashSet<u8> = (0..16).map(|y| t.physical_col_of_y(y)).collect();
-        assert_eq!(cols, (0..8).collect());
-    }
-
-    #[test]
-    fn fold_alternates_physical_columns() {
-        // Walking logical column pairs 0..8 must yield physical columns
-        // that always differ by 2 (mod edge turnaround) — never adjacent.
-        let t = Torus;
-        let phys: Vec<u8> = (0..8).map(|p| t.physical_col_of_y(p * 2)).collect();
-        assert_eq!(phys, vec![0, 2, 4, 6, 7, 5, 3, 1]);
-        for w in phys.windows(2) {
-            let d = (w[0] as i32 - w[1] as i32).abs();
-            assert!(d == 2 || d == 1 && (w[0] == 6 || w[0] == 7), "{w:?}");
-        }
     }
 
     #[test]
@@ -206,18 +159,5 @@ mod tests {
             let d = (w[0] as i32 - w[1] as i32).abs();
             assert!(d == 2 || d == 1 && (w[0].max(w[1]) == 7), "{cols:?}");
         }
-    }
-
-    #[test]
-    fn hop_distance_wraps() {
-        let t = Torus;
-        let a = GeminiCoord { x: 0, y: 0, z: 0 };
-        let b = GeminiCoord { x: 24, y: 15, z: 23 };
-        // Each axis wraps to distance 1.
-        assert_eq!(t.hop_distance(a, b), 3);
-        assert_eq!(t.hop_distance(a, a), 0);
-        // Symmetry.
-        let c = GeminiCoord { x: 10, y: 5, z: 12 };
-        assert_eq!(t.hop_distance(a, c), t.hop_distance(c, a));
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use titan_topology::{
-    gpu_index_to_node, is_service_slot, node_to_gpu_index, Location, NodeId, Torus,
+    gpu_index_to_node, is_service_slot, node_to_gpu_index, Location, NodeId,
     COMPUTE_NODES, TOTAL_SLOTS,
 };
 
@@ -35,31 +35,6 @@ proptest! {
             }
             None => prop_assert!(is_service_slot(n)),
         }
-    }
-
-    /// Torus coordinates are in bounds and shared by exactly the Gemini
-    /// partner.
-    #[test]
-    fn torus_partner_shares_router(id in 0u32..TOTAL_SLOTS as u32) {
-        let t = Torus;
-        let n = NodeId(id);
-        let c = t.coord_of(n);
-        prop_assert!(titan_topology::torus::in_bounds(c));
-        prop_assert_eq!(t.coord_of(n.gemini_partner()), c);
-    }
-
-    /// Hop distance is a metric: symmetric, zero iff equal coords, and
-    /// bounded by the sum of half-extents.
-    #[test]
-    fn hop_distance_metric(a in 0u32..TOTAL_SLOTS as u32, b in 0u32..TOTAL_SLOTS as u32) {
-        let t = Torus;
-        let ca = t.coord_of(NodeId(a));
-        let cb = t.coord_of(NodeId(b));
-        let d1 = t.hop_distance(ca, cb);
-        let d2 = t.hop_distance(cb, ca);
-        prop_assert_eq!(d1, d2);
-        prop_assert_eq!(d1 == 0, ca == cb);
-        prop_assert!(d1 <= 12 + 8 + 12, "d={}", d1);
     }
 
     /// Parsing never panics on arbitrary input.

@@ -6,7 +6,7 @@
 //! cabinets — the Fig. 12 striping. The allocator hands out free nodes in
 //! [`titan_topology::Torus::allocation_order`], first-fit.
 
-use titan_topology::{NodeId, Torus, COMPUTE_NODES};
+use titan_topology::{NodeId, Torus};
 
 /// Free-list allocator over the torus allocation order.
 #[derive(Debug, Clone)]
@@ -43,16 +43,6 @@ impl TorusAllocator {
             free_count: n,
             cursor: 0,
         }
-    }
-
-    /// Currently free node count.
-    pub fn free_nodes(&self) -> usize {
-        self.free_count
-    }
-
-    /// Machine utilization in [0, 1].
-    pub fn utilization(&self) -> f64 {
-        1.0 - self.free_count as f64 / COMPUTE_NODES as f64
     }
 
     /// Allocates `n` nodes in torus order starting at the cursor,
@@ -196,6 +186,7 @@ impl WalkOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use titan_topology::COMPUTE_NODES;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
@@ -211,18 +202,18 @@ mod tests {
             let mut held: Vec<Vec<NodeId>> = Vec::new();
             for step in 0..400 {
                 let want = match rng.gen_range(0..10) {
-                    0 => fast.free_nodes(),     // exactly full
-                    1 => fast.free_nodes() + 1, // one too many
+                    0 => fast.free_count,     // exactly full
+                    1 => fast.free_count + 1, // one too many
                     2 => rng.gen_range(1..4_000),
                     _ => rng.gen_range(1..300),
                 };
                 let got = fast.allocate(want);
                 assert_eq!(got, walk.allocate(want), "seed {seed} step {step}");
-                assert_eq!(fast.free_nodes(), walk.free_count);
+                assert_eq!(fast.free_count, walk.free_count);
                 assert_eq!(fast.cursor, walk.cursor, "seed {seed} step {step}");
                 held.extend(got);
                 // Release until the machine has room again, sometimes.
-                while !held.is_empty() && (rng.gen_range(0..3) == 0 || fast.free_nodes() < 50) {
+                while !held.is_empty() && (rng.gen_range(0..3) == 0 || fast.free_count < 50) {
                     let job = held.swap_remove(rng.gen_range(0..held.len()));
                     fast.release(&job);
                     walk.release(&job);
@@ -234,12 +225,12 @@ mod tests {
     #[test]
     fn allocate_and_release_roundtrip() {
         let mut a = TorusAllocator::new();
-        assert_eq!(a.free_nodes(), COMPUTE_NODES);
+        assert_eq!(a.free_count, COMPUTE_NODES);
         let x = a.allocate(100).unwrap();
         assert_eq!(x.len(), 100);
-        assert_eq!(a.free_nodes(), COMPUTE_NODES - 100);
+        assert_eq!(a.free_count, COMPUTE_NODES - 100);
         a.release(&x);
-        assert_eq!(a.free_nodes(), COMPUTE_NODES);
+        assert_eq!(a.free_count, COMPUTE_NODES);
     }
 
     #[test]
@@ -255,27 +246,17 @@ mod tests {
     fn allocation_failure_leaves_state_unchanged() {
         let mut a = TorusAllocator::new();
         let _ = a.allocate(COMPUTE_NODES - 10).unwrap();
-        let before = a.free_nodes();
+        let before = a.free_count;
         assert!(a.allocate(11).is_none());
-        assert_eq!(a.free_nodes(), before);
+        assert_eq!(a.free_count, before);
         assert!(a.allocate(10).is_some());
-        assert_eq!(a.free_nodes(), 0);
+        assert_eq!(a.free_count, 0);
     }
 
     #[test]
     fn zero_request_rejected() {
         let mut a = TorusAllocator::new();
         assert!(a.allocate(0).is_none());
-    }
-
-    #[test]
-    fn utilization_tracks() {
-        let mut a = TorusAllocator::new();
-        assert_eq!(a.utilization(), 0.0);
-        let x = a.allocate(COMPUTE_NODES / 2).unwrap();
-        assert!((a.utilization() - 0.5).abs() < 0.01);
-        a.release(&x);
-        assert_eq!(a.utilization(), 0.0);
     }
 
     #[test]

@@ -17,31 +17,12 @@ use rand::Rng;
 use titan_conlog::time::SimTime;
 use titan_conlog::Aprun;
 
-use crate::schedule::ScheduledJob;
-
 /// Mean setup/teardown gap between consecutive apruns, seconds.
 pub const INTER_APRUN_GAP_SECS: u64 = 30;
 
-/// Subdivides a job's runtime into `1..=max_apruns` sequential segments
-/// with small gaps. Production jobs usually run one aprun; debug scripts
-/// iterate. Deterministic given the RNG.
-pub fn subdivide<R: Rng + ?Sized>(
-    job: &ScheduledJob,
-    max_apruns: u32,
-    rng: &mut R,
-) -> Vec<Aprun> {
-    subdivide_span(
-        job.spec.apid,
-        job.start,
-        job.end,
-        job.spec.is_debug,
-        max_apruns,
-        rng,
-    )
-}
-
-/// [`subdivide`] over a raw `(apid, start, end, is_debug)` span — used by
-/// the simulator, which has job records rather than schedule entries.
+/// Subdivides a job's `start..end` runtime into `1..=max_apruns`
+/// sequential segments with small gaps. Production jobs usually run one
+/// aprun; debug scripts iterate. Deterministic given the RNG.
 pub fn subdivide_span<R: Rng + ?Sized>(
     apid: u64,
     start: SimTime,
@@ -110,6 +91,7 @@ pub fn subdivide_span<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::jobs::JobSpec;
+    use crate::schedule::ScheduledJob;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use titan_topology::NodeId;
@@ -137,7 +119,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for seed_job in 0..50u64 {
             let j = job(seed_job, 1_000, 1_000 + 7_200, seed_job % 2 == 0);
-            let apruns = subdivide(&j, 8, &mut rng);
+            let apruns = subdivide_span(j.spec.apid, j.start, j.end, j.spec.is_debug, 8, &mut rng);
             assert!(!apruns.is_empty());
             assert_eq!(apruns[0].start, j.start);
             assert!(apruns.last().unwrap().end <= j.end);
@@ -158,7 +140,7 @@ mod tests {
         let mut multi = 0;
         for i in 0..500u64 {
             let j = job(i, 0, 10_000, false);
-            if subdivide(&j, 8, &mut rng).len() > 1 {
+            if subdivide_span(j.spec.apid, j.start, j.end, j.spec.is_debug, 8, &mut rng).len() > 1 {
                 multi += 1;
             }
         }
@@ -172,7 +154,7 @@ mod tests {
             let mut total = 0usize;
             for i in 0..500u64 {
                 let j = job(i, 0, 10_000, debug);
-                total += subdivide(&j, 8, rng).len();
+                total += subdivide_span(j.spec.apid, j.start, j.end, j.spec.is_debug, 8, rng).len();
             }
             total as f64 / 500.0
         };
@@ -185,10 +167,9 @@ mod tests {
     fn short_jobs_degrade_gracefully() {
         let mut rng = StdRng::seed_from_u64(11);
         let j = job(1, 0, 60, true); // one minute
-        let apruns = subdivide(&j, 8, &mut rng);
+        let apruns = subdivide_span(j.spec.apid, j.start, j.end, j.spec.is_debug, 8, &mut rng);
         assert_eq!(apruns.len(), 1);
         assert_eq!(apruns[0].start, 0);
         assert_eq!(apruns[0].end, 60);
     }
-
 }

@@ -38,7 +38,6 @@ pub mod schedule;
 pub mod users;
 
 pub use allocation::TorusAllocator;
-pub use apruns::subdivide as subdivide_apruns;
 pub use jobs::{JobSpec, JobSizer};
 pub use schedule::{ScheduleConfig, ScheduledJob, WorkloadSchedule};
 pub use users::{UserArchetype, UserPopulation, UserProfile};

@@ -57,10 +57,6 @@ impl ScheduledJob {
         self.end - self.start
     }
 
-    /// Whether the job occupies `node` at time `t`.
-    pub fn occupies(&self, node: NodeId, t: SimTime) -> bool {
-        t >= self.start && t < self.end && self.nodes.contains(&node)
-    }
 }
 
 /// The full placed workload, sorted by start time.
@@ -152,49 +148,6 @@ impl WorkloadSchedule {
         jobs.sort_by_key(|j| j.start);
         WorkloadSchedule { jobs, dropped }
     }
-
-    /// Total node-hours scheduled — the paper's "280 million node hours"
-    /// scale check (ours is smaller; shape, not scale, is the target).
-    pub fn total_node_hours(&self) -> f64 {
-        self.jobs
-            .iter()
-            .map(|j| j.nodes.len() as f64 * j.wall_seconds() as f64 / 3600.0)
-            .sum()
-    }
-
-    /// Builds a per-node occupancy timeline: for each slot, the list of
-    /// (start, end, job index) sorted by start. The simulator resolves
-    /// "which job was on node n at time t" through this.
-    pub fn node_timelines(&self) -> Vec<Vec<(SimTime, SimTime, u32)>> {
-        let mut tl: Vec<Vec<(SimTime, SimTime, u32)>> =
-            vec![Vec::new(); titan_topology::TOTAL_SLOTS];
-        for (i, j) in self.jobs.iter().enumerate() {
-            for n in &j.nodes {
-                tl[n.0 as usize].push((j.start, j.end, i as u32));
-            }
-        }
-        for v in &mut tl {
-            v.sort_unstable_by_key(|&(s, _, _)| s);
-        }
-        tl
-    }
-
-    /// Looks up the job occupying `node` at `t` given the timelines from
-    /// [`node_timelines`](Self::node_timelines).
-    pub fn job_at(
-        timelines: &[Vec<(SimTime, SimTime, u32)>],
-        node: NodeId,
-        t: SimTime,
-    ) -> Option<u32> {
-        let tl = &timelines[node.0 as usize];
-        // Binary search for the last interval starting at or before t.
-        let i = tl.partition_point(|&(s, _, _)| s <= t);
-        if i == 0 {
-            return None;
-        }
-        let (s, e, idx) = tl[i - 1];
-        (t >= s && t < e).then_some(idx)
-    }
 }
 
 #[cfg(test)]
@@ -222,42 +175,7 @@ mod tests {
             assert!(j.end <= 30 * 86_400);
             assert!(j.wall_seconds() <= j.spec.wall);
             assert_eq!(j.nodes.len(), j.spec.nodes as usize);
-            if let Some(&n) = j.nodes.first() {
-                assert!(j.occupies(n, j.start));
-                assert!(!j.occupies(n, j.end), "end is exclusive");
-            }
         }
-    }
-
-    #[test]
-    fn no_node_oversubscription() {
-        let s = small_schedule();
-        // Sweep: at any job start, the set of concurrently running jobs
-        // must not share nodes.
-        let timelines = s.node_timelines();
-        for (slot, tl) in timelines.iter().enumerate() {
-            for w in tl.windows(2) {
-                assert!(
-                    w[0].1 <= w[1].0,
-                    "node {slot} double-booked: {:?} then {:?}",
-                    w[0],
-                    w[1]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn job_at_resolves() {
-        let s = small_schedule();
-        let timelines = s.node_timelines();
-        let j = &s.jobs[s.jobs.len() / 2];
-        let node = j.nodes[0];
-        let mid = (j.start + j.end) / 2;
-        let idx = WorkloadSchedule::job_at(&timelines, node, mid).expect("job found");
-        assert_eq!(s.jobs[idx as usize].spec.apid, j.spec.apid);
-        // Before machine start: nothing.
-        assert_eq!(WorkloadSchedule::job_at(&timelines, node, 0), None);
     }
 
     #[test]
@@ -291,16 +209,6 @@ mod tests {
         assert_eq!(s.dropped, 0);
         let j2 = s.jobs.iter().find(|j| j.spec.apid == 2).unwrap();
         assert_eq!(j2.start, 3_600, "second job starts at first release");
-    }
-
-    #[test]
-    fn node_hours_positive_and_sane() {
-        let s = small_schedule();
-        let nh = s.total_node_hours();
-        // 30 days of the full machine is ~13.5M node-hours; we should be
-        // well under that but clearly nonzero.
-        assert!(nh > 10_000.0, "{nh}");
-        assert!(nh < 13_453_560.0, "{nh}");
     }
 
     #[test]

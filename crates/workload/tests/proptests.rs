@@ -52,8 +52,14 @@ proptest! {
         }
 
         // No node is double-booked: per-node intervals must not overlap.
-        let timelines = schedule.node_timelines();
-        for tl in timelines.iter() {
+        let mut timelines = std::collections::BTreeMap::<u32, Vec<(u64, u64)>>::new();
+        for j in &schedule.jobs {
+            for n in j.nodes.iter() {
+                timelines.entry(n.0).or_default().push((j.start, j.end));
+            }
+        }
+        for tl in timelines.values_mut() {
+            tl.sort_unstable();
             for w in tl.windows(2) {
                 prop_assert!(w[0].1 <= w[1].0, "double booking: {:?} {:?}", w[0], w[1]);
             }

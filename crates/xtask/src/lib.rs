@@ -49,9 +49,9 @@
 //! - **D6** — seeded-stream RNG draws inside evaluation-order-unstable
 //!   positions (sort/retain comparator closures, `Drop` impls) in
 //!   engine crates (see [`rules`]).
-//! - **X1** — dead `pub` items in `titan-*` crates, found via the
-//!   workspace reference graph and ratcheted in `[x1]`
-//!   (see [`symbols`]).
+//! - **X1** — dead `pub` items in `titan-*` crates: no non-test code
+//!   that can reach one spells its name (see [`symbols`]); ratcheted
+//!   in `[x1]`.
 //! - **T1** — interprocedural determinism taint: a nondeterminism
 //!   source (env read, wall clock, thread-width query, pointer-address
 //!   cast, hash iteration, entropy) reaching a sim-state write or an
@@ -438,6 +438,28 @@ impl<'a> FileCtx<'a> {
             .and_then(|i| self.in_test.get(i))
             .copied()
             .unwrap_or(false)
+    }
+
+    /// The identifiers that count as X1 references, as (byte start,
+    /// text) in source order: code outside test lines and outside `use`
+    /// declarations. An import or a re-export names an item without
+    /// using it; the code that then uses it spells the name again.
+    pub(crate) fn reference_idents(&self) -> Vec<(usize, &'a str)> {
+        let mut out = Vec::new();
+        let mut in_use = false;
+        for t in &self.code {
+            let text = t.text(self.src);
+            if in_use {
+                in_use = text != ";";
+            } else if t.kind == TokKind::Ident {
+                if text == "use" {
+                    in_use = true;
+                } else if !self.is_test(t.line) {
+                    out.push((t.start, text));
+                }
+            }
+        }
+        out
     }
 
     /// True when a `// lint: allow(rule, ...)` hatch covers 1-based
@@ -863,7 +885,7 @@ pub fn run_lint(root: &Path, baseline: &Baseline) -> std::io::Result<LintReport>
     // X1: dead `pub` items via the workspace reference graph.
     let manifests = layering::read_manifests(root)?;
     let visible = symbols::visibility(&manifests);
-    let pool = symbols::pool_ident_counts(root)?;
+    let pool = symbols::root_ident_counts(root)?;
     for (pkg, items) in &pub_items {
         let dead = symbols::dead_pubs(pkg, items, &per_crate_idents, &pool, &visible);
         report.x1_counts.insert(pkg.clone(), dead.len());

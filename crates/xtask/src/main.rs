@@ -140,6 +140,16 @@ fn lint(args: &[String]) -> ExitCode {
         eprintln!("xtask lint: no workspace root found above {}", start.display());
         return ExitCode::FAILURE;
     };
+    let missing = xtask::symbols::missing_roots(&root);
+    if !missing.is_empty() {
+        eprintln!(
+            "xtask lint: X1 reference root(s) missing under {}: {} (their callers would \
+             vanish and the items only they call would read as dead)",
+            root.display(),
+            missing.join(", ")
+        );
+        return ExitCode::FAILURE;
+    }
 
     let baseline_path = root.join("crates/xtask/lint-baseline.toml");
     let baseline = match std::fs::read_to_string(&baseline_path) {

@@ -175,8 +175,9 @@ pub const RULE_META: &[RuleMeta] = &[
         short: "unreferenced pub item budget exceeded",
         why: "dead public surface rots, escapes review, and silently widens what the \
               determinism rules must police",
-        looks_for: "pub items in titan-* crates no visible crate, test, example, or \
-                    bench references, against the [x1] ratchet",
+        looks_for: "pub items in titan-* crates whose name no non-test code of a \
+                    crate that can reach them, example, or e2e-bench/src spells outside \
+                    a `use`, against the [x1] ratchet",
         hatch: "`// lint: allow(X1, <why>)`; plus the [x1] ratchet",
         sources: "",
         sinks: "",

@@ -72,8 +72,8 @@ pub struct StructScan {
     pub pub_items: Vec<PubItem>,
     /// Names of `#[must_use]` fns (sim scope only).
     pub must_use_fns: BTreeSet<String>,
-    /// Every code identifier in the file → occurrence count (feeds the
-    /// X1 reference graph; test modules count as references).
+    /// Every reference identifier in the file → occurrence count (feeds
+    /// the X1 reference graph; see `FileCtx::reference_idents`).
     pub ident_counts: BTreeMap<String, usize>,
 }
 
@@ -98,14 +98,13 @@ pub(crate) fn scan_structure(
 ) -> StructScan {
     let mut out = StructScan::default();
 
-    // Symbol harvest: identifier counts, pub items, must_use APIs.
-    for t in &ctx.code {
-        if t.kind == TokKind::Ident {
-            *out.ident_counts.entry(t.text(ctx.src).to_string()).or_insert(0) += 1;
-        }
+    // Symbol harvest: reference counts, pub items, must_use APIs.
+    let refs = ctx.reference_idents();
+    for (_, name) in &refs {
+        *out.ident_counts.entry(name.to_string()).or_insert(0) += 1;
     }
     let mut regions = Vec::new();
-    harvest(ctx, &ctx.items, module_prefix, sim_scope, &mut regions, &mut out);
+    harvest(ctx, &refs, &ctx.items, module_prefix, sim_scope, &mut regions, &mut out);
 
     // P2: panic-surface sites attributed to their innermost region.
     scan_p2(ctx, &regions, &mut out.p2);
@@ -124,9 +123,11 @@ pub(crate) fn scan_structure(
 }
 
 /// Walks the item tree once collecting P2 regions, X1 pub items, and
-/// `#[must_use]` API names.
+/// `#[must_use]` API names. `refs` is the file's
+/// `FileCtx::reference_idents`.
 fn harvest(
     ctx: &FileCtx,
+    refs: &[(usize, &str)],
     items: &[Item],
     prefix: &str,
     sim_scope: bool,
@@ -135,8 +136,8 @@ fn harvest(
 ) {
     for it in items {
         // X1 candidates: plain-`pub` named definitions. `use`/`mod`
-        // re-exports and impls are references, not definitions; `main`
-        // and test-gated items are alive by construction.
+        // re-exports and impls are not definitions; `main` and
+        // test-gated items are outside the rule.
         let x1_kind = matches!(
             it.kind,
             ItemKind::Fn
@@ -155,11 +156,9 @@ fn harvest(
             && it.name != "main"
             && !ctx.allowed(it.line, "X1")
         {
-            let self_refs = ctx
-                .span(it.start, it.end)
-                .iter()
-                .filter(|t| t.kind == TokKind::Ident && t.text(ctx.src) == it.name)
-                .count();
+            let lo = refs.partition_point(|r| r.0 < it.start);
+            let hi = refs.partition_point(|r| r.0 < it.end);
+            let self_refs = refs[lo..hi].iter().filter(|r| r.1 == it.name).count();
             out.pub_items.push(PubItem {
                 file: ctx.rel.to_string(),
                 line: it.line,
@@ -182,7 +181,8 @@ fn harvest(
                 // lie inside this region and attribute to it.
             }
             ItemKind::Module | ItemKind::Impl | ItemKind::Trait => {
-                harvest(ctx, &it.children, &join(prefix, &it.name), sim_scope, regions, out);
+                let prefix = join(prefix, &it.name);
+                harvest(ctx, refs, &it.children, &prefix, sim_scope, regions, out);
             }
             _ => {}
         }

@@ -1,25 +1,27 @@
 //! The workspace symbol graph behind rule **X1** (dead `pub` items).
 //!
-//! Visibility is resolved the only way a zero-dependency-resolution
-//! linter can: from the committed manifests. A `pub` item in crate `C`
-//! can be referenced by `C` itself, by any crate whose `[dependencies]`
-//! closure reaches `C` (the same edges rule L1 polices), and by the
-//! test/example/bench pool — dev-dependencies may reach anywhere, so
-//! every `tests/`, `examples/`, and `benches/` tree counts as a global
-//! reference pool.
+//! An item is live only when code that runs spells its name. Those
+//! roots are the non-test code of the item's own crate, of every crate
+//! whose `[dependencies]` closure reaches it (the same edges rule L1
+//! polices, resolved from the committed manifests; the root façade's
+//! `src/` and the `titan-bench` binary are such crates), and of the
+//! [`ROOT_DIRS`] outside any member: `examples/`, and the benchmark's
+//! `e2e-bench/src`, which builds against the crates by path from a
+//! workspace of its own.
 //!
-//! "Referenced" is identifier-level: an item is dead when its name
-//! occurs nowhere in any visible source outside its own definition
-//! span. That is deliberately conservative — a `pub use` re-export, a
-//! doc-link-free mention in test code, even an `impl Foo` block keeps
-//! `Foo` alive — so a nonzero X1 count means *nothing in the workspace
-//! spells the name at all*.
+//! Matching is identifier-level: an item is dead when its name occurs
+//! in no root beyond its own definition span. Three spellings do not
+//! count: a token inside a `use` or `pub use` declaration (a re-export
+//! names an item without calling it), a token on a `#[cfg(test)]` line,
+//! and anything under `tests/` or `benches/`. An item kept only as a
+//! test's reference implementation, or for a frozen document, carries
+//! `// lint: allow(X1, reason)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use crate::layering::CrateManifest;
-use crate::lexer::{lex, TokKind};
+use crate::FileCtx;
 
 /// One `pub` item eligible for dead-code analysis, harvested by
 /// [`crate::scan_file`].
@@ -212,37 +214,31 @@ impl CallableIndex {
     }
 }
 
-/// Identifier counts from the global reference pool: `tests/`,
-/// `examples/`, and `benches/` trees at the root and under every
-/// `crates/*` member. These compile against dev-dependencies, which
-/// may reach any crate, so they keep items alive regardless of the
-/// manifest DAG. Lex-only — the pool needs no item structure.
-pub fn pool_ident_counts(root: &Path) -> std::io::Result<BTreeMap<String, usize>> {
-    let mut dirs: Vec<std::path::PathBuf> = Vec::new();
-    for sub in ["tests", "examples", "benches"] {
-        dirs.push(root.join(sub));
-    }
-    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
-        let mut members: Vec<_> =
-            entries.filter_map(|e| e.ok()).map(|e| e.path()).filter(|p| p.is_dir()).collect();
-        members.sort();
-        for member in members {
-            for sub in ["tests", "examples", "benches"] {
-                dirs.push(member.join(sub));
-            }
-        }
-    }
+/// The reference roots outside any workspace member, relative to the
+/// workspace root.
+pub const ROOT_DIRS: [&str; 2] = ["examples", "e2e-bench/src"];
+
+/// The [`ROOT_DIRS`] absent under `root`. A missing root would scan
+/// nothing and report everything only it calls as dead, so the CLI
+/// refuses to lint without them.
+pub fn missing_roots(root: &Path) -> Vec<&'static str> {
+    ROOT_DIRS.into_iter().filter(|d| !root.join(d).is_dir()).collect()
+}
+
+/// Reference counts from the [`ROOT_DIRS`] present under `root`. Their
+/// code compiles against any crate, so it keeps items alive regardless
+/// of the manifest DAG.
+pub fn root_ident_counts(root: &Path) -> std::io::Result<BTreeMap<String, usize>> {
     let mut counts = BTreeMap::new();
-    for dir in dirs {
+    for dir in ROOT_DIRS.map(|d| root.join(d)) {
         if !dir.is_dir() {
             continue;
         }
         for file in crate::rust_files(&dir)? {
             let text = std::fs::read_to_string(&file)?;
-            for t in lex(&text) {
-                if t.kind == TokKind::Ident {
-                    *counts.entry(t.text(&text).to_string()).or_insert(0) += 1;
-                }
+            let rel = file.to_string_lossy();
+            for (_, name) in FileCtx::new(&rel, &text).reference_idents() {
+                *counts.entry(name.to_string()).or_insert(0) += 1;
             }
         }
     }
@@ -250,7 +246,8 @@ pub fn pool_ident_counts(root: &Path) -> std::io::Result<BTreeMap<String, usize>
 }
 
 /// The dead `pub` items of one package: every candidate whose name
-/// occurs nowhere in the visible sources beyond its own definition.
+/// occurs in no visible root beyond its own definition. `pool` is
+/// [`root_ident_counts`].
 pub fn dead_pubs<'a>(
     package: &str,
     items: &'a [PubItem],
@@ -341,7 +338,7 @@ mod tests {
         let paths: Vec<&str> = dead.iter().map(|d| d.path.as_str()).collect();
         assert_eq!(paths, vec!["titan_stats::orphan"]);
 
-        // A test-pool mention is a reference too.
+        // A mention in an example or the benchmark is a reference too.
         let pool = BTreeMap::from([("orphan".to_string(), 1)]);
         assert!(dead_pubs("titan-stats", &items, &per_crate, &pool, &vis).is_empty());
     }

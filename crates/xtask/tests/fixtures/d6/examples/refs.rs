@@ -1,8 +1,6 @@
-//! Keeps the fixture's entry points referenced — the X1 dead-pub pool
-//! counts test trees as references.
+//! Keeps the fixture's entry points referenced: examples are X1 roots.
 
-#[test]
-fn fixture_smoke() {
+fn main() {
     let mut rng = titan_sim::Rng::new(7);
     let mut nodes = vec![3u64, 1, 2];
     titan_sim::hit(&mut nodes, &mut rng);

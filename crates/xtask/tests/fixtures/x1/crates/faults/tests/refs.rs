@@ -1,5 +1,4 @@
-//! Keeps `mtbf` referenced — the X1 dead-pub pool counts test trees as
-//! references.
+//! Calls `mtbf`, which stays dead: a `tests/` tree is not a root.
 
 #[test]
 fn fixture_smoke() {

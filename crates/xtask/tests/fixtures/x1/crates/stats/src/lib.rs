@@ -1,5 +1,6 @@
-//! X1 golden fixture, lower crate: one live API, one dead API, one
-//! hatched API.
+//! X1 golden fixture, lower crate: one API live through a dependent
+//! crate, one through a benchmark-style root, one dead, one dead but
+//! re-exported, one hatched.
 
 /// Live: referenced by `titan-faults`, a dependent crate.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -18,3 +19,17 @@ pub fn orphan_quantile(_xs: &[f64]) -> f64 {
 pub fn hatched_api() -> u64 {
     42
 }
+
+/// Live: `e2e-bench/src` calls it, from a workspace of its own.
+pub fn bench_probe() -> u64 {
+    3
+}
+
+pub mod inner {
+    /// Dead: the `pub use` below names it, nothing calls it.
+    pub fn reexported_only() -> u64 {
+        1
+    }
+}
+
+pub use inner::reexported_only;

@@ -580,23 +580,35 @@ fn d6_fixture_flags_comparator_and_drop_draws_only() {
 #[test]
 fn x1_fixture_finds_dead_pubs_across_the_reference_graph() {
     let report = run_lint(&fixture("x1"), &Baseline::default()).expect("scan");
-    assert_eq!(report.x1_counts.get("titan-stats"), Some(&1), "{:?}", report.x1_sites);
-    assert_eq!(report.x1_counts.get("titan-faults"), Some(&1), "{:?}", report.x1_sites);
+    assert_eq!(report.x1_counts.get("titan-stats"), Some(&2), "{:?}", report.x1_sites);
+    assert_eq!(report.x1_counts.get("titan-faults"), Some(&3), "{:?}", report.x1_sites);
     let paths: Vec<&str> = report.x1_sites.iter().map(|s| s.path.as_str()).collect();
     assert_eq!(
         paths,
-        vec!["titan_faults::dead_report", "titan_stats::orphan_quantile"],
-        "mean is kept alive by its dependent, hatched_api by its hatch"
+        vec![
+            "titan_faults::mtbf",
+            "titan_faults::dead_report",
+            "titan_faults::test_only_scale",
+            "titan_stats::orphan_quantile",
+            "titan_stats::inner::reexported_only",
+        ],
+        "a `tests/` caller, a `#[cfg(test)]` caller and a `pub use` are no references; \
+         mean is kept alive by its dependent, bench_probe by e2e-bench/src, example_entry \
+         by an example, cli_entry by a binary, hatched_api by its hatch"
     );
     let x1: Vec<&Finding> = report.findings.iter().filter(|f| f.rule == Rule::X1).collect();
     assert_eq!(x1.len(), 2, "{:?}", report.findings);
     assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
 
     let mut b = Baseline::default();
-    b.x1.insert("titan-stats".into(), 1);
-    b.x1.insert("titan-faults".into(), 1);
+    b.x1.insert("titan-stats".into(), 2);
+    b.x1.insert("titan-faults".into(), 3);
     let budgeted = run_lint(&fixture("x1"), &b).expect("scan");
     assert!(budgeted.findings.is_empty(), "{:?}", budgeted.findings);
+
+    // The CLI refuses a tree missing a root rather than scanning nothing.
+    assert!(xtask::symbols::missing_roots(&fixture("x1")).is_empty());
+    assert_eq!(xtask::symbols::missing_roots(&fixture("d1d5")), ["examples", "e2e-bench/src"]);
 }
 
 /// The D-rule golden fixture: site rules at places the T1 harvest never

@@ -8,8 +8,9 @@
 //!    of a real checkpoint return `Ok` or `Err`, never panic, and a
 //!    corruption that still parses as a checkpoint fails the schema or
 //!    digest check unless it left the document itself unchanged.
-//! 3. A checkpoint re-sealed around an inconsistent engine heap passes
-//!    the digest but fails to resume, naming the heap entry.
+//! 3. A checkpoint re-sealed around an inconsistent engine heap, fleet
+//!    or job table passes the digest but fails to resume, naming the
+//!    heap entry or the section.
 //! 4. `parse_trace` and `parse_health` are total: arbitrary text and one
 //!    edit of a rendered `titan-trace/1` or `titan-health/1` document
 //!    return `Ok` or `Err`, never panic.
@@ -201,20 +202,27 @@ fn field<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
     }
 }
 
-/// The `(t, class, seq)` parts of heap entry `i` of a checkpoint tree.
-fn heap_entry(v: &mut Value, i: usize) -> &mut Vec<Value> {
-    match field(field(v, "engine"), "heap") {
-        Value::Array(heap) => match &mut heap[i] {
-            Value::Array(parts) => parts,
-            _ => panic!("heap entry: not an array"),
-        },
-        _ => panic!("heap: not an array"),
+/// The array at `path` (below `engine`) of a checkpoint tree.
+fn engine_array<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Vec<Value> {
+    let at = path.iter().fold(field(v, "engine"), |v, name| field(v, name));
+    match at {
+        Value::Array(items) => items,
+        _ => panic!("{path:?}: not an array"),
     }
 }
 
-/// Checkpoints that pass the digest but hold an engine heap no paused
-/// run could hold fail to resume with an error naming the entry, never
-/// a resume that silently differs.
+/// The `(t, class, seq)` parts of heap entry `i` of a checkpoint tree.
+fn heap_entry(v: &mut Value, i: usize) -> &mut Vec<Value> {
+    match &mut engine_array(v, &["heap"])[i] {
+        Value::Array(parts) => parts,
+        _ => panic!("heap entry: not an array"),
+    }
+}
+
+/// Checkpoints that pass the digest but hold an engine heap, fleet or
+/// job table no paused run could hold fail to resume with an error
+/// naming the entry or section, never a panic or a resume that silently
+/// differs.
 #[test]
 fn inconsistent_checkpoints_fail_to_resume() {
     let doc = ckpt::parse_checkpoint(checkpoint_text()).expect("verify");
@@ -222,22 +230,50 @@ fn inconsistent_checkpoints_fail_to_resume() {
         ckpt::resume_checkpointed(doc, 0, None, &mut Obs::from_plan(&doc.plan()), |_| Ok(()))
     };
     assert!(resume(&doc).is_ok(), "the unedited checkpoint resumes");
-    let first_seq = heap_entry(&mut doc.to_value(), 0)[2].clone();
-    // Each edit sets one part (0 = t, 2 = seq) of one heap entry.
-    let edits = [
-        ("names no payload", 0, 2, Value::UInt(1 << 40)),
-        ("lies before the checkpoint time", 0, 0, Value::UInt(doc.t - 1)),
-        ("repeats the seq", 1, 2, first_seq),
+    let (t, first_seq) = (doc.t, heap_entry(&mut doc.to_value(), 0)[2].clone());
+    type Edit = Box<dyn Fn(&mut Value)>;
+    // Heap entry `i`'s part 0 (`t`) or 2 (`seq`), or element `i` of an
+    // engine array, set to `value`; or an engine array cut to `len`.
+    let heap = |i: usize, part: usize, value: Value| -> Edit {
+        Box::new(move |v| heap_entry(v, i)[part] = value.clone())
+    };
+    let set = |path: &'static [&'static str], i: usize, value: Value| -> Edit {
+        Box::new(move |v| engine_array(v, path)[i] = value.clone())
+    };
+    let cut = |path: &'static [&'static str], len: usize| -> Edit {
+        Box::new(move |v| engine_array(v, path).truncate(len))
+    };
+    let far = Value::UInt(u64::from(u32::MAX - 1));
+    // The last unplaced job given a place in the active set it is not in.
+    let stray: Edit = Box::new(|v| {
+        let unplaced = Value::UInt(u64::from(u32::MAX));
+        let pos = engine_array(v, &["jobs", "active_pos"]);
+        *pos.iter_mut().rev().find(|p| **p == unplaced).expect("an unplaced job") = Value::UInt(0);
+    });
+    // Each row: the section the error names, what it says, the edit.
+    let edits: [(&str, &str, Edit); 12] = [
+        ("checkpoint heap entry", "names no payload", heap(0, 2, Value::UInt(1 << 40))),
+        ("checkpoint heap entry", "lies before the checkpoint time", heap(0, 0, Value::UInt(t - 1))),
+        ("checkpoint heap entry", "repeats the seq", heap(1, 2, first_seq)),
+        ("engine.fleet", "slot_card holds 10 entries", cut(&["fleet", "slot_card"], 10)),
+        ("engine.fleet", "cards holds 10 entries", cut(&["fleet", "cards"], 10)),
+        ("engine.fleet", "card_slot does not map it back", set(&["fleet", "slot_card"], 0, Value::UInt(1))),
+        ("engine.fleet", "card_slot places", set(&["fleet", "card_slot"], 18_690, Value::UInt(0))),
+        ("engine.fleet", "spare card 0", set(&["fleet", "spares"], 0, Value::UInt(0))),
+        ("engine.jobs", "node_job holds 10 entries", cut(&["jobs", "node_job"], 10)),
+        ("engine.jobs", "node_job names job 4294967294", set(&["jobs", "node_job"], 0, far.clone())),
+        ("engine.jobs", "active[0] names job 4294967294", set(&["jobs", "active"], 0, far)),
+        ("engine.jobs", "active_pos places", stray),
     ];
-    for (want, entry, part, value) in edits {
+    for (section, want, edit) in edits {
         let mut v = doc.to_value();
-        heap_entry(&mut v, entry)[part] = value;
+        edit(&mut v);
         let mut edited = ckpt::CheckpointDoc::from_value(&v).expect("edited doc");
         edited.digest = ckpt::checkpoint_digest(&edited);
         let edited = ckpt::parse_checkpoint(&ckpt::render_checkpoint(&edited))
             .expect("the re-sealed checkpoint passes the digest");
-        let err = resume(&edited).err().unwrap_or_else(|| panic!("resumed a heap that {want}"));
-        assert!(err.contains("checkpoint heap entry") && err.contains(want), "{err}");
+        let err = resume(&edited).err().unwrap_or_else(|| panic!("resumed an edit where {want}"));
+        assert!(err.contains(section) && err.contains(want), "{err}");
     }
 }
 
