@@ -12,8 +12,10 @@
 //! cargo run --release -p titan-bench --bin bench_pr -- --trajectory [--out FILE]
 //! ```
 //!
-//! `--quick` shrinks the windows so CI can afford the run; the
-//! snapshot's `"mode"` records which one produced it.
+//! Writing a snapshot needs `--pr N`, which records `"pr": N` and names
+//! the file `BENCH_PR<N>.json`, or `--out FILE`, which alone records
+//! `"pr": null`. `--quick` shrinks the windows so CI can afford the
+//! run; the snapshot's `"mode"` records which one produced it.
 //!
 //! Throughput is `dequeues_per_s`, defined as `e2e-bench` defines
 //! `simulator.loop.dequeues_per_s`: the loop's heap dequeues (the cost
@@ -43,7 +45,8 @@
 //!
 //! `--trajectory` runs no simulation: it merges every `BENCH_PR*.json`
 //! that carries `dequeues_per_s` into `BENCH_TRAJECTORY.json`
-//! (`titan-bench-trajectory/2`, one point per PR, ascending) and fails
+//! (`titan-bench-trajectory/2`, one point per PR, ascending, numbered
+//! by the file name) and fails
 //! if the newest point dropped more than 10% below the previous point
 //! of the same mode.
 
@@ -87,7 +90,7 @@ const GATE_FLAGS: [&str; 4] = [
 struct Args {
     quick: bool,
     trajectory: bool,
-    pr: u64,
+    pr: Option<u64>,
     out: Option<String>,
     /// Percent per flag of [`GATE_FLAGS`].
     gates: [Option<f64>; 4],
@@ -97,7 +100,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut a = Args {
         quick: false,
         trajectory: false,
-        pr: 21,
+        pr: None,
         out: None,
         gates: [None; 4],
     };
@@ -107,7 +110,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         match flag.as_str() {
             "--quick" => a.quick = true,
             "--trajectory" => a.trajectory = true,
-            "--pr" => a.pr = value()?.parse().map_err(|_| "--pr needs a number")?,
+            "--pr" => a.pr = Some(value()?.parse().map_err(|_| "--pr needs a number")?),
             "--out" => a.out = Some(value()?.clone()),
             _ => {
                 let (_, slot) = GATE_FLAGS
@@ -125,6 +128,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 *slot = Some(pct.ok_or_else(|| format!("{flag} needs a non-negative percent"))?);
             }
         }
+    }
+    if !a.trajectory && a.pr.is_none() && a.out.is_none() {
+        return Err("writing a snapshot needs --pr N or --out FILE".into());
     }
     Ok(a)
 }
@@ -144,10 +150,11 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| "BENCH_TRAJECTORY.json".to_string());
         trajectory(Path::new("."), &out)
     } else {
+        let pr = args.pr;
         let out = args
             .out
-            .unwrap_or_else(|| format!("BENCH_PR{}.json", args.pr));
-        emit(args.quick, args.pr, &out, args.gates)
+            .unwrap_or_else(|| format!("BENCH_PR{}.json", pr.unwrap_or_default()));
+        emit(args.quick, pr, &out, args.gates)
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -176,7 +183,8 @@ fn arm_plan(arm: &str) -> ObsPlan {
 /// `throughput` was written before `dequeues_per_s` existed.
 #[derive(Serialize, Deserialize)]
 struct Snapshot {
-    pr: u64,
+    /// `None` for a snapshot written with `--out` and no `--pr`.
+    pr: Option<u64>,
     mode: String,
     throughput: Option<Throughput>,
     overhead: Option<Vec<Arm>>,
@@ -437,7 +445,12 @@ fn measure_overheads(
     Ok((attempts, ledger))
 }
 
-fn emit(quick: bool, pr: u64, out_path: &str, gates: [Option<f64>; 4]) -> Result<(), String> {
+fn emit(
+    quick: bool,
+    pr: Option<u64>,
+    out_path: &str,
+    gates: [Option<f64>; 4],
+) -> Result<(), String> {
     let mode = if quick { "quick" } else { "full" };
     let [metrics_gate, health_gate, prof_gate, throughput_gate] = gates;
     let loop_cfg = if quick {
@@ -581,11 +594,11 @@ struct TrajectoryDoc {
 /// (see [`trajectory_gate`]). Pure file work — no simulation runs.
 fn trajectory(dir: &Path, out_path: &str) -> Result<(), String> {
     let mut points = Vec::new();
-    for (_, name) in snapshot_names(dir)? {
+    for (pr, name) in snapshot_names(dir)? {
         let snap = read_snapshot(&dir.join(&name))?;
         match snap.throughput {
             Some(throughput) => points.push(TrajectoryPoint {
-                pr: snap.pr,
+                pr,
                 mode: snap.mode,
                 throughput,
             }),
@@ -655,7 +668,7 @@ mod tests {
 
     fn snapshot(pr: u64, mode: &str, dequeues_per_s: f64) -> Snapshot {
         Snapshot {
-            pr,
+            pr: Some(pr),
             mode: mode.to_string(),
             throughput: Some(Throughput {
                 window_days: 30,
@@ -690,7 +703,7 @@ mod tests {
     }
 
     fn write_snapshot(dir: &Path, snap: &Snapshot) {
-        let path = dir.join(format!("BENCH_PR{}.json", snap.pr));
+        let path = dir.join(format!("BENCH_PR{}.json", snap.pr.expect("a numbered snapshot")));
         write_json(path.to_str().unwrap(), snap).unwrap();
     }
 
@@ -846,12 +859,22 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_needs_a_number_or_a_path() {
+        let args = |v: &[&str]| parse_args(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let err = args(&["--quick"]).err().expect("no --pr and no --out");
+        assert!(err.contains("--pr N or --out FILE"), "{err}");
+        assert_eq!(args(&["--pr", "27"]).map(|a| a.pr), Ok(Some(27)));
+        assert_eq!(args(&["--out", "bench-ci.json"]).map(|a| a.pr), Ok(None));
+        assert!(args(&["--trajectory"]).is_ok());
+    }
+
+    #[test]
     fn snapshot_round_trips_through_the_struct() {
         let text = serde_json::to_string_pretty(&snapshot(21, "quick", 600_000.0)).unwrap();
         let back: Snapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(serde_json::to_string_pretty(&back).unwrap(), text);
         let old: Snapshot = serde_json::from_str(OLD_SNAPSHOT).unwrap();
-        assert_eq!((old.pr, old.mode.as_str()), (1, "quick"));
+        assert_eq!((old.pr, old.mode.as_str()), (Some(1), "quick"));
         assert!(old.throughput.is_none() && old.overhead.is_none() && old.prof.is_none());
     }
 
@@ -861,7 +884,12 @@ mod tests {
         std::fs::write(dir.join("BENCH_PR1.json"), OLD_SNAPSHOT).unwrap();
         write_snapshot(&dir, &snapshot(2, "quick", 1_000.0));
         write_snapshot(&dir, &snapshot(3, "full", 100.0));
-        write_snapshot(&dir, &snapshot(4, "quick", 950.0));
+        // An `--out` snapshot records no number; its file name gives it.
+        let unnumbered = Snapshot {
+            pr: None,
+            ..snapshot(4, "quick", 950.0)
+        };
+        write_json(dir.join("BENCH_PR4.json").to_str().unwrap(), &unnumbered).unwrap();
         let out = dir.join("trajectory.json");
         let out = out.to_str().unwrap();
         trajectory(&dir, out).unwrap();

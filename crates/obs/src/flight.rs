@@ -252,24 +252,36 @@ impl TraceStream {
         self.next
     }
 
-    /// Raw `(ts, id)` console pairs in emission order (the input to
-    /// [`TraceStream::console_ids_in_log_order`]); checkpoints carry
-    /// these verbatim so a resumed stream aligns SEC replay the same
-    /// way.
-    pub fn console_pairs(&self) -> &[(u64, u64)] {
-        &self.console
+    /// The recorder's checkpoint section: the id watermark, the
+    /// records minted so far, and the raw `(ts, id)` console pairs in
+    /// emission order (the input to
+    /// [`TraceStream::console_ids_in_log_order`]), carried verbatim so
+    /// a resumed stream aligns SEC replay the same way.
+    pub(crate) fn snap(&self) -> (u64, Vec<TraceRecord>, Vec<(u64, u64)>) {
+        (self.next, self.records.clone(), self.console.clone())
     }
 
-    /// Overwrites the stream wholesale from a checkpoint: id watermark,
-    /// minted records, and console `(ts, id)` pairs. No-op when
-    /// disabled, preserving the disabled-stream-is-inert invariant.
-    pub fn restore(&mut self, next: u64, records: Vec<TraceRecord>, console: Vec<(u64, u64)>) {
+    /// Overwrites the stream wholesale from its checkpoint section. A
+    /// watermark at or below the newest record's id is refused: the
+    /// next mint would repeat an id. No-op when disabled, preserving
+    /// the disabled-stream-is-inert invariant.
+    pub(crate) fn restore(
+        &mut self,
+        next: u64,
+        records: &[TraceRecord],
+        console: &[(u64, u64)],
+    ) -> Result<(), String> {
         if !self.enabled {
-            return;
+            return Ok(());
         }
-        self.next = next.max(1);
-        self.records = records;
-        self.console = console;
+        let newest = records.last().map_or(0, |r| r.id);
+        if next <= newest {
+            return Err(format!("trace_next {next} is not above the newest record id {newest}"));
+        }
+        self.next = next;
+        self.records = records.to_vec();
+        self.console = console.to_vec();
+        Ok(())
     }
 
     /// Console-line record ids reordered to match the engine's final
@@ -657,7 +669,7 @@ mod tests {
         assert!(!called, "payload closure must not run when disabled");
         assert!(s.records().is_empty());
         assert_eq!(fault(&mut s, 0, &[1]), 0);
-        assert!(s.console_pairs().is_empty());
+        assert!(s.snap().2.is_empty());
     }
 
     /// Folds a fault logging one console line per entry of `times`;

@@ -26,9 +26,11 @@
 //!   event-loop clock ([`HealthSink::tick`]), never by wall time or by
 //!   how `run_until` slices the window, so a checkpointed + resumed run
 //!   renders the exact bytes of an uninterrupted one;
-//! * **snapshot-complete** — [`HealthSnap`] captures every mutable
-//!   field (already-emitted records included) and joins `ObsSnapshot`
-//!   inside `titan-ckpt/1` checkpoints.
+//! * **snapshot-complete** — the sink folds into one [`HealthSnap`]
+//!   that holds every mutable field (already-emitted records included),
+//!   so the `obs.health` section of a `titan-ckpt/1` checkpoint is a
+//!   copy of it, and a restore checks it against the sink's own rules
+//!   and grid before taking it whole.
 //!
 //! Events are bucketed in feed order on the loop-time grid; console
 //! skew can spill a line up to 5 s across a boundary, which is the same
@@ -58,7 +60,8 @@ const ROLL_INTERVALS: usize = 4;
 
 /// Titan floor shape (25 rows × 8 columns of cabinets, 3 cages each).
 /// Kept as local constants so `titan-obs` stays on its conlog-only
-/// layering edge; the engine feeds pre-resolved physical coordinates.
+/// layering edge; `fold` resolves each `ConsoleEvent`'s cabinet and
+/// cage from its node id.
 const HEALTH_ROWS: usize = 25;
 const HEALTH_COLS: usize = 8;
 const HEALTH_CAGES: usize = 3;
@@ -99,8 +102,8 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// One streamed observation, pre-resolved by the engine so the sink
-/// needs no topology or GPU-taxonomy dependency.
+/// One streamed observation: what `fold` reads off each console line
+/// before feeding [`HealthSink::on_console`].
 #[derive(Debug, Clone, Copy)]
 pub struct HealthEvent {
     /// Sim time of the observation (console skew included).
@@ -353,88 +356,128 @@ pub enum HealthRec {
     },
 }
 
-#[derive(Debug, Clone, Default)]
-struct ClassState {
+/// One class's streaming state, checkpointed as the array `[class,
+/// interval, recent, total, last_trace]`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct ClassState(
+    /// Class label.
+    String,
     /// Events this interval.
-    interval: u64,
+    u64,
     /// `(events, span_secs)` of the newest ≤`ROLL_INTERVALS` flushed
     /// intervals, oldest first.
-    recent: Vec<(u64, u64)>,
+    Vec<(u64, u64)>,
     /// Events since sim-time zero.
-    total: u64,
+    u64,
     /// Trace id of the newest event of this class.
-    last_trace: u64,
-}
+    u64,
+);
 
-#[derive(Debug, Clone, Default)]
-struct RuleState {
+/// One rule's mutable state, checkpointed as the array `[times,
+/// latched, holdoff]`.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub(crate) struct RuleState(
     /// Sliding event-time window (Burst / RetirementPressure).
-    times: Vec<u64>,
+    Vec<u64>,
     /// Whether a latched rule already fired.
-    latched: bool,
+    bool,
     /// Re-arming rules hold off until this sim time after a fire, so
     /// one storm raises one alert instead of one per threshold-full.
-    holdoff_until: u64,
+    u64,
+);
+
+impl RuleState {
+    /// One step of a re-arming sliding-window rule: outside the
+    /// holdoff, `t` joins the window and events `window_secs` or more
+    /// before it leave. A window of `count` events fires: it clears,
+    /// the holdoff runs to `t + window_secs`, and the window's size is
+    /// returned as the alert's value.
+    fn slide(&mut self, t: u64, count: u64, window_secs: u64) -> Option<f64> {
+        let RuleState(times, _, holdoff_until) = self;
+        if t < *holdoff_until {
+            return None;
+        }
+        times.push(t);
+        times.retain(|&x| t.saturating_sub(x) < window_secs);
+        let n = as_u64(times.len());
+        if n < count {
+            return None;
+        }
+        times.clear();
+        *holdoff_until = t.saturating_add(window_secs);
+        Some(to_f64(n))
+    }
+
+    /// Latches the rule; true only the first time, so a latched rule
+    /// fires once per run.
+    fn latch(&mut self) -> bool {
+        !std::mem::replace(&mut self.1, true)
+    }
 }
 
-/// Complete serialized state of a [`HealthSink`]; joins `ObsSnapshot`.
+/// Every mutable field of a [`HealthSink`], already-emitted records
+/// included. The sink folds into this struct, and a checkpoint's
+/// `obs.health` section is its serialization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthSnap {
-    /// Whether the snapshotted sink was collecting (resume validates
-    /// this against the `--health` flag).
-    pub enabled: bool,
+    /// Whether the sink is collecting (resume validates this against
+    /// the `--health` flag).
+    pub(crate) enabled: bool,
     /// Interval grid step.
-    pub interval_secs: u64,
+    pub(crate) interval_secs: u64,
     /// Next unflushed boundary.
-    pub next_boundary: u64,
+    pub(crate) next_boundary: u64,
     /// Start of the interval being accumulated.
-    pub cur_lo: u64,
+    pub(crate) cur_lo: u64,
     /// Whether [`HealthSink::finish`] ran.
-    pub finished: bool,
+    pub(crate) finished: bool,
     /// Flushed-interval count.
-    pub intervals_flushed: u64,
-    /// Per-class state: `(class, interval, recent, total, last_trace)`.
-    pub classes: Vec<(String, u64, Vec<(u64, u64)>, u64, u64)>,
+    pub(crate) intervals_flushed: u64,
+    /// Per-class state in first-seen order. A `Vec` rather than a map:
+    /// the per-event lookup goes through the sink's class memo, and the
+    /// rendered documents sort by name at flush time, so ordering here
+    /// never reaches the output.
+    pub(crate) classes: Vec<ClassState>,
     /// Cumulative heat grid, row-major.
-    pub grid: Vec<u64>,
+    pub(crate) grid: Vec<u64>,
     /// Cumulative cage heat.
-    pub cages: Vec<u64>,
+    pub(crate) cages: Vec<u64>,
     /// Open stripe incident: even-column events.
-    pub stripe_even: u64,
+    pub(crate) stripe_even: u64,
     /// Open stripe incident: odd-column events.
-    pub stripe_odd: u64,
+    pub(crate) stripe_odd: u64,
     /// Incident-parent time of the open incident.
-    pub stripe_last_kept: Option<u64>,
+    pub(crate) stripe_last_kept: Option<u64>,
     /// Σ |even − odd| over closed incidents.
-    pub stripe_contrast_num: u64,
+    pub(crate) stripe_contrast_num: u64,
     /// Σ n·min(1, sqrt(2/(π·n))) over closed incidents.
-    pub stripe_null_num: f64,
+    pub(crate) stripe_null_num: f64,
     /// Σ n over closed incidents.
-    pub stripe_events: u64,
+    pub(crate) stripe_events: u64,
     /// Closed incidents.
-    pub stripe_incidents: u64,
+    pub(crate) stripe_incidents: u64,
     /// Accepted SBEs per card serial.
-    pub card_sbe: Vec<u64>,
+    pub(crate) card_sbe: Vec<u64>,
     /// Retirements since sim-time zero.
-    pub retirements_total: u64,
+    pub(crate) retirements_total: u64,
     /// Retirements this interval.
-    pub retirements_interval: u64,
+    pub(crate) retirements_interval: u64,
     /// Swaps since sim-time zero.
-    pub swaps_total: u64,
+    pub(crate) swaps_total: u64,
     /// Swaps this interval.
-    pub swaps_interval: u64,
+    pub(crate) swaps_interval: u64,
     /// Hot spares remaining, when known.
-    pub spares: Option<u64>,
-    /// MTBF map of the newest flush.
-    pub mtbf_last: Vec<(String, f64)>,
+    pub(crate) spares: Option<u64>,
+    /// MTBF per class at the newest flush, sorted by class.
+    pub(crate) mtbf_last: Vec<(String, f64)>,
     /// Alerts fired in total.
-    pub alerts_total: u64,
+    pub(crate) alerts_total: u64,
     /// Alerts fired this interval.
-    pub alerts_interval: u64,
-    /// Per-rule sliding windows, latches, and re-arm holdoffs.
-    pub rule_state: Vec<(Vec<u64>, bool, u64)>,
+    pub(crate) alerts_interval: u64,
+    /// Per-rule state, in rule order.
+    pub(crate) rule_state: Vec<RuleState>,
     /// Every record emitted so far, in order.
-    pub records: Vec<HealthRec>,
+    pub(crate) records: Vec<HealthRec>,
 }
 
 /// The streaming health evaluator. Disabled sinks ignore every hook
@@ -442,19 +485,9 @@ pub struct HealthSnap {
 /// paths (the telemetry pure-observer invariant).
 #[derive(Debug)]
 pub struct HealthSink {
-    enabled: bool,
-    interval_secs: u64,
+    /// The folded state; [`HealthSink::snap`] is a copy of it.
+    state: HealthSnap,
     rules: Vec<HealthRule>,
-    rule_state: Vec<RuleState>,
-    next_boundary: u64,
-    cur_lo: u64,
-    finished: bool,
-    intervals_flushed: u64,
-    /// Per-class streaming state in first-seen order. A `Vec` rather
-    /// than a map: the per-event lookup goes through `class_memo`, and
-    /// the rendered documents sort by name at flush time, so ordering
-    /// here never reaches the output.
-    classes: Vec<(String, ClassState)>,
     /// Hot-path accelerator: `(ptr, len, index)` of every `&'static
     /// str` class label already routed to its `classes` slot. Same
     /// pointer + length ⇒ same literal, so the common case is two
@@ -465,25 +498,6 @@ pub struct HealthSink {
     /// encounter, so the per-event rule scan compares integers, not
     /// strings. Lazily resolved, reset on restore.
     burst_target: Vec<Option<usize>>,
-    grid: Vec<u64>,
-    cages: Vec<u64>,
-    stripe_even: u64,
-    stripe_odd: u64,
-    stripe_last_kept: Option<u64>,
-    stripe_contrast_num: u64,
-    stripe_null_num: f64,
-    stripe_events: u64,
-    stripe_incidents: u64,
-    card_sbe: Vec<u64>,
-    retirements_total: u64,
-    retirements_interval: u64,
-    swaps_total: u64,
-    swaps_interval: u64,
-    spares: Option<u64>,
-    mtbf_last: BTreeMap<String, f64>,
-    alerts_total: u64,
-    alerts_interval: u64,
-    records: Vec<HealthRec>,
 }
 
 impl HealthSink {
@@ -495,20 +509,14 @@ impl HealthSink {
     /// A sink with an explicit grid and rule set.
     pub fn with_rules(enabled: bool, interval_secs: u64, rules: Vec<HealthRule>) -> Self {
         let interval_secs = interval_secs.max(1);
-        let rule_state = rules.iter().map(|_| RuleState::default()).collect();
-        let burst_target = vec![None; rules.len()];
-        HealthSink {
+        let state = HealthSnap {
             enabled,
             interval_secs,
-            rules,
-            rule_state,
             next_boundary: interval_secs,
             cur_lo: 0,
             finished: false,
             intervals_flushed: 0,
             classes: Vec::new(),
-            class_memo: Vec::new(),
-            burst_target,
             grid: vec![0; HEALTH_ROWS * HEALTH_COLS],
             cages: vec![0; HEALTH_CAGES],
             stripe_even: 0,
@@ -524,16 +532,23 @@ impl HealthSink {
             swaps_total: 0,
             swaps_interval: 0,
             spares: None,
-            mtbf_last: BTreeMap::new(),
+            mtbf_last: Vec::new(),
             alerts_total: 0,
             alerts_interval: 0,
+            rule_state: vec![RuleState::default(); rules.len()],
             records: Vec::new(),
+        };
+        HealthSink {
+            state,
+            burst_target: vec![None; rules.len()],
+            rules,
+            class_memo: Vec::new(),
         }
     }
 
     /// Whether the sink is collecting.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.state.enabled
     }
 
     /// Advances the interval grid to the engine's monotone loop time,
@@ -541,13 +556,13 @@ impl HealthSink {
     /// dequeued event; the cheap path is one compare.
     #[inline]
     pub fn tick(&mut self, t: u64) {
-        if !self.enabled {
+        if !self.state.enabled {
             return;
         }
-        while self.next_boundary <= t {
-            let b = self.next_boundary;
+        while self.state.next_boundary <= t {
+            let b = self.state.next_boundary;
             self.flush_interval(b);
-            self.next_boundary = b.saturating_add(self.interval_secs);
+            self.state.next_boundary = b.saturating_add(self.state.interval_secs);
         }
     }
 
@@ -557,14 +572,14 @@ impl HealthSink {
     ///
     /// [`ConsoleEvent`]: titan_conlog::ConsoleEvent
     pub(crate) fn fold(&mut self, ev: &ObsEvent<'_>, id: u64) {
-        if !self.enabled {
+        if !self.state.enabled {
             return;
         }
         match *ev {
             // The first slice seeds the hot-spare gauge; a resumed run
             // keeps the restored one.
             ObsEvent::LoopStart { spares } => {
-                self.spares.get_or_insert(as_u64(spares));
+                self.state.spares.get_or_insert(as_u64(spares));
             }
             // The grid runs on the monotone loop clock, advanced before
             // the popped event is fed, so interval boundaries land
@@ -604,15 +619,15 @@ impl HealthSink {
 
     /// Feeds one console-visible error event.
     pub fn on_console(&mut self, ev: HealthEvent) {
-        if !self.enabled {
+        if !self.state.enabled {
             return;
         }
         if ev.hardware {
             let cell = usize::from(ev.row) * HEALTH_COLS + usize::from(ev.col);
-            if let Some(c) = self.grid.get_mut(cell) {
+            if let Some(c) = self.state.grid.get_mut(cell) {
                 *c += 1;
             }
-            if let Some(c) = self.cages.get_mut(usize::from(ev.cage)) {
+            if let Some(c) = self.state.cages.get_mut(usize::from(ev.cage)) {
                 *c += 1;
             }
         }
@@ -626,10 +641,11 @@ impl HealthSink {
     /// so it arrives outside the console path).
     fn on_sbe(&mut self, card: u64, t: u64, trace: u64) {
         let idx = as_usize(card);
-        if self.card_sbe.len() <= idx {
-            self.card_sbe.resize(idx + 1, 0);
+        let card_sbe = &mut self.state.card_sbe;
+        if card_sbe.len() <= idx {
+            card_sbe.resize(idx + 1, 0);
         }
-        if let Some(c) = self.card_sbe.get_mut(idx) {
+        if let Some(c) = card_sbe.get_mut(idx) {
             *c += 1;
         }
         self.on_class_event("sbe", t, trace);
@@ -637,21 +653,12 @@ impl HealthSink {
 
     /// Feeds one scheduled page retirement.
     fn on_retirement(&mut self, t: u64, trace: u64) {
-        self.retirements_total += 1;
-        self.retirements_interval += 1;
+        self.state.retirements_total += 1;
+        self.state.retirements_interval += 1;
         let mut fired: Vec<(f64, f64)> = Vec::new();
-        for (rule, state) in self.rules.iter().zip(self.rule_state.iter_mut()) {
+        for (rule, rs) in self.rules.iter().zip(self.state.rule_state.iter_mut()) {
             if let HealthRule::RetirementPressure { count, window_secs } = rule {
-                if t < state.holdoff_until {
-                    continue;
-                }
-                state.times.push(t);
-                state.times.retain(|&x| t.saturating_sub(x) < *window_secs);
-                if as_u64(state.times.len()) >= *count {
-                    fired.push((to_f64(as_u64(state.times.len())), to_f64(*count)));
-                    state.times.clear();
-                    state.holdoff_until = t.saturating_add(*window_secs);
-                }
+                fired.extend(rs.slide(t, *count, *window_secs).map(|v| (v, to_f64(*count))));
             }
         }
         for (value, threshold) in fired {
@@ -661,14 +668,13 @@ impl HealthSink {
 
     /// Feeds one hot-spare swap; `spares_left` is the pool size after.
     fn on_swap(&mut self, t: u64, spares_left: u64, trace: u64) {
-        self.swaps_total += 1;
-        self.swaps_interval += 1;
-        self.spares = Some(spares_left);
+        self.state.swaps_total += 1;
+        self.state.swaps_interval += 1;
+        self.state.spares = Some(spares_left);
         let mut fired: Vec<(f64, f64)> = Vec::new();
-        for (rule, state) in self.rules.iter().zip(self.rule_state.iter_mut()) {
+        for (rule, rs) in self.rules.iter().zip(self.state.rule_state.iter_mut()) {
             if let HealthRule::SpareDepletion { below } = rule {
-                if spares_left < *below && !state.latched {
-                    state.latched = true;
+                if spares_left < *below && rs.latch() {
                     fired.push((to_f64(spares_left), to_f64(*below)));
                 }
             }
@@ -681,17 +687,13 @@ impl HealthSink {
     /// Flushes every remaining boundary up to the run horizon plus the
     /// final partial interval. Idempotent.
     pub fn finish(&mut self, t_end: u64) {
-        if !self.enabled || self.finished {
+        if !self.state.enabled || self.state.finished {
             return;
         }
-        self.finished = true;
+        self.state.finished = true;
         self.close_stripe_incident();
-        while self.next_boundary <= t_end {
-            let b = self.next_boundary;
-            self.flush_interval(b);
-            self.next_boundary = b.saturating_add(self.interval_secs);
-        }
-        if t_end > self.cur_lo {
+        self.tick(t_end);
+        if t_end > self.state.cur_lo {
             self.flush_interval(t_end);
         }
     }
@@ -711,11 +713,12 @@ impl HealthSink {
                 return i;
             }
         }
-        let idx = match self.classes.iter().position(|(n, _)| n == class) {
+        let classes = &mut self.state.classes;
+        let idx = match classes.iter().position(|c| c.0 == class) {
             Some(i) => i,
             None => {
-                self.classes.push((class.to_string(), ClassState::default()));
-                self.classes.len() - 1
+                classes.push(ClassState(class.to_string(), 0, Vec::new(), 0, 0));
+                classes.len() - 1
             }
         };
         self.class_memo.push((key.0, key.1, idx));
@@ -724,50 +727,39 @@ impl HealthSink {
 
     fn on_class_event(&mut self, class: &'static str, t: u64, trace: u64) {
         let idx = self.class_index(class);
-        let st = match self.classes.get_mut(idx) {
-            Some((_, s)) => s,
-            None => return,
+        let Some(ClassState(_, interval, _, total, last_trace)) = self.state.classes.get_mut(idx)
+        else {
+            return;
         };
-        st.interval += 1;
-        st.total += 1;
-        st.last_trace = trace;
+        *interval += 1;
+        *total += 1;
+        *last_trace = trace;
         let mut fired: Vec<(String, f64, f64)> = Vec::new();
-        for (ri, (rule, state)) in self.rules.iter().zip(self.rule_state.iter_mut()).enumerate() {
-            if let HealthRule::Burst {
+        let rules = self.rules.iter().zip(self.state.rule_state.iter_mut());
+        for ((rule, rs), slot) in rules.zip(self.burst_target.iter_mut()) {
+            let HealthRule::Burst {
                 class: rc,
                 count,
                 window_secs,
             } = rule
-            {
-                // Resolve the rule's class to an index once; after
-                // that the per-event check is an integer compare.
-                let hits = match self.burst_target.get_mut(ri) {
-                    Some(slot) => match *slot {
-                        Some(ci) => ci == idx,
-                        None if rc == class => {
-                            *slot = Some(idx);
-                            true
-                        }
-                        None => false,
-                    },
-                    None => false,
-                };
-                if hits {
-                    if t < state.holdoff_until {
-                        continue;
-                    }
-                    state.times.push(t);
-                    state.times.retain(|&x| t.saturating_sub(x) < *window_secs);
-                    if as_u64(state.times.len()) >= *count {
-                        fired.push((
-                            rc.clone(),
-                            to_f64(as_u64(state.times.len())),
-                            to_f64(*count),
-                        ));
-                        state.times.clear();
-                        state.holdoff_until = t.saturating_add(*window_secs);
-                    }
+            else {
+                continue;
+            };
+            // Resolve the rule's class to an index once; after that the
+            // per-event check is an integer compare.
+            let hits = match *slot {
+                Some(ci) => ci == idx,
+                None if rc == class => {
+                    *slot = Some(idx);
+                    true
                 }
+                None => false,
+            };
+            if !hits {
+                continue;
+            }
+            if let Some(value) = rs.slide(t, *count, *window_secs) {
+                fired.push((rc.clone(), value, to_f64(*count)));
             }
         }
         for (class, value, threshold) in fired {
@@ -779,49 +771,51 @@ impl HealthSink {
     /// plus everything within the window of the last kept parent.
     fn stripe_feed(&mut self, t: u64, col: u8) {
         let same_incident = matches!(
-            self.stripe_last_kept,
+            self.state.stripe_last_kept,
             Some(kept) if t.saturating_sub(kept) < STRIPE_WINDOW_SECS
         );
         if !same_incident {
             self.close_stripe_incident();
-            self.stripe_last_kept = Some(t);
+            self.state.stripe_last_kept = Some(t);
         }
         if col % 2 == 0 {
-            self.stripe_even += 1;
+            self.state.stripe_even += 1;
         } else {
-            self.stripe_odd += 1;
+            self.state.stripe_odd += 1;
         }
     }
 
     fn close_stripe_incident(&mut self) {
-        let n = self.stripe_even + self.stripe_odd;
+        let s = &mut self.state;
+        let n = s.stripe_even + s.stripe_odd;
         if n == 0 {
             return;
         }
         // Event-weighted terms of `incident_stripe`: n·(|even−odd|/n)
         // collapses to |even−odd|, an exact integer.
-        self.stripe_contrast_num += self.stripe_even.abs_diff(self.stripe_odd);
+        s.stripe_contrast_num += s.stripe_even.abs_diff(s.stripe_odd);
         let nf = to_f64(n);
-        self.stripe_null_num += nf * (2.0 / (std::f64::consts::PI * nf)).sqrt().min(1.0);
-        self.stripe_events += n;
-        self.stripe_incidents += 1;
-        self.stripe_even = 0;
-        self.stripe_odd = 0;
+        s.stripe_null_num += nf * (2.0 / (std::f64::consts::PI * nf)).sqrt().min(1.0);
+        s.stripe_events += n;
+        s.stripe_incidents += 1;
+        s.stripe_even = 0;
+        s.stripe_odd = 0;
     }
 
     fn stripe_stats(&self) -> (f64, f64) {
-        if self.stripe_events == 0 {
+        let s = &self.state;
+        if s.stripe_events == 0 {
             return (0.0, 0.0);
         }
         (
-            ratio(self.stripe_contrast_num, self.stripe_events),
-            self.stripe_null_num / to_f64(self.stripe_events),
+            ratio(s.stripe_contrast_num, s.stripe_events),
+            s.stripe_null_num / to_f64(s.stripe_events),
         )
     }
 
     fn top_cards(&self) -> (Vec<(u64, u64)>, f64) {
-        let mut cards: Vec<(u64, u64)> = self
-            .card_sbe
+        let card_sbe = &self.state.card_sbe;
+        let mut cards: Vec<(u64, u64)> = card_sbe
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
@@ -829,13 +823,14 @@ impl HealthSink {
             .collect();
         cards.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         cards.truncate(TOP_CARDS);
-        let total: u64 = self.card_sbe.iter().sum();
+        let total: u64 = card_sbe.iter().sum();
         let top: u64 = cards.iter().map(|(c, _)| *c).sum();
         (cards, 100.0 * ratio(top, total))
     }
 
     fn hot_cabinets(&self) -> Vec<(u64, u64, u64)> {
         let mut cells: Vec<(u64, u64, u64)> = self
+            .state
             .grid
             .iter()
             .enumerate()
@@ -848,54 +843,43 @@ impl HealthSink {
     }
 
     fn flush_interval(&mut self, t_hi: u64) {
-        let t_lo = self.cur_lo;
+        let t_lo = self.state.cur_lo;
         let span = t_hi.saturating_sub(t_lo);
         let mut counts: BTreeMap<String, u64> = BTreeMap::new();
         let mut mtbf: BTreeMap<String, f64> = BTreeMap::new();
-        for (name, st) in self.classes.iter_mut() {
-            counts.insert(name.clone(), st.interval);
-            st.recent.push((st.interval, span));
-            if st.recent.len() > ROLL_INTERVALS {
-                st.recent.remove(0);
+        for ClassState(name, interval, recent, _, _) in self.state.classes.iter_mut() {
+            counts.insert(name.clone(), *interval);
+            recent.push((*interval, span));
+            if recent.len() > ROLL_INTERVALS {
+                recent.remove(0);
             }
-            st.interval = 0;
-            let ev_sum: u64 = st.recent.iter().map(|(c, _)| *c).sum();
-            let span_sum: u64 = st.recent.iter().map(|(_, s)| *s).sum();
+            *interval = 0;
+            let ev_sum: u64 = recent.iter().map(|(c, _)| *c).sum();
+            let span_sum: u64 = recent.iter().map(|(_, s)| *s).sum();
             mtbf.insert(name.clone(), ratio(span_sum, ev_sum));
         }
-        self.mtbf_last = mtbf.clone();
+        self.state.mtbf_last = mtbf.iter().map(|(k, v)| (k.clone(), *v)).collect();
         let (top_cards, top10_share_pct) = self.top_cards();
 
         // Flush-evaluated rules fire before the interval record so the
         // record's alert count includes them.
+        let classes = &self.state.classes;
+        let last_trace = |class: &str| classes.iter().find(|c| c.0 == class).map(|c| c.4);
         let mut fired: Vec<(&'static str, String, f64, f64, u64)> = Vec::new();
-        for (rule, state) in self.rules.iter().zip(self.rule_state.iter_mut()) {
+        for (rule, rs) in self.rules.iter().zip(self.state.rule_state.iter_mut()) {
             match rule {
                 HealthRule::MtbfBelow { class, secs } => {
-                    let by_name = self.classes.iter().find(|(n, _)| n == class).map(|(_, s)| s);
-                    let Some((m, st)) = mtbf.get(class).zip(by_name) else {
+                    let Some((m, trace)) = mtbf.get(class).zip(last_trace(class)) else {
                         continue;
                     };
-                    if *m > 0.0 && *m < *secs && !state.latched {
-                        state.latched = true;
-                        fired.push(("mtbf_below", class.clone(), *m, *secs, st.last_trace));
+                    if *m > 0.0 && *m < *secs && rs.latch() {
+                        fired.push(("mtbf_below", class.clone(), *m, *secs, trace));
                     }
                 }
                 HealthRule::OffenderShare { min_pct } => {
-                    let sbe_trace = self
-                        .classes
-                        .iter()
-                        .find(|(n, _)| n == "sbe")
-                        .map_or(0, |(_, st)| st.last_trace);
-                    if top10_share_pct >= *min_pct && top10_share_pct > 0.0 && !state.latched {
-                        state.latched = true;
-                        fired.push((
-                            "offender_share",
-                            "sbe".to_string(),
-                            top10_share_pct,
-                            *min_pct,
-                            sbe_trace,
-                        ));
+                    if top10_share_pct >= *min_pct && top10_share_pct > 0.0 && rs.latch() {
+                        let trace = last_trace("sbe").unwrap_or(0);
+                        fired.push(("offender_share", "sbe".to_string(), top10_share_pct, *min_pct, trace));
                     }
                 }
                 _ => {}
@@ -906,43 +890,46 @@ impl HealthSink {
         }
 
         let (stripe_contrast, stripe_null) = self.stripe_stats();
+        let hot_cabinets = self.hot_cabinets();
+        let s = &mut self.state;
         let record = HealthInterval {
             rec: "interval".to_string(),
-            index: self.intervals_flushed,
+            index: s.intervals_flushed,
             t_lo,
             t_hi,
             counts,
-            mtbf: self.mtbf_last.clone(),
-            heat_cells: self.grid.clone(),
-            heat_cages: self.cages.clone(),
-            hot_cabinets: self.hot_cabinets(),
+            mtbf,
+            heat_cells: s.grid.clone(),
+            heat_cages: s.cages.clone(),
+            hot_cabinets,
             stripe_contrast,
             stripe_null,
-            stripe_incidents: self.stripe_incidents,
+            stripe_incidents: s.stripe_incidents,
             top_cards,
             top10_share_pct,
-            retirements: self.retirements_interval,
-            retirements_total: self.retirements_total,
-            swaps: self.swaps_interval,
-            swaps_total: self.swaps_total,
-            spares: self.spares,
-            alerts: self.alerts_interval,
+            retirements: s.retirements_interval,
+            retirements_total: s.retirements_total,
+            swaps: s.swaps_interval,
+            swaps_total: s.swaps_total,
+            spares: s.spares,
+            alerts: s.alerts_interval,
         };
-        self.records.push(HealthRec::Interval { v: record });
-        self.intervals_flushed += 1;
-        self.retirements_interval = 0;
-        self.swaps_interval = 0;
-        self.alerts_interval = 0;
-        self.cur_lo = t_hi;
+        s.records.push(HealthRec::Interval { v: record });
+        s.intervals_flushed += 1;
+        s.retirements_interval = 0;
+        s.swaps_interval = 0;
+        s.alerts_interval = 0;
+        s.cur_lo = t_hi;
     }
 
     fn fire(&mut self, t: u64, rule: &str, class: &str, value: f64, threshold: f64, trace: u64) {
-        self.alerts_total += 1;
-        self.alerts_interval += 1;
-        self.records.push(HealthRec::Alert {
+        let s = &mut self.state;
+        s.alerts_total += 1;
+        s.alerts_interval += 1;
+        s.records.push(HealthRec::Alert {
             v: HealthAlert {
                 rec: "alert".to_string(),
-                seq: self.alerts_total,
+                seq: s.alerts_total,
                 t,
                 rule: rule.to_string(),
                 class: class.to_string(),
@@ -956,7 +943,8 @@ impl HealthSink {
     /// Renders the full `titan-health/1` JSONL doc: header, then every
     /// interval/alert record in emission order, then the summary.
     pub fn render_jsonl(&self, seed: u64, window_days: u64) -> String {
-        let intervals = self
+        let s = &self.state;
+        let intervals = s
             .records
             .iter()
             .filter(|r| matches!(r, HealthRec::Interval { .. }))
@@ -965,9 +953,9 @@ impl HealthSink {
             schema: HEALTH_SCHEMA.to_string(),
             seed,
             window_days,
-            interval_secs: self.interval_secs,
+            interval_secs: s.interval_secs,
             intervals: as_u64(intervals),
-            alerts: self.alerts_total,
+            alerts: s.alerts_total,
             rules: self.rules.clone(),
         };
         let mut out = String::new();
@@ -976,33 +964,29 @@ impl HealthSink {
             out.push('\n');
         };
         line(serde_json::to_string(&header));
-        for rec in &self.records {
+        for rec in &s.records {
             match rec {
                 HealthRec::Interval { v } => line(serde_json::to_string(v)),
                 HealthRec::Alert { v } => line(serde_json::to_string(v)),
             }
         }
-        let counts: BTreeMap<String, u64> = self
-            .classes
-            .iter()
-            .map(|(k, st)| (k.clone(), st.total))
-            .collect();
+        let counts = s.classes.iter().map(|c| (c.0.clone(), c.3)).collect();
         let (top_cards, top10_share_pct) = self.top_cards();
         let (stripe_contrast, stripe_null) = self.stripe_stats();
         let summary = HealthSummary {
             rec: "summary".to_string(),
-            t_end: self.cur_lo,
+            t_end: s.cur_lo,
             counts,
-            mtbf: self.mtbf_last.clone(),
+            mtbf: s.mtbf_last.iter().cloned().collect(),
             stripe_contrast,
             stripe_null,
-            stripe_incidents: self.stripe_incidents,
+            stripe_incidents: s.stripe_incidents,
             top_cards,
             top10_share_pct,
-            retirements: self.retirements_total,
-            swaps: self.swaps_total,
-            spares: self.spares,
-            alerts: self.alerts_total,
+            retirements: s.retirements_total,
+            swaps: s.swaps_total,
+            spares: s.spares,
+            alerts: s.alerts_total,
         };
         line(serde_json::to_string(&summary));
         out
@@ -1010,120 +994,36 @@ impl HealthSink {
 
     /// Captures the complete mutable state.
     pub fn snap(&self) -> HealthSnap {
-        HealthSnap {
-            enabled: self.enabled,
-            interval_secs: self.interval_secs,
-            next_boundary: self.next_boundary,
-            cur_lo: self.cur_lo,
-            finished: self.finished,
-            intervals_flushed: self.intervals_flushed,
-            classes: self
-                .classes
-                .iter()
-                .map(|(k, st)| {
-                    (
-                        k.clone(),
-                        st.interval,
-                        st.recent.clone(),
-                        st.total,
-                        st.last_trace,
-                    )
-                })
-                .collect(),
-            grid: self.grid.clone(),
-            cages: self.cages.clone(),
-            stripe_even: self.stripe_even,
-            stripe_odd: self.stripe_odd,
-            stripe_last_kept: self.stripe_last_kept,
-            stripe_contrast_num: self.stripe_contrast_num,
-            stripe_null_num: self.stripe_null_num,
-            stripe_events: self.stripe_events,
-            stripe_incidents: self.stripe_incidents,
-            card_sbe: self.card_sbe.clone(),
-            retirements_total: self.retirements_total,
-            retirements_interval: self.retirements_interval,
-            swaps_total: self.swaps_total,
-            swaps_interval: self.swaps_interval,
-            spares: self.spares,
-            mtbf_last: self.mtbf_last.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            alerts_total: self.alerts_total,
-            alerts_interval: self.alerts_interval,
-            rule_state: self
-                .rule_state
-                .iter()
-                .map(|s| (s.times.clone(), s.latched, s.holdoff_until))
-                .collect(),
-            records: self.records.clone(),
-        }
+        self.state.clone()
     }
 
     /// Absolute restore from a snapshot. A disabled sink stays inert
     /// (the run was checkpointed without `--health`, or the resume
-    /// dropped it); rules keep the sink's own set — only their mutable
-    /// state is restored.
-    pub fn restore(&mut self, snap: &HealthSnap) {
-        if !self.enabled || !snap.enabled {
-            return;
+    /// dropped it). The rules and the grid are the sink's own, so a
+    /// snapshot whose interval, rule states or heat grid do not fit
+    /// them is refused, not repaired.
+    pub fn restore(&mut self, snap: &HealthSnap) -> Result<(), String> {
+        if !self.state.enabled || !snap.enabled {
+            return Ok(());
         }
-        self.interval_secs = snap.interval_secs.max(1);
-        self.next_boundary = snap.next_boundary;
-        self.cur_lo = snap.cur_lo;
-        self.finished = snap.finished;
-        self.intervals_flushed = snap.intervals_flushed;
-        self.classes = snap
-            .classes
-            .iter()
-            .map(|(k, interval, recent, total, last_trace)| {
-                (
-                    k.clone(),
-                    ClassState {
-                        interval: *interval,
-                        recent: recent.clone(),
-                        total: *total,
-                        last_trace: *last_trace,
-                    },
-                )
-            })
-            .collect();
+        let own = &self.state;
+        for (what, got, want) in [
+            ("interval_secs", snap.interval_secs, own.interval_secs),
+            ("rule_state length", as_u64(snap.rule_state.len()), as_u64(self.rules.len())),
+            ("grid length", as_u64(snap.grid.len()), as_u64(own.grid.len())),
+            ("cages length", as_u64(snap.cages.len()), as_u64(own.cages.len())),
+        ] {
+            if got != want {
+                return Err(format!("{what} is {got}, the sink's is {want}"));
+            }
+        }
+        self.state = snap.clone();
         // The pointer memo and resolved burst targets index into the
         // old `classes` — drop them; both rebuild lazily and identically
         // on the next events.
         self.class_memo.clear();
-        for t in self.burst_target.iter_mut() {
-            *t = None;
-        }
-        self.grid = snap.grid.clone();
-        self.cages = snap.cages.clone();
-        self.stripe_even = snap.stripe_even;
-        self.stripe_odd = snap.stripe_odd;
-        self.stripe_last_kept = snap.stripe_last_kept;
-        self.stripe_contrast_num = snap.stripe_contrast_num;
-        self.stripe_null_num = snap.stripe_null_num;
-        self.stripe_events = snap.stripe_events;
-        self.stripe_incidents = snap.stripe_incidents;
-        self.card_sbe = snap.card_sbe.clone();
-        self.retirements_total = snap.retirements_total;
-        self.retirements_interval = snap.retirements_interval;
-        self.swaps_total = snap.swaps_total;
-        self.swaps_interval = snap.swaps_interval;
-        self.spares = snap.spares;
-        self.mtbf_last = snap.mtbf_last.iter().cloned().collect();
-        self.alerts_total = snap.alerts_total;
-        self.alerts_interval = snap.alerts_interval;
-        let mut state = snap.rule_state.iter();
-        for rs in self.rule_state.iter_mut() {
-            let (times, latched, holdoff) = state.next().cloned().unwrap_or_default();
-            rs.times = times;
-            rs.latched = latched;
-            rs.holdoff_until = holdoff;
-        }
-        self.records = snap.records.clone();
-    }
-}
-
-impl Default for HealthSnap {
-    fn default() -> Self {
-        HealthSink::new(false).snap()
+        self.burst_target.fill(None);
+        Ok(())
     }
 }
 
@@ -1677,7 +1577,7 @@ mod tests {
                 window_secs: 1_000,
             }],
         );
-        b.restore(&back);
+        b.restore(&back).expect("restore");
         feed_rest(&mut b);
         assert_eq!(a.render_jsonl(9, 1), b.render_jsonl(9, 1));
         // The burst window straddled the cut: the alert still fired.
@@ -1685,7 +1585,7 @@ mod tests {
         assert_eq!(doc.alerts().filter(|a| a.rule == "burst").count(), 1);
         // A disabled sink ignores restore.
         let mut inert = HealthSink::new(false);
-        inert.restore(&back);
+        inert.restore(&back).expect("inert restore");
         assert_eq!(inert.snap(), HealthSink::new(false).snap());
     }
 

@@ -9,6 +9,12 @@
 //! All values are `u64` counts or sim-time quantities; nothing here may
 //! ever hold a wall-clock reading (see crate docs and lint rule D5).
 
+/// `(section, name, value)`: one counter or gauge in a checkpoint.
+pub(crate) type ValueRow = (String, String, u64);
+
+/// `(name, bounds, counts, count, sum)`: one histogram in a checkpoint.
+pub(crate) type HistRow = (String, Vec<u64>, Vec<u64>, u64, u64);
+
 /// Handle to a monotonic counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counter(u32);
@@ -196,55 +202,63 @@ impl Registry {
             .map(|h| (h.name.as_str(), h.bounds.as_slice(), h.counts.as_slice(), h.count, h.sum))
     }
 
-    /// Overwrites `section.name` with `value`, registering it if needed
-    /// (checkpoint restore). No-op when disabled, preserving the
-    /// disabled-sink-is-inert invariant.
-    pub fn restore_counter(&mut self, section: &str, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        let c = self.counter(section, name);
-        if let Some(v) = self.counters.get_mut(c.0 as usize) {
-            *v = value;
-        }
+    /// The registry's checkpoint section: every counter, gauge and
+    /// histogram, each in registration order.
+    pub(crate) fn snap(&self) -> (Vec<ValueRow>, Vec<ValueRow>, Vec<HistRow>) {
+        let row = |(s, n, v): (&str, &str, u64)| (s.to_string(), n.to_string(), v);
+        let hists = self
+            .hists
+            .iter()
+            .map(|h| (h.name.clone(), h.bounds.clone(), h.counts.clone(), h.count, h.sum))
+            .collect();
+        (self.counters().map(row).collect(), self.gauges().map(row).collect(), hists)
     }
 
-    /// Overwrites gauge `section.name` with `value` (checkpoint
-    /// restore). No-op when disabled.
-    pub fn restore_gauge(&mut self, section: &str, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        let g = self.gauge(section, name);
-        if let Some(v) = self.gauges.get_mut(g.0 as usize) {
-            *v = value;
-        }
-    }
-
-    /// Overwrites histogram `name` wholesale (checkpoint restore). The
-    /// snapshot's bucket layout wins; `counts` is padded/truncated to
-    /// `bounds.len() + 1` so a corrupted doc cannot desync the overflow
-    /// bucket. No-op when disabled.
-    pub fn restore_histogram(
+    /// Overwrites every metric a checkpoint section names, by name, so
+    /// registration-order drift cannot misplace a value; a name not yet
+    /// registered is registered. A histogram must keep its registered
+    /// bounds and carry one count per bucket, overflow included. No-op
+    /// when disabled, preserving the disabled-sink-is-inert invariant.
+    pub(crate) fn restore(
         &mut self,
-        name: &str,
-        bounds: &[u64],
-        counts: &[u64],
-        count: u64,
-        sum: u64,
-    ) {
+        counters: &[ValueRow],
+        gauges: &[ValueRow],
+        hists: &[HistRow],
+    ) -> Result<(), String> {
         if !self.enabled {
-            return;
+            return Ok(());
         }
-        let h = self.histogram(name, bounds);
-        if let Some(hist) = self.hists.get_mut(h.0 as usize) {
-            hist.bounds = bounds.to_vec();
-            let mut c = counts.to_vec();
-            c.resize(bounds.len() + 1, 0);
-            hist.counts = c;
-            hist.count = count;
-            hist.sum = sum;
+        for (section, name, value) in counters {
+            let c = self.counter(section, name);
+            if let Some(v) = self.counters.get_mut(c.0 as usize) {
+                *v = *value;
+            }
         }
+        for (section, name, value) in gauges {
+            let g = self.gauge(section, name);
+            if let Some(v) = self.gauges.get_mut(g.0 as usize) {
+                *v = *value;
+            }
+        }
+        for (name, bounds, counts, count, sum) in hists {
+            let h = self.histogram(name, bounds);
+            let Some(hist) = self.hists.get_mut(h.0 as usize) else {
+                continue;
+            };
+            if hist.bounds != *bounds || counts.len() != bounds.len() + 1 {
+                return Err(format!(
+                    "histogram {name} has bounds {bounds:?} and {} counts, the registry has \
+                     bounds {:?} and {} buckets",
+                    counts.len(),
+                    hist.bounds,
+                    hist.counts.len()
+                ));
+            }
+            hist.counts.clone_from(counts);
+            hist.count = *count;
+            hist.sum = *sum;
+        }
+        Ok(())
     }
 }
 

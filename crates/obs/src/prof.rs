@@ -512,9 +512,8 @@ impl ProfLedger {
 }
 
 /// The prof ledger's slice of an [`crate::ObsSnapshot`]: scope table in
-/// kind-then-phase order. Defaults keep checkpoints written before the
-/// ledger existed parseable.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// kind-then-phase order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfSnap {
     /// Whether the captured run had the ledger on (resume validates
     /// this against `--prof`, like the health flag).

@@ -125,15 +125,28 @@ impl TimeBuckets {
         v
     }
 
-    /// Overwrites one series wholesale (checkpoint restore). No-op when
-    /// disabled, preserving the disabled-sink-is-inert invariant.
-    pub fn restore(&mut self, series: TsSeries, buckets: &[u64]) {
+    /// The sink's checkpoint section: every series' raw buckets, in
+    /// [`TsSeries::ALL`] order.
+    pub(crate) fn snap(&self) -> Vec<Vec<u64>> {
+        self.series.to_vec()
+    }
+
+    /// Overwrites every series from its checkpoint section, which must
+    /// hold one bucket list per [`TsSeries`]. No-op when disabled,
+    /// preserving the disabled-sink-is-inert invariant.
+    pub(crate) fn restore(&mut self, series: &[Vec<u64>]) -> Result<(), String> {
         if !self.enabled {
-            return;
+            return Ok(());
         }
-        if let Some(v) = self.series.get_mut(series.index()) {
-            *v = buckets.to_vec();
+        if series.len() != self.series.len() {
+            return Err(format!(
+                "timeseries holds {} series, the sink has {}",
+                series.len(),
+                self.series.len()
+            ));
         }
+        self.series.clone_from_slice(series);
+        Ok(())
     }
 }
 

@@ -7,6 +7,7 @@
 //! counted in `dropped`, so memory stays bounded on 638-day windows
 //! while totals remain exact via the `by_kind` counters.
 
+use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
 
 /// The span taxonomy. Keep in sync with OBSERVABILITY.md.
@@ -69,6 +70,23 @@ pub struct Span {
     pub key: u64,
     /// Secondary payload (node count, cause, serial, class).
     pub extra: u64,
+}
+
+/// One retained span as a checkpoint carries it: `kind` is the index
+/// into [`SpanKind::ALL`], which keeps the enum out of the frozen
+/// on-disk schema.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct SpanSnap {
+    /// Index into [`SpanKind::ALL`].
+    kind: u8,
+    /// Sim time the span opened.
+    start: u64,
+    /// Sim time the span closed.
+    end: u64,
+    /// Primary identifier (job id, card serial, slot, node).
+    key: u64,
+    /// Secondary payload (node count, cause, serial, class).
+    extra: u64,
 }
 
 /// Bounded ring of completed spans plus exact per-kind totals.
@@ -147,19 +165,55 @@ impl TraceRing {
         out
     }
 
-    /// Overwrites the ring wholesale from a checkpoint: `spans` oldest
-    /// first (only the newest `capacity` are kept, matching what the
-    /// ring would hold had it seen them live), with exact totals. No-op
-    /// when disabled.
-    pub fn restore(&mut self, spans: &[Span], recorded: u64, by_kind: [u64; 4]) {
+    /// The ring's checkpoint section: the retained spans oldest first,
+    /// the total ever recorded, and the per-kind totals in
+    /// [`SpanKind::ALL`] order.
+    pub(crate) fn snap(&self) -> (Vec<SpanSnap>, u64, Vec<u64>) {
+        let spans = self
+            .spans()
+            .iter()
+            .map(|s| SpanSnap {
+                // lint: allow(N1, a SpanKind index is below 4 and fits u8)
+                kind: s.kind.index() as u8,
+                start: s.start,
+                end: s.end,
+                key: s.key,
+                extra: s.extra,
+            })
+            .collect();
+        (spans, self.recorded, self.by_kind.to_vec())
+    }
+
+    /// Overwrites the ring wholesale from its checkpoint section. Only
+    /// the newest `capacity` spans are kept, matching what the ring
+    /// would hold had it seen them live. A span kind outside
+    /// [`SpanKind::ALL`] or a per-kind list of another length is
+    /// refused. No-op when disabled.
+    pub(crate) fn restore(
+        &mut self,
+        spans: &[SpanSnap],
+        recorded: u64,
+        by_kind: &[u64],
+    ) -> Result<(), String> {
         if !self.enabled {
-            return;
+            return Ok(());
         }
-        let skip = spans.len().saturating_sub(self.capacity);
-        self.buf = spans.get(skip..).unwrap_or(&[]).to_vec();
+        let by_kind: [u64; 4] = by_kind.try_into().map_err(|_| {
+            format!("spans_by_kind holds {} totals, there are 4 span kinds", by_kind.len())
+        })?;
+        let mut buf = Vec::with_capacity(spans.len());
+        for s in spans {
+            let Some(&kind) = SpanKind::ALL.get(usize::from(s.kind)) else {
+                return Err(format!("span kind {} is not one of the 4 span kinds", s.kind));
+            };
+            buf.push(Span { kind, start: s.start, end: s.end, key: s.key, extra: s.extra });
+        }
+        buf.drain(..buf.len().saturating_sub(self.capacity));
+        self.buf = buf;
         self.head = 0;
         self.recorded = recorded;
         self.by_kind = by_kind;
+        Ok(())
     }
 }
 

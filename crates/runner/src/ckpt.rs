@@ -296,9 +296,10 @@ pub fn resume_checkpointed(
         }
     }
     let mut st = EngineState::restore(&doc.config.sim, &doc.engine, obs)?;
-    // Engine setup during restore re-registers and pollutes the sinks;
-    // the absolute, name-addressed obs restore overwrites all of it.
-    doc.obs.restore(obs);
+    // Engine setup during restore feeds the sinks; each sink's restore
+    // overwrites what its section carries (metrics by name), after
+    // checking that the section fits the sink.
+    doc.obs.restore(obs)?;
     st.set_divergence_probe(divergence);
     if every > 0 {
         advance_with_checkpoints(

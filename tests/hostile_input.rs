@@ -202,13 +202,22 @@ fn field<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
     }
 }
 
+/// The items of a JSON array.
+fn items(v: &mut Value) -> &mut Vec<Value> {
+    match v {
+        Value::Array(items) => items,
+        _ => panic!("not an array"),
+    }
+}
+
+/// The value at `path` below the top-level `section` of a checkpoint tree.
+fn below<'a>(v: &'a mut Value, section: &str, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(field(v, section), |v, name| field(v, name))
+}
+
 /// The array at `path` (below `engine`) of a checkpoint tree.
 fn engine_array<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Vec<Value> {
-    let at = path.iter().fold(field(v, "engine"), |v, name| field(v, name));
-    match at {
-        Value::Array(items) => items,
-        _ => panic!("{path:?}: not an array"),
-    }
+    items(below(v, "engine", path))
 }
 
 /// The `(t, class, seq)` parts of heap entry `i` of a checkpoint tree.
@@ -219,10 +228,10 @@ fn heap_entry(v: &mut Value, i: usize) -> &mut Vec<Value> {
     }
 }
 
-/// Checkpoints that pass the digest but hold an engine heap, fleet or
-/// job table no paused run could hold fail to resume with an error
-/// naming the entry or section, never a panic or a resume that silently
-/// differs.
+/// Checkpoints that pass the digest but hold an engine heap, fleet,
+/// job table or observer section no paused run could hold fail to
+/// resume with an error naming the entry or section, never a panic or
+/// a resume that silently differs.
 #[test]
 fn inconsistent_checkpoints_fail_to_resume() {
     let doc = ckpt::parse_checkpoint(checkpoint_text()).expect("verify");
@@ -250,8 +259,12 @@ fn inconsistent_checkpoints_fail_to_resume() {
         let pos = engine_array(v, &["jobs", "active_pos"]);
         *pos.iter_mut().rev().find(|p| **p == unplaced).expect("an unplaced job") = Value::UInt(0);
     });
+    // The value at `path` below `obs`, changed by `f`.
+    let obs = |path: &'static [&'static str], f: fn(&mut Value)| -> Edit {
+        Box::new(move |v| f(below(v, "obs", path)))
+    };
     // Each row: the section the error names, what it says, the edit.
-    let edits: [(&str, &str, Edit); 12] = [
+    let edits: [(&str, &str, Edit); 19] = [
         ("checkpoint heap entry", "names no payload", heap(0, 2, Value::UInt(1 << 40))),
         ("checkpoint heap entry", "lies before the checkpoint time", heap(0, 0, Value::UInt(t - 1))),
         ("checkpoint heap entry", "repeats the seq", heap(1, 2, first_seq)),
@@ -264,6 +277,15 @@ fn inconsistent_checkpoints_fail_to_resume() {
         ("engine.jobs", "node_job names job 4294967294", set(&["jobs", "node_job"], 0, far.clone())),
         ("engine.jobs", "active[0] names job 4294967294", set(&["jobs", "active"], 0, far)),
         ("engine.jobs", "active_pos places", stray),
+        ("obs.metrics", "histogram job_nodes has bounds", obs(&["hists"], |v| {
+            items(&mut items(v)[0])[2] = Value::Array(Vec::new());
+        })),
+        ("obs.timeseries", "timeseries holds 5 series", obs(&["timeseries"], |v| items(v).truncate(5))),
+        ("obs.spans", "span kind 4", obs(&["spans"], |v| *field(&mut items(v)[0], "kind") = Value::UInt(4))),
+        ("obs.spans", "spans_by_kind holds 5 totals", obs(&["spans_by_kind"], |v| items(v).push(Value::UInt(0)))),
+        ("obs.trace", "trace_next 1 is not above", obs(&["trace_next"], |v| *v = Value::UInt(1))),
+        ("obs.health", "rule_state length is 4", obs(&["health", "rule_state"], |v| items(v).truncate(4))),
+        ("obs.health", "interval_secs is 1209600", obs(&["health", "interval_secs"], |v| *v = Value::UInt(1_209_600))),
     ];
     for (section, want, edit) in edits {
         let mut v = doc.to_value();
