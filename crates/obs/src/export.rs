@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::series::TsSeries;
-use crate::trace::TraceRing;
+use crate::series::{TsSeries, BUCKET_SECS};
+use crate::trace::{TraceRing, SPAN_CAPACITY};
 use crate::Obs;
 
 /// Current schema identifier written into every document. `/2` added
@@ -52,7 +52,7 @@ pub struct SpanRecord {
 /// Span-ring summary: exact totals plus the retained tail.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceSummary {
-    /// Ring capacity the run used.
+    /// Ring capacity ([`SPAN_CAPACITY`]).
     pub capacity: u64,
     /// Spans ever recorded.
     pub recorded: u64,
@@ -72,7 +72,7 @@ impl TraceSummary {
             by_kind.insert(kind.name().to_string(), count);
         }
         TraceSummary {
-            capacity: ring.capacity() as u64,
+            capacity: SPAN_CAPACITY as u64,
             recorded: ring.recorded(),
             dropped: ring.dropped(),
             by_kind,
@@ -136,12 +136,11 @@ impl MetricsDoc {
     /// unknown section lands in `engine` under `section.name` so it is
     /// never silently lost.
     pub fn from_obs(obs: &Obs, seed: u64, window_days: u64) -> Self {
-        let bucket_secs = obs.ts.bucket_secs();
         let window_secs = window_days * 86_400;
-        let n_buckets = window_secs.div_ceil(bucket_secs).max(1);
+        let n_buckets = window_secs.div_ceil(BUCKET_SECS).max(1);
         let mut series = BTreeMap::new();
         for s in TsSeries::ALL {
-            // lint: allow(N1, bucket count: window/bucket_secs is far below 2^32)
+            // lint: allow(N1, bucket count: window/BUCKET_SECS is far below 2^32)
             series.insert(s.name().to_string(), obs.ts.padded(s, n_buckets as usize));
         }
         let mut doc = MetricsDoc {
@@ -155,7 +154,7 @@ impl MetricsDoc {
             histograms: BTreeMap::new(),
             spans: TraceSummary::from_ring(&obs.trace),
             timeseries: TimeSeriesDoc {
-                bucket_secs,
+                bucket_secs: BUCKET_SECS,
                 buckets: n_buckets,
                 series,
             },
@@ -233,7 +232,7 @@ mod tests {
     use crate::{CostKind, ObsEvent, Span, SpanKind};
 
     fn sample_doc() -> MetricsDoc {
-        let mut obs = Obs::enabled();
+        let mut obs = Obs::new(true);
         obs.emit(ObsEvent::Dequeue {
             t: 0,
             kind: CostKind::Dbe,
@@ -287,7 +286,7 @@ mod tests {
 
     #[test]
     fn timeseries_pads_every_series_to_the_window() {
-        let mut obs = Obs::enabled();
+        let mut obs = Obs::new(true);
         obs.ts.inc(crate::TsSeries::EvDbe, 0);
         obs.ts.inc(crate::TsSeries::EvDbe, 8 * 86_400); // second weekly bucket
         let doc = MetricsDoc::from_obs(&obs, 1, 60);
@@ -304,65 +303,46 @@ mod tests {
         assert_eq!(ts.series["ev_dbe"].iter().sum::<u64>(), 2);
     }
 
-    /// Satellite pin: `spans.recent` is oldest→newest at the exact
-    /// capacity boundary — a full-but-unwrapped ring (capacity spans)
-    /// and a just-wrapped one (capacity + 1) both export in record
-    /// order with the oldest survivor first.
+    /// `spans.recent` is oldest→newest at the exact capacity boundary —
+    /// a full-but-unwrapped ring (capacity spans) and a just-wrapped one
+    /// (capacity + 1) both export in record order with the oldest
+    /// survivor first.
     #[test]
     fn spans_recent_is_oldest_first_at_capacity_boundaries() {
-        let cap = 4usize;
+        let cap = SPAN_CAPACITY as u64;
         let starts = |doc: &MetricsDoc| -> Vec<u64> {
             doc.spans.recent.iter().map(|s| s.start).collect()
         };
+        let record = |obs: &mut Obs, kind: SpanKind, t: u64| {
+            obs.trace.record(Span { kind, start: t, end: t, key: t, extra: 0 });
+        };
         // Exactly `capacity` spans: nothing evicted, insertion order.
-        let mut obs = Obs::from_plan(&crate::ObsPlan {
-            metrics: true,
-            span_capacity: cap,
-            ..crate::ObsPlan::default()
-        });
-        for t in 0..cap as u64 {
-            obs.trace.record(Span {
-                kind: SpanKind::JobLifecycle,
-                start: t,
-                end: t,
-                key: t,
-                extra: 0,
-            });
+        let mut obs = Obs::new(true);
+        for t in 0..cap {
+            record(&mut obs, SpanKind::JobLifecycle, t);
         }
         let doc = MetricsDoc::from_obs(&obs, 0, 1);
-        assert_eq!(doc.spans.capacity, cap as u64);
+        assert_eq!(doc.spans.capacity, cap);
         assert_eq!(doc.spans.dropped, 0);
-        assert_eq!(starts(&doc), vec![0, 1, 2, 3]);
+        assert_eq!(starts(&doc), (0..cap).collect::<Vec<_>>());
 
         // `capacity + 1` spans: the oldest evicted, order preserved.
-        obs.trace.record(Span {
-            kind: SpanKind::FaultChain,
-            start: 4,
-            end: 4,
-            key: 4,
-            extra: 0,
-        });
+        record(&mut obs, SpanKind::FaultChain, cap);
         let doc = MetricsDoc::from_obs(&obs, 0, 1);
         assert_eq!(doc.spans.dropped, 1);
-        assert_eq!(starts(&doc), vec![1, 2, 3, 4]);
+        assert_eq!(starts(&doc), (1..=cap).collect::<Vec<_>>());
         // by_kind totals survive eviction exactly.
-        assert_eq!(doc.spans.by_kind["job_lifecycle"], 4);
+        assert_eq!(doc.spans.by_kind["job_lifecycle"], cap);
         assert_eq!(doc.spans.by_kind["fault_chain"], 1);
 
         // Well past capacity: still oldest-first, still exact totals.
-        for t in 5..20u64 {
-            obs.trace.record(Span {
-                kind: SpanKind::JobLifecycle,
-                start: t,
-                end: t,
-                key: t,
-                extra: 0,
-            });
+        for t in cap + 1..cap + 20 {
+            record(&mut obs, SpanKind::JobLifecycle, t);
         }
         let doc = MetricsDoc::from_obs(&obs, 0, 1);
-        assert_eq!(starts(&doc), vec![16, 17, 18, 19]);
-        assert_eq!(doc.spans.by_kind["job_lifecycle"], 19);
-        assert_eq!(doc.spans.recorded, 20);
+        assert_eq!(starts(&doc), (20..cap + 20).collect::<Vec<_>>());
+        assert_eq!(doc.spans.by_kind["job_lifecycle"], cap + 19);
+        assert_eq!(doc.spans.recorded, cap + 20);
     }
 
     #[test]

@@ -506,9 +506,8 @@ impl HealthSink {
         HealthSink::with_rules(enabled, DEFAULT_HEALTH_INTERVAL_SECS, olcf_default_rules())
     }
 
-    /// A sink with an explicit grid and rule set.
-    pub fn with_rules(enabled: bool, interval_secs: u64, rules: Vec<HealthRule>) -> Self {
-        let interval_secs = interval_secs.max(1);
+    /// A sink with an explicit grid step (at least 1) and rule set.
+    fn with_rules(enabled: bool, interval_secs: u64, rules: Vec<HealthRule>) -> Self {
         let state = HealthSnap {
             enabled,
             interval_secs,
@@ -1001,17 +1000,21 @@ impl HealthSink {
     /// (the run was checkpointed without `--health`, or the resume
     /// dropped it). The rules and the grid are the sink's own, so a
     /// snapshot whose interval, rule states or heat grid do not fit
-    /// them is refused, not repaired.
+    /// them is refused, not repaired. So is one no paused run holds: a
+    /// finished section, or an open interval that is not one grid step.
     pub fn restore(&mut self, snap: &HealthSnap) -> Result<(), String> {
         if !self.state.enabled || !snap.enabled {
             return Ok(());
         }
-        let own = &self.state;
+        let (own, step) = (&self.state, self.state.interval_secs);
         for (what, got, want) in [
-            ("interval_secs", snap.interval_secs, own.interval_secs),
+            ("interval_secs", snap.interval_secs, step),
             ("rule_state length", as_u64(snap.rule_state.len()), as_u64(self.rules.len())),
             ("grid length", as_u64(snap.grid.len()), as_u64(own.grid.len())),
             ("cages length", as_u64(snap.cages.len()), as_u64(own.cages.len())),
+            ("finished", u64::from(snap.finished), 0),
+            ("cur_lo mod interval_secs", snap.cur_lo % step, 0),
+            ("next_boundary", snap.next_boundary, snap.cur_lo.saturating_add(step)),
         ] {
             if got != want {
                 return Err(format!("{what} is {got}, the sink's is {want}"));
@@ -1583,6 +1586,17 @@ mod tests {
         // The burst window straddled the cut: the alert still fired.
         let doc = parse_health(&b.render_jsonl(9, 1)).expect("parse");
         assert_eq!(doc.alerts().filter(|a| a.rule == "burst").count(), 1);
+        // An open interval off the grid, or a finished section, is
+        // refused: no paused run holds either.
+        for edit in [
+            |s: &mut HealthSnap| s.next_boundary += 1,
+            |s: &mut HealthSnap| s.cur_lo += 1,
+            |s: &mut HealthSnap| s.finished = true,
+        ] {
+            let mut bad = back.clone();
+            edit(&mut bad);
+            assert!(b.restore(&bad).is_err(), "{bad:?}");
+        }
         // A disabled sink ignores restore.
         let mut inert = HealthSink::new(false);
         inert.restore(&back).expect("inert restore");

@@ -65,15 +65,11 @@ pub use prof::{
     AllocStats, CostKind, KindCost, ProfDoc, ProfLedger, ProfSnap, WallDoc, WallScope,
     PROF_SCHEMA,
 };
-pub use series::{TimeBuckets, TsSeries, DEFAULT_BUCKET_SECS};
+pub use series::{TimeBuckets, TsSeries, BUCKET_SECS};
 pub use snapshot::ObsSnapshot;
-pub use trace::{Span, SpanKind, TraceRing};
+pub use trace::{Span, SpanKind, TraceRing, SPAN_CAPACITY};
 
 use event::count;
-
-/// Default span-ring capacity: enough to hold every interesting span of
-/// a quick window and the tail of a full one.
-pub const DEFAULT_SPAN_CAPACITY: usize = 256;
 
 /// Registry handles the metrics fold writes through. Private fold
 /// state: the engine reports [`ObsEvent`]s and never touches a handle.
@@ -273,8 +269,10 @@ impl Catalog {
 
 /// Which observers a run arms: the one plain value that travels from
 /// CLI flags through [`Obs::from_plan`] to the documents a run writes.
-/// The default arms nothing, with the default span-ring capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Each observer is on or off and has no other setting, so a
+/// checkpoint that records the plan records every observer setting.
+/// The default arms nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsPlan {
     /// Metrics registry, span ring and time series (`--metrics`).
     pub metrics: bool,
@@ -284,20 +282,6 @@ pub struct ObsPlan {
     pub health: bool,
     /// Deterministic cost ledger (`--prof`).
     pub prof: bool,
-    /// Span-ring capacity (`--span-capacity`).
-    pub span_capacity: usize,
-}
-
-impl Default for ObsPlan {
-    fn default() -> Self {
-        ObsPlan {
-            metrics: false,
-            trace: false,
-            health: false,
-            prof: false,
-            span_capacity: DEFAULT_SPAN_CAPACITY,
-        }
-    }
 }
 
 /// The observability sink threaded through a simulation run: metrics
@@ -347,16 +331,15 @@ impl Obs {
         })
     }
 
-    /// A sink with every observer `plan` asks for armed. The exported
-    /// `spans.capacity` field reflects `plan.span_capacity`.
+    /// A sink with every observer `plan` asks for armed.
     pub fn from_plan(plan: &ObsPlan) -> Self {
         let mut reg = Registry::new(plan.metrics);
         let cat = Catalog::register(&mut reg);
         Obs {
             reg,
-            trace: TraceRing::new(plan.metrics, plan.span_capacity),
+            trace: TraceRing::new(plan.metrics),
             stream: TraceStream::new(plan.trace),
-            ts: TimeBuckets::new(plan.metrics, series::DEFAULT_BUCKET_SECS),
+            ts: TimeBuckets::new(plan.metrics),
             health: HealthSink::new(plan.health),
             cat,
             prof: prof::ProfLedger::new(plan.prof),
@@ -367,11 +350,6 @@ impl Obs {
     /// A no-op sink: the default for plain `Simulator::run()`.
     pub fn disabled() -> Self {
         Obs::new(false)
-    }
-
-    /// An enabled sink with default settings.
-    pub fn enabled() -> Self {
-        Obs::new(true)
     }
 
     /// Whether metric collection is on.
@@ -514,7 +492,7 @@ mod tests {
 
     #[test]
     fn dequeues_count_per_kind_and_horizon_drops() {
-        let mut obs = Obs::enabled();
+        let mut obs = Obs::new(true);
         obs.emit(dequeue(5, CostKind::Dbe));
         obs.emit(dequeue(6, CostKind::Dbe));
         obs.emit(dequeue(7, CostKind::Horizon));
@@ -546,39 +524,19 @@ mod tests {
         let off = Obs::from_plan(&ObsPlan::default());
         assert!(!off.is_enabled() && !off.trace_enabled() && !off.health_enabled());
         assert!(!off.prof_enabled());
-        assert_eq!(off.trace.capacity(), DEFAULT_SPAN_CAPACITY);
         let all = Obs::from_plan(&ObsPlan {
             metrics: true,
             trace: true,
             health: true,
             prof: true,
-            span_capacity: 3,
         });
         assert!(all.is_enabled() && all.trace_enabled() && all.health_enabled());
         assert!(all.prof_enabled());
-        assert_eq!(all.trace.capacity(), 3);
-    }
-
-    #[test]
-    fn span_capacity_is_configurable() {
-        let mut obs = Obs::from_plan(&ObsPlan {
-            metrics: true,
-            span_capacity: 2,
-            ..ObsPlan::default()
-        });
-        for t in 0..5 {
-            obs.emit(ObsEvent::Reboot { t, node: t, xid: 0 });
-        }
-        assert_eq!(obs.trace.capacity(), 2);
-        assert_eq!(obs.trace.recorded(), 5);
-        assert_eq!(obs.trace.spans().len(), 2);
-        // The default constructor keeps the documented default.
-        assert_eq!(Obs::enabled().trace.capacity(), DEFAULT_SPAN_CAPACITY);
     }
 
     #[test]
     fn trace_stream_is_off_by_default_and_opt_in() {
-        let mut obs = Obs::enabled();
+        let mut obs = Obs::new(true);
         let draft = ObsEvent::FaultDraft {
             t: 1,
             detail: &String::new,
@@ -624,7 +582,7 @@ mod tests {
             console_lines: 0,
             payload_slots: 0,
         };
-        let mut obs = Obs::enabled();
+        let mut obs = Obs::new(true);
         assert!(!obs.health_enabled());
         obs.emit(sbe);
         obs.emit(finish);

@@ -214,11 +214,12 @@ impl Registry {
         (self.counters().map(row).collect(), self.gauges().map(row).collect(), hists)
     }
 
-    /// Overwrites every metric a checkpoint section names, by name, so
-    /// registration-order drift cannot misplace a value; a name not yet
-    /// registered is registered. A histogram must keep its registered
-    /// bounds and carry one count per bucket, overflow included. No-op
-    /// when disabled, preserving the disabled-sink-is-inert invariant.
+    /// Overwrites every metric from a checkpoint section, by position.
+    /// The section must name the registered counters, gauges and
+    /// histograms, each list in registration order, and every histogram
+    /// must keep its registered bounds and carry one count per bucket,
+    /// overflow included; anything else is refused. No-op when disabled,
+    /// preserving the disabled-sink-is-inert invariant.
     pub(crate) fn restore(
         &mut self,
         counters: &[ValueRow],
@@ -228,28 +229,18 @@ impl Registry {
         if !self.enabled {
             return Ok(());
         }
-        for (section, name, value) in counters {
-            let c = self.counter(section, name);
-            if let Some(v) = self.counters.get_mut(c.0 as usize) {
-                *v = *value;
-            }
+        same_names("counters", counters, &self.counter_meta)?;
+        same_names("gauges", gauges, &self.gauge_meta)?;
+        if hists.len() != self.hists.len() {
+            return Err(format!("hists holds {} histograms, want {}", hists.len(), self.hists.len()));
         }
-        for (section, name, value) in gauges {
-            let g = self.gauge(section, name);
-            if let Some(v) = self.gauges.get_mut(g.0 as usize) {
-                *v = *value;
-            }
-        }
-        for (name, bounds, counts, count, sum) in hists {
-            let h = self.histogram(name, bounds);
-            let Some(hist) = self.hists.get_mut(h.0 as usize) else {
-                continue;
-            };
-            if hist.bounds != *bounds || counts.len() != bounds.len() + 1 {
+        for ((name, bounds, counts, count, sum), hist) in hists.iter().zip(&mut self.hists) {
+            if *name != hist.name || hist.bounds != *bounds || counts.len() != bounds.len() + 1 {
                 return Err(format!(
                     "histogram {name} has bounds {bounds:?} and {} counts, the registry has \
-                     bounds {:?} and {} buckets",
+                     {} with bounds {:?} and {} buckets",
                     counts.len(),
+                    hist.name,
                     hist.bounds,
                     hist.counts.len()
                 ));
@@ -258,8 +249,24 @@ impl Registry {
             hist.count = *count;
             hist.sum = *sum;
         }
+        self.counters = counters.iter().map(|row| row.2).collect();
+        self.gauges = gauges.iter().map(|row| row.2).collect();
         Ok(())
     }
+}
+
+/// Checks that checkpoint `rows` name exactly the registered `meta`
+/// `(section, name)` pairs, in registration order.
+fn same_names(list: &str, rows: &[ValueRow], meta: &[(String, String)]) -> Result<(), String> {
+    for (i, ((s, n, _), (ms, mn))) in rows.iter().zip(meta).enumerate() {
+        if s != ms || n != mn {
+            return Err(format!("{list}[{i}] is {s}.{n}, the registry registers {ms}.{mn} there"));
+        }
+    }
+    if rows.len() == meta.len() {
+        return Ok(());
+    }
+    Err(format!("{list} holds {} entries, the registry registers {}", rows.len(), meta.len()))
 }
 
 #[cfg(test)]
@@ -320,5 +327,31 @@ mod tests {
         let (_, _, counts, count, _) = r.histograms().next().expect("registered");
         assert_eq!(count, 0);
         assert!(counts.iter().all(|&c| c == 0));
+    }
+
+    /// A section restores only into a registry that registered the same
+    /// names in the same order; a reordered row is refused.
+    #[test]
+    fn restore_takes_only_the_registered_names() {
+        let registry = || {
+            let mut r = Registry::new(true);
+            r.counter("engine", "a");
+            r.counter("faults", "b");
+            r.gauge("engine", "g");
+            r.histogram("h", &[1]);
+            r
+        };
+        let mut src = registry();
+        let b = src.counter("faults", "b");
+        src.add(b, 7);
+        let (counters, gauges, hists) = src.snap();
+        let mut dst = registry();
+        dst.restore(&counters, &gauges, &hists).expect("same registry");
+        assert_eq!(dst.counter_value(b), 7);
+
+        let mut swapped = counters;
+        swapped.swap(0, 1);
+        let err = dst.restore(&swapped, &gauges, &hists).expect_err("reordered counters");
+        assert!(err.contains("counters[0] is faults.b"), "{err}");
     }
 }

@@ -954,7 +954,7 @@ mod tests {
         let mut l = ProfLedger::new(true);
         l.fold(&pop(CostKind::Sbe, 0), 0);
         l.fold(&slice_end(4), 2);
-        let obs = Obs::enabled();
+        let obs = Obs::new(true);
         let metrics = MetricsDoc::from_obs(&obs, 7, 30);
         let wall = WallDoc {
             total_ms: 12.5,

@@ -4,16 +4,16 @@
 //! The paper's trend figures (weekly error rates, the Jan-14 driver
 //! cutover) need time-resolved counts, not run-end totals. A
 //! [`TimeBuckets`] sink counts a curated subset of engine events into
-//! fixed-width sim-time buckets (default one week), so one run's
+//! one-week sim-time buckets ([`BUCKET_SECS`]), so one run's
 //! metrics document shows the whole trend. Bucketing is pure integer
 //! arithmetic on sim timestamps — nothing here can perturb a run or
 //! break byte-identity.
 
 use titan_conlog::time::SimTime;
 
-/// Default bucket width: one week of sim time, matching the paper's
+/// Bucket width: one week of sim time, matching the paper's
 /// weekly-rate figures.
-pub const DEFAULT_BUCKET_SECS: u64 = 7 * 86_400;
+pub const BUCKET_SECS: u64 = 7 * 86_400;
 
 /// The curated counter subset carried as time series. Each variant
 /// mirrors the engine counter of the same name; a runner test pins that
@@ -76,23 +76,16 @@ impl TsSeries {
 #[derive(Debug)]
 pub struct TimeBuckets {
     enabled: bool,
-    bucket_secs: u64,
     series: [Vec<u64>; 6],
 }
 
 impl TimeBuckets {
-    /// A sink with `bucket_secs`-wide buckets (clamped to ≥ 1).
-    pub fn new(enabled: bool, bucket_secs: u64) -> Self {
+    /// A sink with [`BUCKET_SECS`]-wide buckets.
+    pub fn new(enabled: bool) -> Self {
         TimeBuckets {
             enabled,
-            bucket_secs: bucket_secs.max(1),
             series: Default::default(),
         }
-    }
-
-    /// Bucket width in sim seconds.
-    pub fn bucket_secs(&self) -> u64 {
-        self.bucket_secs
     }
 
     /// Counts one event of `series` at sim time `t` (no-op disabled).
@@ -101,8 +94,8 @@ impl TimeBuckets {
         if !self.enabled {
             return;
         }
-        // lint: allow(N1, bucket index: window/bucket_secs is far below 2^32 for any real window)
-        let bucket = (t / self.bucket_secs) as usize;
+        // lint: allow(N1, bucket index: window/BUCKET_SECS is far below 2^32 for any real window)
+        let bucket = (t / BUCKET_SECS) as usize;
         let v = &mut self.series[series.index()];
         if v.len() <= bucket {
             v.resize(bucket + 1, 0);
@@ -154,21 +147,23 @@ impl TimeBuckets {
 mod tests {
     use super::*;
 
+    const W: u64 = BUCKET_SECS;
+
     #[test]
     fn buckets_split_by_fixed_width() {
-        let mut ts = TimeBuckets::new(true, 100);
+        let mut ts = TimeBuckets::new(true);
         ts.inc(TsSeries::EvDbe, 0);
-        ts.inc(TsSeries::EvDbe, 99);
-        ts.inc(TsSeries::EvDbe, 100);
-        ts.inc(TsSeries::EvDbe, 350);
+        ts.inc(TsSeries::EvDbe, W - 1);
+        ts.inc(TsSeries::EvDbe, W);
+        ts.inc(TsSeries::EvDbe, 3 * W + W / 2);
         assert_eq!(ts.series(TsSeries::EvDbe), &[2, 1, 0, 1]);
         assert!(ts.series(TsSeries::EvOtb).is_empty());
     }
 
     #[test]
     fn padding_extends_with_zeros_only() {
-        let mut ts = TimeBuckets::new(true, 100);
-        ts.inc(TsSeries::SwapsFired, 150);
+        let mut ts = TimeBuckets::new(true);
+        ts.inc(TsSeries::SwapsFired, W + W / 2);
         assert_eq!(ts.padded(TsSeries::SwapsFired, 4), vec![0, 1, 0, 0]);
         // Never truncates.
         assert_eq!(ts.padded(TsSeries::SwapsFired, 1), vec![0, 1]);
@@ -176,15 +171,9 @@ mod tests {
 
     #[test]
     fn disabled_sink_is_inert() {
-        let mut ts = TimeBuckets::new(false, 100);
+        let mut ts = TimeBuckets::new(false);
         ts.inc(TsSeries::ConsoleLines, 5);
         assert!(ts.series(TsSeries::ConsoleLines).is_empty());
         assert_eq!(ts.padded(TsSeries::ConsoleLines, 2), vec![0, 0]);
-    }
-
-    #[test]
-    fn zero_width_clamps_to_one() {
-        let ts = TimeBuckets::new(true, 0);
-        assert_eq!(ts.bucket_secs(), 1);
     }
 }

@@ -6,13 +6,15 @@
 //! [`ObsSnapshot`] holds one section per sink of an [`Obs`] — metrics
 //! registry, time series, span ring, causal flight recorder, health
 //! sink and cost ledger — and each sink writes and reads its own
-//! section (`snap` / `restore` beside the sink's code). Metrics are
-//! addressed *by name*, never by handle index, so restore is immune to
-//! registration-order drift.
+//! section (`snap` / `restore` beside the sink's code).
 //!
-//! A restore checks each section against the sink it lands in and
-//! refuses one no paused run could hold, naming the sink
-//! (`checkpoint obs.<sink>: …`), rather than repairing it. It also
+//! An observer is on or off and has no other setting, so each section
+//! has exactly one valid shape: the registry's names in registration
+//! order, `min(recorded, SPAN_CAPACITY)` spans, one series per
+//! [`crate::TsSeries`], an open health interval on the weekly grid. A
+//! restore checks its section against that shape and refuses anything
+//! else, naming the sink (`checkpoint obs.<sink>: …`), rather than
+//! trimming, registering or re-gridding it. It also
 //! preserves the disabled-sink-is-inert invariant: each sink's restore
 //! is a no-op when that sink is off, so a sink's state is dropped, not
 //! revived, when the flags differ (resume refuses a flag mismatch
@@ -120,7 +122,7 @@ mod tests {
     use crate::{CostKind, ObsEvent};
 
     fn populated() -> Obs {
-        let mut obs = Obs::enabled();
+        let mut obs = Obs::new(true);
         obs.enable_trace();
         obs.enable_health();
         obs.emit(ObsEvent::LoopStart { spares: 48 });
@@ -186,7 +188,7 @@ mod tests {
     fn roundtrip_restores_every_sink() {
         let src = populated();
         let snap = ObsSnapshot::capture(&src);
-        let mut dst = Obs::enabled();
+        let mut dst = Obs::new(true);
         dst.enable_trace();
         dst.enable_health();
         dst.enable_prof();

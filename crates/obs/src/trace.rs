@@ -3,12 +3,16 @@
 //! Spans are fixed-size records carrying **sim timestamps only** — the
 //! ring's contents are part of the deterministic metrics document, so a
 //! wall-clock value here would break byte-identical replication (and
-//! trip lint D5). When the ring is full the oldest span is evicted and
-//! counted in `dropped`, so memory stays bounded on 638-day windows
-//! while totals remain exact via the `by_kind` counters.
+//! trip lint D5). When the fixed-size ring is full the oldest span is
+//! evicted and counted in `dropped`, so memory stays bounded on 638-day
+//! windows while totals remain exact via the `by_kind` counters.
 
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
+
+/// Spans the ring keeps: every interesting span of a quick window and
+/// the tail of a full one.
+pub const SPAN_CAPACITY: usize = 256;
 
 /// The span taxonomy. Keep in sync with OBSERVABILITY.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +97,6 @@ pub(crate) struct SpanSnap {
 #[derive(Debug)]
 pub struct TraceRing {
     enabled: bool,
-    capacity: usize,
     buf: Vec<Span>,
     /// Index of the oldest span once the ring has wrapped.
     head: usize,
@@ -102,12 +105,11 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// A ring holding at most `capacity` spans (counters stay exact
-    /// past that). Disabled rings drop everything for free.
-    pub fn new(enabled: bool, capacity: usize) -> Self {
+    /// A ring holding at most [`SPAN_CAPACITY`] spans (counters stay
+    /// exact past that). Disabled rings drop everything for free.
+    pub fn new(enabled: bool) -> Self {
         TraceRing {
             enabled,
-            capacity: capacity.max(1),
             buf: Vec::new(),
             head: 0,
             recorded: 0,
@@ -123,11 +125,11 @@ impl TraceRing {
         }
         self.recorded += 1;
         self.by_kind[span.kind.index()] += 1;
-        if self.buf.len() < self.capacity {
+        if self.buf.len() < SPAN_CAPACITY {
             self.buf.push(span);
         } else {
             self.buf[self.head] = span;
-            self.head = (self.head + 1) % self.capacity;
+            self.head = (self.head + 1) % SPAN_CAPACITY;
         }
     }
 
@@ -139,11 +141,6 @@ impl TraceRing {
     /// Spans evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.recorded - self.buf.len() as u64
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Exact per-kind totals, in [`SpanKind::ALL`] order.
@@ -184,11 +181,10 @@ impl TraceRing {
         (spans, self.recorded, self.by_kind.to_vec())
     }
 
-    /// Overwrites the ring wholesale from its checkpoint section. Only
-    /// the newest `capacity` spans are kept, matching what the ring
-    /// would hold had it seen them live. A span kind outside
-    /// [`SpanKind::ALL`] or a per-kind list of another length is
-    /// refused. No-op when disabled.
+    /// Overwrites the ring from its checkpoint section, which must hold
+    /// what a live ring would: 4 per-kind totals summing to `recorded`
+    /// and `min(recorded, SPAN_CAPACITY)` spans of known kinds. Anything
+    /// else is refused. No-op when disabled.
     pub(crate) fn restore(
         &mut self,
         spans: &[SpanSnap],
@@ -201,6 +197,13 @@ impl TraceRing {
         let by_kind: [u64; 4] = by_kind.try_into().map_err(|_| {
             format!("spans_by_kind holds {} totals, there are 4 span kinds", by_kind.len())
         })?;
+        if by_kind.iter().try_fold(0u64, |a, &n| a.checked_add(n)) != Some(recorded) {
+            return Err(format!("spans_by_kind {by_kind:?} does not sum to {recorded}"));
+        }
+        let held = usize::try_from(recorded).map_or(SPAN_CAPACITY, |n| n.min(SPAN_CAPACITY));
+        if spans.len() != held {
+            return Err(format!("{} spans kept of {recorded} recorded, want {held}", spans.len()));
+        }
         let mut buf = Vec::with_capacity(spans.len());
         for s in spans {
             let Some(&kind) = SpanKind::ALL.get(usize::from(s.kind)) else {
@@ -208,7 +211,6 @@ impl TraceRing {
             };
             buf.push(Span { kind, start: s.start, end: s.end, key: s.key, extra: s.extra });
         }
-        buf.drain(..buf.len().saturating_sub(self.capacity));
         self.buf = buf;
         self.head = 0;
         self.recorded = recorded;
@@ -225,33 +227,40 @@ mod tests {
         Span { kind, start, end: start + 1, key: start, extra: 0 }
     }
 
-    #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let mut r = TraceRing::new(true, 3);
-        for t in 0..5 {
+    /// A ring that recorded `n` job spans starting at 0, 1, 2, ….
+    fn ring(n: u64) -> TraceRing {
+        let mut r = TraceRing::new(true);
+        for t in 0..n {
             r.record(span(SpanKind::JobLifecycle, t));
         }
-        assert_eq!(r.recorded(), 5);
+        r
+    }
+
+    #[test]
+    fn ring_keeps_newest_and_counts_drops() {
+        let cap = SPAN_CAPACITY as u64;
+        let r = ring(cap + 2);
+        assert_eq!(r.recorded(), cap + 2);
         assert_eq!(r.dropped(), 2);
         let kept: Vec<_> = r.spans().iter().map(|s| s.start).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
+        assert_eq!(kept, (2..cap + 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn by_kind_totals_are_exact_past_capacity() {
-        let mut r = TraceRing::new(true, 2);
-        for t in 0..4 {
+        let mut r = TraceRing::new(true);
+        for t in 0..SPAN_CAPACITY as u64 + 2 {
             r.record(span(SpanKind::FaultChain, t));
         }
         r.record(span(SpanKind::HotSpareSwap, 9));
         let counts = r.counts_by_kind();
-        assert_eq!(counts[1], (SpanKind::FaultChain, 4));
+        assert_eq!(counts[1], (SpanKind::FaultChain, SPAN_CAPACITY as u64 + 2));
         assert_eq!(counts[2], (SpanKind::HotSpareSwap, 1));
     }
 
     #[test]
     fn disabled_ring_is_inert() {
-        let mut r = TraceRing::new(false, 4);
+        let mut r = TraceRing::new(false);
         r.record(span(SpanKind::RepairReboot, 1));
         assert_eq!(r.recorded(), 0);
         assert!(r.spans().is_empty());
@@ -259,10 +268,26 @@ mod tests {
 
     #[test]
     fn partial_ring_returns_in_order() {
-        let mut r = TraceRing::new(true, 10);
-        r.record(span(SpanKind::JobLifecycle, 1));
-        r.record(span(SpanKind::JobLifecycle, 2));
-        let kept: Vec<_> = r.spans().iter().map(|s| s.start).collect();
-        assert_eq!(kept, vec![1, 2]);
+        let kept: Vec<_> = ring(2).spans().iter().map(|s| s.start).collect();
+        assert_eq!(kept, vec![0, 1]);
+    }
+
+    /// A wrapped ring restores from its own section and keeps evicting
+    /// oldest-first; a section with a span missing or a per-kind total
+    /// off by one is refused.
+    #[test]
+    fn restore_takes_only_the_ring_shape() {
+        let cap = SPAN_CAPACITY as u64;
+        let (spans, recorded, by_kind) = ring(cap + 5).snap();
+        let mut r = TraceRing::new(true);
+        r.restore(&spans, recorded, &by_kind).expect("a live ring's section");
+        r.record(span(SpanKind::JobLifecycle, cap + 5));
+        assert_eq!(r.spans(), ring(cap + 6).spans());
+        assert_eq!(r.dropped(), 6);
+
+        let err = r.restore(&spans[1..], recorded, &by_kind).expect_err("a span short");
+        assert!(err.contains("255 spans kept"), "{err}");
+        let err = r.restore(&spans, recorded + 1, &by_kind).expect_err("sum off by one");
+        assert!(err.contains("does not sum to"), "{err}");
     }
 }

@@ -79,17 +79,16 @@ pub struct CheckpointDoc {
 }
 
 impl CheckpointDoc {
-    /// The observer plan the checkpointed run was armed with. A resume
-    /// must arm the same sinks: restoring into a differently armed sink
-    /// silently drops or restarts that sink's state. The span-ring
-    /// capacity is not recorded, so it reads as the default.
+    /// The observer plan the checkpointed run was armed with: the
+    /// whole plan, since each observer is only on or off. A resume must
+    /// arm the same sinks: restoring into a differently armed sink
+    /// silently drops or restarts that sink's state.
     pub fn plan(&self) -> ObsPlan {
         ObsPlan {
             metrics: self.metrics_enabled,
             trace: self.trace_enabled,
             health: self.obs.health_enabled(),
             prof: self.obs.prof_enabled(),
-            ..ObsPlan::default()
         }
     }
 }
@@ -237,9 +236,11 @@ fn finish(mut st: EngineState, config: &StudyConfig, obs: &mut Obs) -> Completed
 
 /// Runs a full study, checkpointing every `every` sim seconds. Each
 /// sealed [`CheckpointDoc`] is handed to `on_checkpoint` the moment its
-/// boundary is reached. `divergence` arms the engine's test-only
-/// divergence probe (`--inject-divergence`): one extra RNG draw at that
-/// sim time, used to validate [`bisect`] localization.
+/// boundary is reached. With `every == 0` no checkpoints are written,
+/// as in [`resume_checkpointed`], and the run is a plain study run.
+/// `divergence` arms the engine's test-only divergence probe
+/// (`--inject-divergence`): one extra RNG draw at that sim time, used
+/// to validate [`bisect`] localization.
 pub fn run_checkpointed(
     config: &StudyConfig,
     every: SimTime,
@@ -247,13 +248,12 @@ pub fn run_checkpointed(
     obs: &mut Obs,
     mut on_checkpoint: impl FnMut(&CheckpointDoc) -> Result<(), String>,
 ) -> Result<CompletedStudy, String> {
-    if every == 0 {
-        return Err("checkpoint interval must be at least 1 sim second".into());
-    }
     config.sim.validate()?;
     let mut st = EngineState::new(&config.sim, obs);
     st.set_divergence_probe(divergence);
-    advance_with_checkpoints(&mut st, config, every, 0, 0, 0, obs, &mut on_checkpoint)?;
+    if every > 0 {
+        advance_with_checkpoints(&mut st, config, every, 0, 0, 0, obs, &mut on_checkpoint)?;
+    }
     Ok(finish(st, config, obs))
 }
 
@@ -296,9 +296,9 @@ pub fn resume_checkpointed(
         }
     }
     let mut st = EngineState::restore(&doc.config.sim, &doc.engine, obs)?;
-    // Engine setup during restore feeds the sinks; each sink's restore
-    // overwrites what its section carries (metrics by name), after
-    // checking that the section fits the sink.
+    // Engine setup during restore feeds the sinks (and registers every
+    // metric a paused run holds); each sink's restore overwrites what
+    // its section carries, after checking the section's shape.
     doc.obs.restore(obs)?;
     st.set_divergence_probe(divergence);
     if every > 0 {
@@ -438,7 +438,7 @@ mod tests {
         let seed = config.sim.seed;
         let window = config.sim.window;
         let mk_obs = || {
-            let mut o = Obs::enabled();
+            let mut o = Obs::new(true);
             o.enable_trace();
             o
         };
@@ -486,7 +486,7 @@ mod tests {
         let seed = config.sim.seed;
         let window = config.sim.window;
         let mk_obs = || {
-            let mut o = Obs::enabled();
+            let mut o = Obs::new(true);
             o.enable_trace();
             o
         };
@@ -599,7 +599,6 @@ mod tests {
                 trace: true,
                 health: true,
                 prof: true,
-                ..ObsPlan::default()
             })
         };
         let first = |obs: &mut Obs| {
@@ -629,8 +628,15 @@ mod tests {
         let (_, b) = collect(&config, 15 * DAY, None);
         assert!(bisect(&a, &b).is_err(), "different cadences must not compare");
         assert!(bisect(&a, &[]).is_err());
-        assert!(run_checkpointed(&config, 0, None, &mut Obs::disabled(), |_| Ok(()))
-            .is_err());
+        // `every == 0` writes no checkpoints and runs the plain study.
+        let mut written = 0;
+        let plain = run_checkpointed(&config, 0, None, &mut Obs::disabled(), |_| {
+            written += 1;
+            Ok(())
+        })
+        .expect("a run without checkpoints");
+        assert_eq!(written, 0);
+        assert_eq!(plain.sim, Study::new(config.clone()).run().sim);
         // A checkpoint from one config must not resume under another:
         // parse succeeds (the doc is intact) but restore rejects it.
         let mut doc = a[0].clone();

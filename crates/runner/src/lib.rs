@@ -853,7 +853,7 @@ mod tests {
     fn engine_metrics_consistent_with_truth() {
         let mut config = StudyConfig::quick(30, 9);
         config.sim.seed = 9;
-        let mut obs = Obs::enabled();
+        let mut obs = Obs::new(true);
         let study = Study::new(config).run_with_obs(&mut obs);
         let doc = collect_metrics(&study.sim, 9, 30 * 86_400, &mut obs);
         assert_eq!(doc.engine["ev_dbe"], study.sim.truth.dbe.len() as u64);

@@ -220,10 +220,13 @@ impl JobTable {
 
     /// Rebuilds the table from `s`: a running job's change list holds
     /// the nodes whose dense prologue entry differs from what `fleet`
-    /// reports now, and `shared` the nodes it holds that `node_job`
-    /// gives to another job or none. Fails unless the table has one
-    /// entry per job and per slot and names only scheduled jobs, each
-    /// active one where `active_pos` says and no other job placed.
+    /// reports now. Fails unless the table has one entry per job and
+    /// per slot and names only scheduled jobs, each active one where
+    /// `active_pos` says and no other job placed, and `node_job` gives
+    /// every node of a running job to that job. That last check makes
+    /// running jobs hold disjoint nodes, so `shared` starts empty: two
+    /// jobs share a node only between a start and an end in the same
+    /// second, and a checkpoint boundary never falls inside a second.
     fn from_snapshot(
         s: &JobTableSnapshot,
         schedule: &WorkloadSchedule,
@@ -277,10 +280,14 @@ impl JobTable {
             let Some(dense) = &st.pre_sbe else {
                 continue;
             };
-            for n in &job.nodes {
-                if table.job_at(*n) != Some(j) {
-                    table.shared.insert((n.0, j));
-                }
+            if let Some(&NodeId(n)) = job.nodes.iter().find(|&&n| table.job_at(n) != Some(j)) {
+                // lint: allow(N1, u32 job id to usize is lossless)
+                let running = |k: u32| s.state.get(k as usize).is_some_and(|o| o.pre_sbe.is_some());
+                return Err(match table.job_at(NodeId(n)) {
+                    Some(k) if running(k) => format!("node {n} is held by running jobs {k} and {j}"),
+                    Some(k) => format!("running job {j} holds node {n}, node_job says job {k}"),
+                    None => format!("running job {j} holds node {n}, node_job says none"),
+                });
             }
             let changed = job
                 .nodes
@@ -824,6 +831,18 @@ impl EngineState {
         st.cascade_rng = StdRng::from_state(snap.cascade_rng);
         st.spare_rng = StdRng::from_state(snap.spare_rng);
         st.swap_pending = snap.swap_pending.clone();
+        let (truth, want) = (&snap.out.truth, &st.out.truth);
+        for (name, len, machine) in [
+            ("sbe_by_card", truth.sbe_by_card.len(), want.sbe_by_card.len()),
+            ("sbe_by_slot", truth.sbe_by_slot.len(), want.sbe_by_slot.len()),
+            ("sbe_by_structure", truth.sbe_by_structure.len(), want.sbe_by_structure.len()),
+        ] {
+            if len != machine {
+                return Err(format!(
+                    "checkpoint engine.out: truth.{name} holds {len} entries, want {machine}"
+                ));
+            }
+        }
         st.out = snap.out.clone();
         Ok(st)
     }
@@ -1334,7 +1353,7 @@ impl Simulator {
     ///
     /// The sink never influences the run: every record call is a pure
     /// observation of state the engine computes anyway, so
-    /// `run_with(&mut Obs::enabled())` and `run()` produce identical
+    /// `run_with(&mut Obs::new(true))` and `run()` produce identical
     /// [`SimOutput`]s (pinned by the telemetry determinism tests).
     pub fn run_with(&self, obs: &mut Obs) -> SimOutput {
         let mut st = EngineState::new(&self.config, obs);

@@ -155,8 +155,8 @@ const USAGE: &str = "usage: titan-repro <command> [options]
 commands:
   taxonomy                          print Tables 1 & 2 (the XID taxonomy)
   run   [--days N] [--seed S] [--metrics FILE] [--trace FILE] [--health FILE]
-        [--prof FILE] [--span-capacity N]
-        [--checkpoint-every SECS --ckpt-dir DIR] [--from-checkpoint FILE]
+        [--prof FILE] [--checkpoint-every SECS --ckpt-dir DIR]
+        [--from-checkpoint FILE]
                                     simulate and print the full report;
                                     --metrics writes the sim-time telemetry
                                     document (stable JSON, seed-deterministic);
@@ -175,7 +175,6 @@ commands:
                                     same --metrics/--trace/--health/--prof flags
                                     as the original)
   check [--days N] [--seed S] [--metrics FILE] [--json FILE] [--health FILE]
-        [--span-capacity N]
                                     run the paper-shape checks; exit 1 on FAIL;
                                     --json writes per-check verdicts as JSON
   logs  [--days N] [--seed S] --out DIR
@@ -193,7 +192,7 @@ commands:
                                     per seed; --health writes
                                     DIR/health-seed-<seed>.jsonl per seed
   profile [--days N] [--seed S] [--metrics FILE] [--json FILE] [--health FILE]
-          [--flamegraph FILE] [--perfetto FILE] [--span-capacity N]
+          [--flamegraph FILE] [--perfetto FILE]
                                     run one window with the titan-prof/2 cost
                                     ledger armed and print the deterministic
                                     per-scope cost table plus a quarantined
@@ -241,11 +240,11 @@ const ACCEPTS: &[(&str, &[&str])] = &[
     (
         "run",
         &[
-            "--days", "--seed", "--metrics", "--trace", "--health", "--prof", "--span-capacity",
-            "--checkpoint-every", "--ckpt-dir", "--from-checkpoint", "--inject-divergence",
+            "--days", "--seed", "--metrics", "--trace", "--health", "--prof", "--checkpoint-every",
+            "--ckpt-dir", "--from-checkpoint", "--inject-divergence",
         ],
     ),
-    ("check", &["--days", "--seed", "--metrics", "--json", "--health", "--span-capacity"]),
+    ("check", &["--days", "--seed", "--metrics", "--json", "--health"]),
     ("logs", &["--days", "--seed", "--out"]),
     (
         "replicate",
@@ -256,10 +255,7 @@ const ACCEPTS: &[(&str, &[&str])] = &[
     ),
     (
         "profile",
-        &[
-            "--days", "--seed", "--metrics", "--json", "--health", "--flamegraph", "--perfetto",
-            "--span-capacity",
-        ],
+        &["--days", "--seed", "--metrics", "--json", "--health", "--flamegraph", "--perfetto"],
     ),
 ];
 
@@ -279,7 +275,6 @@ struct Opts {
     prof: Option<String>,
     flamegraph: Option<String>,
     perfetto: Option<String>,
-    span_capacity: Option<usize>,
     checkpoint_every: Option<u64>,
     ckpt_dir: Option<String>,
     from_checkpoint: Option<String>,
@@ -295,7 +290,6 @@ impl Opts {
             trace: self.trace.is_some(),
             health: self.health.is_some(),
             prof: self.prof.is_some(),
-            span_capacity: self.span_capacity.unwrap_or(titan_obs::DEFAULT_SPAN_CAPACITY),
         }
     }
 }
@@ -331,7 +325,6 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
             "--seeds" => opts.seeds = Some(num(flag, v)?),
             "--threads" => opts.threads = Some(num(flag, v)?),
             "--inject-divergence" => opts.inject_divergence = Some(num(flag, v)?),
-            "--span-capacity" => opts.span_capacity = Some(positive(flag, v)?),
             "--checkpoint-every" => opts.checkpoint_every = Some(positive(flag, v)?),
             "--out" => opts.out = text,
             "--metrics" => opts.metrics = text,
@@ -518,14 +511,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let (mut obs, clock) = arm(&plan);
     let sink = checkpoint_sink(opts.ckpt_dir.clone())?;
     // Checkpointing and resumed runs drive the engine in boundary-sized
-    // steps; their output is byte-identical to the plain path.
+    // steps; their output is byte-identical to a run without
+    // checkpoints (`every == 0`).
     let study = if let (Some(ck), Some(path)) = (&ck, &opts.from_checkpoint) {
         titan_runner::resume_checkpointed(ck, every, opts.inject_divergence, &mut obs, sink)
             .map_err(|e| format!("--from-checkpoint {path}: {e}"))?
-    } else if every > 0 {
-        titan_runner::run_checkpointed(&config, every, opts.inject_divergence, &mut obs, sink)?
     } else {
-        Study::new(config).run_with_obs(&mut obs)
+        titan_runner::run_checkpointed(&config, every, opts.inject_divergence, &mut obs, sink)?
     };
     let ((), mut docs) = titan_runner::collect_docs(&study, &plan, &mut obs, |_| {
         println!("{}", full_report(&study));

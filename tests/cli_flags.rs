@@ -20,7 +20,6 @@ const FLAGS: &[(&str, Option<&str>)] = &[
     ("--prof", Some("x")),
     ("--flamegraph", Some("x")),
     ("--perfetto", Some("x")),
-    ("--span-capacity", Some("1")),
     ("--checkpoint-every", Some("1")),
     ("--ckpt-dir", Some("x")),
     ("--from-checkpoint", Some("x")),
@@ -28,18 +27,18 @@ const FLAGS: &[(&str, Option<&str>)] = &[
 ];
 
 /// What each subcommand accepts, as documented in the usage text. The
-/// walk includes `run --out`, `check --out` and `logs --span-capacity`:
-/// each must fail rather than parse and be ignored.
+/// walk includes `run --out`, `check --out` and `logs --json`: each
+/// must fail rather than parse and be ignored.
 const ACCEPTED: &[(&str, &[&str])] = &[
     ("taxonomy", &[]),
     (
         "run",
         &[
-            "--days", "--seed", "--metrics", "--trace", "--health", "--prof", "--span-capacity",
-            "--checkpoint-every", "--ckpt-dir", "--from-checkpoint", "--inject-divergence",
+            "--days", "--seed", "--metrics", "--trace", "--health", "--prof", "--checkpoint-every",
+            "--ckpt-dir", "--from-checkpoint", "--inject-divergence",
         ],
     ),
-    ("check", &["--days", "--seed", "--metrics", "--json", "--health", "--span-capacity"]),
+    ("check", &["--days", "--seed", "--metrics", "--json", "--health"]),
     ("logs", &["--days", "--seed", "--out"]),
     (
         "replicate",
@@ -50,10 +49,7 @@ const ACCEPTED: &[(&str, &[&str])] = &[
     ),
     (
         "profile",
-        &[
-            "--days", "--seed", "--metrics", "--json", "--health", "--flamegraph", "--perfetto",
-            "--span-capacity",
-        ],
+        &["--days", "--seed", "--metrics", "--json", "--health", "--flamegraph", "--perfetto"],
     ),
 ];
 
@@ -88,7 +84,7 @@ fn unknown_flags_and_bad_values_fail_cleanly() {
         vec!["run", "--bogus"],
         vec!["check", "--days"],
         vec!["run", "--seed", "0xZZ"],
-        vec!["profile", "--span-capacity", "0"],
+        vec!["run", "--span-capacity", "8"],
         vec!["run", "--checkpoint-every", "0", "--ckpt-dir", "x"],
         vec!["replicate", "--seeds", "0"],
         vec!["taxonomy", "extra"],

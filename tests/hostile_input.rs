@@ -8,9 +8,9 @@
 //!    of a real checkpoint return `Ok` or `Err`, never panic, and a
 //!    corruption that still parses as a checkpoint fails the schema or
 //!    digest check unless it left the document itself unchanged.
-//! 3. A checkpoint re-sealed around an inconsistent engine heap, fleet
-//!    or job table passes the digest but fails to resume, naming the
-//!    heap entry or the section.
+//! 3. A checkpoint re-sealed around an inconsistent engine heap, fleet,
+//!    job table, output or observer section passes the digest but fails
+//!    to resume, naming the heap entry or the section.
 //! 4. `parse_trace` and `parse_health` are total: arbitrary text and one
 //!    edit of a rendered `titan-trace/1` or `titan-health/1` document
 //!    return `Ok` or `Err`, never panic.
@@ -229,9 +229,9 @@ fn heap_entry(v: &mut Value, i: usize) -> &mut Vec<Value> {
 }
 
 /// Checkpoints that pass the digest but hold an engine heap, fleet,
-/// job table or observer section no paused run could hold fail to
-/// resume with an error naming the entry or section, never a panic or
-/// a resume that silently differs.
+/// job table, output or observer section no paused run could hold fail
+/// to resume with an error naming the entry or section, never a panic
+/// or a resume that silently differs.
 #[test]
 fn inconsistent_checkpoints_fail_to_resume() {
     let doc = ckpt::parse_checkpoint(checkpoint_text()).expect("verify");
@@ -259,12 +259,24 @@ fn inconsistent_checkpoints_fail_to_resume() {
         let pos = engine_array(v, &["jobs", "active_pos"]);
         *pos.iter_mut().rev().find(|p| **p == unplaced).expect("an unplaced job") = Value::UInt(0);
     });
+    // A node of the first running job given to the second one.
+    let shared: Edit = Box::new(|v| {
+        let active = engine_array(v, &["jobs", "active"]);
+        let (first, second) = (active[0].clone(), active[1].clone());
+        let node_job = engine_array(v, &["jobs", "node_job"]);
+        *node_job.iter_mut().find(|j| **j == first).expect("a node of the first job") = second;
+    });
     // The value at `path` below `obs`, changed by `f`.
     let obs = |path: &'static [&'static str], f: fn(&mut Value)| -> Edit {
         Box::new(move |v| f(below(v, "obs", path)))
     };
+    let bogus = Value::Array(vec![
+        Value::Str("engine".into()),
+        Value::Str("bogus_counter".into()),
+        Value::UInt(5),
+    ]);
     // Each row: the section the error names, what it says, the edit.
-    let edits: [(&str, &str, Edit); 19] = [
+    let edits: [(&str, &str, Edit); 25] = [
         ("checkpoint heap entry", "names no payload", heap(0, 2, Value::UInt(1 << 40))),
         ("checkpoint heap entry", "lies before the checkpoint time", heap(0, 0, Value::UInt(t - 1))),
         ("checkpoint heap entry", "repeats the seq", heap(1, 2, first_seq)),
@@ -277,15 +289,27 @@ fn inconsistent_checkpoints_fail_to_resume() {
         ("engine.jobs", "node_job names job 4294967294", set(&["jobs", "node_job"], 0, far.clone())),
         ("engine.jobs", "active[0] names job 4294967294", set(&["jobs", "active"], 0, far)),
         ("engine.jobs", "active_pos places", stray),
+        ("engine.jobs", "is held by running jobs", shared),
+        ("engine.out", "truth.sbe_by_card holds 10 entries", cut(&["out", "truth", "sbe_by_card"], 10)),
         ("obs.metrics", "histogram job_nodes has bounds", obs(&["hists"], |v| {
             items(&mut items(v)[0])[2] = Value::Array(Vec::new());
+        })),
+        ("obs.metrics", "counters holds 41 entries", Box::new(move |v| {
+            items(below(v, "obs", &["counters"])).push(bogus.clone());
         })),
         ("obs.timeseries", "timeseries holds 5 series", obs(&["timeseries"], |v| items(v).truncate(5))),
         ("obs.spans", "span kind 4", obs(&["spans"], |v| *field(&mut items(v)[0], "kind") = Value::UInt(4))),
         ("obs.spans", "spans_by_kind holds 5 totals", obs(&["spans_by_kind"], |v| items(v).push(Value::UInt(0)))),
+        ("obs.spans", "spans kept", obs(&["spans"], |v| drop(items(v).pop()))),
+        ("obs.spans", "does not sum to", obs(&["spans_by_kind"], |v| {
+            if let Value::UInt(n) = &mut items(v)[0] {
+                *n += 1;
+            }
+        })),
         ("obs.trace", "trace_next 1 is not above", obs(&["trace_next"], |v| *v = Value::UInt(1))),
         ("obs.health", "rule_state length is 4", obs(&["health", "rule_state"], |v| items(v).truncate(4))),
         ("obs.health", "interval_secs is 1209600", obs(&["health", "interval_secs"], |v| *v = Value::UInt(1_209_600))),
+        ("obs.health", "next_boundary is 1296000", obs(&["health", "next_boundary"], |v| *v = Value::UInt(1_296_000))),
     ];
     for (section, want, edit) in edits {
         let mut v = doc.to_value();

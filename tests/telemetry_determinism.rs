@@ -297,23 +297,3 @@ fn profile_json_writes_titan_profile_doc() {
     let metrics_pos = doc.find("\"metrics\"").expect("metrics key");
     assert!(wall_pos > metrics_pos, "wall section is not last");
 }
-
-/// Satellite guarantee: `--span-capacity` resizes the recent-span ring
-/// and the chosen capacity is recorded in the metrics document.
-#[test]
-fn span_capacity_flag_is_recorded_in_metrics() {
-    let path = tmp("span_cap.json");
-    run_ok(&[
-        "run",
-        "--days",
-        "6",
-        "--seed",
-        "7",
-        "--span-capacity",
-        "8",
-        "--metrics",
-        path.to_str().expect("utf8 path"),
-    ]);
-    let doc = std::fs::read_to_string(&path).expect("metrics file");
-    assert!(doc.contains("\"capacity\": 8"), "span ring capacity not recorded:\n{doc}");
-}
