@@ -2,10 +2,10 @@
 //! action, handed to [`crate::Obs::emit`].
 //!
 //! The engine describes *what happened*; every sink derives its own
-//! record from that description. The metrics registry, time series and
-//! span ring, the flight recorder, the health sink and the cost ledger
-//! are each a fold over the event stream, so adding a sink never adds
-//! an engine call site. Events carry plain numbers, sim times and
+//! record from that description. The metrics registry and time series,
+//! the flight recorder, the health sink and the cost ledger are each a
+//! fold over the event stream, so adding a sink never adds an engine
+//! call site. Events carry plain numbers, sim times and
 //! console lines, never `titan-gpu` types. Trace payload text arrives
 //! as a closure, called only when the flight recorder is on.
 
@@ -18,7 +18,7 @@ use crate::prof::CostKind;
 pub type Detail<'a> = &'a dyn Fn() -> String;
 
 /// Lazily computed `faults.*` counter values of one drafted stream:
-/// `(name, value)` pairs, registered on first sight in list order.
+/// `(name, value)` pairs, each naming a counter of the metrics catalog.
 pub type DraftCounts<'a> = &'a dyn Fn() -> Vec<(String, u64)>;
 
 /// One observable engine action. Counts the engine holds as `usize`
@@ -75,12 +75,6 @@ pub enum ObsEvent<'a> {
     },
     /// A job ended: completed, crashed, or closed at the horizon.
     JobEnd {
-        /// Scheduler start time.
-        start: SimTime,
-        /// Actual end time.
-        end: SimTime,
-        /// The job's apid.
-        apid: u64,
         /// Nodes the job occupied (one epilogue read each).
         nodes: usize,
     },
@@ -118,15 +112,6 @@ pub enum ObsEvent<'a> {
     },
     /// A job-wide software incident found no running job to strike.
     SoftNoTarget,
-    /// A node rebooted after a fatal event.
-    Reboot {
-        /// Sim time of the reboot (instantaneous).
-        t: SimTime,
-        /// The rebooted node.
-        node: u64,
-        /// XID of the fatal event (0 for off the bus).
-        xid: u64,
-    },
     /// A cascade parent spawned its children.
     Cascade {
         /// Children scheduled.
@@ -140,10 +125,6 @@ pub enum ObsEvent<'a> {
         t: SimTime,
         /// The card retiring a page.
         card: u64,
-        /// When its XID 63 line lands; `None` when it is never logged.
-        record_at: Option<SimTime>,
-        /// Whether the two-SBE path retired it (the DBE path otherwise).
-        by_sbe: bool,
         /// Payload text of the retirement record.
         detail: Detail<'a>,
     },
@@ -153,8 +134,6 @@ pub enum ObsEvent<'a> {
         parent: u64,
         /// Sim time it came due.
         t: SimTime,
-        /// The slot to service.
-        slot: u32,
         /// The card scheduled for pulling.
         card: u32,
         /// Whether the card was pulled (stale otherwise).

@@ -13,13 +13,14 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::series::{TsSeries, BUCKET_SECS};
-use crate::trace::{TraceRing, SPAN_CAPACITY};
 use crate::Obs;
 
 /// Current schema identifier written into every document. `/2` added
 /// the `timeseries` section (fixed sim-time buckets of a curated
-/// counter subset) on top of `/1`.
-pub const SCHEMA: &str = "titan-obs/2";
+/// counter subset) on top of `/1`; `/3` dropped the `spans` section,
+/// the span ring's summary, whose causal kinds the flight recorder's
+/// parent links carry.
+pub const SCHEMA: &str = "titan-obs/3";
 
 /// Snapshot of one fixed-bucket histogram.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,63 +33,6 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of observed values.
     pub sum: u64,
-}
-
-/// One retained span, with the kind rendered as its stable name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpanRecord {
-    /// Stable kind name (see [`crate::SpanKind::name`]).
-    pub kind: String,
-    /// Sim time the span opened.
-    pub start: u64,
-    /// Sim time the span closed.
-    pub end: u64,
-    /// Primary identifier.
-    pub key: u64,
-    /// Secondary payload.
-    pub extra: u64,
-}
-
-/// Span-ring summary: exact totals plus the retained tail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceSummary {
-    /// Ring capacity ([`SPAN_CAPACITY`]).
-    pub capacity: u64,
-    /// Spans ever recorded.
-    pub recorded: u64,
-    /// Spans evicted once the ring filled.
-    pub dropped: u64,
-    /// Exact per-kind totals (all kinds present, even at zero).
-    pub by_kind: BTreeMap<String, u64>,
-    /// The retained spans, oldest first.
-    pub recent: Vec<SpanRecord>,
-}
-
-impl TraceSummary {
-    /// Summarizes a ring.
-    pub fn from_ring(ring: &TraceRing) -> Self {
-        let mut by_kind = BTreeMap::new();
-        for (kind, count) in ring.counts_by_kind() {
-            by_kind.insert(kind.name().to_string(), count);
-        }
-        TraceSummary {
-            capacity: SPAN_CAPACITY as u64,
-            recorded: ring.recorded(),
-            dropped: ring.dropped(),
-            by_kind,
-            recent: ring
-                .spans()
-                .iter()
-                .map(|s| SpanRecord {
-                    kind: s.kind.name().to_string(),
-                    start: s.start,
-                    end: s.end,
-                    key: s.key,
-                    extra: s.extra,
-                })
-                .collect(),
-        }
-    }
 }
 
 /// The `timeseries` section: fixed sim-time buckets of the curated
@@ -124,8 +68,6 @@ pub struct MetricsDoc {
     pub nvsmi: BTreeMap<String, u64>,
     /// Fixed-bucket histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Span-ring summary.
-    pub spans: TraceSummary,
     /// Time-bucketed counter subset (new in `/2`).
     pub timeseries: TimeSeriesDoc,
 }
@@ -152,7 +94,6 @@ impl MetricsDoc {
             sec: BTreeMap::new(),
             nvsmi: BTreeMap::new(),
             histograms: BTreeMap::new(),
-            spans: TraceSummary::from_ring(&obs.trace),
             timeseries: TimeSeriesDoc {
                 bucket_secs: BUCKET_SECS,
                 buckets: n_buckets,
@@ -199,7 +140,7 @@ impl MetricsDoc {
     }
 
     /// Flattens every scalar into `section.name -> f64` (plus
-    /// histogram `hist.<name>.count/sum` and span totals), the shape
+    /// histogram `hist.<name>.count/sum`), the shape
     /// `titan-runner` aggregates into per-seed metric bands.
     pub fn flatten(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
@@ -217,11 +158,6 @@ impl MetricsDoc {
             out.insert(format!("hist.{name}.count"), h.count as f64);
             out.insert(format!("hist.{name}.sum"), h.sum as f64);
         }
-        out.insert("spans.recorded".to_string(), self.spans.recorded as f64);
-        out.insert("spans.dropped".to_string(), self.spans.dropped as f64);
-        for (kind, &count) in &self.spans.by_kind {
-            out.insert(format!("spans.{kind}"), count as f64);
-        }
         out
     }
 }
@@ -229,7 +165,7 @@ impl MetricsDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostKind, ObsEvent, Span, SpanKind};
+    use crate::{CostKind, ObsEvent};
 
     fn sample_doc() -> MetricsDoc {
         let mut obs = Obs::new(true);
@@ -247,13 +183,6 @@ mod tests {
         obs.emit(ObsEvent::Cascade { children: 2 });
         let dyn_c = obs.reg.counter("sec", "rule_hits.alert_each");
         obs.reg.add(dyn_c, 7);
-        obs.trace.record(Span {
-            kind: SpanKind::HotSpareSwap,
-            start: 100,
-            end: 200,
-            key: 3,
-            extra: 9001,
-        });
         MetricsDoc::from_obs(&obs, 42, 60)
     }
 
@@ -268,9 +197,6 @@ mod tests {
         let h = doc.histograms.get("cascade_fanout").expect("fanout hist");
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 2);
-        assert_eq!(doc.spans.recorded, 1);
-        assert_eq!(doc.spans.by_kind.get("hot_spare_swap"), Some(&1));
-        assert_eq!(doc.spans.by_kind.get("job_lifecycle"), Some(&0));
     }
 
     #[test]
@@ -290,7 +216,7 @@ mod tests {
         obs.ts.inc(crate::TsSeries::EvDbe, 0);
         obs.ts.inc(crate::TsSeries::EvDbe, 8 * 86_400); // second weekly bucket
         let doc = MetricsDoc::from_obs(&obs, 1, 60);
-        assert_eq!(doc.schema, "titan-obs/2");
+        assert_eq!(doc.schema, "titan-obs/3");
         let ts = &doc.timeseries;
         assert_eq!(ts.bucket_secs, 7 * 86_400);
         // 60 days / 7-day buckets = 9 buckets (ceil).
@@ -303,48 +229,6 @@ mod tests {
         assert_eq!(ts.series["ev_dbe"].iter().sum::<u64>(), 2);
     }
 
-    /// `spans.recent` is oldest→newest at the exact capacity boundary —
-    /// a full-but-unwrapped ring (capacity spans) and a just-wrapped one
-    /// (capacity + 1) both export in record order with the oldest
-    /// survivor first.
-    #[test]
-    fn spans_recent_is_oldest_first_at_capacity_boundaries() {
-        let cap = SPAN_CAPACITY as u64;
-        let starts = |doc: &MetricsDoc| -> Vec<u64> {
-            doc.spans.recent.iter().map(|s| s.start).collect()
-        };
-        let record = |obs: &mut Obs, kind: SpanKind, t: u64| {
-            obs.trace.record(Span { kind, start: t, end: t, key: t, extra: 0 });
-        };
-        // Exactly `capacity` spans: nothing evicted, insertion order.
-        let mut obs = Obs::new(true);
-        for t in 0..cap {
-            record(&mut obs, SpanKind::JobLifecycle, t);
-        }
-        let doc = MetricsDoc::from_obs(&obs, 0, 1);
-        assert_eq!(doc.spans.capacity, cap);
-        assert_eq!(doc.spans.dropped, 0);
-        assert_eq!(starts(&doc), (0..cap).collect::<Vec<_>>());
-
-        // `capacity + 1` spans: the oldest evicted, order preserved.
-        record(&mut obs, SpanKind::FaultChain, cap);
-        let doc = MetricsDoc::from_obs(&obs, 0, 1);
-        assert_eq!(doc.spans.dropped, 1);
-        assert_eq!(starts(&doc), (1..=cap).collect::<Vec<_>>());
-        // by_kind totals survive eviction exactly.
-        assert_eq!(doc.spans.by_kind["job_lifecycle"], cap);
-        assert_eq!(doc.spans.by_kind["fault_chain"], 1);
-
-        // Well past capacity: still oldest-first, still exact totals.
-        for t in cap + 1..cap + 20 {
-            record(&mut obs, SpanKind::JobLifecycle, t);
-        }
-        let doc = MetricsDoc::from_obs(&obs, 0, 1);
-        assert_eq!(starts(&doc), (20..cap + 20).collect::<Vec<_>>());
-        assert_eq!(doc.spans.by_kind["job_lifecycle"], cap + 19);
-        assert_eq!(doc.spans.recorded, cap + 20);
-    }
-
     #[test]
     fn flatten_prefixes_sections() {
         let doc = sample_doc();
@@ -353,6 +237,6 @@ mod tests {
         assert_eq!(flat.get("faults.dbe_drafts"), Some(&3.0));
         assert_eq!(flat.get("sec.rule_hits.alert_each"), Some(&7.0));
         assert_eq!(flat.get("hist.cascade_fanout.count"), Some(&1.0));
-        assert_eq!(flat.get("spans.hot_spare_swap"), Some(&1.0));
+        assert!(flat.keys().all(|k| !k.starts_with("spans.")), "{flat:?}");
     }
 }

@@ -112,6 +112,17 @@ pub struct TraceRecord {
     pub payload: String,
 }
 
+/// The flight recorder's checkpoint section (`obs.trace`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct TraceSnap {
+    /// Id watermark: the next id to be minted.
+    next: u64,
+    /// Records minted so far, id order.
+    records: Vec<TraceRecord>,
+    /// Console `(ts, id)` pairs, emission order.
+    console: Vec<(u64, u64)>,
+}
+
 /// The deterministic trace sink threaded through a run. Disabled
 /// streams mint id 0 and record nothing, so the engine code is
 /// identical on both paths.
@@ -257,30 +268,29 @@ impl TraceStream {
     /// emission order (the input to
     /// [`TraceStream::console_ids_in_log_order`]), carried verbatim so
     /// a resumed stream aligns SEC replay the same way.
-    pub(crate) fn snap(&self) -> (u64, Vec<TraceRecord>, Vec<(u64, u64)>) {
-        (self.next, self.records.clone(), self.console.clone())
+    pub(crate) fn snap(&self) -> TraceSnap {
+        TraceSnap {
+            next: self.next,
+            records: self.records.clone(),
+            console: self.console.clone(),
+        }
     }
 
     /// Overwrites the stream wholesale from its checkpoint section. A
     /// watermark at or below the newest record's id is refused: the
     /// next mint would repeat an id. No-op when disabled, preserving
     /// the disabled-stream-is-inert invariant.
-    pub(crate) fn restore(
-        &mut self,
-        next: u64,
-        records: &[TraceRecord],
-        console: &[(u64, u64)],
-    ) -> Result<(), String> {
+    pub(crate) fn restore(&mut self, snap: &TraceSnap) -> Result<(), String> {
         if !self.enabled {
             return Ok(());
         }
-        let newest = records.last().map_or(0, |r| r.id);
+        let (next, newest) = (snap.next, snap.records.last().map_or(0, |r| r.id));
         if next <= newest {
-            return Err(format!("trace_next {next} is not above the newest record id {newest}"));
+            return Err(format!("next {next} is not above the newest record id {newest}"));
         }
         self.next = next;
-        self.records = records.to_vec();
-        self.console = console.to_vec();
+        self.records = snap.records.clone();
+        self.console = snap.console.clone();
         Ok(())
     }
 
@@ -669,7 +679,7 @@ mod tests {
         assert!(!called, "payload closure must not run when disabled");
         assert!(s.records().is_empty());
         assert_eq!(fault(&mut s, 0, &[1]), 0);
-        assert!(s.snap().2.is_empty());
+        assert!(s.snap().console.is_empty());
     }
 
     /// Folds a fault logging one console line per entry of `times`;

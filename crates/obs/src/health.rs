@@ -15,7 +15,7 @@
 //! flushing one [`HealthInterval`] record per grid interval plus
 //! [`HealthAlert`] records fired by a declarative rule set.
 //!
-//! Determinism contract (the same one `titan-obs/2` and `titan-trace/1`
+//! Determinism contract (the same one `titan-obs/3` and `titan-trace/1`
 //! obey):
 //!
 //! * **pure observer** — a run with health collection on is
@@ -28,7 +28,7 @@
 //!   renders the exact bytes of an uninterrupted one;
 //! * **snapshot-complete** — the sink folds into one [`HealthSnap`]
 //!   that holds every mutable field (already-emitted records included),
-//!   so the `obs.health` section of a `titan-ckpt/1` checkpoint is a
+//!   so the `obs.health` section of a `titan-ckpt/2` checkpoint is a
 //!   copy of it, and a restore checks it against the sink's own rules
 //!   and grid before taking it whole.
 //!
@@ -51,7 +51,7 @@ use crate::flight::TraceRecord;
 /// Frozen schema identifier of the health doc (S1-guarded).
 pub const HEALTH_SCHEMA: &str = "titan-health/1";
 
-/// Default interval grid: weekly, matching the `titan-obs/2` timeseries
+/// Default interval grid: weekly, matching the `titan-obs/3` timeseries
 /// bucket so the two surfaces line up.
 pub const DEFAULT_HEALTH_INTERVAL_SECS: u64 = 7 * 86_400;
 
@@ -420,9 +420,6 @@ impl RuleState {
 /// `obs.health` section is its serialization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthSnap {
-    /// Whether the sink is collecting (resume validates this against
-    /// the `--health` flag).
-    pub(crate) enabled: bool,
     /// Interval grid step.
     pub(crate) interval_secs: u64,
     /// Next unflushed boundary.
@@ -485,6 +482,8 @@ pub struct HealthSnap {
 /// paths (the telemetry pure-observer invariant).
 #[derive(Debug)]
 pub struct HealthSink {
+    /// Whether the sink is collecting.
+    enabled: bool,
     /// The folded state; [`HealthSink::snap`] is a copy of it.
     state: HealthSnap,
     rules: Vec<HealthRule>,
@@ -509,7 +508,6 @@ impl HealthSink {
     /// A sink with an explicit grid step (at least 1) and rule set.
     fn with_rules(enabled: bool, interval_secs: u64, rules: Vec<HealthRule>) -> Self {
         let state = HealthSnap {
-            enabled,
             interval_secs,
             next_boundary: interval_secs,
             cur_lo: 0,
@@ -538,6 +536,7 @@ impl HealthSink {
             records: Vec::new(),
         };
         HealthSink {
+            enabled,
             state,
             burst_target: vec![None; rules.len()],
             rules,
@@ -547,7 +546,7 @@ impl HealthSink {
 
     /// Whether the sink is collecting.
     pub fn is_enabled(&self) -> bool {
-        self.state.enabled
+        self.enabled
     }
 
     /// Advances the interval grid to the engine's monotone loop time,
@@ -555,7 +554,7 @@ impl HealthSink {
     /// dequeued event; the cheap path is one compare.
     #[inline]
     pub fn tick(&mut self, t: u64) {
-        if !self.state.enabled {
+        if !self.enabled {
             return;
         }
         while self.state.next_boundary <= t {
@@ -571,7 +570,7 @@ impl HealthSink {
     ///
     /// [`ConsoleEvent`]: titan_conlog::ConsoleEvent
     pub(crate) fn fold(&mut self, ev: &ObsEvent<'_>, id: u64) {
-        if !self.state.enabled {
+        if !self.enabled {
             return;
         }
         match *ev {
@@ -618,7 +617,7 @@ impl HealthSink {
 
     /// Feeds one console-visible error event.
     pub fn on_console(&mut self, ev: HealthEvent) {
-        if !self.state.enabled {
+        if !self.enabled {
             return;
         }
         if ev.hardware {
@@ -686,7 +685,7 @@ impl HealthSink {
     /// Flushes every remaining boundary up to the run horizon plus the
     /// final partial interval. Idempotent.
     pub fn finish(&mut self, t_end: u64) {
-        if !self.state.enabled || self.state.finished {
+        if !self.enabled || self.state.finished {
             return;
         }
         self.state.finished = true;
@@ -996,14 +995,13 @@ impl HealthSink {
         self.state.clone()
     }
 
-    /// Absolute restore from a snapshot. A disabled sink stays inert
-    /// (the run was checkpointed without `--health`, or the resume
-    /// dropped it). The rules and the grid are the sink's own, so a
+    /// Absolute restore from a snapshot. A disabled sink stays inert.
+    /// The rules and the grid are the sink's own, so a
     /// snapshot whose interval, rule states or heat grid do not fit
     /// them is refused, not repaired. So is one no paused run holds: a
     /// finished section, or an open interval that is not one grid step.
     pub fn restore(&mut self, snap: &HealthSnap) -> Result<(), String> {
-        if !self.state.enabled || !snap.enabled {
+        if !self.enabled {
             return Ok(());
         }
         let (own, step) = (&self.state, self.state.interval_secs);
@@ -1336,14 +1334,11 @@ mod tests {
                 parent: 0,
                 t: 7,
                 card: 3,
-                record_at: None,
-                by_sbe: false,
                 detail,
             },
             ObsEvent::Swap {
                 parent: 0,
                 t: 8,
-                slot: 1,
                 card: 3,
                 fired: true,
                 spares: 2,

@@ -3,15 +3,15 @@
 //! The fleet simulator's own observability layer — the paper's whole
 //! methodology is telemetry (SEC-filtered console logs plus nvidia-smi
 //! snapshots), and this crate gives the *simulator* the same courtesy:
-//! counters, gauges, histograms, and structured spans describing what
+//! counters, gauges, histograms and weekly time series describing what
 //! the engine did, exported as one stable JSON document.
 //!
 //! ## Time-domain rule (the determinism contract)
 //!
 //! Everything recorded here lives in the **simulation time domain**
 //! ([`titan_conlog::time::SimTime`]) or is a pure count of simulation
-//! work. No wall-clock value may ever enter the registry or the trace
-//! ring: recorded telemetry must be byte-identical for a fixed seed
+//! work. No wall-clock value may ever enter the registry or the flight
+//! recorder: recorded telemetry must be byte-identical for a fixed seed
 //! across thread widths, hosts, and reruns. Wall-clock profiling lives
 //! strictly in `titan-runner`, `titan-bench`, and the CLI — titan-lint
 //! rule D5 enforces this mechanically for every engine crate, this one
@@ -31,9 +31,8 @@
 //! on the median of three attempts, and on a 2-vCPU shared host the
 //! metrics median has exceeded 5% in every measured run.
 //!
-//! See `OBSERVABILITY.md` at the workspace root for the metric catalog,
-//! the span taxonomy, and how to add a metric without breaking
-//! determinism.
+//! See `OBSERVABILITY.md` at the workspace root for the metric catalog
+//! and how to add a metric without breaking determinism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,10 +45,9 @@ pub mod metrics;
 pub mod prof;
 pub mod series;
 pub mod snapshot;
-pub mod trace;
 
 pub use event::ObsEvent;
-pub use export::{HistogramSnapshot, MetricsDoc, SpanRecord, TimeSeriesDoc, TraceSummary, SCHEMA};
+pub use export::{HistogramSnapshot, MetricsDoc, TimeSeriesDoc, SCHEMA};
 pub use flight::{
     chrome_trace, parse_trace, summarize_trace, verify_trace, TraceFilter, TraceHeader,
     TraceKind, TraceRecord, TraceStream, VerifyReport, TRACE_SCHEMA,
@@ -67,7 +65,6 @@ pub use prof::{
 };
 pub use series::{TimeBuckets, TsSeries, BUCKET_SECS};
 pub use snapshot::ObsSnapshot;
-pub use trace::{Span, SpanKind, TraceRing, SPAN_CAPACITY};
 
 use event::count;
 
@@ -110,7 +107,7 @@ const CASCADE_FANOUT_BOUNDS: &[u64] = &[0, 1, 2, 3, 5, 8];
 /// The drafted-stream counters, registered up front so their order
 /// never depends on which fault processes a run enables; the values
 /// arrive by name with [`ObsEvent::DraftStream`].
-const DRAFT_COUNTERS: [&str; 10] = [
+const DRAFT_COUNTERS: [&str; 15] = [
     "dbe_drafts",
     "dbe_device_memory",
     "dbe_register_file",
@@ -119,6 +116,11 @@ const DRAFT_COUNTERS: [&str; 10] = [
     "otb_cluster_roots",
     "otb_cluster_children",
     "sbe_drafts",
+    "sbe_draft_device_memory",
+    "sbe_draft_l2_cache",
+    "sbe_draft_register_file",
+    "sbe_draft_shared_l1",
+    "sbe_draft_texture_memory",
     "soft_incidents",
     "soft_job_wide",
 ];
@@ -163,9 +165,9 @@ impl Catalog {
         }
     }
 
-    /// The metrics fold: registry counters, gauges and histograms, the
-    /// time series and the span ring.
-    fn fold(&self, reg: &mut Registry, ts: &mut TimeBuckets, spans: &mut TraceRing, ev: &ObsEvent<'_>) {
+    /// The metrics fold: registry counters, gauges and histograms, and
+    /// the time series.
+    fn fold(&self, reg: &mut Registry, ts: &mut TimeBuckets, ev: &ObsEvent<'_>) {
         match *ev {
             ObsEvent::DraftStream { counts, .. } => {
                 for (name, value) in counts() {
@@ -192,16 +194,7 @@ impl Catalog {
                 reg.set_max(self.active_jobs_high_water, count(active));
                 reg.observe(self.job_nodes, count(nodes));
             }
-            ObsEvent::JobEnd { start, end, apid, nodes } => {
-                reg.add(self.epilogue_reads, count(nodes));
-                spans.record(Span {
-                    kind: SpanKind::JobLifecycle,
-                    start,
-                    end,
-                    key: apid,
-                    extra: count(nodes),
-                });
-            }
+            ObsEvent::JobEnd { nodes } => reg.add(self.epilogue_reads, count(nodes)),
             ObsEvent::Fault { lines, .. } => {
                 for line in lines {
                     ts.inc(TsSeries::ConsoleLines, line.time);
@@ -213,41 +206,14 @@ impl Catalog {
             }
             ObsEvent::Sbe { accepted: false, .. } => reg.inc(self.sbe_thinned),
             ObsEvent::SoftNoTarget => reg.inc(self.soft_no_target),
-            ObsEvent::Reboot { t, node, xid } => spans.record(Span {
-                kind: SpanKind::RepairReboot,
-                start: t,
-                end: t,
-                key: node,
-                extra: xid,
-            }),
             ObsEvent::Cascade { children } => {
                 reg.inc(self.cascade_parents);
                 reg.add(self.cascade_children, count(children));
                 reg.observe(self.cascade_fanout, count(children));
             }
-            // Fault → SEC-visible record causal chain: the XID 63 line
-            // lands when the record fires.
-            ObsEvent::Retirement { t, card, record_at: Some(at), by_sbe, .. } => {
-                spans.record(Span {
-                    kind: SpanKind::FaultChain,
-                    start: t,
-                    end: at,
-                    key: card,
-                    extra: u64::from(by_sbe),
-                });
-            }
-            ObsEvent::Swap { t, slot, card, fired: true, .. } => {
+            ObsEvent::Swap { t, fired: true, .. } => {
                 reg.inc(self.swaps_fired);
                 ts.inc(TsSeries::SwapsFired, t);
-                // The span covers schedule (one maintenance window,
-                // 24 h, earlier) to fire.
-                spans.record(Span {
-                    kind: SpanKind::HotSpareSwap,
-                    start: t.saturating_sub(24 * 3600),
-                    end: t,
-                    key: u64::from(slot),
-                    extra: u64::from(card),
-                });
             }
             ObsEvent::Swap { fired: false, .. } => reg.inc(self.swaps_stale),
             ObsEvent::Finalize {
@@ -274,7 +240,7 @@ impl Catalog {
 /// The default arms nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsPlan {
-    /// Metrics registry, span ring and time series (`--metrics`).
+    /// Metrics registry and time series (`--metrics`).
     pub metrics: bool,
     /// Causal flight recorder (`--trace`).
     pub trace: bool,
@@ -285,14 +251,12 @@ pub struct ObsPlan {
 }
 
 /// The observability sink threaded through a simulation run: metrics
-/// registry, span ring and time series, and the optional flight
-/// recorder, health sink and cost ledger. The engine feeds it through
+/// registry and time series, and the optional flight recorder, health
+/// sink and cost ledger. The engine feeds it through
 /// [`Obs::emit`] only; every sink folds the same event stream.
 pub struct Obs {
     /// The metrics registry (standard catalog pre-registered).
     pub reg: Registry,
-    /// The bounded span ring.
-    pub trace: TraceRing,
     /// The causal flight recorder (off by default; see
     /// [`Obs::enable_trace`]).
     pub stream: TraceStream,
@@ -315,7 +279,6 @@ impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
             .field("enabled", &self.reg.enabled())
-            .field("trace", &self.trace)
             .field("stream_enabled", &self.stream.is_enabled())
             .finish()
     }
@@ -337,7 +300,6 @@ impl Obs {
         let cat = Catalog::register(&mut reg);
         Obs {
             reg,
-            trace: TraceRing::new(plan.metrics),
             stream: TraceStream::new(plan.trace),
             ts: TimeBuckets::new(plan.metrics),
             health: HealthSink::new(plan.health),
@@ -415,7 +377,7 @@ impl Obs {
         self.prof.fold(ev, self.stream.next_id());
         let id = self.stream.fold(ev);
         if self.reg.enabled() {
-            self.cat.fold(&mut self.reg, &mut self.ts, &mut self.trace, ev);
+            self.cat.fold(&mut self.reg, &mut self.ts, ev);
         }
         self.health.fold(ev, id);
         id
@@ -484,10 +446,9 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let mut obs = Obs::disabled();
         assert_eq!(obs.emit(dequeue(5, CostKind::Dbe)), 0);
-        obs.emit(ObsEvent::Reboot { t: 5, node: 1, xid: 48 });
         assert_eq!(counter(&mut obs, "engine", "ev_dbe"), 0);
         assert_eq!(counter(&mut obs, "engine", "events_dequeued"), 0);
-        assert_eq!(obs.trace.recorded(), 0);
+        assert!(obs.ts.series(TsSeries::EvDbe).is_empty());
     }
 
     #[test]
@@ -509,14 +470,53 @@ mod tests {
     #[test]
     fn catalog_registers_in_the_frozen_order() {
         let obs = Obs::disabled();
-        let names: Vec<&str> = obs.reg.counters().map(|(_, n, _)| n).collect();
-        assert_eq!(names.len(), 35);
-        assert_eq!(&names[..4], ["events_dequeued", "events_past_horizon", "ev_job_start", "ev_job_end"]);
-        assert_eq!(names[10], "ev_swap");
-        assert_eq!(names[19], "pre_sbe_allocs");
-        assert_eq!(names[20], "dbe_drafts");
-        assert_eq!(&names[30..32], ["cascade_parents", "cascade_children"]);
-        assert_eq!(&names[32..], ["prologue_reads", "epilogue_reads", "final_snapshots"]);
+        let names: Vec<String> =
+            obs.reg.counters().map(|(s, n, _)| format!("{s}.{n}")).collect();
+        assert_eq!(
+            names,
+            [
+                "engine.events_dequeued",
+                "engine.events_past_horizon",
+                "engine.ev_job_start",
+                "engine.ev_job_end",
+                "engine.ev_dbe",
+                "engine.ev_otb",
+                "engine.ev_sbe",
+                "engine.ev_soft",
+                "engine.ev_child",
+                "engine.ev_retire_record",
+                "engine.ev_swap",
+                "engine.console_lines",
+                "engine.sbe_accepted",
+                "engine.sbe_thinned",
+                "engine.soft_no_target",
+                "engine.swaps_fired",
+                "engine.swaps_stale",
+                "engine.jobs_closed_at_horizon",
+                "engine.pre_sbe_reuse_hits",
+                "engine.pre_sbe_allocs",
+                "faults.dbe_drafts",
+                "faults.dbe_device_memory",
+                "faults.dbe_register_file",
+                "faults.dbe_inforom_lost",
+                "faults.otb_drafts",
+                "faults.otb_cluster_roots",
+                "faults.otb_cluster_children",
+                "faults.sbe_drafts",
+                "faults.sbe_draft_device_memory",
+                "faults.sbe_draft_l2_cache",
+                "faults.sbe_draft_register_file",
+                "faults.sbe_draft_shared_l1",
+                "faults.sbe_draft_texture_memory",
+                "faults.soft_incidents",
+                "faults.soft_job_wide",
+                "faults.cascade_parents",
+                "faults.cascade_children",
+                "nvsmi.prologue_reads",
+                "nvsmi.epilogue_reads",
+                "nvsmi.final_snapshots",
+            ]
+        );
     }
 
     #[test]
@@ -555,7 +555,6 @@ mod tests {
         let id = obs.emit(ObsEvent::Swap {
             parent: 0,
             t: 9,
-            slot: 1,
             card: 2,
             fired: false,
             spares: 0,

@@ -9,11 +9,28 @@
 //! All values are `u64` counts or sim-time quantities; nothing here may
 //! ever hold a wall-clock reading (see crate docs and lint rule D5).
 
+use serde::{Deserialize, Serialize};
+
 /// `(section, name, value)`: one counter or gauge in a checkpoint.
-pub(crate) type ValueRow = (String, String, u64);
+type ValueRow = (String, String, u64);
 
 /// `(name, bounds, counts, count, sum)`: one histogram in a checkpoint.
-pub(crate) type HistRow = (String, Vec<u64>, Vec<u64>, u64, u64);
+type HistRow = (String, Vec<u64>, Vec<u64>, u64, u64);
+
+/// The metrics sink's checkpoint section (`obs.metrics`): the registry
+/// and the time series, which are armed together.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct MetricsSnap {
+    /// `(section, name, value)` for every counter, registration order.
+    counters: Vec<ValueRow>,
+    /// `(section, name, value)` for every gauge, registration order.
+    gauges: Vec<ValueRow>,
+    /// `(name, bounds, counts, count, sum)` for every histogram.
+    hists: Vec<HistRow>,
+    /// Raw buckets of every time series, in [`crate::TsSeries::ALL`]
+    /// order.
+    pub(crate) timeseries: Vec<Vec<u64>>,
+}
 
 /// Handle to a monotonic counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,33 +219,36 @@ impl Registry {
             .map(|h| (h.name.as_str(), h.bounds.as_slice(), h.counts.as_slice(), h.count, h.sum))
     }
 
-    /// The registry's checkpoint section: every counter, gauge and
-    /// histogram, each in registration order.
-    pub(crate) fn snap(&self) -> (Vec<ValueRow>, Vec<ValueRow>, Vec<HistRow>) {
+    /// The metrics checkpoint section: every counter, gauge and
+    /// histogram, each in registration order, beside the time series'
+    /// `timeseries` buckets.
+    pub(crate) fn snap(&self, timeseries: Vec<Vec<u64>>) -> MetricsSnap {
         let row = |(s, n, v): (&str, &str, u64)| (s.to_string(), n.to_string(), v);
         let hists = self
             .hists
             .iter()
             .map(|h| (h.name.clone(), h.bounds.clone(), h.counts.clone(), h.count, h.sum))
             .collect();
-        (self.counters().map(row).collect(), self.gauges().map(row).collect(), hists)
+        MetricsSnap {
+            counters: self.counters().map(row).collect(),
+            gauges: self.gauges().map(row).collect(),
+            hists,
+            timeseries,
+        }
     }
 
-    /// Overwrites every metric from a checkpoint section, by position.
-    /// The section must name the registered counters, gauges and
-    /// histograms, each list in registration order, and every histogram
-    /// must keep its registered bounds and carry one count per bucket,
-    /// overflow included; anything else is refused. No-op when disabled,
-    /// preserving the disabled-sink-is-inert invariant.
-    pub(crate) fn restore(
-        &mut self,
-        counters: &[ValueRow],
-        gauges: &[ValueRow],
-        hists: &[HistRow],
-    ) -> Result<(), String> {
+    /// Overwrites every metric from the registry part of a checkpoint
+    /// section, by position. The section must name the registered
+    /// counters, gauges and histograms, each list in registration
+    /// order, and every histogram must keep its registered bounds and
+    /// carry one count per bucket, overflow included; anything else is
+    /// refused. No-op when disabled, preserving the
+    /// disabled-sink-is-inert invariant.
+    pub(crate) fn restore(&mut self, snap: &MetricsSnap) -> Result<(), String> {
         if !self.enabled {
             return Ok(());
         }
+        let MetricsSnap { counters, gauges, hists, .. } = snap;
         same_names("counters", counters, &self.counter_meta)?;
         same_names("gauges", gauges, &self.gauge_meta)?;
         if hists.len() != self.hists.len() {
@@ -344,14 +364,13 @@ mod tests {
         let mut src = registry();
         let b = src.counter("faults", "b");
         src.add(b, 7);
-        let (counters, gauges, hists) = src.snap();
+        let mut snap = src.snap(Vec::new());
         let mut dst = registry();
-        dst.restore(&counters, &gauges, &hists).expect("same registry");
+        dst.restore(&snap).expect("same registry");
         assert_eq!(dst.counter_value(b), 7);
 
-        let mut swapped = counters;
-        swapped.swap(0, 1);
-        let err = dst.restore(&swapped, &gauges, &hists).expect_err("reordered counters");
+        snap.counters.swap(0, 1);
+        let err = dst.restore(&snap).expect_err("reordered counters");
         assert!(err.contains("counters[0] is faults.b"), "{err}");
     }
 }

@@ -484,17 +484,14 @@ impl ProfLedger {
             cost.alloc_bytes = 0;
             cost.frees = 0;
         }
-        ProfSnap {
-            enabled: self.enabled,
-            scopes,
-        }
+        ProfSnap { scopes }
     }
 
     /// Overwrites the scope table from a checkpoint and marks a
-    /// rebaseline. Inert when either side has the ledger off, matching
-    /// the disabled-sink-is-inert invariant of every other sub-sink.
+    /// rebaseline. Inert when the ledger is off, matching the
+    /// disabled-sink-is-inert invariant of every other sub-sink.
     pub fn restore(&mut self, snap: &ProfSnap) {
-        if !self.enabled || !snap.enabled {
+        if !self.enabled {
             return;
         }
         self.kinds = [KindCost::default(); CostKind::ALL.len()];
@@ -511,13 +508,10 @@ impl ProfLedger {
     }
 }
 
-/// The prof ledger's slice of an [`crate::ObsSnapshot`]: scope table in
+/// The prof ledger's checkpoint section (`obs.prof`): scope table in
 /// kind-then-phase order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfSnap {
-    /// Whether the captured run had the ledger on (resume validates
-    /// this against `--prof`, like the health flag).
-    pub enabled: bool,
     /// `(scope name, cost)` rows, kinds first, phases in seen order.
     pub scopes: Vec<(String, KindCost)>,
 }
@@ -564,7 +558,8 @@ pub struct ProfDoc {
     pub ledger: BTreeMap<String, KindCost>,
     /// Sum over every scope.
     pub totals: KindCost,
-    /// The run's full metrics document (`titan-obs/2`).
+    /// The run's full metrics document. It names its own schema
+    /// (`titan-obs/3`), so a metrics bump leaves `titan-prof/2` as is.
     pub metrics: MetricsDoc,
     /// Host wall-clock attribution — the one non-deterministic section,
     /// last on purpose; strip before comparing documents.
@@ -872,7 +867,6 @@ mod tests {
         l.fold(&pop(CostKind::Swap, 0), 0);
         l.fold(&slice_end(3), 1);
         let snap = l.snap();
-        assert!(snap.enabled);
 
         let mut r = ProfLedger::new(true);
         // Pollute with restore-machinery history, as a real resume does.

@@ -1,5 +1,5 @@
 //! Fixed sim-time bucket counters: the `timeseries` section of
-//! `titan-obs/2`.
+//! `titan-obs/3`.
 //!
 //! The paper's trend figures (weekly error rates, the Jan-14 driver
 //! cutover) need time-resolved counts, not run-end totals. A
@@ -10,6 +10,9 @@
 //! break byte-identity.
 
 use titan_conlog::time::SimTime;
+
+use crate::event::count;
+use crate::Registry;
 
 /// Bucket width: one week of sim time, matching the paper's
 /// weekly-rate figures.
@@ -125,9 +128,20 @@ impl TimeBuckets {
     }
 
     /// Overwrites every series from its checkpoint section, which must
-    /// hold one bucket list per [`TsSeries`]. No-op when disabled,
-    /// preserving the disabled-sink-is-inert invariant.
-    pub(crate) fn restore(&mut self, series: &[Vec<u64>]) -> Result<(), String> {
+    /// hold what a run paused at sim time `t` holds: one bucket list
+    /// per [`TsSeries`], no bucket past `t`'s, and each series summing
+    /// to the restored `reg` counter it shadows. `console_lines` is
+    /// exempt from both rules: a job-wide incident stamps its node
+    /// lines a few seconds after the event, so they can land past `t`'s
+    /// bucket, and its counter is added only at finalize. Anything else
+    /// is refused. No-op when disabled, preserving the
+    /// disabled-sink-is-inert invariant.
+    pub(crate) fn restore(
+        &mut self,
+        series: &[Vec<u64>],
+        t: SimTime,
+        reg: &Registry,
+    ) -> Result<(), String> {
         if !self.enabled {
             return Ok(());
         }
@@ -137,6 +151,25 @@ impl TimeBuckets {
                 series.len(),
                 self.series.len()
             ));
+        }
+        let held = t / BUCKET_SECS + 1;
+        for (s, buckets) in TsSeries::ALL.into_iter().zip(series) {
+            if s == TsSeries::ConsoleLines {
+                continue;
+            }
+            let name = s.name();
+            if count(buckets.len()) > held {
+                return Err(format!(
+                    "timeseries.{name} holds {} buckets, a run paused at t {t} holds at most {held}",
+                    buckets.len()
+                ));
+            }
+            let sum = buckets.iter().fold(0u64, |a, &n| a.saturating_add(n));
+            let counter = reg.counters().find(|&(sec, n, _)| sec == "engine" && n == name);
+            let want = counter.map_or(0, |(_, _, v)| v);
+            if sum != want {
+                return Err(format!("timeseries.{name} sums to {sum}, engine.{name} is {want}"));
+            }
         }
         self.series.clone_from_slice(series);
         Ok(())

@@ -1,17 +1,18 @@
-//! Hash-chained checkpoint/restore: the `titan-ckpt/1` document.
+//! Hash-chained checkpoint/restore: the `titan-ckpt/2` document.
 //!
 //! A 638-day window is minutes of wall time, but the reliability story
 //! the paper tells is about *recovering* long computations — so the
 //! runner can freeze the whole deterministic machine state at fixed
 //! sim-time boundaries and resume it later with **byte-identical**
-//! output: same console log, same `titan-obs/2` metrics document, same
+//! output: same console log, same `titan-obs/3` metrics document, same
 //! `titan-trace/1` flight recording as a run that passed straight
 //! through the boundary (pinned by `tests/checkpoint_determinism.rs`).
 //!
 //! Each checkpoint is one JSON document carrying the engine snapshot
 //! ([`titan_sim::EngineSnapshot`]: heap, payload tail, fleet, job
 //! table, RNG stream positions), the observability snapshot
-//! ([`titan_obs::ObsSnapshot`]: counters, spans, trace-id watermark),
+//! ([`titan_obs::ObsSnapshot`]: one section per observer, `null` when
+//! it is off),
 //! and an FNV-1a digest **chained over the previous checkpoint's
 //! digest** (the `prev_digest` field is part of the hashed bytes). The
 //! chain is what makes [`bisect`] work: because the state at boundary
@@ -33,18 +34,21 @@
 
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
-use titan_obs::{Obs, ObsPlan, ObsSnapshot};
+use titan_obs::{Obs, ObsSnapshot};
 use titan_reliability::study::CompletedStudy;
 use titan_reliability::{Study, StudyConfig};
 use titan_sim::{EngineSnapshot, EngineState};
 
 use crate::Fnv1a;
 
-/// Schema identifier written into every checkpoint document.
-pub const CKPT_SCHEMA: &str = "titan-ckpt/1";
+/// Schema identifier written into every checkpoint document. `/2` reads
+/// the observer plan off the `obs` sections present, in place of the
+/// `metrics_enabled` / `trace_enabled` flags of `/1`, and gives each
+/// observer one `obs` section.
+pub const CKPT_SCHEMA: &str = "titan-ckpt/2";
 
 /// One frozen machine state. Field order is part of the on-disk format
-/// (lint S1, `titan-ckpt-1` golden spec): the digest is FNV-1a over the
+/// (lint S1, `titan-ckpt-2` golden spec): the digest is FNV-1a over the
 /// serialized document with `digest` zeroed, so any reordering would
 /// invalidate every existing checkpoint file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,12 +63,6 @@ pub struct CheckpointDoc {
     pub t: u64,
     /// Checkpoint number within the run, 0-based, cadence order.
     pub index: u64,
-    /// Whether the run collected metrics (`--metrics`). Resuming with
-    /// different observability flags than the original run breaks
-    /// metrics byte-identity (see DETERMINISM.md).
-    pub metrics_enabled: bool,
-    /// Whether the run carried a flight recorder (`--trace`).
-    pub trace_enabled: bool,
     /// The previous checkpoint's `digest` (0 for index 0). Hashing this
     /// field is what chains the digests.
     pub prev_digest: u64,
@@ -74,23 +72,9 @@ pub struct CheckpointDoc {
     pub config: StudyConfig,
     /// The engine state at `t` (heap, fleet, jobs, RNG positions).
     pub engine: EngineSnapshot,
-    /// The observability state at `t` (counters, spans, trace ids).
+    /// The observability state at `t`: one section per armed sink, so
+    /// the sections present are the run's observer plan.
     pub obs: ObsSnapshot,
-}
-
-impl CheckpointDoc {
-    /// The observer plan the checkpointed run was armed with: the
-    /// whole plan, since each observer is only on or off. A resume must
-    /// arm the same sinks: restoring into a differently armed sink
-    /// silently drops or restarts that sink's state.
-    pub fn plan(&self) -> ObsPlan {
-        ObsPlan {
-            metrics: self.metrics_enabled,
-            trace: self.trace_enabled,
-            health: self.obs.health_enabled(),
-            prof: self.obs.prof_enabled(),
-        }
-    }
 }
 
 /// The chained digest of a document: FNV-1a over its compact JSON
@@ -142,7 +126,9 @@ pub fn checkpoint_text_digest(text: &str) -> Option<u64> {
 
 /// Parses and **verifies** a checkpoint document: schema must match and
 /// the recomputed chained digest must equal the stored one. A corrupted
-/// file (any flipped byte) fails here with a clean error.
+/// file (any flipped byte) fails here with a clean error, and a document
+/// of another schema (an older `titan-ckpt/1` file) with one naming both
+/// schemas.
 ///
 /// One [`rayon::join`] parses the text on the caller and hashes its
 /// bytes ([`checkpoint_text_digest`]) on the other thread. When the
@@ -205,8 +191,6 @@ fn advance_with_checkpoints(
             window_days: window / 86_400,
             t,
             index,
-            metrics_enabled: obs.is_enabled(),
-            trace_enabled: obs.trace_enabled(),
             prev_digest,
             digest: 0,
             config: config.clone(),
@@ -277,7 +261,7 @@ pub fn resume_checkpointed(
     obs: &mut Obs,
     mut on_checkpoint: impl FnMut(&CheckpointDoc) -> Result<(), String>,
 ) -> Result<CompletedStudy, String> {
-    let written = doc.plan();
+    let written = doc.obs.plan();
     // `--prof` goes first: it arms the metrics sink too, so a mismatch
     // is named by the flag that was actually given.
     for (flag, was, now) in [
@@ -296,10 +280,10 @@ pub fn resume_checkpointed(
         }
     }
     let mut st = EngineState::restore(&doc.config.sim, &doc.engine, obs)?;
-    // Engine setup during restore feeds the sinks (and registers every
-    // metric a paused run holds); each sink's restore overwrites what
-    // its section carries, after checking the section's shape.
-    doc.obs.restore(obs)?;
+    // Engine setup during restore feeds the sinks; each sink's restore
+    // overwrites what its section carries, after checking the
+    // section's shape.
+    doc.obs.restore(obs, doc.t)?;
     st.set_divergence_probe(divergence);
     if every > 0 {
         advance_with_checkpoints(
@@ -382,6 +366,7 @@ pub fn bisect(a: &[CheckpointDoc], b: &[CheckpointDoc]) -> Result<BisectReport, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use titan_obs::ObsPlan;
 
     const DAY: u64 = 86_400;
 

@@ -251,7 +251,7 @@ pub fn run_seed_with(
 /// [`SeedRun::obs`]), so the replicate report does not depend on them.
 #[derive(Debug, PartialEq)]
 pub struct RunDocs {
-    /// The `titan-obs/2` metrics document (`plan.metrics`).
+    /// The `titan-obs/3` metrics document (`plan.metrics`).
     pub metrics: Option<MetricsDoc>,
     /// The rendered `titan-trace/1` JSONL (`plan.trace`).
     pub trace: Option<String>,
@@ -838,7 +838,6 @@ mod tests {
         assert!(doc.faults["dbe_drafts"] > 0);
         assert!(doc.sec["events_ingested"] > 0);
         assert!(doc.nvsmi["final_snapshots"] > 0);
-        assert!(doc.spans.recorded > 0);
         // Flattened scalars joined the band metrics.
         assert_eq!(
             observed.metrics["obs.engine.events_dequeued"],
@@ -910,7 +909,7 @@ mod tests {
         let base = StudyConfig::quick(30, 0);
         let (run, _) = run_seed_with(&base, 100, true, &plan(true, false, false));
         let doc = run.obs.expect("collected");
-        assert_eq!(doc.schema, "titan-obs/2");
+        assert_eq!(doc.schema, "titan-obs/3");
         for name in [
             "console_lines",
             "ev_dbe",

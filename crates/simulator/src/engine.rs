@@ -12,7 +12,7 @@
 //! The engine is split into an explicit [`EngineState`] so a run can be
 //! paused at any sim-time boundary, captured as an [`EngineSnapshot`],
 //! and resumed later (or in another process) with byte-identical
-//! output — the checkpoint/restore contract pinned by the `titan-ckpt/1`
+//! output — the checkpoint/restore contract pinned by the `titan-ckpt/2`
 //! tests in `titan-runner`.
 
 use std::cmp::Reverse;
@@ -114,7 +114,7 @@ struct JobState {
     actual_end: SimTime,
 }
 
-/// [`JobState`] as `titan-ckpt/1` carries it: the prologue is the dense
+/// [`JobState`] as `titan-ckpt/2` carries it: the prologue is the dense
 /// per-node vector list, in allocation order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct JobStateSnapshot {
@@ -442,12 +442,7 @@ impl JobTable {
             }
         }
         self.spare_pre.push(pre);
-        obs.emit(ObsEvent::JobEnd {
-            start: job.start,
-            end: t,
-            apid: job.spec.apid,
-            nodes: job.nodes.len(),
-        });
+        obs.emit(ObsEvent::JobEnd { nodes: job.nodes.len() });
         let delta = JobEccDelta {
             apid: job.spec.apid,
             per_node_sbe,
@@ -606,7 +601,7 @@ pub struct EngineState {
 
 /// Everything the event loop mutates, captured at a sim-time boundary.
 /// Together with the originating [`SimConfig`] this is sufficient to
-/// resume the run with byte-identical output; the `titan-ckpt/1` doc in
+/// resume the run with byte-identical output; the `titan-ckpt/2` doc in
 /// `titan-runner` wraps it with a chained FNV digest.
 ///
 /// The deterministic *setup* products (workload schedule, fault drafts,
@@ -971,11 +966,6 @@ impl EngineState {
                         jobs.end(j, t, schedule, fleet, out, obs);
                     }
                     fleet.card_mut(card).inforom.driver_reload(persisted);
-                    obs.emit(ObsEvent::Reboot {
-                        t,
-                        node: u64::from(node.0),
-                        xid: 48, // XID 48: double-bit error
-                    });
 
                     if let RetireDecision::Retired(cause) = decision {
                         schedule_retirement(t, window, card, cause, ev_id, queue, cascade_rng, out, obs);
@@ -1032,11 +1022,6 @@ impl EngineState {
                     }
                     // Node reboots after repair; volatile counters clear.
                     fleet.card_mut(card).inforom.driver_reload(false);
-                    obs.emit(ObsEvent::Reboot {
-                        t,
-                        node: u64::from(node.0),
-                        xid: 0, // off the bus (no XID in the paper's tables)
-                    });
                 }
                 Ev::Sbe {
                     structure,
@@ -1226,7 +1211,6 @@ impl EngineState {
                     obs.emit(ObsEvent::Swap {
                         parent: trace,
                         t,
-                        slot,
                         card,
                         fired: pulled.is_some(),
                         spares: fleet.n_spares(),
@@ -1592,8 +1576,6 @@ fn schedule_retirement(
         parent,
         t,
         card: u64::from(card),
-        record_at: emitted.then_some(t + delay),
-        by_sbe: matches!(cause, RetirementCause::MultipleSingleBitErrors),
         detail: &|| format!("retire cause={cause:?} emitted={emitted}"),
     });
     out.truth.retirements.push(RetireTruth {
@@ -2282,5 +2264,30 @@ mod tests {
         st.run_until(SimTime::MAX, &mut Obs::disabled());
         let diverged = st.finalize(&mut Obs::disabled());
         assert_ne!(base.console, diverged.console);
+    }
+
+    /// Every `faults.*` name a drafted stream reports is a counter the
+    /// metrics catalog registers when the `Obs` is built, so the fold
+    /// only looks names up and a restore needs no set-up replay to
+    /// register them.
+    #[test]
+    fn draft_counter_names_are_in_the_catalog() {
+        use std::iter::empty;
+        use titan_faults::hardware::{DbeDraft, OtbDraft, SbeDraft};
+        use titan_faults::software::SoftwareIncident;
+        let obs = Obs::disabled();
+        let catalog: BTreeSet<&str> =
+            obs.reg.counters().filter(|&(s, _, _)| s == "faults").map(|(_, n, _)| n).collect();
+        let names = [
+            DbeDraft::counts(empty()),
+            OtbDraft::counts(empty()),
+            SbeDraft::counts(empty()),
+            SoftwareIncident::counts(empty()),
+        ]
+        .concat();
+        assert_eq!(names.len(), 15);
+        for (name, _) in names {
+            assert!(catalog.contains(name.as_str()), "faults.{name} is not in the catalog");
+        }
     }
 }

@@ -496,10 +496,10 @@ fn real_tree_layering_and_schemas_are_clean() {
         [
             "titan-bench-trajectory/2",
             "titan-check/1",
-            "titan-ckpt/1",
+            "titan-ckpt/2",
             "titan-health/1",
             "titan-obs-replicate/1",
-            "titan-obs/2",
+            "titan-obs/3",
             "titan-prof/2",
             "titan-trace/1",
         ],

@@ -168,7 +168,7 @@ commands:
                                     --prof arms the deterministic cost ledger
                                     and writes the titan-prof/2 document;
                                     --checkpoint-every freezes the full machine
-                                    state into DIR/ckpt-NNNNNN.json (titan-ckpt/1,
+                                    state into DIR/ckpt-NNNNNN.json (titan-ckpt/2,
                                     hash-chained) every SECS sim seconds;
                                     --from-checkpoint resumes one and reproduces
                                     the run-through output byte for byte (use the
@@ -543,7 +543,7 @@ fn resume_point(path: &str, opts: &Opts) -> Result<titan_runner::CheckpointDoc, 
     Ok(ck)
 }
 
-/// The `ckpt` subcommand: offline tooling over `titan-ckpt/1` files.
+/// The `ckpt` subcommand: offline tooling over `titan-ckpt/2` files.
 fn ckpt_cmd(args: &[String]) -> Result<ExitCode, String> {
     let Some(mode) = args.first() else {
         return Err(format!("ckpt needs a mode (verify | bisect)\n{USAGE}"));
@@ -1039,17 +1039,6 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
     for (name, h) in &doc.histograms {
         println!("    {name:<38} count {:>8}  sum {:>10}", h.count, h.sum);
     }
-    println!("  [spans]");
-    for (kind, count) in &doc.spans.by_kind {
-        println!("    {kind:<38} {count:>12}");
-    }
-    println!(
-        "    {:<38} {:>12}  (ring keeps {}, dropped {})",
-        "recorded",
-        doc.spans.recorded,
-        doc.spans.recent.len(),
-        doc.spans.dropped
-    );
     let fails = evals.iter().filter(|e| e.verdict == Verdict::Fail).count();
     println!("  [health]");
     let hdoc = titan_obs::parse_health(docs.health.as_deref().unwrap_or_default())?;

@@ -3,7 +3,7 @@
 //!
 //! 1. `run --from-checkpoint` at boundary T reproduces a run that
 //!    passed straight through T **byte for byte** — console report on
-//!    stdout, `titan-obs/2` metrics document, and `titan-trace/1`
+//!    stdout, `titan-obs/3` metrics document, and `titan-trace/1`
 //!    flight recording — at `TITAN_NUM_THREADS` 1 and 8;
 //! 2. a corrupted checkpoint (one flipped byte) fails chained-digest
 //!    verification with a clean error, never a panic;
@@ -285,7 +285,7 @@ fn bisect_localizes_injected_divergence() {
     assert!(text.contains("no divergence"), "self-comparison diverged:\n{text}");
 }
 
-/// Telemetry accounting across the resume boundary: every `titan-obs/2`
+/// Telemetry accounting across the resume boundary: every `titan-obs/3`
 /// time series is an exact bucketization of its run-end counter, even
 /// when the run was split by `--from-checkpoint` — the restored
 /// `TimeBuckets` carry the pre-boundary mass, and the resumed half
@@ -318,7 +318,7 @@ fn timeseries_sums_match_counters_across_resume() {
     for dir in [&through, &resumed] {
         let text = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics doc");
         let doc: titan_obs::MetricsDoc =
-            serde_json::from_str(&text).expect("titan-obs/2 metrics parse");
+            serde_json::from_str(&text).expect("titan-obs/3 metrics parse");
         assert!(!doc.timeseries.series.is_empty(), "no time series in {}", dir.display());
         for (name, buckets) in &doc.timeseries.series {
             let sum: u64 = buckets.iter().sum();

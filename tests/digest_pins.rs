@@ -53,24 +53,23 @@ fn first_checkpoint_digest_and_bytes_are_pinned() {
     let text = ckpt::render_checkpoint(&doc);
     assert_eq!(doc.index, 0);
     assert_eq!(
-        doc.digest, 0xe5b0_db10_b64e_abf4,
+        doc.digest, 0xd77e_a0bf_59e6_ce2a,
         "digest {:#018x}",
         doc.digest
     );
     assert_eq!(ckpt::checkpoint_digest(&doc), doc.digest);
-    assert_eq!(text.len(), 7_213_600);
+    assert_eq!(text.len(), 7_211_205);
     let bytes = fnv1a(text.as_bytes());
-    assert_eq!(bytes, 0x81d5_ca6d_443d_7b07, "document bytes {bytes:#018x}");
+    assert_eq!(bytes, 0xba04_fc15_db3a_53cf, "document bytes {bytes:#018x}");
 }
 
-/// The plan with every sink armed (default span-ring capacity).
+/// The plan with every sink armed.
 fn all_sinks() -> ObsPlan {
     ObsPlan {
         metrics: true,
         trace: true,
         health: true,
         prof: true,
-        ..ObsPlan::default()
     }
 }
 
@@ -84,7 +83,7 @@ fn armed_run_documents_are_pinned() {
     let health = docs.health.expect("health planned");
     let ledger = serde_json::to_string(&docs.ledger.expect("prof planned")).expect("ledger json");
     for (name, text, want) in [
-        ("metrics", &metrics, 0xed81_6ff4_372d_951cu64),
+        ("metrics", &metrics, 0xa08d_565f_3b05_77f2u64),
         ("trace", &trace, 0xadb0_ef25_10d3_f033),
         ("health", &health, 0x1a1b_f956_eb62_e110),
         ("ledger", &ledger, 0xc8f6_6155_7995_4c48),
@@ -111,11 +110,11 @@ fn first_armed_checkpoint_digest_and_bytes_are_pinned() {
     let doc = first.expect("at least one checkpoint");
     let bytes = fnv1a(ckpt::render_checkpoint(&doc).as_bytes());
     assert_eq!(
-        doc.digest, 0xd59e_10d6_6602_cd73,
+        doc.digest, 0x5fbc_430d_17bc_f94f,
         "digest {:#018x}",
         doc.digest
     );
-    assert_eq!(bytes, 0x3add_e494_e75d_47cb, "document bytes {bytes:#018x}");
+    assert_eq!(bytes, 0x53ee_78e2_e2a2_7300, "document bytes {bytes:#018x}");
 }
 
 /// What the paper's numbers are computed from: the full report text,

@@ -236,7 +236,7 @@ fn heap_entry(v: &mut Value, i: usize) -> &mut Vec<Value> {
 fn inconsistent_checkpoints_fail_to_resume() {
     let doc = ckpt::parse_checkpoint(checkpoint_text()).expect("verify");
     let resume = |doc: &ckpt::CheckpointDoc| {
-        ckpt::resume_checkpointed(doc, 0, None, &mut Obs::from_plan(&doc.plan()), |_| Ok(()))
+        ckpt::resume_checkpointed(doc, 0, None, &mut Obs::from_plan(&doc.obs.plan()), |_| Ok(()))
     };
     assert!(resume(&doc).is_ok(), "the unedited checkpoint resumes");
     let (t, first_seq) = (doc.t, heap_entry(&mut doc.to_value(), 0)[2].clone());
@@ -275,8 +275,10 @@ fn inconsistent_checkpoints_fail_to_resume() {
         Value::Str("bogus_counter".into()),
         Value::UInt(5),
     ]);
+    let buckets = |counts: &[u64]| Value::Array(counts.iter().map(|&n| Value::UInt(n)).collect());
+    let (long, off) = (buckets(&[1, 0, 0, 7]), buckets(&[7]));
     // Each row: the section the error names, what it says, the edit.
-    let edits: [(&str, &str, Edit); 25] = [
+    let edits: [(&str, &str, Edit); 23] = [
         ("checkpoint heap entry", "names no payload", heap(0, 2, Value::UInt(1 << 40))),
         ("checkpoint heap entry", "lies before the checkpoint time", heap(0, 0, Value::UInt(t - 1))),
         ("checkpoint heap entry", "repeats the seq", heap(1, 2, first_seq)),
@@ -291,22 +293,20 @@ fn inconsistent_checkpoints_fail_to_resume() {
         ("engine.jobs", "active_pos places", stray),
         ("engine.jobs", "is held by running jobs", shared),
         ("engine.out", "truth.sbe_by_card holds 10 entries", cut(&["out", "truth", "sbe_by_card"], 10)),
-        ("obs.metrics", "histogram job_nodes has bounds", obs(&["hists"], |v| {
+        ("obs.metrics", "histogram job_nodes has bounds", obs(&["metrics", "hists"], |v| {
             items(&mut items(v)[0])[2] = Value::Array(Vec::new());
         })),
         ("obs.metrics", "counters holds 41 entries", Box::new(move |v| {
-            items(below(v, "obs", &["counters"])).push(bogus.clone());
+            items(below(v, "obs", &["metrics", "counters"])).push(bogus.clone());
         })),
-        ("obs.timeseries", "timeseries holds 5 series", obs(&["timeseries"], |v| items(v).truncate(5))),
-        ("obs.spans", "span kind 4", obs(&["spans"], |v| *field(&mut items(v)[0], "kind") = Value::UInt(4))),
-        ("obs.spans", "spans_by_kind holds 5 totals", obs(&["spans_by_kind"], |v| items(v).push(Value::UInt(0)))),
-        ("obs.spans", "spans kept", obs(&["spans"], |v| drop(items(v).pop()))),
-        ("obs.spans", "does not sum to", obs(&["spans_by_kind"], |v| {
-            if let Value::UInt(n) = &mut items(v)[0] {
-                *n += 1;
-            }
+        ("obs.metrics", "timeseries holds 5 series", obs(&["metrics", "timeseries"], |v| items(v).truncate(5))),
+        ("obs.metrics", "timeseries.ev_dbe holds 4 buckets", Box::new(move |v| {
+            items(below(v, "obs", &["metrics", "timeseries"]))[1] = long.clone();
         })),
-        ("obs.trace", "trace_next 1 is not above", obs(&["trace_next"], |v| *v = Value::UInt(1))),
+        ("obs.metrics", "timeseries.ev_dbe sums to 7", Box::new(move |v| {
+            items(below(v, "obs", &["metrics", "timeseries"]))[1] = off.clone();
+        })),
+        ("obs.trace", "next 1 is not above", obs(&["trace", "next"], |v| *v = Value::UInt(1))),
         ("obs.health", "rule_state length is 4", obs(&["health", "rule_state"], |v| items(v).truncate(4))),
         ("obs.health", "interval_secs is 1209600", obs(&["health", "interval_secs"], |v| *v = Value::UInt(1_209_600))),
         ("obs.health", "next_boundary is 1296000", obs(&["health", "next_boundary"], |v| *v = Value::UInt(1_296_000))),
@@ -321,6 +321,20 @@ fn inconsistent_checkpoints_fail_to_resume() {
         let err = resume(&edited).err().unwrap_or_else(|| panic!("resumed an edit where {want}"));
         assert!(err.contains(section) && err.contains(want), "{err}");
     }
+}
+
+/// A `titan-ckpt/1` document is refused with an error naming both
+/// schemas. The reader skips unknown keys and reads a missing section
+/// as absent, so an older file parses and its schema is what refuses it.
+#[test]
+fn a_titan_ckpt_1_document_is_refused_by_schema() {
+    let v1 = checkpoint_text().replacen("\"titan-ckpt/2\"", "\"titan-ckpt/1\"", 1).replacen(
+        ",\"prev_digest\":",
+        ",\"metrics_enabled\":true,\"trace_enabled\":true,\"prev_digest\":",
+        1,
+    );
+    let err = ckpt::parse_checkpoint(&v1).expect_err("a titan-ckpt/1 document");
+    assert!(err.contains("`titan-ckpt/1`") && err.contains("`titan-ckpt/2`"), "{err}");
 }
 
 /// The trace and health documents of a 4-day run with both sinks armed.

@@ -935,7 +935,7 @@ fn committed_bench_snapshots_read_like_the_tree() {
 }
 
 /// Every document family the workspace reads back: an armed 10-day
-/// `CheckpointDoc`, the `titan-obs/2` metrics document, a `titan-prof/2`
+/// `CheckpointDoc`, the `titan-obs/3` metrics document, a `titan-prof/2`
 /// document, trace and health lines, and the health rule set.
 #[test]
 fn real_documents_read_like_the_tree() {

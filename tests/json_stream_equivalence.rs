@@ -437,7 +437,7 @@ fn derived_shapes_match() {
 
 /// Every document family the workspace writes or digests: the
 /// 10-day `SimOutput`, a `CheckpointDoc` carrying armed observability
-/// state, the `titan-obs/2` metrics document, and trace and health
+/// state, the `titan-obs/3` metrics document, and trace and health
 /// records; and the pretty artifacts: `Figures`, the metrics document
 /// and the `titan-prof/2` document.
 #[test]

@@ -65,8 +65,8 @@ fn replicate_metrics_json_identical_at_threads_1_vs_8() {
     assert_eq!(a, b, "metrics JSON differs between --threads 1 and --threads 8");
     let text = String::from_utf8(a).expect("utf8 metrics");
     assert!(text.contains("\"titan-obs-replicate/1\""), "replicate schema tag");
-    assert!(text.contains("\"titan-obs/2\""), "per-seed schema tag");
-    for section in ["\"engine\"", "\"faults\"", "\"sec\"", "\"nvsmi\"", "\"spans\""] {
+    assert!(text.contains("\"titan-obs/3\""), "per-seed schema tag");
+    for section in ["\"engine\"", "\"faults\"", "\"sec\"", "\"nvsmi\""] {
         assert!(text.contains(section), "metrics doc missing {section} section");
     }
 }
@@ -101,9 +101,9 @@ fn metrics_flag_never_changes_the_report() {
         "--metrics changed the simulation report"
     );
     let doc = std::fs::read_to_string(&path).expect("metrics file");
-    assert!(doc.contains("\"schema\": \"titan-obs/2\""));
+    assert!(doc.contains("\"schema\": \"titan-obs/3\""));
     assert!(doc.contains("\"events_dequeued\""));
-    assert!(doc.contains("\"timeseries\""), "titan-obs/2 doc missing timeseries section");
+    assert!(doc.contains("\"timeseries\""), "titan-obs/3 doc missing timeseries section");
 }
 
 /// `check --json` writes machine-readable per-check verdicts with the
@@ -159,7 +159,6 @@ fn profile_prints_phases_and_matches_run_metrics() {
         "sim-time telemetry",
         "[engine]",
         "[histograms]",
-        "[spans]",
     ] {
         assert!(stdout.contains(marker), "profile output missing `{marker}`");
     }
@@ -290,9 +289,9 @@ fn profile_json_writes_titan_profile_doc() {
     ] {
         assert!(doc.contains(field), "profile doc missing {field}");
     }
-    // The embedded metrics document is the titan-obs/2 shape, and the
+    // The embedded metrics document names its own schema, and the
     // non-deterministic wall section is the last top-level key.
-    assert!(doc.contains("\"titan-obs/2\""), "embedded metrics schema tag");
+    assert!(doc.contains("\"titan-obs/3\""), "embedded metrics schema tag");
     let wall_pos = doc.rfind("\"wall\"").expect("wall key");
     let metrics_pos = doc.find("\"metrics\"").expect("metrics key");
     assert!(wall_pos > metrics_pos, "wall section is not last");
