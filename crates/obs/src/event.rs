@@ -156,8 +156,8 @@ pub enum ObsEvent<'a> {
         jobs_closed: usize,
         /// Final fleet snapshots taken.
         final_snapshots: usize,
-        /// Console lines the run logged.
-        console_lines: usize,
+        /// Every console line the run logged.
+        console: &'a [ConsoleEvent],
         /// Payload slots ever scheduled.
         payload_slots: usize,
     },

@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
+use titan_conlog::ConsoleEvent;
 
 use crate::event::ObsEvent;
 
@@ -119,8 +120,6 @@ pub(crate) struct TraceSnap {
     next: u64,
     /// Records minted so far, id order.
     records: Vec<TraceRecord>,
-    /// Console `(ts, id)` pairs, emission order.
-    console: Vec<(u64, u64)>,
 }
 
 /// The deterministic trace sink threaded through a run. Disabled
@@ -131,11 +130,6 @@ pub struct TraceStream {
     enabled: bool,
     next: u64,
     records: Vec<TraceRecord>,
-    /// `(ts, id)` of every console-line record in emission order; the
-    /// engine sorts its console log by time *stably* after the loop, so
-    /// a stable sort of this list by `ts` reproduces the exact post-sort
-    /// console order (used to align SEC replay with console lines).
-    console: Vec<(u64, u64)>,
 }
 
 impl TraceStream {
@@ -145,7 +139,6 @@ impl TraceStream {
             enabled,
             next: 1,
             records: Vec::new(),
-            console: Vec::new(),
         }
     }
 
@@ -211,10 +204,7 @@ impl TraceStream {
                 for line in lines {
                     let (ts, node) = (line.time, Some(u64::from(line.node.0)));
                     let payload = || format!("console {:?}", line.kind);
-                    let cid = self.mint(TraceKind::ConsoleLine, id, ts, card, node, line.apid, payload);
-                    // Collect-time SEC replay aligns alerts with the
-                    // time-sorted console log through these pairs.
-                    self.console.push((ts, cid));
+                    self.mint(TraceKind::ConsoleLine, id, ts, card, node, line.apid, payload);
                 }
                 id
             }
@@ -263,24 +253,23 @@ impl TraceStream {
         self.next
     }
 
-    /// The recorder's checkpoint section: the id watermark, the
-    /// records minted so far, and the raw `(ts, id)` console pairs in
-    /// emission order (the input to
-    /// [`TraceStream::console_ids_in_log_order`]), carried verbatim so
-    /// a resumed stream aligns SEC replay the same way.
+    /// The recorder's checkpoint section: the id watermark and the
+    /// records minted so far.
     pub(crate) fn snap(&self) -> TraceSnap {
         TraceSnap {
             next: self.next,
             records: self.records.clone(),
-            console: self.console.clone(),
         }
     }
 
     /// Overwrites the stream wholesale from its checkpoint section. A
     /// watermark at or below the newest record's id is refused: the
-    /// next mint would repeat an id. No-op when disabled, preserving
+    /// next mint would repeat an id. The `console_line` records, in id
+    /// order, must carry the times of the paused engine's `console`
+    /// lines one for one, since collect time aligns SEC replay with the
+    /// console log through those times. No-op when disabled, preserving
     /// the disabled-stream-is-inert invariant.
-    pub(crate) fn restore(&mut self, snap: &TraceSnap) -> Result<(), String> {
+    pub(crate) fn restore(&mut self, snap: &TraceSnap, console: &[ConsoleEvent]) -> Result<(), String> {
         if !self.enabled {
             return Ok(());
         }
@@ -288,21 +277,28 @@ impl TraceStream {
         if next <= newest {
             return Err(format!("next {next} is not above the newest record id {newest}"));
         }
+        let lines: Vec<&TraceRecord> = console_lines(&snap.records).collect();
+        if lines.len() != console.len() {
+            return Err(format!("{} console_line records for {} console lines", lines.len(), console.len()));
+        }
+        if let Some((r, line)) = lines.iter().zip(console).find(|(r, line)| r.ts != line.time) {
+            return Err(format!("console_line record {} has ts {}, its console line is at {}", r.id, r.ts, line.time));
+        }
         self.next = next;
         self.records = snap.records.clone();
-        self.console = snap.console.clone();
         Ok(())
     }
 
     /// Console-line record ids reordered to match the engine's final
     /// console log: the engine pushes lines in heap order and stably
-    /// sorts by time afterwards, so a stable sort of the emission-order
-    /// `(ts, id)` pairs by `ts` yields the id of console line *i* at
-    /// index *i* of `SimOutput::console`.
+    /// sorts by time afterwards, so a stable sort of the `console_line`
+    /// records (id order is emission order) by `ts` yields the id of
+    /// console line *i* at index *i* of `SimOutput::console`. Collect
+    /// time aligns SEC replay with the console log through these ids.
     pub fn console_ids_in_log_order(&self) -> Vec<u64> {
-        let mut pairs = self.console.clone();
-        pairs.sort_by_key(|&(ts, _)| ts);
-        pairs.into_iter().map(|(_, id)| id).collect()
+        let mut lines: Vec<&TraceRecord> = console_lines(&self.records).collect();
+        lines.sort_by_key(|r| r.ts);
+        lines.into_iter().map(|r| r.id).collect()
     }
 
     /// Renders the full stream as `titan-trace/1` JSONL (header first,
@@ -327,6 +323,12 @@ impl TraceStream {
         }
         out
     }
+}
+
+/// The `console_line` records of `records`, in id order.
+fn console_lines(records: &[TraceRecord]) -> impl Iterator<Item = &TraceRecord> {
+    let kind = TraceKind::ConsoleLine.name();
+    records.iter().filter(move |r| r.kind == kind)
 }
 
 /// Parses a `titan-trace/1` JSONL document back into header + records.
@@ -679,23 +681,25 @@ mod tests {
         assert!(!called, "payload closure must not run when disabled");
         assert!(s.records().is_empty());
         assert_eq!(fault(&mut s, 0, &[1]), 0);
-        assert!(s.snap().console.is_empty());
+        assert!(s.console_ids_in_log_order().is_empty());
+    }
+
+    /// A job-wide console line on node 2 at `time`.
+    fn line(time: u64) -> ConsoleEvent {
+        ConsoleEvent {
+            time,
+            node: titan_topology::NodeId(2),
+            kind: titan_gpu::GpuErrorKind::GraphicsEngineException,
+            structure: None,
+            page: None,
+            apid: Some(9),
+        }
     }
 
     /// Folds a fault logging one console line per entry of `times`;
     /// returns the fault's id.
     fn fault(s: &mut TraceStream, parent: u64, times: &[u64]) -> u64 {
-        let lines: Vec<titan_conlog::ConsoleEvent> = times
-            .iter()
-            .map(|&time| titan_conlog::ConsoleEvent {
-                time,
-                node: titan_topology::NodeId(2),
-                kind: titan_gpu::GpuErrorKind::GraphicsEngineException,
-                structure: None,
-                page: None,
-                apid: Some(9),
-            })
-            .collect();
+        let lines: Vec<ConsoleEvent> = times.iter().copied().map(line).collect();
         s.fold(&ObsEvent::Fault {
             parent,
             t: times.first().copied().unwrap_or(0),
@@ -740,7 +744,20 @@ mod tests {
         // puts t=10 first and keeps the two t=50 lines in push order.
         let e = fault(&mut s, p, &[50, 10, 50]);
         let (a, b, c) = (e + 1, e + 2, e + 3);
-        assert_eq!(s.console_ids_in_log_order(), vec![b, a, c]);
+        // A later fault's line sorts between them; the fault records
+        // themselves are not console lines.
+        let d = fault(&mut s, p, &[20]) + 1;
+        assert_eq!(s.console_ids_in_log_order(), vec![b, d, a, c]);
+        // A restored stream derives the same order from its records.
+        let console = [50, 10, 50, 20].map(line);
+        let mut back = TraceStream::new(true);
+        back.restore(&s.snap(), &console).expect("restore");
+        assert_eq!(back.console_ids_in_log_order(), vec![b, d, a, c]);
+        // The records must carry the engine's console times, one for one.
+        let err = back.restore(&s.snap(), &[50, 10, 51, 20].map(line)).expect_err("a moved ts");
+        assert_eq!(err, format!("console_line record {c} has ts 50, its console line is at 51"));
+        let err = back.restore(&s.snap(), &console[..3]).expect_err("a missing line");
+        assert_eq!(err, "4 console_line records for 3 console lines");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   renders the exact bytes of an uninterrupted one;
 //! * **snapshot-complete** — the sink folds into one [`HealthSnap`]
 //!   that holds every mutable field (already-emitted records included),
-//!   so the `obs.health` section of a `titan-ckpt/2` checkpoint is a
+//!   so the `obs.health` section of a `titan-ckpt/3` checkpoint is a
 //!   copy of it, and a restore checks it against the sink's own rules
 //!   and grid before taking it whole.
 //!
@@ -124,8 +124,7 @@ pub struct HealthEvent {
 
 /// Declarative alert rules. Serialized (serde-derived JSON) into the
 /// doc header so every alert stream documents the rule set that
-/// produced it; [`rules_to_json`] renders the same shape for the
-/// `health rules` CLI.
+/// produced it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum HealthRule {
     /// `count` events of `class` inside a sliding `window_secs` window.
@@ -191,7 +190,7 @@ impl HealthRule {
 /// trips when the top-10 cards hold over a fifth of all accepted SBEs
 /// (the paper's bad-batch concentration signal; a healthy uniform fleet
 /// of ~19k cards sits orders of magnitude below that).
-pub fn olcf_default_rules() -> Vec<HealthRule> {
+fn olcf_default_rules() -> Vec<HealthRule> {
     vec![
         HealthRule::Burst {
             class: STRIPE_CLASS.to_string(),
@@ -209,13 +208,6 @@ pub fn olcf_default_rules() -> Vec<HealthRule> {
             window_secs: 7 * 86_400,
         },
     ]
-}
-
-/// Renders a rule set as pretty JSON (the `health rules` CLI surface).
-pub fn rules_to_json(rules: &[HealthRule]) -> String {
-    let mut s = serde_json::to_string_pretty(&rules.to_vec()).unwrap_or_else(|_| "[]".to_string());
-    s.push('\n');
-    s
 }
 
 /// First line of a `titan-health/1` JSONL doc.
@@ -422,12 +414,9 @@ impl RuleState {
 pub struct HealthSnap {
     /// Interval grid step.
     pub(crate) interval_secs: u64,
-    /// Next unflushed boundary.
-    pub(crate) next_boundary: u64,
-    /// Start of the interval being accumulated.
+    /// Start of the interval being accumulated; the next unflushed
+    /// boundary is one grid step past it.
     pub(crate) cur_lo: u64,
-    /// Whether [`HealthSink::finish`] ran.
-    pub(crate) finished: bool,
     /// Flushed-interval count.
     pub(crate) intervals_flushed: u64,
     /// Per-class state in first-seen order. A `Vec` rather than a map:
@@ -484,6 +473,9 @@ pub struct HealthSnap {
 pub struct HealthSink {
     /// Whether the sink is collecting.
     enabled: bool,
+    /// Whether [`HealthSink::finish`] ran; never true at a pause, so
+    /// not part of the snapshot.
+    finished: bool,
     /// The folded state; [`HealthSink::snap`] is a copy of it.
     state: HealthSnap,
     rules: Vec<HealthRule>,
@@ -509,9 +501,7 @@ impl HealthSink {
     fn with_rules(enabled: bool, interval_secs: u64, rules: Vec<HealthRule>) -> Self {
         let state = HealthSnap {
             interval_secs,
-            next_boundary: interval_secs,
             cur_lo: 0,
-            finished: false,
             intervals_flushed: 0,
             classes: Vec::new(),
             grid: vec![0; HEALTH_ROWS * HEALTH_COLS],
@@ -537,6 +527,7 @@ impl HealthSink {
         };
         HealthSink {
             enabled,
+            finished: false,
             state,
             burst_target: vec![None; rules.len()],
             rules,
@@ -557,10 +548,9 @@ impl HealthSink {
         if !self.enabled {
             return;
         }
-        while self.state.next_boundary <= t {
-            let b = self.state.next_boundary;
+        let step = self.state.interval_secs;
+        while let Some(b) = self.state.cur_lo.checked_add(step).filter(|&b| b <= t) {
             self.flush_interval(b);
-            self.state.next_boundary = b.saturating_add(self.state.interval_secs);
         }
     }
 
@@ -685,10 +675,10 @@ impl HealthSink {
     /// Flushes every remaining boundary up to the run horizon plus the
     /// final partial interval. Idempotent.
     pub fn finish(&mut self, t_end: u64) {
-        if !self.enabled || self.state.finished {
+        if !self.enabled || self.finished {
             return;
         }
-        self.state.finished = true;
+        self.finished = true;
         self.close_stripe_incident();
         self.tick(t_end);
         if t_end > self.state.cur_lo {
@@ -998,8 +988,8 @@ impl HealthSink {
     /// Absolute restore from a snapshot. A disabled sink stays inert.
     /// The rules and the grid are the sink's own, so a
     /// snapshot whose interval, rule states or heat grid do not fit
-    /// them is refused, not repaired. So is one no paused run holds: a
-    /// finished section, or an open interval that is not one grid step.
+    /// them is refused, not repaired. So is one no paused run holds: an
+    /// open interval that does not start on the grid.
     pub fn restore(&mut self, snap: &HealthSnap) -> Result<(), String> {
         if !self.enabled {
             return Ok(());
@@ -1010,9 +1000,7 @@ impl HealthSink {
             ("rule_state length", as_u64(snap.rule_state.len()), as_u64(self.rules.len())),
             ("grid length", as_u64(snap.grid.len()), as_u64(own.grid.len())),
             ("cages length", as_u64(snap.cages.len()), as_u64(own.cages.len())),
-            ("finished", u64::from(snap.finished), 0),
             ("cur_lo mod interval_secs", snap.cur_lo % step, 0),
-            ("next_boundary", snap.next_boundary, snap.cur_lo.saturating_add(step)),
         ] {
             if got != want {
                 return Err(format!("{what} is {got}, the sink's is {want}"));
@@ -1347,7 +1335,7 @@ mod tests {
                 window: 1_000_000,
                 jobs_closed: 0,
                 final_snapshots: 0,
-                console_lines: 0,
+                console: &[],
                 payload_slots: 0,
             },
         ] {
@@ -1581,17 +1569,11 @@ mod tests {
         // The burst window straddled the cut: the alert still fired.
         let doc = parse_health(&b.render_jsonl(9, 1)).expect("parse");
         assert_eq!(doc.alerts().filter(|a| a.rule == "burst").count(), 1);
-        // An open interval off the grid, or a finished section, is
-        // refused: no paused run holds either.
-        for edit in [
-            |s: &mut HealthSnap| s.next_boundary += 1,
-            |s: &mut HealthSnap| s.cur_lo += 1,
-            |s: &mut HealthSnap| s.finished = true,
-        ] {
-            let mut bad = back.clone();
-            edit(&mut bad);
-            assert!(b.restore(&bad).is_err(), "{bad:?}");
-        }
+        // An open interval off the grid is refused: no paused run
+        // holds one.
+        let mut bad = back.clone();
+        bad.cur_lo += 1;
+        assert!(b.restore(&bad).is_err(), "{bad:?}");
         // A disabled sink ignores restore.
         let mut inert = HealthSink::new(false);
         inert.restore(&back).expect("inert restore");
@@ -1629,15 +1611,6 @@ mod tests {
         assert!(parse_health("{\"schema\":\"nope/9\"}").is_err());
         let broken = format!("{}\nnot json", text.lines().next().expect("header"));
         assert!(parse_health(&broken).is_err());
-    }
-
-    #[test]
-    fn rules_json_roundtrip() {
-        let rules = olcf_default_rules();
-        let json = rules_to_json(&rules);
-        assert!(json.contains("Burst"), "{json}");
-        let back: Vec<HealthRule> = serde_json::from_str(&json).expect("parse rules");
-        assert_eq!(rules, back);
     }
 
     fn trace_rec(id: u64, parent: u64, kind: &str) -> TraceRecord {

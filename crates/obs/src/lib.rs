@@ -53,10 +53,9 @@ pub use flight::{
     TraceKind, TraceRecord, TraceStream, VerifyReport, TRACE_SCHEMA,
 };
 pub use health::{
-    olcf_default_rules, parse_health, rules_to_json, summarize_health,
-    verify_health_alerts, watch_health, HealthAlert, HealthDoc, HealthEvent, HealthHeader,
-    HealthInterval, HealthRec, HealthRule, HealthSink, HealthSnap, HealthSummary,
-    DEFAULT_HEALTH_INTERVAL_SECS, HEALTH_SCHEMA,
+    parse_health, summarize_health, verify_health_alerts, watch_health, HealthAlert, HealthDoc,
+    HealthEvent, HealthHeader, HealthInterval, HealthRec, HealthRule, HealthSink, HealthSnap,
+    HealthSummary, DEFAULT_HEALTH_INTERVAL_SECS, HEALTH_SCHEMA,
 };
 pub use metrics::{Counter, Gauge, HistId, Registry};
 pub use prof::{
@@ -195,11 +194,6 @@ impl Catalog {
                 reg.observe(self.job_nodes, count(nodes));
             }
             ObsEvent::JobEnd { nodes } => reg.add(self.epilogue_reads, count(nodes)),
-            ObsEvent::Fault { lines, .. } => {
-                for line in lines {
-                    ts.inc(TsSeries::ConsoleLines, line.time);
-                }
-            }
             ObsEvent::Sbe { accepted: true, t, .. } => {
                 reg.inc(self.sbe_accepted);
                 ts.inc(TsSeries::SbeAccepted, t);
@@ -216,17 +210,22 @@ impl Catalog {
                 ts.inc(TsSeries::SwapsFired, t);
             }
             ObsEvent::Swap { fired: false, .. } => reg.inc(self.swaps_stale),
+            // The console series is bucketed once, from the final log,
+            // like the counter beside it: a paused run holds neither.
             ObsEvent::Finalize {
                 jobs_closed,
                 final_snapshots,
-                console_lines,
+                console,
                 payload_slots,
                 ..
             } => {
                 reg.add(self.closed_at_horizon, count(jobs_closed));
                 reg.add(self.final_snapshots, count(final_snapshots));
-                reg.add(self.console_lines, count(console_lines));
+                reg.add(self.console_lines, count(console.len()));
                 reg.set_max(self.payload_slots, count(payload_slots));
+                for line in console {
+                    ts.inc(TsSeries::ConsoleLines, line.time);
+                }
             }
             _ => {}
         }
@@ -467,6 +466,42 @@ mod tests {
         assert!(obs.reg.counters().all(|(_, name, _)| name != "ev_horizon"));
     }
 
+    /// Console lines reach the series and the counter only at
+    /// finalize, bucketed from the final log: a fault's own lines
+    /// count nowhere, so a paused run holds an empty series.
+    #[test]
+    fn console_lines_are_bucketed_at_finalize() {
+        let line = |time| titan_conlog::ConsoleEvent {
+            time,
+            node: titan_topology::NodeId(3),
+            kind: titan_gpu::GpuErrorKind::OffTheBus,
+            structure: None,
+            page: None,
+            apid: None,
+        };
+        let lines = [line(5), line(BUCKET_SECS + 1)];
+        let mut obs = Obs::new(true);
+        obs.emit(ObsEvent::Fault {
+            parent: 0,
+            t: 5,
+            card: None,
+            node: Some(3),
+            apid: None,
+            detail: &String::new,
+            lines: &lines,
+        });
+        assert!(obs.ts.series(TsSeries::ConsoleLines).is_empty());
+        obs.emit(ObsEvent::Finalize {
+            window: 2 * BUCKET_SECS,
+            jobs_closed: 0,
+            final_snapshots: 0,
+            console: &lines,
+            payload_slots: 0,
+        });
+        assert_eq!(obs.ts.series(TsSeries::ConsoleLines), &[1, 1]);
+        assert_eq!(counter(&mut obs, "engine", "console_lines"), 2);
+    }
+
     #[test]
     fn catalog_registers_in_the_frozen_order() {
         let obs = Obs::disabled();
@@ -578,7 +613,7 @@ mod tests {
             window: 100,
             jobs_closed: 0,
             final_snapshots: 0,
-            console_lines: 0,
+            console: &[],
             payload_slots: 0,
         };
         let mut obs = Obs::new(true);

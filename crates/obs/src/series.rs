@@ -130,12 +130,10 @@ impl TimeBuckets {
     /// Overwrites every series from its checkpoint section, which must
     /// hold what a run paused at sim time `t` holds: one bucket list
     /// per [`TsSeries`], no bucket past `t`'s, and each series summing
-    /// to the restored `reg` counter it shadows. `console_lines` is
-    /// exempt from both rules: a job-wide incident stamps its node
-    /// lines a few seconds after the event, so they can land past `t`'s
-    /// bucket, and its counter is added only at finalize. Anything else
-    /// is refused. No-op when disabled, preserving the
-    /// disabled-sink-is-inert invariant.
+    /// to the restored `reg` counter it shadows (`console_lines` is
+    /// bucketed at finalize, like its counter, so a paused run holds
+    /// it empty). Anything else is refused. No-op when disabled,
+    /// preserving the disabled-sink-is-inert invariant.
     pub(crate) fn restore(
         &mut self,
         series: &[Vec<u64>],
@@ -154,9 +152,6 @@ impl TimeBuckets {
         }
         let held = t / BUCKET_SECS + 1;
         for (s, buckets) in TsSeries::ALL.into_iter().zip(series) {
-            if s == TsSeries::ConsoleLines {
-                continue;
-            }
             let name = s.name();
             if count(buckets.len()) > held {
                 return Err(format!(

@@ -1,4 +1,4 @@
-//! Whole-sink snapshots for checkpoint/restore (`titan-ckpt/2`).
+//! Whole-sink snapshots for checkpoint/restore (`titan-ckpt/3`).
 //!
 //! A checkpoint must carry the observability state alongside the engine
 //! state, or a resumed run's metrics document and trace file would
@@ -14,15 +14,17 @@
 //! has exactly one valid shape: the registry's names in registration
 //! order, one series per [`crate::TsSeries`] with no bucket past the
 //! checkpoint's week and each summing to the counter it shadows, an
-//! open health interval on the weekly grid. A restore checks its
-//! section against that shape and refuses anything else, naming the
-//! section (`checkpoint obs.<section>: …`), rather than trimming,
-//! registering or re-gridding it. Resume arms exactly the sinks whose
-//! sections are present, refusing a flag mismatch before restoring
-//! (see DETERMINISM.md); a disabled sink's restore is a no-op.
+//! open health interval on the weekly grid; no section stores what the
+//! resume derives from the rest. A restore checks its section against
+//! that shape and refuses anything else, naming the section
+//! (`checkpoint obs.<section>: …`), rather than trimming, registering
+//! or re-gridding it. Resume arms exactly the sinks whose sections are
+//! present, refusing a flag mismatch before restoring (see
+//! DETERMINISM.md); a disabled sink's restore is a no-op.
 
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
+use titan_conlog::ConsoleEvent;
 
 use crate::flight::TraceSnap;
 use crate::health::HealthSnap;
@@ -69,17 +71,17 @@ impl ObsSnapshot {
     }
 
     /// Overwrites `obs` with the snapshot's state, one section at a
-    /// time; `t` is the sim time the run paused at. Each sink checks
-    /// its section first; the error names the first section it cannot
-    /// hold.
-    pub fn restore(&self, obs: &mut Obs, t: SimTime) -> Result<(), String> {
+    /// time; `t` is the sim time the run paused at and `console` the
+    /// paused engine's console log. Each sink checks its section first;
+    /// the error names the first section it cannot hold.
+    pub fn restore(&self, obs: &mut Obs, t: SimTime, console: &[ConsoleEvent]) -> Result<(), String> {
         let at = |sink: &'static str| move |e: String| format!("checkpoint obs.{sink}: {e}");
         if let Some(m) = &self.metrics {
             obs.reg.restore(m).map_err(at("metrics"))?;
             obs.ts.restore(&m.timeseries, t, &obs.reg).map_err(at("metrics"))?;
         }
         if let Some(trace) = &self.trace {
-            obs.stream.restore(trace).map_err(at("trace"))?;
+            obs.stream.restore(trace, console).map_err(at("trace"))?;
         }
         if let Some(health) = &self.health {
             obs.health.restore(health).map_err(at("health"))?;
@@ -98,6 +100,18 @@ mod tests {
 
     /// The sim time the populated sinks pause at.
     const T: SimTime = 10;
+
+    /// The one console line the populated run logs.
+    fn line() -> ConsoleEvent {
+        ConsoleEvent {
+            time: 5,
+            node: titan_topology::NodeId(3),
+            kind: titan_gpu::GpuErrorKind::OffTheBus,
+            structure: None,
+            page: None,
+            apid: None,
+        }
+    }
 
     fn populated() -> Obs {
         let mut obs = Obs::new(true);
@@ -128,14 +142,6 @@ mod tests {
             t: 5,
             detail: &|| "dbe".to_string(),
         });
-        let line = titan_conlog::ConsoleEvent {
-            time: 5,
-            node: titan_topology::NodeId(3),
-            kind: titan_gpu::GpuErrorKind::OffTheBus,
-            structure: None,
-            page: None,
-            apid: None,
-        };
         obs.emit(ObsEvent::Fault {
             parent: root,
             t: 5,
@@ -143,7 +149,7 @@ mod tests {
             node: Some(3),
             apid: None,
             detail: &|| "otb".to_string(),
-            lines: &[line],
+            lines: &[line()],
         });
         obs.enable_prof();
         obs.phase("engine:workload");
@@ -173,7 +179,7 @@ mod tests {
         };
         assert_eq!(snap.plan(), all);
         let mut dst = Obs::from_plan(&all);
-        snap.restore(&mut dst, T).expect("restore");
+        snap.restore(&mut dst, T, &[line()]).expect("restore");
         assert_eq!(
             dst.prof_ledger().ledger_map()["engine:workload"].rng_draws,
             42
@@ -193,7 +199,7 @@ mod tests {
     fn restore_into_disabled_sink_is_inert() {
         let snap = ObsSnapshot::capture(&populated());
         let mut dst = Obs::disabled();
-        snap.restore(&mut dst, T).expect("inert restore");
+        snap.restore(&mut dst, T, &[line()]).expect("inert restore");
         assert_eq!(ev_dbe(&mut dst), 0);
         assert!(dst.ts.series(crate::TsSeries::EvDbe).is_empty());
         assert_eq!(dst.stream.next_id(), 1);
@@ -213,20 +219,20 @@ mod tests {
     }
 
     /// The time series restore only as a run paused at `T` holds them:
-    /// each series but `console_lines` has no bucket past `T`'s week and
-    /// sums to the counter it shadows. A job-wide incident just before
-    /// the pause can stamp console lines in the next week.
+    /// each series has no bucket past `T`'s week and sums to the
+    /// counter it shadows. `console_lines` is bucketed at finalize, so
+    /// a paused run holds it empty.
     #[test]
     fn timeseries_must_fit_the_pause_and_the_counters() {
         let snap = ObsSnapshot::capture(&populated());
         let restore = |edit: fn(&mut Vec<Vec<u64>>)| {
             let mut s = snap.clone();
             edit(&mut s.metrics.as_mut().expect("metrics section").timeseries);
-            s.restore(&mut Obs::new(true), T)
+            s.restore(&mut Obs::new(true), T, &[])
         };
         assert!(restore(|_| {}).is_ok());
-        assert!(restore(|ts| ts[0] = vec![5]).is_ok(), "console_lines has no counter yet");
-        assert!(restore(|ts| ts[0] = vec![0, 5]).is_ok(), "console lines stamped past the pause");
+        let err = restore(|ts| ts[0] = vec![5]).expect_err("console lines before finalize");
+        assert!(err.contains("timeseries.console_lines sums to 5, engine.console_lines is 0"), "{err}");
         let err = restore(|ts| ts[1] = vec![1, 0, 0, 7]).expect_err("buckets past the pause");
         assert!(err.contains("obs.metrics: timeseries.ev_dbe holds 4 buckets"), "{err}");
         let err = restore(|ts| ts[1] = vec![2]).expect_err("a sum off its counter");

@@ -1,4 +1,4 @@
-//! Hash-chained checkpoint/restore: the `titan-ckpt/2` document.
+//! Hash-chained checkpoint/restore: the `titan-ckpt/3` document.
 //!
 //! A 638-day window is minutes of wall time, but the reliability story
 //! the paper tells is about *recovering* long computations — so the
@@ -41,24 +41,22 @@ use titan_sim::{EngineSnapshot, EngineState};
 
 use crate::Fnv1a;
 
-/// Schema identifier written into every checkpoint document. `/2` reads
+/// Schema identifier written into every checkpoint document. `/2` read
 /// the observer plan off the `obs` sections present, in place of the
-/// `metrics_enabled` / `trace_enabled` flags of `/1`, and gives each
-/// observer one `obs` section.
-pub const CKPT_SCHEMA: &str = "titan-ckpt/2";
+/// `metrics_enabled` / `trace_enabled` flags of `/1`, and gave each
+/// observer one `obs` section. `/3` stores each fact once: the seed and
+/// window live only in `config`, the pause time only in `t`, and no
+/// section keeps a value the resume derives from the rest.
+pub const CKPT_SCHEMA: &str = "titan-ckpt/3";
 
 /// One frozen machine state. Field order is part of the on-disk format
-/// (lint S1, `titan-ckpt-2` golden spec): the digest is FNV-1a over the
+/// (lint S1, `titan-ckpt-3` golden spec): the digest is FNV-1a over the
 /// serialized document with `digest` zeroed, so any reordering would
 /// invalidate every existing checkpoint file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointDoc {
     /// Schema identifier ([`CKPT_SCHEMA`]).
     pub schema: String,
-    /// Master seed of the run being checkpointed.
-    pub seed: u64,
-    /// Study window in days.
-    pub window_days: u64,
     /// Sim time (seconds since window start) of this boundary.
     pub t: u64,
     /// Checkpoint number within the run, 0-based, cadence order.
@@ -68,7 +66,8 @@ pub struct CheckpointDoc {
     pub prev_digest: u64,
     /// FNV-1a digest of this document serialized with `digest = 0`.
     pub digest: u64,
-    /// The full study configuration; a resumed run needs no CLI config.
+    /// The full study configuration, seed and window included; a
+    /// resumed run needs no CLI config.
     pub config: StudyConfig,
     /// The engine state at `t` (heap, fleet, jobs, RNG positions).
     pub engine: EngineSnapshot,
@@ -127,8 +126,8 @@ pub fn checkpoint_text_digest(text: &str) -> Option<u64> {
 /// Parses and **verifies** a checkpoint document: schema must match and
 /// the recomputed chained digest must equal the stored one. A corrupted
 /// file (any flipped byte) fails here with a clean error, and a document
-/// of another schema (an older `titan-ckpt/1` file) with one naming both
-/// schemas.
+/// of another schema (an older `titan-ckpt/1` or `/2` file) with one
+/// naming both schemas.
 ///
 /// One [`rayon::join`] parses the text on the caller and hashes its
 /// bytes ([`checkpoint_text_digest`]) on the other thread. When the
@@ -187,14 +186,12 @@ fn advance_with_checkpoints(
         st.run_until(t, obs);
         let mut doc = CheckpointDoc {
             schema: CKPT_SCHEMA.to_string(),
-            seed: config.sim.seed,
-            window_days: window / 86_400,
             t,
             index,
             prev_digest,
             digest: 0,
             config: config.clone(),
-            engine: st.snapshot(t),
+            engine: st.snapshot(),
             obs: ObsSnapshot::capture(obs),
         };
         doc.digest = checkpoint_digest(&doc);
@@ -279,11 +276,12 @@ pub fn resume_checkpointed(
             return Err(format!("the checkpoint was written {with} {flag}; {hint}"));
         }
     }
-    let mut st = EngineState::restore(&doc.config.sim, &doc.engine, obs)?;
+    doc.config.sim.validate().map_err(|e| format!("checkpoint config: {e}"))?;
+    let mut st = EngineState::restore(&doc.config.sim, &doc.engine, doc.t, obs)?;
     // Engine setup during restore feeds the sinks; each sink's restore
     // overwrites what its section carries, after checking the
-    // section's shape.
-    doc.obs.restore(obs, doc.t)?;
+    // section's shape (the trace's against the engine's console).
+    doc.obs.restore(obs, doc.t, &doc.engine.out.console)?;
     st.set_divergence_probe(divergence);
     if every > 0 {
         advance_with_checkpoints(
@@ -604,6 +602,45 @@ mod tests {
             .expect_err("plain checkpoint into an armed sink");
         assert!(err.contains("written without --prof"), "{err}");
         assert!(resume_checkpointed(&armed_doc, 0, None, &mut armed(), |_| Ok(())).is_ok());
+    }
+
+    /// A written checkpoint stores each fact once: none of the copies
+    /// `titan-ckpt/2` kept beside their sources, and an empty
+    /// `console_lines` series, which is bucketed only at finalize.
+    #[test]
+    fn a_checkpoint_holds_no_derived_copy() {
+        use serde::Value;
+        let config = StudyConfig::quick(8, 3);
+        let mut obs = Obs::from_plan(&ObsPlan {
+            metrics: true,
+            trace: true,
+            health: true,
+            prof: true,
+        });
+        let mut docs = Vec::new();
+        run_checkpointed(&config, 4 * DAY, None, &mut obs, |d| {
+            docs.push(d.to_value());
+            Ok(())
+        })
+        .expect("checkpointed run");
+        let doc = &docs[0];
+        let keys = |v: &Value| -> Vec<String> {
+            v.as_object("section").expect("an object").iter().map(|(k, _)| k.clone()).collect()
+        };
+        let obs = doc.get_field("obs");
+        for (section, gone) in [
+            (doc, &["seed", "window_days"][..]),
+            (doc.get_field("engine"), &["t"][..]),
+            (obs.get_field("trace"), &["console"][..]),
+            (obs.get_field("health"), &["next_boundary", "finished"][..]),
+        ] {
+            let keys = keys(section);
+            for key in gone {
+                assert!(!keys.iter().any(|k| k == key), "`{key}` is stored: {keys:?}");
+            }
+        }
+        let series = obs.get_field("metrics").get_field("timeseries");
+        assert_eq!(series.as_array_n(6, "timeseries").expect("six series")[0], Value::Array(vec![]));
     }
 
     #[test]

@@ -65,10 +65,20 @@ impl SimConfig {
     }
 
     /// Consistency check: the schedule window must not exceed the
-    /// simulation window.
+    /// simulation window, and the workload needs users and a finite
+    /// positive arrival rate.
     pub fn validate(&self) -> Result<(), String> {
         if self.window == 0 {
             return Err("window must be positive".into());
+        }
+        if self.schedule.n_users == 0 {
+            return Err("the workload needs at least one user".into());
+        }
+        // The arrival sampler takes the per-second rate.
+        let rate = self.schedule.jobs_per_day / 86_400.0;
+        if !(rate.is_finite() && rate > 0.0) {
+            let per_day = self.schedule.jobs_per_day;
+            return Err(format!("jobs_per_day {per_day} is not a positive rate"));
         }
         if self.schedule.window > self.window {
             return Err(format!(
@@ -116,5 +126,13 @@ mod tests {
         let mut c = SimConfig::default();
         c.window = STUDY_SECONDS + 1;
         assert!(c.validate().is_err());
+        let mut c = SimConfig::quick(10, 1);
+        c.schedule.n_users = 0;
+        assert!(c.validate().is_err());
+        for rate in [0.0, -1.0, 5e-324, f64::NAN, f64::INFINITY] {
+            let mut c = SimConfig::quick(10, 1);
+            c.schedule.jobs_per_day = rate;
+            assert!(c.validate().is_err(), "{rate}");
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! The engine is split into an explicit [`EngineState`] so a run can be
 //! paused at any sim-time boundary, captured as an [`EngineSnapshot`],
 //! and resumed later (or in another process) with byte-identical
-//! output — the checkpoint/restore contract pinned by the `titan-ckpt/2`
+//! output — the checkpoint/restore contract pinned by the `titan-ckpt/3`
 //! tests in `titan-runner`.
 
 use std::cmp::Reverse;
@@ -114,7 +114,7 @@ struct JobState {
     actual_end: SimTime,
 }
 
-/// [`JobState`] as `titan-ckpt/2` carries it: the prologue is the dense
+/// [`JobState`] as `titan-ckpt/3` carries it: the prologue is the dense
 /// per-node vector list, in allocation order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct JobStateSnapshot {
@@ -601,7 +601,7 @@ pub struct EngineState {
 
 /// Everything the event loop mutates, captured at a sim-time boundary.
 /// Together with the originating [`SimConfig`] this is sufficient to
-/// resume the run with byte-identical output; the `titan-ckpt/2` doc in
+/// resume the run with byte-identical output; the `titan-ckpt/3` doc in
 /// `titan-runner` wraps it with a chained FNV digest.
 ///
 /// The deterministic *setup* products (workload schedule, fault drafts,
@@ -611,7 +611,6 @@ pub struct EngineState {
 /// detectable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineSnapshot {
-    t: SimTime,
     /// Remaining `(time, class, seq)` heap entries, ascending. Keys are
     /// unique (seq is a global sequence number), so heap pop order is a
     /// pure function of this set.
@@ -626,7 +625,8 @@ pub struct EngineSnapshot {
     cascade_rng: [u64; 4],
     spare_rng: [u64; 4],
     swap_pending: Vec<bool>,
-    out: SimOutput,
+    /// The output so far; its console lines are in emission order.
+    pub out: SimOutput,
 }
 
 /// Checks a snapshot's heap against the run it would resume: every
@@ -768,14 +768,13 @@ impl EngineState {
         }
     }
 
-    /// Captures the full mutable loop state at boundary `t`. The caller
-    /// must have advanced the loop to exactly `t` via
-    /// [`EngineState::run_until`] for resume identity to hold.
-    pub fn snapshot(&self, t: SimTime) -> EngineSnapshot {
+    /// Captures the full mutable loop state. The caller must have
+    /// advanced the loop to a boundary via [`EngineState::run_until`]
+    /// and records it; [`EngineState::restore`] takes it back.
+    pub fn snapshot(&self) -> EngineSnapshot {
         let mut heap: Vec<(SimTime, u8, u64)> = self.queue.heap.iter().map(|r| r.0).collect();
         heap.sort_unstable();
         EngineSnapshot {
-            t,
             heap,
             payload_tail: self
                 .queue
@@ -795,15 +794,16 @@ impl EngineState {
         }
     }
 
-    /// Rebuilds a paused run from `snap`: re-runs the deterministic
-    /// setup for `cfg`, then overlays the captured loop state. Fails if
-    /// the regenerated setup does not line up with the snapshot — the
-    /// cheap tell that `cfg` is not the config the checkpoint came from —
-    /// or if a heap entry could not have been left by a run paused at
-    /// the snapshot's time.
+    /// Rebuilds a run paused at sim time `t` from `snap`: re-runs the
+    /// deterministic setup for `cfg`, then overlays the captured loop
+    /// state. Fails if the regenerated setup does not line up with the
+    /// snapshot — the cheap tell that `cfg` is not the config the
+    /// checkpoint came from — or if a heap entry could not have been
+    /// left by a run paused at `t`.
     pub fn restore(
         cfg: &SimConfig,
         snap: &EngineSnapshot,
+        t: SimTime,
         obs: &mut Obs,
     ) -> Result<EngineState, String> {
         let mut st = EngineState::new(cfg, obs);
@@ -817,7 +817,7 @@ impl EngineState {
             ));
         }
         st.queue.payloads.extend(snap.payload_tail.iter().copied());
-        check_heap(&snap.heap, snap.t, st.queue.payloads.len())?;
+        check_heap(&snap.heap, t, st.queue.payloads.len())?;
         st.queue.heap = snap.heap.iter().copied().map(Reverse).collect();
         st.fleet.restore(&snap.fleet).map_err(|e| format!("checkpoint engine.fleet: {e}"))?;
         st.jobs = JobTable::from_snapshot(&snap.jobs, &st.schedule, &st.fleet)
@@ -1262,7 +1262,7 @@ impl EngineState {
             window,
             jobs_closed: still_active.len(),
             final_snapshots: titan_topology::COMPUTE_NODES,
-            console_lines: self.out.console.len(),
+            console: &self.out.console,
             payload_slots: self.queue.payloads.len(),
         });
         for j in still_active {
@@ -2010,11 +2010,10 @@ mod tests {
         let t = 10 * 86_400;
         let mut st = EngineState::new(&cfg, &mut Obs::disabled());
         st.run_until(t, &mut Obs::disabled());
-        let snap = st.snapshot(t);
-        assert_eq!(snap.t, t);
+        let snap = st.snapshot();
 
         let mut resumed =
-            EngineState::restore(&cfg, &snap, &mut Obs::disabled()).expect("restore");
+            EngineState::restore(&cfg, &snap, t, &mut Obs::disabled()).expect("restore");
         resumed.run_until(SimTime::MAX, &mut Obs::disabled());
         let out = resumed.finalize(&mut Obs::disabled());
         assert_eq!(full, out);
@@ -2032,13 +2031,13 @@ mod tests {
 
         let mut a = EngineState::new(&cfg, &mut Obs::disabled());
         a.run_until(t1, &mut Obs::disabled());
-        let snap1 = a.snapshot(t1);
+        let snap1 = a.snapshot();
         a.run_until(t2, &mut Obs::disabled());
-        let direct = a.snapshot(t2);
+        let direct = a.snapshot();
 
-        let mut b = EngineState::restore(&cfg, &snap1, &mut Obs::disabled()).expect("restore");
+        let mut b = EngineState::restore(&cfg, &snap1, t1, &mut Obs::disabled()).expect("restore");
         b.run_until(t2, &mut Obs::disabled());
-        let resumed = b.snapshot(t2);
+        let resumed = b.snapshot();
         assert_eq!(direct, resumed);
     }
 
@@ -2197,11 +2196,11 @@ mod tests {
             })
             .expect("no boundary with a noted change in the first 30 hours");
 
-        let snap = st.snapshot(t);
+        let snap = st.snapshot();
         let bytes = serde_json::to_string(&snap).unwrap();
-        let mut resumed = EngineState::restore(&cfg, &snap, obs).expect("restore");
+        let mut resumed = EngineState::restore(&cfg, &snap, t, obs).expect("restore");
         assert!(holds_change(&resumed));
-        assert_eq!(serde_json::to_string(&resumed.snapshot(t)).unwrap(), bytes);
+        assert_eq!(serde_json::to_string(&resumed.snapshot()).unwrap(), bytes);
         resumed.run_until(SimTime::MAX, obs);
         assert_eq!(resumed.finalize(obs), straight);
     }
@@ -2213,10 +2212,10 @@ mod tests {
         let cfg = SimConfig::quick(10, 7);
         let mut st = EngineState::new(&cfg, &mut Obs::disabled());
         st.run_until(86_400, &mut Obs::disabled());
-        let snap = st.snapshot(86_400);
+        let snap = st.snapshot();
 
         let other = SimConfig::quick(40, 7);
-        let err = EngineState::restore(&other, &snap, &mut Obs::disabled());
+        let err = EngineState::restore(&other, &snap, 86_400, &mut Obs::disabled());
         assert!(err.is_err(), "restore accepted a mismatched config");
     }
 
@@ -2229,8 +2228,8 @@ mod tests {
         let t = 86_400;
         let mut st = EngineState::new(&cfg, &mut Obs::disabled());
         st.run_until(t, &mut Obs::disabled());
-        let snap = st.snapshot(t);
-        assert!(EngineState::restore(&cfg, &snap, &mut Obs::disabled()).is_ok());
+        let snap = st.snapshot();
+        assert!(EngineState::restore(&cfg, &snap, t, &mut Obs::disabled()).is_ok());
         let payloads = snap.initial_payload_len + snap.payload_tail.len() as u64;
         let (first, last) = (snap.heap[0], snap.heap.len() - 1);
         let (end_t, end_class, _) = snap.heap[last];
@@ -2244,7 +2243,7 @@ mod tests {
         for (want, i, entry) in cases {
             let mut bad = snap.clone();
             bad.heap[i] = entry;
-            let err = EngineState::restore(&cfg, &bad, &mut Obs::disabled())
+            let err = EngineState::restore(&cfg, &bad, t, &mut Obs::disabled())
                 .err()
                 .unwrap_or_else(|| panic!("restore accepted a heap that {want}"));
             assert!(err.contains("checkpoint heap entry") && err.contains(want), "{err}");

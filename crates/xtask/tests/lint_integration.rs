@@ -496,7 +496,7 @@ fn real_tree_layering_and_schemas_are_clean() {
         [
             "titan-bench-trajectory/2",
             "titan-check/1",
-            "titan-ckpt/2",
+            "titan-ckpt/3",
             "titan-health/1",
             "titan-obs-replicate/1",
             "titan-obs/3",

@@ -168,7 +168,7 @@ commands:
                                     --prof arms the deterministic cost ledger
                                     and writes the titan-prof/2 document;
                                     --checkpoint-every freezes the full machine
-                                    state into DIR/ckpt-NNNNNN.json (titan-ckpt/2,
+                                    state into DIR/ckpt-NNNNNN.json (titan-ckpt/3,
                                     hash-chained) every SECS sim seconds;
                                     --from-checkpoint resumes one and reproduces
                                     the run-through output byte for byte (use the
@@ -202,12 +202,12 @@ commands:
                                     (flamegraph.pl / inferno input);
                                     --perfetto writes Chrome/Perfetto counter
                                     tracks from the sim-time series
-  health <summarize|watch|rules> FILE [--trace TRACEFILE]
+  health <summarize|watch> FILE [--trace TRACEFILE]
                                     inspect a titan-health/1 JSONL: summarize
                                     prints the end-of-run fleet summary; watch
                                     replays the interval stream as deterministic
-                                    heatmap frames; rules prints the default
-                                    alert-rule set as JSON; --trace additionally
+                                    heatmap frames (the header lists the alert
+                                    rules that ran); --trace additionally
                                     walks every fired alert back to its causing
                                     fault draft in the given titan-trace/1 file
                                     (exit 1 on a provenance hole)
@@ -543,7 +543,7 @@ fn resume_point(path: &str, opts: &Opts) -> Result<titan_runner::CheckpointDoc, 
     Ok(ck)
 }
 
-/// The `ckpt` subcommand: offline tooling over `titan-ckpt/2` files.
+/// The `ckpt` subcommand: offline tooling over `titan-ckpt/3` files.
 fn ckpt_cmd(args: &[String]) -> Result<ExitCode, String> {
     let Some(mode) = args.first() else {
         return Err(format!("ckpt needs a mode (verify | bisect)\n{USAGE}"));
@@ -556,10 +556,11 @@ fn ckpt_cmd(args: &[String]) -> Result<ExitCode, String> {
             let text =
                 std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
             let doc = titan_runner::parse_checkpoint(&text)?;
+            let days = doc.config.sim.window / 86_400;
             println!(
-                "{file}: checkpoint {} of seed {} ({} days), t = {} s, digest {:016x} \
+                "{file}: checkpoint {} of seed {} ({days} days), t = {} s, digest {:016x} \
                  (chained over {:016x}) — digest OK",
-                doc.index, doc.seed, doc.window_days, doc.t, doc.digest, doc.prev_digest
+                doc.index, doc.config.sim.seed, doc.t, doc.digest, doc.prev_digest
             );
             Ok(ExitCode::SUCCESS)
         }
@@ -1162,7 +1163,7 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// The `health` subcommand: summarize / watch / rules over a
+/// The `health` subcommand: summarize / watch over a
 /// `titan-health/1` JSONL file written by `run --health`,
 /// `check --health`, or `replicate --health`.
 fn health_cmd(args: &[String]) -> Result<ExitCode, String> {
@@ -1184,18 +1185,6 @@ fn health_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let mode = mode.ok_or(format!("health needs a mode\n{USAGE}"))?;
-    if mode == "rules" {
-        // `rules` takes no FILE: it prints the default alert-rule set,
-        // the starting point for a hand-rolled rule JSON.
-        if let Some(extra) = file {
-            return Err(format!("health rules takes no FILE (got `{extra}`)"));
-        }
-        print!(
-            "{}",
-            titan_obs::rules_to_json(&titan_obs::olcf_default_rules())
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
     let file = file.ok_or(format!("health needs a FILE\n{USAGE}"))?;
     let text = std::fs::read_to_string(&file).map_err(|e| format!("read {file}: {e}"))?;
     let doc = titan_obs::parse_health(&text).map_err(|e| format!("{file}: {e}"))?;

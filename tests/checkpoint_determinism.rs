@@ -3,8 +3,10 @@
 //!
 //! 1. `run --from-checkpoint` at boundary T reproduces a run that
 //!    passed straight through T **byte for byte** — console report on
-//!    stdout, `titan-obs/3` metrics document, and `titan-trace/1`
-//!    flight recording — at `TITAN_NUM_THREADS` 1 and 8;
+//!    stdout, `titan-obs/3` metrics document, `titan-trace/1` flight
+//!    recording, `titan-health/1` document and later checkpoints — at
+//!    `TITAN_NUM_THREADS` 1 and 8, also from a pause a few seconds
+//!    before a week boundary;
 //! 2. a corrupted checkpoint (one flipped byte) fails chained-digest
 //!    verification with a clean error, never a panic;
 //! 3. `ckpt bisect` localizes an injected divergence to the one
@@ -49,60 +51,77 @@ fn run_in(dir: &Path, threads: &str, args: &[&str]) -> Output {
     out
 }
 
+/// One resume case: a straight run of `days` days of `seed`,
+/// checkpointing every `every` seconds with `sinks` armed, against a
+/// run resumed from its checkpoint `from` on the same cadence.
+struct Case {
+    name: &'static str,
+    days: &'static str,
+    seed: &'static str,
+    every: &'static str,
+    from: u64,
+    sinks: &'static [(&'static str, &'static str)],
+}
+
+const CASES: [Case; 2] = [
+    // 10 days: checkpoints at t = 10 d and 20 d, resumed from the second.
+    Case {
+        name: "ten_days",
+        days: "30",
+        seed: "7",
+        every: "864000",
+        from: 1,
+        sinks: &[("--metrics", "metrics.json"), ("--trace", "trace.jsonl")],
+    },
+    // One week less 3 s. A job-wide incident stamps its node lines up
+    // to 5 s after the event; seed 3900 has one at t = 604795 whose
+    // lines land at 604797..=604800, past this first pause, and some
+    // in the next week (found by a search of seeds 1..=5000).
+    Case {
+        name: "week_boundary",
+        days: "15",
+        seed: "3900",
+        every: "604797",
+        from: 0,
+        sinks: &[("--metrics", "metrics.json"), ("--trace", "trace.jsonl"), ("--health", "health.jsonl")],
+    },
+];
+
 /// The tentpole invariant: resuming from checkpoint T produces output
 /// byte-identical to a run that passed through T — stdout (report and
-/// `wrote …` lines), metrics JSON, and trace JSONL — at thread width 1
-/// and 8. Checkpoint progress chatter stays on stderr, so stdout needs
-/// no filtering at all.
+/// `wrote …` lines), every observer document and every later
+/// checkpoint — at thread width 1 and 8. Checkpoint progress chatter
+/// stays on stderr, so stdout needs no filtering at all.
 #[test]
 fn resume_is_byte_identical_to_run_through() {
-    for threads in ["1", "8"] {
-        let through = tmp(&format!("through_t{threads}"));
-        let resumed = tmp(&format!("resumed_t{threads}"));
-        let a = run_in(
-            &through,
-            threads,
-            &[
-                "run",
-                "--days",
-                "30",
-                "--seed",
-                "7",
-                "--checkpoint-every",
-                "864000", // 10 days: checkpoints at t = 10 d and 20 d
-                "--ckpt-dir",
-                "ckpts",
-                "--metrics",
-                "metrics.json",
-                "--trace",
-                "trace.jsonl",
-            ],
-        );
-        let ckpt = through.join("ckpts").join("ckpt-000001.json");
-        assert!(ckpt.is_file(), "second checkpoint missing");
-        let b = run_in(
-            &resumed,
-            threads,
-            &[
-                "run",
-                "--from-checkpoint",
-                ckpt.to_str().expect("utf8 path"),
-                "--metrics",
-                "metrics.json",
-                "--trace",
-                "trace.jsonl",
-            ],
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&a.stdout),
-            String::from_utf8_lossy(&b.stdout),
-            "stdout diverged after resume (threads {threads})"
-        );
-        for artifact in ["metrics.json", "trace.jsonl"] {
-            let x = std::fs::read(through.join(artifact)).expect("through artifact");
-            let y = std::fs::read(resumed.join(artifact)).expect("resumed artifact");
-            assert!(!x.is_empty());
-            assert_eq!(x, y, "{artifact} diverged after resume (threads {threads})");
+    for case in &CASES {
+        let sinks: Vec<&str> = case.sinks.iter().flat_map(|&(flag, doc)| [flag, doc]).collect();
+        for threads in ["1", "8"] {
+            let name = case.name;
+            let through = tmp(&format!("{name}_through_t{threads}"));
+            let resumed = tmp(&format!("{name}_resumed_t{threads}"));
+            let cadence = ["--checkpoint-every", case.every, "--ckpt-dir", "ckpts"];
+            let mut args = vec!["run", "--days", case.days, "--seed", case.seed];
+            args.extend(cadence.iter().chain(&sinks).copied());
+            let a = run_in(&through, threads, &args);
+            let ckpt = |i: u64| PathBuf::from("ckpts").join(format!("ckpt-{i:06}.json"));
+            let from = through.join(ckpt(case.from));
+            assert!(from.is_file(), "{name}: checkpoint {} missing", case.from);
+            let mut args = vec!["run", "--from-checkpoint", from.to_str().expect("utf8 path")];
+            args.extend(cadence.iter().chain(&sinks).copied());
+            let b = run_in(&resumed, threads, &args);
+            assert_eq!(
+                String::from_utf8_lossy(&a.stdout),
+                String::from_utf8_lossy(&b.stdout),
+                "{name}: stdout diverged after resume (threads {threads})"
+            );
+            let later = (case.from + 1..).map(ckpt).take_while(|p| through.join(p).is_file());
+            for artifact in case.sinks.iter().map(|&(_, doc)| PathBuf::from(doc)).chain(later) {
+                let x = std::fs::read(through.join(&artifact)).expect("through artifact");
+                let y = std::fs::read(resumed.join(&artifact)).expect("resumed artifact");
+                assert!(!x.is_empty());
+                assert_eq!(x, y, "{name}: {artifact:?} diverged after resume (threads {threads})");
+            }
         }
     }
 }

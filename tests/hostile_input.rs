@@ -8,10 +8,14 @@
 //!    of a real checkpoint return `Ok` or `Err`, never panic, and a
 //!    corruption that still parses as a checkpoint fails the schema or
 //!    digest check unless it left the document itself unchanged.
-//! 3. A checkpoint re-sealed around an inconsistent engine heap, fleet,
-//!    job table, output or observer section passes the digest but fails
-//!    to resume, naming the heap entry or the section.
-//! 4. `parse_trace` and `parse_health` are total: arbitrary text and one
+//! 3. A checkpoint re-sealed around an invalid config or an
+//!    inconsistent engine heap, fleet, job table, output or observer
+//!    section passes the digest but fails to resume, naming the heap
+//!    entry or the section.
+//! 4. One edit at a random leaf of a checkpoint (a number moved, an
+//!    array cut or an element repeated), re-sealed, either resumes or
+//!    fails naming the checkpoint part it refused; it never panics.
+//! 5. `parse_trace` and `parse_health` are total: arbitrary text and one
 //!    edit of a rendered `titan-trace/1` or `titan-health/1` document
 //!    return `Ok` or `Err`, never panic.
 
@@ -228,8 +232,9 @@ fn heap_entry(v: &mut Value, i: usize) -> &mut Vec<Value> {
     }
 }
 
-/// Checkpoints that pass the digest but hold an engine heap, fleet,
-/// job table, output or observer section no paused run could hold fail
+/// Checkpoints that pass the digest but hold a config no run takes, or
+/// an engine heap, fleet, job table, output or observer section no
+/// paused run could hold, fail
 /// to resume with an error naming the entry or section, never a panic
 /// or a resume that silently differs.
 #[test]
@@ -276,9 +281,15 @@ fn inconsistent_checkpoints_fail_to_resume() {
         Value::UInt(5),
     ]);
     let buckets = |counts: &[u64]| Value::Array(counts.iter().map(|&n| Value::UInt(n)).collect());
-    let (long, off) = (buckets(&[1, 0, 0, 7]), buckets(&[7]));
+    let (long, off, early) = (buckets(&[1, 0, 0, 7]), buckets(&[7]), buckets(&[5]));
     // Each row: the section the error names, what it says, the edit.
-    let edits: [(&str, &str, Edit); 23] = [
+    // The value at `path` below `config.sim.schedule`, set to `value`.
+    let schedule = |name: &'static str, value: Value| -> Edit {
+        Box::new(move |v| *below(v, "config", &["sim", "schedule", name]) = value.clone())
+    };
+    let edits: [(&str, &str, Edit); 26] = [
+        ("checkpoint config", "at least one user", schedule("n_users", Value::UInt(0))),
+        ("checkpoint config", "not a positive rate", schedule("jobs_per_day", Value::Float(0.0))),
         ("checkpoint heap entry", "names no payload", heap(0, 2, Value::UInt(1 << 40))),
         ("checkpoint heap entry", "lies before the checkpoint time", heap(0, 0, Value::UInt(t - 1))),
         ("checkpoint heap entry", "repeats the seq", heap(1, 2, first_seq)),
@@ -306,10 +317,20 @@ fn inconsistent_checkpoints_fail_to_resume() {
         ("obs.metrics", "timeseries.ev_dbe sums to 7", Box::new(move |v| {
             items(below(v, "obs", &["metrics", "timeseries"]))[1] = off.clone();
         })),
+        ("obs.metrics", "timeseries.console_lines sums to 5", Box::new(move |v| {
+            items(below(v, "obs", &["metrics", "timeseries"]))[0] = early.clone();
+        })),
         ("obs.trace", "next 1 is not above", obs(&["trace", "next"], |v| *v = Value::UInt(1))),
+        ("obs.trace", "its console line is at", obs(&["trace", "records"], |v| {
+            let line = Value::Str("console_line".into());
+            let is_line = |r: &Value| matches!(r, Value::Object(f) if f.contains(&("kind".into(), line.clone())));
+            let record = items(v).iter_mut().find(|r| is_line(r)).expect("a console_line record");
+            if let Value::UInt(ts) = field(record, "ts") {
+                *ts += 1;
+            }
+        })),
         ("obs.health", "rule_state length is 4", obs(&["health", "rule_state"], |v| items(v).truncate(4))),
         ("obs.health", "interval_secs is 1209600", obs(&["health", "interval_secs"], |v| *v = Value::UInt(1_209_600))),
-        ("obs.health", "next_boundary is 1296000", obs(&["health", "next_boundary"], |v| *v = Value::UInt(1_296_000))),
     ];
     for (section, want, edit) in edits {
         let mut v = doc.to_value();
@@ -323,18 +344,114 @@ fn inconsistent_checkpoints_fail_to_resume() {
     }
 }
 
-/// A `titan-ckpt/1` document is refused with an error naming both
-/// schemas. The reader skips unknown keys and reads a missing section
-/// as absent, so an older file parses and its schema is what refuses it.
+/// A `titan-ckpt/2` document is refused with an error naming both
+/// schemas. The reader skips unknown keys, so the older file's copies
+/// of the seed and window parse and its schema is what refuses it.
 #[test]
-fn a_titan_ckpt_1_document_is_refused_by_schema() {
-    let v1 = checkpoint_text().replacen("\"titan-ckpt/2\"", "\"titan-ckpt/1\"", 1).replacen(
-        ",\"prev_digest\":",
-        ",\"metrics_enabled\":true,\"trace_enabled\":true,\"prev_digest\":",
+fn a_titan_ckpt_2_document_is_refused_by_schema() {
+    let v2 = checkpoint_text().replacen(
+        "\"titan-ckpt/3\",",
+        "\"titan-ckpt/2\",\"seed\":11,\"window_days\":4,",
         1,
     );
-    let err = ckpt::parse_checkpoint(&v1).expect_err("a titan-ckpt/1 document");
-    assert!(err.contains("`titan-ckpt/1`") && err.contains("`titan-ckpt/2`"), "{err}");
+    let err = ckpt::parse_checkpoint(&v2).expect_err("a titan-ckpt/2 document");
+    assert!(err.contains("`titan-ckpt/2`") && err.contains("`titan-ckpt/3`"), "{err}");
+}
+
+/// Follows `picks` from the root of a checkpoint tree to one leaf: a
+/// random field of each object, and at each array either the array
+/// itself or a random element. Returns the leaf and its path.
+fn leaf<'a>(v: &'a mut Value, picks: &[u64], path: &mut String) -> &'a mut Value {
+    let Some((&pick, rest)) = picks.split_first() else { return v };
+    let nested = |v: &Value| matches!(v, Value::Object(_) | Value::Array(_));
+    let step = match &*v {
+        // Three walks in four go on into a nested field, when one is
+        // there, so the big sections get most of the edits.
+        Value::Object(fields) if !fields.is_empty() => {
+            let inner: Vec<usize> = (0..fields.len()).filter(|&i| nested(&fields[i].1)).collect();
+            Some(match pick % 4 {
+                0 => (pick / 4) as usize % fields.len(),
+                _ if inner.is_empty() => (pick / 4) as usize % fields.len(),
+                _ => inner[(pick / 4) as usize % inner.len()],
+            })
+        }
+        Value::Array(items) if !items.is_empty() && pick % 4 != 0 => {
+            Some((pick / 4) as usize % items.len())
+        }
+        _ => None,
+    };
+    match (step, v) {
+        (Some(i), Value::Object(fields)) => {
+            path.push_str(&format!(".{}", fields[i].0));
+            leaf(&mut fields[i].1, rest, path)
+        }
+        (Some(i), Value::Array(items)) => {
+            path.push_str(&format!("[{i}]"));
+            leaf(&mut items[i], rest, path)
+        }
+        (_, v) => v,
+    }
+}
+
+/// One edit of a leaf: a number moved by one either way, zeroed or
+/// doubled; an array cut short or one element repeated. `false` when
+/// the leaf is a string, bool, null or empty array.
+fn edit_leaf(v: &mut Value, pick: u64) -> bool {
+    match v {
+        Value::UInt(n) => {
+            *n = [n.wrapping_add(1), n.wrapping_sub(1), 0, n.wrapping_mul(2)][pick as usize % 4]
+        }
+        Value::Int(n) => {
+            *n = [n.wrapping_add(1), n.wrapping_sub(1), 0, n.wrapping_mul(2)][pick as usize % 4]
+        }
+        Value::Float(f) => *f = [*f + 1.0, *f - 1.0, 0.0, *f * 2.0][pick as usize % 4],
+        Value::Array(items) if !items.is_empty() => {
+            let i = (pick / 2) as usize % items.len();
+            if pick % 2 == 0 {
+                items.truncate(i);
+            } else {
+                let item = items[i].clone();
+                items.insert(i, item);
+            }
+        }
+        _ => return false,
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One edit at a random leaf of the armed 4-day checkpoint,
+    /// re-sealed so it passes the digest, either resumes or fails with
+    /// an error naming the checkpoint part it refused; it never panics.
+    #[test]
+    fn resealed_leaf_edits_resume_or_fail_cleanly(
+        picks in prop::collection::vec(any::<u64>(), 16..17),
+    ) {
+        let mut v = ckpt::parse_checkpoint(checkpoint_text()).expect("verify").to_value();
+        let mut path = String::new();
+        let edited = edit_leaf(leaf(&mut v, &picks[1..], &mut path), picks[0]);
+        // A leaf with no edit, or an edit the reader refuses (a value
+        // past its field's type), leaves nothing to resume.
+        if let Some(mut doc) = edited.then(|| ckpt::CheckpointDoc::from_value(&v).ok()).flatten() {
+            doc.digest = ckpt::checkpoint_digest(&doc);
+            let doc = ckpt::parse_checkpoint(&ckpt::render_checkpoint(&doc))
+                .expect("the re-sealed checkpoint passes the digest");
+            let resumed = std::panic::catch_unwind(|| {
+                let mut obs = Obs::from_plan(&doc.obs.plan());
+                ckpt::resume_checkpointed(&doc, 0, None, &mut obs, |_| Ok(())).map(drop)
+            });
+            match resumed {
+                Err(_) => prop_assert!(false, "resuming after an edit at {path} panicked"),
+                Ok(Err(e)) => prop_assert!(
+                    e.starts_with("checkpoint "),
+                    "an edit at {path} failed naming no checkpoint part: {e}"
+                ),
+                Ok(Ok(())) => {}
+            }
+        }
+    }
 }
 
 /// The trace and health documents of a 4-day run with both sinks armed.

@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::{Deserialize, Serialize, Value};
 use titan_gpu_reliability::obs::{
-    olcf_default_rules, rules_to_json, HealthAlert, HealthHeader, HealthInterval, HealthRule,
-    HealthSummary, KindCost, MetricsDoc, Obs, ProfDoc, TraceHeader, TraceRecord, WallDoc,
+    HealthAlert, HealthHeader, HealthInterval, HealthSummary, KindCost, MetricsDoc, Obs, ProfDoc,
+    TraceHeader, TraceRecord, WallDoc,
 };
 use titan_gpu_reliability::runner::{ckpt, run_seed_with, CheckpointDoc, ObsPlan};
 use titan_gpu_reliability::StudyConfig;
@@ -1002,5 +1002,4 @@ fn real_documents_read_like_the_tree() {
             check_doc::<HealthSummary>(line, "HealthSummary");
         }
     }
-    check_doc::<Vec<HealthRule>>(&rules_to_json(&olcf_default_rules()), "health rules");
 }
